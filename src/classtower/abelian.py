@@ -5,7 +5,8 @@ dividing the next); it is the common currency every oracle and prediction is
 compared in.  abelian_structure() recovers the chain of a concrete finite
 abelian group from order statistics: if the type is (p^e1, ..., p^er) then
 #{x : x^(p^k) = id} = p^(sum_i min(k, e_i)), so the counts of p^k-torsion
-elements determine the exponent multiset.
+elements determine the exponent multiset; p_part_exponents() does this for
+one prime.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-__all__ = ["AbelianType", "abelian_structure", "factorize"]
+__all__ = ["AbelianType", "abelian_structure", "factorize", "p_part_exponents", "power"]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -117,33 +118,10 @@ def abelian_structure(
     n = len(elements)
     if n == 1:
         return AbelianType(())
-    per_prime_exponents: dict[int, list[int]] = {}
-    for p, e_max in factorize(n).items():
-        # counts[k] = #{x : x^(p^k) = identity}; stable once the full p-Sylow
-        # subgroup is counted.
-        powers = list(elements)
-        counts = [1]
-        while counts[-1] < p ** e_max and powers:
-            powers = [_pow(x, p, op, identity) for x in powers]
-            c = sum(1 for x in powers if x == identity)
-            if c == counts[-1]:
-                break
-            counts.append(c)
-        # r_k = #{invariant factors with p-exponent >= k}
-        ranks = []
-        for prev, cur in zip(counts, counts[1:]):
-            q, rem = divmod(cur, prev)
-            assert rem == 0, "torsion counts not p-power graded; group not abelian?"
-            r = 0
-            while q > 1:
-                q //= p
-                r += 1
-            ranks.append(r)
-        exponents: list[int] = []
-        for k, r in enumerate(ranks, start=1):
-            nxt = ranks[k] if k < len(ranks) else 0
-            exponents.extend([k] * (r - nxt))
-        per_prime_exponents[p] = sorted(exponents, reverse=True)
+    per_prime_exponents = {
+        p: sorted(p_part_exponents(elements, op, identity, p, p**e_max), reverse=True)
+        for p, e_max in factorize(n).items()
+    }
     width = max((len(v) for v in per_prime_exponents.values()), default=0)
     chain = []
     for j in range(width):
@@ -157,13 +135,44 @@ def abelian_structure(
     return result
 
 
-def _pow(x, p: int, op, identity):
-    acc = identity
-    base = x
-    e = p
+def p_part_exponents(elements, op, identity, p: int, sylow_order: int) -> list[int]:
+    """Ascending exponents e_i of the p-part (p^e_1, ..., p^e_r) of a finite abelian group.
+
+    Read off the p^k-torsion counts, which grow with k until they reach
+    sylow_order, the order of the p-Sylow subgroup.
+    """
+    powers = list(elements)
+    counts = [1]
+    while counts[-1] < sylow_order:
+        powers = [power(x, p, op, identity) for x in powers]
+        c = sum(1 for x in powers if x == identity)
+        if c == counts[-1]:
+            break
+        counts.append(c)
+    # r_k = #{invariant factors with p-exponent >= k}
+    ranks = []
+    for prev, cur in zip(counts, counts[1:]):
+        q, rem = divmod(cur, prev)
+        assert rem == 0, "torsion counts not p-power graded; group not abelian?"
+        r = 0
+        while q > 1:
+            q //= p
+            r += 1
+        ranks.append(r)
+    exponents: list[int] = []
+    for k, r in enumerate(ranks, start=1):
+        nxt = ranks[k] if k < len(ranks) else 0
+        exponents.extend([k] * (r - nxt))
+    return exponents
+
+
+def power(x, e: int, op, identity):
+    """x^e for e >= 0 by binary exponentiation under the group law op."""
+    acc = None
     while e:
         if e & 1:
-            acc = op(acc, base)
-        base = op(base, base)
+            acc = x if acc is None else op(acc, x)
         e >>= 1
-    return acc
+        if e:
+            x = op(x, x)
+    return identity if acc is None else acc

@@ -29,9 +29,10 @@ from .gengroup import (
     abelian_invariants,
     lower_central_series,
 )
+from .quadratic import DISCRIMINANT_BOUND, ClassGroupError, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
 from .symbols import InvalidPairError, primes_5_mod_8, quartic_symbol, validate_pair
-from .unitindex import QAgreementError, q_from_symbols, unit_index_q
+from .unitindex import QAgreementError, q_from_symbols
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -145,7 +146,11 @@ def cmd_classify(args) -> int:
     except InvalidPairError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConsistencyError, QAgreementError) as exc:
+    except DiscriminantBoundError:
+        print(f"invalid input: p1*p2 = {args.p1 * args.p2} exceeds the class-group bound "
+              f"DISCRIMINANT_BOUND/4 = {DISCRIMINANT_BOUND // 4}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ConsistencyError, QAgreementError, ClassGroupError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     if args.json:
@@ -163,7 +168,7 @@ def cmd_verify_fixtures(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConsistencyError, QAgreementError) as exc:
+    except (ConsistencyError, QAgreementError, ClassGroupError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     n_rows = len(results)
@@ -304,7 +309,7 @@ def _scan_pair(pair_tuple) -> dict:
     )
     props["exponent-coupling"] = _exponent_coupling_ok(record)
     if record.legendre == -1:
-        props["q-agreement"] = q_from_symbols(pair) == unit_index_q(pair)
+        props["q-agreement"] = q_from_symbols(pair) == record.q
     props["prediction-vs-engine"] = validation.passed
     return {
         "p1": p1,

@@ -27,6 +27,14 @@ def test_classify_rejects_bad_prime(capsys):
     assert "not prime" in err
 
 
+def test_classify_rejects_pair_beyond_discriminant_bound(capsys):
+    # p1*p2 = 100000345 > DISCRIMINANT_BOUND/4
+    code, out, err = run(capsys, "classify", "--p1", "5", "--p2", "20000069")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "25000000" in err
+
+
 def test_classify_json_roundtrip(capsys):
     code, out, _ = run(capsys, "classify", "--p1", "5", "--p2", "37", "--json")
     assert code == 0
@@ -141,3 +149,19 @@ def test_scan_jobs_deterministic(capsys):
     code2, out2, _ = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_class_group_self_check_exits_3(capsys, monkeypatch):
+    # a unit oracle that contradicts the negated-principal class must surface
+    # as a consistency failure (exit 3) from classify and scan alike
+    from classtower import quadratic
+
+    monkeypatch.setattr(quadratic, "norm_eps", lambda m: -quadratic.fundamental_unit(m).norm)
+    quadratic.class_group.cache_clear()
+    try:
+        code, _, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
+        scan_code, _, scan_err = run(capsys, "scan", "--max", "13")
+    finally:
+        quadratic.class_group.cache_clear()
+    assert code == scan_code == 3
+    assert "N(eps)" in err and "N(eps)" in scan_err

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from classtower.abelian import AbelianType
+from classtower.abelian import AbelianType, abelian_structure
 from classtower.quadratic import (
     BQForm,
+    ClassGroupError,
     class_group,
     class_number,
     compose,
@@ -17,7 +18,7 @@ from classtower.quadratic import (
     reduce_indefinite,
     two_part_of_class_group,
 )
-from classtower.symbols import primes_5_mod_8, validate_pair
+from classtower.symbols import jacobi, primes_5_mod_8, validate_pair
 
 
 def pell_brute(m):
@@ -100,11 +101,63 @@ def test_known_imaginary_class_numbers():
 
 
 def test_known_imaginary_structures():
-    assert class_group(-84).abelian_type() == AbelianType((2, 2))
-    assert class_group(-260).abelian_type() == AbelianType((2, 4))
-    assert class_group(-23).abelian_type() == AbelianType((3,))
-    assert class_group(-95).abelian_type() == AbelianType((8,))
-    assert class_group(-39).abelian_type() == AbelianType((4,))
+    known = {-84: (2, 2), -260: (2, 4), -23: (3,), -95: (8,), -39: (4,)}
+    for D, divisors in known.items():
+        full = _full_structure(D)
+        assert full == AbelianType(divisors), D
+        assert class_group(D).two_part == full.two_part(), D
+
+
+def _kronecker(D, a):
+    """Kronecker symbol (D/a) for a > 0."""
+    k = (a & -a).bit_length() - 1
+    two = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    return two**k * jacobi(D, a >> k)
+
+
+def _dirichlet_class_number(D):
+    """h(D) = -(1/|D|) * sum_{0<a<|D|} (D/a) a for fundamental D < -4."""
+    total = sum(_kronecker(D, a) * a for a in range(1, -D))
+    h, rem = divmod(-total, -D)
+    assert rem == 0
+    return h
+
+
+def test_class_number_matches_dirichlet_sum():
+    # form-free oracle: the analytic class number formula as a finite sum
+    discs = [D for D in KNOWN_IMAGINARY if D < -4]
+    ps = primes_5_mod_8(61)
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            discs += [field_discriminant(-p1 * p2), field_discriminant(-2 * p1 * p2)]
+    for D in discs:
+        h = _dirichlet_class_number(D)
+        assert class_number(D) == h, D
+        assert class_group(D).two_part.order() == h & -h, D
+
+
+def test_two_part_matches_full_structure_oracle():
+    ps = primes_5_mod_8(110)
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            for k in (1, 2):
+                for sign in (1, -1):
+                    D = field_discriminant(sign * k * p1 * p2)
+                    grp = class_group(D)
+                    full = _full_structure(D)
+                    assert (grp.order, grp.two_part) == (full.order(), full.two_part()), D
+
+
+def test_two_sylow_rejects_wrong_order():
+    from classtower.quadratic import _two_sylow
+
+    elements, op, one = _group_law(-260)  # type (2, 4), h = 8
+    assert len(_two_sylow(elements, op, one, 8)) == 8
+    with pytest.raises(ClassGroupError):
+        _two_sylow(elements, op, one, 16)  # 2-Sylow never reaches 16
+    elements, op, one = _group_law(-23)  # type (3,)
+    with pytest.raises(ClassGroupError):
+        _two_sylow(elements, op, one, 2)  # u = 1 leaves elements of order 3
 
 
 KNOWN_REAL_WIDE = {5: 1, 8: 1, 12: 1, 13: 1, 40: 2, 60: 2, 65: 2, 136: 2, 229: 3}
@@ -141,8 +194,7 @@ def test_reduced_form_count_is_group_order():
     for D in (-260, -84, -95, -515, -1004, -10007, -34180):
         grp = class_group(D)
         assert grp.order == len(_reduced_definite_forms(D))
-        if grp.structure is not None:
-            assert grp.structure.order() == grp.order
+        assert grp.two_part.order() == grp.order & -grp.order
 
 
 def test_composition_group_axioms_random():
@@ -164,6 +216,17 @@ def _group_law(D):
 
     grp = _DefiniteGroup(D) if D < 0 else _CycleGroup(D)
     return list(grp.elements), grp.op, grp.identity
+
+
+def _full_structure(D):
+    """Test-only oracle: full structure of the (wide) class group over every element."""
+    from classtower.quadratic import _CycleGroup, _quotient_by_involution
+
+    elements, op, one = _group_law(D)
+    if D > 0:
+        j = _CycleGroup(D).negated_principal_class()
+        elements, op, one = _quotient_by_involution(elements, op, one, j)
+    return abelian_structure(elements, op, one)
 
 
 def test_definite_inverse_is_b_negation():
