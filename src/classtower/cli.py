@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .abelian import AbelianType
 from .classify import (
@@ -31,7 +31,7 @@ from .gengroup import (
 )
 from .quadratic import DISCRIMINANT_BOUND, ClassGroupError, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
-from .symbols import InvalidPairError, primes_5_mod_8, quartic_symbol, validate_pair
+from .symbols import InvalidPairError, is_prime, primes_5_mod_8, quartic_symbol, validate_pair
 from .unitindex import QAgreementError, q_from_symbols
 
 EXIT_OK = 0
@@ -337,14 +337,32 @@ def _exponent_coupling_ok(record) -> bool:
     return True
 
 
+def _largest_pair_product(limit: int) -> int:
+    """p1*p2 for the two largest primes p1 < p2 <= limit with p = 5 (mod 8), limit >= 13."""
+    top = []
+    p = limit - (limit - 5) % 8
+    while len(top) < 2:
+        if is_prime(p):
+            top.append(p)
+        p -= 8
+    return top[0] * top[1]
+
+
 def cmd_scan(args) -> int:
     if args.max < 13:
         print("scan needs --max >= 13 (the smallest valid pair is (5, 13))", file=sys.stderr)
+        return EXIT_INPUT
+    largest = _largest_pair_product(args.max)
+    if largest > DISCRIMINANT_BOUND // 8:
+        print(f"invalid input: scan --max {args.max} reaches p1*p2 = {largest}, beyond the "
+              f"class-group bound DISCRIMINANT_BOUND/8 = {DISCRIMINANT_BOUND // 8}", file=sys.stderr)
         return EXIT_INPUT
     ps = primes_5_mod_8(args.max)
     pairs = [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
     try:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_scan_pair, pairs, chunksize=8))
         else:
@@ -384,6 +402,17 @@ def cmd_scan(args) -> int:
                 bad = sorted(k for k, v in r["properties"].items() if not v)
                 print(f"  FAIL ({r['p1']}, {r['p2']}): {', '.join(bad)}")
     return EXIT_OK if not failures else EXIT_CONSISTENCY
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: at least 1, capped at the number of CPUs."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="run the property suites over all pairs up to a bound")
     p_scan.add_argument("--max", type=int, required=True)
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=_jobs, default=1,
+                        help="worker processes, at least 1, capped at the number of CPUs")
     p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
     return parser

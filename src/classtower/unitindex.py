@@ -1,12 +1,12 @@
 """The unit index q in {1, 2}: is eps_2 * eps_r * eps_2r a square in Q(sqrt2, sqrt r)?
 
 r = p1*p2.  Elements of the real multiquadratic field live on the exact basis
-(1, sqrt2, sqrt r, sqrt 2r) with rational coefficients.  The square test runs
-in two stages: a numeric candidate search (high-precision conjugate square
-roots, all 8 essentially distinct sign patterns, coefficients rounded to
-half-integers) whose winner is verified by exact re-expansion, and an exact
-subfield descent through Q(sqrt2) used both as a fast disproof filter and as
-a complete backstop, so "no root" is never a precision artifact.
+(1, sqrt2, sqrt r, sqrt 2r) with rational coefficients.  The square test is
+exact and has one stage: a relative-norm filter (the norm to Q(sqrt2) of a
+square is a square there), then a complete descent through Q(sqrt2) that
+either reconstructs the root or proves that none exists.  The root is
+normalised to a positive principal embedding by an integer-only sign test.
+No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .quadratic import QuadUnit, fundamental_unit
 from .symbols import (
@@ -33,9 +31,6 @@ __all__ = [
     "q_from_symbols",
     "QAgreementError",
 ]
-
-_PRECISIONS = (128, 256, 512, 1024, 2048, 4096, 8192)
-
 
 class QAgreementError(AssertionError):
     """The exact square test and the quartic-symbol criterion disagreed."""
@@ -95,24 +90,38 @@ class MultiQuadElt:
         c0, c1, c2, c3 = self.c
         return MultiQuadElt(self.r, (c0, -c1, c2, -c3))
 
+    def __neg__(self) -> "MultiQuadElt":
+        return MultiQuadElt(self.r, tuple(-x for x in self.c))
+
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c)
 
-    def embeddings(self, prec_bits: int):
-        """The four real embeddings, ordered (+,+), (-,+), (+,-), (-,-)."""
-        with mpmath.workprec(prec_bits):
-            s2 = mpmath.sqrt(2)
-            sr = mpmath.sqrt(self.r)
-            s2r = s2 * sr
-            c = [_to_mpf(x) for x in self.c]
-            return [
-                c[0] + e2 * c[1] * s2 + er * c[2] * sr + e2 * er * c[3] * s2r
-                for e2, er in ((1, 1), (-1, 1), (1, -1), (-1, -1))
-            ]
+    def principal_sign(self) -> int:
+        """The sign of c0 + c1*sqrt2 + c2*sqrt r + c3*sqrt 2r, exactly.
 
-
-def _to_mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        With the coefficients scaled to integers a_i, each term
+        a_i*sqrt(m_i)*scale lies within 1 of +-isqrt(a_i^2*m_i*scale^2);
+        the scale doubles until the summed interval leaves 0.
+        """
+        if self.is_zero():
+            raise ValueError("the zero element has no sign")
+        den = math.lcm(*(x.denominator for x in self.c))
+        terms = [
+            (x.numerator * (den // x.denominator), m)
+            for x, m in zip(self.c, (1, 2, self.r, 2 * self.r))
+        ]
+        scale = 1
+        while True:
+            lo = hi = 0
+            for a, m in terms:
+                t = math.isqrt(a * a * m * scale * scale)
+                lo += t if a >= 0 else -t - 1
+                hi += t + 1 if a >= 0 else -t
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            scale *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +172,9 @@ def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
 
     If target = s^2 then s*s^sigma, s+s^sigma, s-s^sigma all square into
     explicitly computable elements of Q(sqrt2); solving those three square
-    roots exactly reconstructs s or proves no root exists.
+    roots exactly reconstructs s or proves no root exists.  The first of
+    them is the relative-norm filter: N(target) = target*target^sigma must be
+    a square in Q(sqrt2).
     """
     r = target.r
     sigma = target.conj_sqrt_r()
@@ -192,62 +203,20 @@ def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Numeric candidate stage
-# ---------------------------------------------------------------------------
-
-_SIGN_PATTERNS = [
-    (1, e2, e3, e4) for e2 in (1, -1) for e3 in (1, -1) for e4 in (1, -1)
-]
-
-
-def _numeric_candidates(target: MultiQuadElt, prec_bits: int):
-    """Half-integer coefficient candidates from rounded conjugate square roots."""
-    with mpmath.workprec(prec_bits):
-        embs = target.embeddings(prec_bits)
-        if any(e <= 0 for e in embs):
-            return  # not totally positive at this precision: no real square roots
-        roots = [mpmath.sqrt(e) for e in embs]
-        s2 = mpmath.sqrt(2)
-        sr = mpmath.sqrt(target.r)
-        s2r = s2 * sr
-        for pat in _SIGN_PATTERNS:
-            t = [p * x for p, x in zip(pat, roots)]
-            c0 = (t[0] + t[1] + t[2] + t[3]) / 4
-            c1 = (t[0] - t[1] + t[2] - t[3]) / (4 * s2)
-            c2 = (t[0] + t[1] - t[2] - t[3]) / (4 * sr)
-            c3 = (t[0] - t[1] - t[2] + t[3]) / (4 * s2r)
-            coeffs = []
-            ok = True
-            for x in (c0, c1, c2, c3):
-                n = mpmath.nint(2 * x)
-                if abs(2 * x - n) > mpmath.mpf("0.25"):
-                    ok = False
-                    break
-                coeffs.append(Fraction(int(n), 2))
-            if ok:
-                yield MultiQuadElt(target.r, tuple(coeffs))
-
-
 def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
     """s with s*s = target exactly, or None when target is not a square.
 
-    Numeric stage: conjugate square roots at 128..8192 bits generate
-    candidates; acceptance is only ever the exact identity s^2 = target.
-    An exact Q(sqrt2) descent disproves squareness early (the relative norm
-    of a square must be a Q(sqrt2) square) and decides any case the numeric
-    schedule exhausts, so escalation failure cannot produce a wrong answer.
+    Exact and one-stage: the Q(sqrt2) descent of `_sqrt_via_subfield`, whose
+    first step is the relative-norm filter, either reconstructs a root and
+    checks s*s = target, or proves that target is not a square.  Of the two
+    roots +-s, the one with a positive principal embedding is returned.
     """
     if target.is_zero():
-        return MultiQuadElt.make(target.r)
-    sigma_norm = target * target.conj_sqrt_r()
-    if _sqrt_in_q2(*_q2_elt(sigma_norm)) is None:
-        return None
-    for prec in _PRECISIONS:
-        for cand in _numeric_candidates(target, prec):
-            if (cand * cand).c == target.c:
-                return cand
-    return _sqrt_via_subfield(target)
+        return target
+    root = _sqrt_via_subfield(target)
+    if root is None or root.principal_sign() > 0:
+        return root
+    return -root
 
 
 # ---------------------------------------------------------------------------

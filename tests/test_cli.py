@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
-from classtower.cli import main
+from classtower.cli import _largest_pair_product, build_parser, main
+from classtower.symbols import primes_5_mod_8
 
 
 def run(capsys, *argv):
@@ -133,6 +135,32 @@ def test_scan_bounds(capsys):
     code, _, err = run(capsys, "scan", "--max", "12")
     assert code == 2
     assert "13" in err
+
+
+def test_scan_rejects_max_beyond_discriminant_bound(capsys):
+    # scan also needs -+2*p1*p2, so p1*p2 <= DISCRIMINANT_BOUND/8 = 12500000:
+    # 9949*9973 = 99221377 is far beyond it, 3533*3541 = 12510353 just beyond
+    for limit in ("10000", "3541"):
+        code, out, err = run(capsys, "scan", "--max", limit)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "12500000" in err
+    assert _largest_pair_product(3540) <= 12500000
+    for limit in (13, 14, 100, 3541):
+        ps = primes_5_mod_8(limit)
+        assert _largest_pair_product(limit) == ps[-2] * ps[-1]
+
+
+def test_scan_jobs_validation(capsys, monkeypatch):
+    parser = build_parser()
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["scan", "--max", "13", "--jobs", bad])
+        assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert parser.parse_args(["scan", "--max", "13", "--jobs", "64"]).jobs == 2
+    assert parser.parse_args(["scan", "--max", "13"]).jobs == 1
 
 
 def test_scan_small(capsys):

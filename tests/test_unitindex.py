@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from classtower.quadratic import fundamental_unit
 from classtower.symbols import validate_pair
@@ -61,6 +63,41 @@ def test_exact_square_root_negative_cases():
     assert exact_square_root(MultiQuadElt.make(r, 3)) is None
     eps2 = MultiQuadElt.make(r, 1, 1, 0, 0)  # not totally positive
     assert exact_square_root(eps2) is None
+
+
+_HALF_INTEGERS = st.integers(-40, 40).map(lambda k: Fraction(k, 2))
+
+
+@given(st.sampled_from((65, 377)), st.tuples(*[_HALF_INTEGERS] * 4).filter(any))
+def test_exact_square_root_property(r, coeffs):
+    s = MultiQuadElt(r, coeffs)
+    target = s * s
+    root = exact_square_root(target)
+    assert root is not None and root.c in (s.c, (-s).c)
+    assert root.principal_sign() == 1
+    terms = [float(c) * math.sqrt(m) for c, m in zip(root.c, (1, 2, r, 2 * r))]
+    if abs(sum(terms)) > 1e-9 * sum(map(abs, terms)):  # float sign unambiguous
+        assert sum(terms) > 0
+    for t in (MultiQuadElt.make(r, 3), MultiQuadElt.make(r, 0, 1), MultiQuadElt.make(r, 1, 1)):
+        assert exact_square_root(target * t) is None
+
+
+def test_principal_sign_under_cancellation():
+    # (sqrt2 - 1)^k * (sqrt65 - 8)^j is tiny and positive, with huge coefficients
+    # on all four basis elements that nearly cancel: the sign test must refine
+    # its scale and bound every term from both sides
+    r = 65
+    u, v = MultiQuadElt.make(r, -1, 1, 0, 0), MultiQuadElt.make(r, -8, 0, 1, 0)
+    x = MultiQuadElt.make(r, 1)
+    for _ in range(12):
+        y = x
+        for _ in range(12):
+            assert y.principal_sign() == 1
+            assert (-y).principal_sign() == -1
+            y = y * v
+        x = x * u
+    with pytest.raises(ValueError):
+        MultiQuadElt.make(r).principal_sign()
 
 
 def test_unit_product_is_exactly_representable():
