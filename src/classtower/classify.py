@@ -7,6 +7,18 @@ subgroups from first principles (one quadratic symbol per generator class and
 radicand representation) to keep the transcription honest, and
 cross_validate() rebuilds everything inside the concrete group model, where
 abelianizations and transfer kernels are computed rather than looked up.
+
+invariants() checks the forced relations in RULES; a failed rule raises
+ConsistencyError naming it, and scan reports each rule as a row property.
+
+  rule                  applies to     holds when
+  quartic-product-rule  (p1/p2) = +1   (p1/p2)_4 (p2/p1)_4 = pi
+  q-agreement           (p1/p2) = -1   N(eps_r) = -1, q = q_from_symbols(pair),
+                                       and (q = 1) <=> (pi = B)
+  exponent-coupling     every pair     N(eps_r) = +1 => q = 1;  q = 2 => m = 2;
+                                       (p1/p2) = -1 => n = 1, and m >= 3 if q = 1;
+                                       (p1/p2) = +1, pi = -1 => q = 1, n = 1, m >= 3;
+                                       (p1/p2) = +1, pi = +1 => m = 2, n >= 2
 """
 
 from __future__ import annotations
@@ -39,10 +51,11 @@ from .gengroup import (
 )
 from .quadratic import exponents_mn, norm_eps
 from .symbols import PrimePair, quartic_symbol, validate_pair
-from .unitindex import unit_index_q
+from .unitindex import q_from_symbols, unit_index_q
 
 __all__ = [
     "ConsistencyError",
+    "RULES",
     "InvariantRecord",
     "FieldLabel",
     "KPrediction",
@@ -56,12 +69,20 @@ __all__ = [
     "norm_groups_from_symbols",
     "predict",
     "cross_validate",
+    "engine_subgroups",
     "classify_pair",
 ]
 
 
 class ConsistencyError(AssertionError):
-    """Computed invariants violate a relation that is supposed to be forced."""
+    """Computed invariants violate a relation that is supposed to be forced.
+
+    rules names the failed entries of RULES; it is empty for other self-checks.
+    """
+
+    def __init__(self, message: str, rules: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.rules = rules
 
 
 # ---------------------------------------------------------------------------
@@ -147,46 +168,55 @@ def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
     return record
 
 
-def _check_consistency(rec: InvariantRecord) -> None:
-    def fail(rule: str, detail: str):
-        raise ConsistencyError(f"pair {rec.pair}: {rule} violated: {detail}")
+def _quartic_product_holds(rec: InvariantRecord) -> bool:
+    p1, p2 = rec.pair.p1, rec.pair.p2
+    return quartic_symbol(p1, p2) * quartic_symbol(p2, p1) == rec.pi
 
-    if rec.legendre == -1 and rec.norm_eps_r != -1:
-        fail("unit norm rule", f"(p1/p2) = -1 needs N(eps_r) = -1, got {rec.norm_eps_r}")
+
+def q_matches_pi_b(rec: InvariantRecord) -> bool:
+    """(q = 1) <=> (pi = B), forced when (p1/p2) = -1."""
+    return (rec.q == 1) == (rec.pi == rec.B)
+
+
+def _q_agrees(rec: InvariantRecord) -> bool:
+    return rec.norm_eps_r == -1 and rec.q == q_from_symbols(rec.pair) and q_matches_pi_b(rec)
+
+
+def exponents_coupled(rec: InvariantRecord) -> bool:
+    """N(eps_r) = +1 forces q = 1; (legendre, pi, q) constrain m and n."""
     if rec.norm_eps_r == 1 and rec.q != 1:
-        fail("unit index rule", f"N(eps_r) = +1 forces q = 1, got q={rec.q}")
-    if rec.legendre == 1:
-        quartic = quartic_symbol(rec.pair.p1, rec.pair.p2) * quartic_symbol(
-            rec.pair.p2, rec.pair.p1
-        )
-        if quartic != rec.pi:
-            fail(
-                "quartic product identity",
-                f"(p1/p2)_4 (p2/p1)_4 = {quartic} but (pi1/pi3) = {rec.pi}",
-            )
-    if rec.legendre == -1 and (rec.q == 1) != (rec.pi == rec.B):
-        fail(
-            "q-symbol equivalence",
-            f"q={rec.q} but pi={rec.pi}, B={rec.B}",
-        )
-    # exponent constraints (the q/m/n coupling)
+        return False
     if rec.q == 2 and rec.m != 2:
-        fail("exponent coupling (q=2)", f"q = 2 forces m = 2, got m={rec.m}")
-    if rec.legendre == -1 and rec.n != 1:
-        fail("exponent coupling", f"(p1/p2) = -1 forces n = 1, got n={rec.n}")
-    if rec.q == 1 and rec.legendre == -1 and rec.m < 3:
-        fail("exponent coupling (q=1)", f"needs m >= 3, got m={rec.m}")
-    if rec.legendre == 1:
-        if rec.pi == -1 and not (rec.n == 1 and rec.m >= 3 and rec.q == 1):
-            fail(
-                "exponent coupling",
-                f"(p1/p2)=1, quartic=-1 needs q=1, n=1, m>=3; got q={rec.q}, m={rec.m}, n={rec.n}",
-            )
-        if rec.pi == 1 and not (rec.m == 2 and rec.n >= 2):
-            fail(
-                "exponent coupling",
-                f"(p1/p2)=1, quartic=+1 needs m=2, n>=2; got m={rec.m}, n={rec.n}",
-            )
+        return False
+    if rec.legendre == -1:
+        return rec.n == 1 and (rec.q == 2 or rec.m >= 3)
+    if rec.pi == -1:
+        return rec.q == 1 and rec.n == 1 and rec.m >= 3
+    return rec.m == 2 and rec.n >= 2
+
+
+# name -> (applies to the record, holds for the record)
+RULES = {
+    "quartic-product-rule": (lambda rec: rec.legendre == 1, _quartic_product_holds),
+    "q-agreement": (lambda rec: rec.legendre == -1, _q_agrees),
+    "exponent-coupling": (lambda rec: True, exponents_coupled),
+}
+
+
+def applicable_rules(rec: InvariantRecord) -> list[str]:
+    return [name for name, (applies, _) in RULES.items() if applies(rec)]
+
+
+def _check_consistency(rec: InvariantRecord) -> None:
+    failed = tuple(
+        name for name, (applies, holds) in RULES.items() if applies(rec) and not holds(rec)
+    )
+    if failed:
+        raise ConsistencyError(
+            f"pair {rec.pair}: {', '.join(failed)} violated: (legendre, pi, B, N(eps_r), q, m, n) = "
+            f"{(rec.legendre, rec.pi, rec.B, rec.norm_eps_r, rec.q, rec.m, rec.n)}",
+            failed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +368,8 @@ def norm_groups_from_symbols(
             alpha = reduce(GaussianInt.__mul__, (gauss[f] for f in rep))
             chi[name] = gauss_symbol(alpha, gauss[avoid])
         signs = (chi["H0"], chi["H1"], chi["H2"])
-        assert signs != (1, 1, 1), f"norm group of K{j} came out with index 1"
+        if signs == (1, 1, 1):
+            raise ConsistencyError(f"norm group of K{j} came out with index 1")
         out[j] = frozenset(
             v
             for v in CLASS_VECTORS
@@ -633,18 +664,39 @@ def _fmt_vectors(vs) -> str:
     return "{" + ",".join(sorted(vector_name(v) for v in vs)) + "}"
 
 
+def engine_subgroups(profile: tuple):
+    """(presentation, G, G', {"K1".."K7", "L1".."L7": subgroup}) for a symbol profile.
+
+    K_j is generated by G' and the classes of N_j; L_j is the intersection of
+    its three K factors.  Raises KeyError outside the tabulated symbol tuples.
+    Not cached: _engine_checks caches per profile, and keeping the subgroups
+    of 38 profiles in one process raised its peak RSS by about a third.
+    """
+    _, _, _, q, m, n, psi = profile
+    pres = GPresentation(m, n, q, psi)
+    G = Subgroup.whole_group(pres)
+    Gp = G.derived_subgroup()
+    norms = norm_groups(_profile_record(profile))
+    fields = {}
+    for j in range(1, 8):
+        gens = [class_to_group(pres, v) for v in norms[j]] + list(Gp.generators)
+        fields[f"K{j}"] = Subgroup.generated(pres, gens)
+    for j in range(1, 8):
+        fa, fb, fc = (fields[f"K{i}"] for i in L_FACTORS[j])
+        fields[f"L{j}"] = fa.intersection(fb).intersection(fc)
+    return pres, G, Gp, fields
+
+
 @lru_cache(maxsize=None)
 def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     legendre, pi, b, q, m, n, psi = profile
     rec = _profile_record(profile)
-    pres = GPresentation(m, n, q, psi)
+    pres, G, Gp, fields = engine_subgroups(profile)
     checks: list[Check] = []
 
     def add(name, expected, got):
         checks.append(Check(name, expected == got, str(expected), str(got)))
 
-    G = Subgroup.whole_group(pres)
-    Gp = G.derived_subgroup()
     add("G:order", 1 << (m + n + (2 if q == 1 else 3)), G.order)
     add("G:derived-generators", True, Gp.elements == Subgroup.generated(
         pres, [pres.word("ss"), pres.word("tt")]
@@ -657,11 +709,8 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
 
     norms = norm_groups(rec)
     kerns = kernels(rec)
-    subgroups: dict[int, Subgroup] = {}
     for j in range(1, 8):
-        gens = [class_to_group(pres, v) for v in norms[j]] + list(Gp.generators)
-        Gj = Subgroup.generated(pres, gens)
-        subgroups[j] = Gj
+        Gj = fields[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)])
         add(f"K{j}:subgroup-words", True, Gj.elements == words.elements)
@@ -669,12 +718,11 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
         kern = transfer_kernel(pres, Gj)
         add(f"K{j}:kernel", _fmt_vectors(kerns[j]), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & norms[j]) > 1)
-    add("K3:class-group", k_type(rec, 3), subgroups[3].abelianization())
+    add("K3:class-group", k_type(rec, 3), fields["K3"].abelianization())
 
     full = frozenset(CLASS_VECTORS)
     for j in range(1, 8):
-        fa, fb, fc = L_FACTORS[j]
-        Hj = subgroups[fa].intersection(subgroups[fb]).intersection(subgroups[fc])
+        Hj = fields[f"L{j}"]
         add(f"L{j}:index", 4, Hj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)])
         add(f"L{j}:subgroup-words", True, Hj.elements == words.elements)
@@ -720,23 +768,7 @@ def engine_abelianizations(profile: tuple) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi); raises KeyError when the symbol
     tuple falls outside the tabulated cases.
     """
-    legendre, pi, b, q, m, n, psi = profile
-    rec = _profile_record(profile)
-    pres = GPresentation(m, n, q, psi)
-    Gp = Subgroup.whole_group(pres).derived_subgroup()
-    norms = norm_groups(rec)
-    out: dict[str, AbelianType] = {}
-    subgroups = {}
-    for j in range(1, 8):
-        gens = [class_to_group(pres, v) for v in norms[j]] + list(Gp.generators)
-        Gj = Subgroup.generated(pres, gens)
-        subgroups[j] = Gj
-        out[f"K{j}"] = Gj.abelianization()
-    for j in range(1, 8):
-        fa, fb, fc = L_FACTORS[j]
-        Hj = subgroups[fa].intersection(subgroups[fb]).intersection(subgroups[fc])
-        out[f"L{j}"] = Hj.abelianization()
-    return out
+    return {name: H.abelianization() for name, H in engine_subgroups(profile)[3].items()}
 
 
 def classify_pair(p1: int, p2: int, conj_swap: bool = False):

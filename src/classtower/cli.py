@@ -14,11 +14,15 @@ import sys
 
 from .abelian import AbelianType
 from .classify import (
-    ConsistencyError,
     InvariantRecord,
     PredictionReport,
     ValidationReport,
+    _profile_record,
+    applicable_rules,
     classify_pair,
+    engine_abelianizations,
+    exponents_coupled,
+    q_matches_pi_b,
     vector_name,
 )
 from .gengroup import (
@@ -29,10 +33,9 @@ from .gengroup import (
     abelian_invariants,
     lower_central_series,
 )
-from .quadratic import DISCRIMINANT_BOUND, ClassGroupError, DiscriminantBoundError
+from .quadratic import DISCRIMINANT_BOUND, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
-from .symbols import InvalidPairError, is_prime, primes_5_mod_8, quartic_symbol, validate_pair
-from .unitindex import QAgreementError, q_from_symbols
+from .symbols import InvalidPairError, is_prime, primes_5_mod_8
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -150,7 +153,7 @@ def cmd_classify(args) -> int:
         print(f"invalid input: p1*p2 = {args.p1 * args.p2} exceeds the class-group bound "
               f"DISCRIMINANT_BOUND/4 = {DISCRIMINANT_BOUND // 4}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConsistencyError, QAgreementError, ClassGroupError) as exc:
+    except AssertionError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     if args.json:
@@ -168,7 +171,7 @@ def cmd_verify_fixtures(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConsistencyError, QAgreementError, ClassGroupError) as exc:
+    except AssertionError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
     n_rows = len(results)
@@ -216,9 +219,12 @@ def cmd_verify_fixtures(args) -> int:
 
 
 def _admissible(m: int, n: int, q: int) -> bool:
-    if q == 2:
-        return m == 2
-    return (n == 1 and m >= 3) or (m == 2 and n >= 2)
+    """Some (legendre, pi) couples with the exponents (m, n, q)."""
+    return any(
+        exponents_coupled(_profile_record((legendre, pi, 1, q, m, n, None)))
+        for legendre in (1, -1)
+        for pi in (1, -1)
+    )
 
 
 def cmd_group(args) -> int:
@@ -228,7 +234,8 @@ def cmd_group(args) -> int:
     except PresentationError as exc:
         print(f"invalid presentation: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not _admissible(args.m, args.n, args.q) and not args.force:
+    admissible = _admissible(args.m, args.n, args.q)
+    if not admissible and not args.force:
         print(
             f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent "
             "pattern; pass --force to inspect it anyway",
@@ -250,19 +257,19 @@ def cmd_group(args) -> int:
         "lower_central_orders": shape,
         "nilpotency_class": len(series) - 1,
         "coclass": pres.order.bit_length() - len(series),
-        "admissible": _admissible(args.m, args.n, args.q),
+        "admissible": admissible,
     }
     if args.legendre is not None:
-        from .classify import engine_abelianizations
-
-        if args.legendre == -1 and (args.q == 1) != (args.pi == args.b):
+        profile = (args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
+        record = _profile_record(profile)
+        if not exponents_coupled(record) or (args.legendre == -1 and not q_matches_pi_b(record)):
             print(
-                "symbol tuple inconsistent: for (p1/p2) = -1, q = 1 holds "
-                "exactly when pi = B",
+                "symbol tuple inconsistent: no pair has these symbols with "
+                f"(m, n, q) = ({args.m}, {args.n}, {args.q}) (see the exponent-coupling "
+                "and q-agreement rules)",
                 file=sys.stderr,
             )
             return EXIT_INPUT
-        profile = (args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
         try:
             fields = engine_abelianizations(profile)
         except KeyError:
@@ -286,13 +293,16 @@ def cmd_group(args) -> int:
 
 
 def _scan_pair(pair_tuple) -> dict:
+    """One scan row; a failed self-check is a failing row carrying its message."""
     p1, p2 = pair_tuple
-    pair = validate_pair(p1, p2)
-    record, report, validation = classify_pair(p1, p2)
-    props = {}
-    if record.legendre == 1:
-        quartic = quartic_symbol(p1, p2) * quartic_symbol(p2, p1)
-        props["quartic-product-rule"] = quartic == record.pi
+    try:
+        record, report, validation = classify_pair(p1, p2)
+    except AssertionError as exc:
+        failed = getattr(exc, "rules", ()) or ("self-check",)
+        return {"p1": p1, "p2": p2, "properties": dict.fromkeys(failed, False),
+                "error": f"consistency failure at ({p1}, {p2}): {exc}"}
+    pair = record.pair
+    props = dict.fromkeys(applicable_rules(record), True)
     props["unit-norm-minus-one"] = norm_eps(pair.d) == -1
     props["genus-2-2"] = (
         str(two_part_of_class_group(field_discriminant(pair.d))) == "(2, 2)"
@@ -307,34 +317,8 @@ def _scan_pair(pair_tuple) -> dict:
         and plus.is_cyclic()
         and plus.order() >= 2
     )
-    props["exponent-coupling"] = _exponent_coupling_ok(record)
-    if record.legendre == -1:
-        props["q-agreement"] = q_from_symbols(pair) == record.q
     props["prediction-vs-engine"] = validation.passed
-    return {
-        "p1": p1,
-        "p2": p2,
-        "d": pair.d,
-        "q": record.q,
-        "m": record.m,
-        "n": record.n,
-        "properties": props,
-        "ok": all(props.values()),
-    }
-
-
-def _exponent_coupling_ok(record) -> bool:
-    if record.q == 2 and record.m != 2:
-        return False
-    if record.legendre == -1 and record.n != 1:
-        return False
-    if record.q == 1 and record.legendre == -1 and record.m < 3:
-        return False
-    if record.legendre == 1 and record.pi == -1:
-        return record.q == 1 and record.n == 1 and record.m >= 3
-    if record.legendre == 1 and record.pi == 1:
-        return record.m == 2 and record.n >= 2
-    return True
+    return {"p1": p1, "p2": p2, "properties": props}
 
 
 def _largest_pair_product(limit: int) -> int:
@@ -359,35 +343,28 @@ def cmd_scan(args) -> int:
         return EXIT_INPUT
     ps = primes_5_mod_8(args.max)
     pairs = [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
-    try:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_scan_pair, pairs, chunksize=8))
-        else:
-            rows = [_scan_pair(p) for p in pairs]
-    except (ConsistencyError, QAgreementError, AssertionError) as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    rows.sort(key=lambda r: (r["p1"], r["p2"]))
-    failures = [r for r in rows if not r["ok"]]
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_scan_pair, pairs, chunksize=8))
+    else:
+        rows = [_scan_pair(p) for p in pairs]
     prop_counts: dict[str, int] = {}
     for r in rows:
         for name, ok in r["properties"].items():
             prop_counts[name] = prop_counts.get(name, 0) + (0 if ok else 1)
+    failures = [
+        {"p1": r["p1"], "p2": r["p2"],
+         "failed": sorted(k for k, v in r["properties"].items() if not v)}
+        for r in rows
+        if not all(r["properties"].values())
+    ]
     summary = {
         "max": args.max,
         "pairs": len(rows),
         "property_failures": prop_counts,
-        "failing_pairs": [
-            {
-                "p1": r["p1"],
-                "p2": r["p2"],
-                "failed": sorted(k for k, v in r["properties"].items() if not v),
-            }
-            for r in failures
-        ],
+        "failing_pairs": failures,
         "ok": not failures,
     }
     if args.json:
@@ -397,10 +374,11 @@ def cmd_scan(args) -> int:
         for name in sorted(prop_counts):
             n_bad = prop_counts[name]
             print(f"  {name}: {'all pass' if n_bad == 0 else f'{n_bad} FAILURES'}")
-        if failures:
-            for r in failures:
-                bad = sorted(k for k, v in r["properties"].items() if not v)
-                print(f"  FAIL ({r['p1']}, {r['p2']}): {', '.join(bad)}")
+        for f in failures:
+            print(f"  FAIL ({f['p1']}, {f['p2']}): {', '.join(f['failed'])}")
+    for r in rows:
+        if "error" in r:
+            print(r["error"], file=sys.stderr)
     return EXIT_OK if not failures else EXIT_CONSISTENCY
 
 

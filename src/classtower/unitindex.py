@@ -29,12 +29,7 @@ __all__ = [
     "exact_square_root",
     "unit_index_q",
     "q_from_symbols",
-    "QAgreementError",
 ]
-
-class QAgreementError(AssertionError):
-    """The exact square test and the quartic-symbol criterion disagreed."""
-
 
 @dataclass(frozen=True)
 class MultiQuadElt:
@@ -264,17 +259,9 @@ def unit_index_q(pair: PrimePair) -> int:
 
     q = 2 exactly when eps_2*eps_r*eps_2r is a square in the real field.
     N(eps_r) = +1 settles q = 1 outright; otherwise the exact square test
-    decides, cross-checked against the symbol criterion when (p1/p2) = -1.
+    decides.  classify's q-agreement rule compares the result with
+    q_from_symbols when (p1/p2) = -1.
     """
     if fundamental_unit(pair.r).norm == 1:
-        q = 1
-    else:
-        root = exact_square_root(unit_product(pair))
-        q = 2 if root is not None else 1
-    if pair.legendre == -1:
-        q_sym = q_from_symbols(pair)
-        if q_sym != q:
-            raise QAgreementError(
-                f"pair {pair}: exact square test gives q={q}, symbols give q={q_sym}"
-            )
-    return q
+        return 1
+    return 2 if exact_square_root(unit_product(pair)) is not None else 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from classtower.abelian import AbelianType
@@ -184,3 +186,32 @@ def test_detached_consistency_errors():
 
     with pytest.raises(ConsistencyError):
         _check_consistency(bad)
+
+
+@pytest.mark.parametrize(
+    "rule, base, forge",
+    [
+        # pi = +1 of (5, 29) against the quartic product -1 of (13, 29)
+        ("quartic-product-rule", (5, 29), {"pair": validate_pair(13, 29)}),
+        # q = 1 with pi = -1 needs B = -1
+        ("q-agreement", (5, 37), {"B": 1}),
+        # (p1/p2) = -1 needs N(eps_r) = -1
+        ("q-agreement", (5, 37), {"norm_eps_r": 1}),
+        # the symbol criterion gives q = 2 for (5, 13)
+        ("q-agreement", (5, 13), {"q": 1, "B": -1, "m": 3}),
+        # (p1/p2) = -1 with q = 1 needs m >= 3
+        ("exponent-coupling", (5, 37), {"m": 2}),
+        # q = 2 needs m = 2
+        ("exponent-coupling", (5, 13), {"m": 3}),
+        # N(eps_r) = +1 needs q = 1
+        ("exponent-coupling", (5, 461), {"norm_eps_r": 1}),
+    ],
+)
+def test_each_rule_names_its_failure(rule, base, forge):
+    from classtower.classify import _check_consistency
+
+    bad = replace(invariants(validate_pair(*base)), **forge)
+    with pytest.raises(ConsistencyError) as exc:
+        _check_consistency(bad)
+    assert exc.value.rules == (rule,)
+    assert rule in str(exc.value)

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import classtower
 from classtower.cli import _largest_pair_product, build_parser, main
-from classtower.symbols import primes_5_mod_8
+from classtower.symbols import primes_5_mod_8, validate_pair
 
 
 def run(capsys, *argv):
@@ -129,6 +133,12 @@ def test_group_with_symbols(capsys):
         "--legendre", "-1", "--pi", "-1", "--b", "-1",
     )
     assert code == 2
+    # (p1/p2) = +1 with pi = +1 forces n >= 2
+    code, _, err = run(
+        capsys, "group", "--m", "2", "--n", "1", "--q", "2",
+        "--legendre", "1", "--pi", "1", "--b", "1",
+    )
+    assert code == 2 and "inconsistent" in err
 
 
 def test_scan_bounds(capsys):
@@ -193,3 +203,77 @@ def test_class_group_self_check_exits_3(capsys, monkeypatch):
         quadratic.class_group.cache_clear()
     assert code == scan_code == 3
     assert "N(eps)" in err and "N(eps)" in scan_err
+
+
+def _fail_pair_13_29(monkeypatch):
+    from classtower import classify
+
+    exponents_mn = classify.exponents_mn
+
+    def forged(pair):
+        if (pair.p1, pair.p2) == (13, 29):
+            raise AssertionError("forged oracle failure")
+        return exponents_mn(pair)
+
+    monkeypatch.setattr(classify, "exponents_mn", forged)
+
+
+def test_oracle_assertion_exits_3(capsys, monkeypatch):
+    # any AssertionError from the pipeline is a self-check failure, not a traceback
+    _fail_pair_13_29(monkeypatch)
+    code, out, err = run(capsys, "classify", "--p1", "13", "--p2", "29")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "forged oracle failure" in err
+    code, _, err = run(capsys, "verify-fixtures", "--filter", "754")
+    assert code == 3
+    assert err.count("\n") == 1 and "forged oracle failure" in err
+
+
+def test_scan_failing_row_independent_of_jobs(capsys, monkeypatch):
+    # a self-check failing on one pair is one row named self-check; the other
+    # rows still run, and worker processes (forked, so they inherit the
+    # patch) give the same bytes
+    _fail_pair_13_29(monkeypatch)
+    code1, out1, err1 = run(capsys, "scan", "--max", "40", "--json")
+    code2, out2, err2 = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
+    assert code1 == code2 == 3
+    assert out1 == out2 and err1 == err2
+    payload = json.loads(out1)
+    assert payload["pairs"] == 6
+    assert payload["failing_pairs"] == [{"p1": 13, "p2": 29, "failed": ["self-check"]}]
+    assert payload["property_failures"]["self-check"] == 1
+    assert err1.count("\n") == 1 and "(13, 29)" in err1 and "forged oracle failure" in err1
+
+
+_FLIP_QUARTIC = """
+import sys
+from classtower import classify
+from classtower.cli import main
+quartic = classify.quartic_symbol
+# flips (p1/p2)_4 but not (p2/p1)_4, so the product changes sign
+classify.quartic_symbol = lambda a, b: -quartic(a, b) if a < b else quartic(a, b)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_rule_failure_under_python_O():
+    # explicit raises survive -O, where assert statements vanish
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _FLIP_QUARTIC, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    assert run_O("classify", "--p1", "5", "--p2", "29").returncode == 3
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    ps = primes_5_mod_8(40)
+    pairs = [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
+    plus = [pair for pair in pairs if validate_pair(*pair).legendre == 1]
+    assert payload["pairs"] == len(pairs) and plus
+    assert payload["failing_pairs"] == [
+        {"p1": a, "p2": b, "failed": ["quartic-product-rule"]} for a, b in plus
+    ]
+    assert proc.stderr.count("\n") == len(plus)

@@ -141,5 +141,4 @@ def test_q_agreement_small_range():
         for p2 in ps[i + 1 :]:
             pair = validate_pair(p1, p2)
             if pair.legendre == -1:
-                # unit_index_q raises QAgreementError on any disagreement
-                unit_index_q(pair)
+                assert unit_index_q(pair) == q_from_symbols(pair)
