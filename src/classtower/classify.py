@@ -768,7 +768,8 @@ def engine_abelianizations(profile: tuple) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi); raises KeyError when the symbol
     tuple falls outside the tabulated cases.
     """
-    return {name: H.abelianization() for name, H in engine_subgroups(profile)[3].items()}
+    *_, fields = engine_subgroups(profile)
+    return {name: H.abelianization() for name, H in fields.items()}
 
 
 def classify_pair(p1: int, p2: int, conj_swap: bool = False):
