@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-__all__ = ["AbelianType", "abelian_structure", "factorize", "p_part_exponents", "power"]
+__all__ = ["AbelianType", "GroupCheckError", "abelian_structure", "factorize",
+           "p_part_exponents", "power"]
+
+
+class GroupCheckError(AssertionError):
+    """A group computation contradicts itself; raised explicitly, so it survives python -O."""
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -131,7 +136,8 @@ def abelian_structure(
                 d *= p ** exps[j]
         chain.append(d)
     result = AbelianType(tuple(sorted(chain)))
-    assert result.order() == n, f"structure {result} does not fill order {n}"
+    if result.order() != n:
+        raise GroupCheckError(f"structure {result} does not fill order {n}")
     return result
 
 
@@ -153,7 +159,8 @@ def p_part_exponents(elements, op, identity, p: int, sylow_order: int) -> list[i
     ranks = []
     for prev, cur in zip(counts, counts[1:]):
         q, rem = divmod(cur, prev)
-        assert rem == 0, "torsion counts not p-power graded; group not abelian?"
+        if rem:
+            raise GroupCheckError("torsion counts not p-power graded; group not abelian?")
         r = 0
         while q > 1:
             q //= p

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 
 from .abelian import AbelianType
 from .gaussian import (
@@ -665,10 +666,11 @@ def _fmt_vectors(vs) -> str:
 
 
 def engine_subgroups(profile: tuple):
-    """(presentation, G, G', {"K1".."K7", "L1".."L7": subgroup}) for a symbol profile.
+    """(presentation, G, G', {"K1".."K7": subgroup}, iterator of ("L1", L1) .. ("L7", L7)).
 
     K_j is generated by G' and the classes of N_j; L_j is the intersection of
-    its three K factors.  Raises KeyError outside the tabulated symbol tuples.
+    its three K factors, built when the iterator reaches it, so that at most one
+    L_j is alive.  Raises KeyError outside the tabulated symbol tuples.
     Not cached: _engine_checks caches per profile, and keeping the subgroups
     of 38 profiles in one process raised its peak RSS by about a third.
     """
@@ -677,21 +679,22 @@ def engine_subgroups(profile: tuple):
     G = Subgroup.whole_group(pres)
     Gp = G.derived_subgroup()
     norms = norm_groups(_profile_record(profile))
-    fields = {}
-    for j in range(1, 8):
-        gens = [class_to_group(pres, v) for v in norms[j]] + list(Gp.generators)
-        fields[f"K{j}"] = Subgroup.generated(pres, gens)
-    for j in range(1, 8):
-        fa, fb, fc = (fields[f"K{i}"] for i in L_FACTORS[j])
-        fields[f"L{j}"] = fa.intersection(fb).intersection(fc)
-    return pres, G, Gp, fields
+    ks = {
+        f"K{j}": Subgroup.generated(pres, [*(class_to_group(pres, v) for v in norms[j]), *Gp.generators])
+        for j in range(1, 8)
+    }
+    ls = (
+        (f"L{j}", reduce(Subgroup.intersection, (ks[f"K{i}"] for i in L_FACTORS[j])))
+        for j in range(1, 8)
+    )
+    return pres, G, Gp, ks, ls
 
 
 @lru_cache(maxsize=None)
 def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     legendre, pi, b, q, m, n, psi = profile
     rec = _profile_record(profile)
-    pres, G, Gp, fields = engine_subgroups(profile)
+    pres, G, Gp, ks, ls = engine_subgroups(profile)
     checks: list[Check] = []
 
     def add(name, expected, got):
@@ -710,7 +713,7 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     norms = norm_groups(rec)
     kerns = kernels(rec)
     for j in range(1, 8):
-        Gj = fields[f"K{j}"]
+        Gj = ks[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)])
         add(f"K{j}:subgroup-words", True, Gj.elements == words.elements)
@@ -718,11 +721,10 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
         kern = transfer_kernel(pres, Gj)
         add(f"K{j}:kernel", _fmt_vectors(kerns[j]), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & norms[j]) > 1)
-    add("K3:class-group", k_type(rec, 3), fields["K3"].abelianization())
+    add("K3:class-group", k_type(rec, 3), ks["K3"].abelianization())
 
     full = frozenset(CLASS_VECTORS)
-    for j in range(1, 8):
-        Hj = fields[f"L{j}"]
+    for j, (_, Hj) in enumerate(ls, 1):
         add(f"L{j}:index", 4, Hj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)])
         add(f"L{j}:subgroup-words", True, Hj.elements == words.elements)
@@ -768,8 +770,8 @@ def engine_abelianizations(profile: tuple) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi); raises KeyError when the symbol
     tuple falls outside the tabulated cases.
     """
-    *_, fields = engine_subgroups(profile)
-    return {name: H.abelianization() for name, H in fields.items()}
+    *_, ks, ls = engine_subgroups(profile)
+    return {name: H.abelianization() for name, H in chain(ks.items(), ls)}
 
 
 def classify_pair(p1: int, p2: int, conj_swap: bool = False):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .abelian import AbelianType, abelian_structure
+from .abelian import AbelianType, GroupCheckError, abelian_structure
 
 __all__ = [
     "PsiVariant",
@@ -68,6 +68,15 @@ class GPresentation:
             raise PresentationError(f"q must be 1 or 2, got {self.q}")
         if self.q == 2 and self.psi is not PsiVariant.TAU_SIGMA:
             raise PresentationError("q = 2 forces rho^2 = tau^(2^n) sigma^(2^(m-1))")
+        # Fixed here, so that mul and inv are plain integer arithmetic: rho^-1 sigma rho =
+        # sigma^sigma_twist, rho^2 = sigma^pa tau^pb, and for q = 2 b is reduced mod b_wrap
+        # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.
+        q2, pb = self.q == 2, 0 if self.psi is PsiVariant.SIGMA_ONLY else 1 << self.n
+        self.__dict__.update(
+            a_mod=1 << (self.m + q2), b_mod=1 << (self.n + 1), order=1 << (self.m + self.n + 2 + q2),
+            sigma_twist=3 if q2 else -1, psi_exponents=(1 << (self.m - 1), pb),
+            b_wrap=1 << (self.n + 1 + q2), carry=(1 << self.m) * q2,
+        )
         # conjugation by rho must be an involution of A fixing psi
         for g in (self.sigma(), self.tau()):
             twice = self._conj_a(*self._conj_a(g[1], g[2]))
@@ -76,44 +85,18 @@ class GPresentation:
                     f"rho^-2 g rho^2 != g for (m={self.m}, n={self.n}, q={self.q}); "
                     "inconsistent presentation (q = 2 requires m = 2)"
                 )
-        pa, pb = self._psi_exponents()
-        if self._canon(self._conj_a(pa, pb)[0], self._conj_a(pa, pb)[1]) != self._canon(pa, pb):
+        pa, pb = self.psi_exponents
+        if self._conj_a(pa, pb) != self._canon(pa, pb):
             raise PresentationError("conjugation by rho does not fix psi")
-
-    # --- structural constants -------------------------------------------
-
-    @property
-    def a_mod(self) -> int:
-        return 1 << (self.m + 1 if self.q == 2 else self.m)
-
-    @property
-    def b_mod(self) -> int:
-        return 1 << (self.n + 1)
-
-    @property
-    def order(self) -> int:
-        return 2 * self.a_mod * self.b_mod
-
-    @property
-    def sigma_twist(self) -> int:
-        # rho^-1 sigma rho = sigma^sigma_twist
-        return 3 if self.q == 2 else -1
-
-    def _psi_exponents(self) -> tuple[int, int]:
-        pa = 1 << (self.m - 1)
-        pb = 0 if (self.q == 1 and self.psi is PsiVariant.SIGMA_ONLY) else 1 << self.n
-        return pa, pb
 
     # --- normal forms ----------------------------------------------------
 
     def _canon(self, a: int, b: int) -> tuple[int, int]:
-        if self.q == 1:
-            return a % self.a_mod, b % self.b_mod
-        b %= 1 << (self.n + 2)
+        b %= self.b_wrap
         if b >= self.b_mod:  # tau^(2^(n+1)) = sigma^(2^m)
             b -= self.b_mod
-            a += 1 << self.m
-        return a % self.a_mod, b % self.b_mod
+            a += self.carry
+        return a % self.a_mod, b
 
     def element(self, eps: int, a: int, b: int) -> GElement:
         a, b = self._canon(a, b)
@@ -136,25 +119,34 @@ class GPresentation:
         return self._canon(a * self.sigma_twist, -b)
 
     def mul(self, x: GElement, y: GElement) -> GElement:
-        e1, a1, b1 = x
+        # rho^e1 A1 rho^e2 A2 = rho^(e1+e2) (rho^-e2 A1 rho^e2) A2; _canon inlined
+        e1, a, b = x
         e2, a2, b2 = y
         if e2:
-            a1, b1 = self._conj_a(a1, b1)
-        e = e1 + e2
-        a = a1 + a2
-        b = b1 + b2
-        if e == 2:
-            pa, pb = self._psi_exponents()
-            e, a, b = 0, a + pa, b + pb
-        a, b = self._canon(a, b)
-        return (e, a, b)
+            a *= self.sigma_twist
+            b = -b
+            if e1:
+                pa, pb = self.psi_exponents
+                a += pa
+                b += pb
+        b = (b + b2) % self.b_wrap
+        a += a2
+        if b >= self.b_mod:
+            b -= self.b_mod
+            a += self.carry
+        return (e1 ^ e2, a % self.a_mod, b)
 
     def inv(self, x: GElement) -> GElement:
         e, a, b = x
-        if e == 0:
-            return self.element(0, -a, -b)
-        pa, pb = self._psi_exponents()
-        return self.element(1, -a * self.sigma_twist - pa, b - pb)
+        if e:
+            pa, pb = self.psi_exponents
+            a, b = -a * self.sigma_twist - pa, (b - pb) % self.b_wrap
+        else:
+            a, b = -a, -b % self.b_wrap
+        if b >= self.b_mod:
+            b -= self.b_mod
+            a += self.carry
+        return (e, a % self.a_mod, b)
 
     def power(self, x: GElement, k: int) -> GElement:
         if k < 0:
@@ -211,20 +203,15 @@ class Subgroup:
     @classmethod
     def generated(cls, pres: GPresentation, gens) -> "Subgroup":
         gens = tuple(pres.element(*g) for g in gens)
-        elems = _closure(pres, gens)
-        return cls(pres, gens, elems)
+        return cls(pres, gens, _grow(pres, gens)[1])
 
     @classmethod
     def from_elements(cls, pres: GPresentation, elems) -> "Subgroup":
         """Recover a small generating set greedily from an element set."""
         elems = frozenset(elems)
-        gens: list[GElement] = []
-        closure = frozenset([pres.identity()])
-        for x in sorted(elems):
-            if x not in closure:
-                gens.append(x)
-                closure = _closure(pres, tuple(gens))
-        assert closure == elems, "element set is not closed under the group law"
+        gens, closure = _grow(pres, sorted(elems))
+        if closure != elems:
+            raise GroupCheckError("element set is not closed under the group law")
         return cls(pres, tuple(gens), elems)
 
     @classmethod
@@ -240,7 +227,8 @@ class Subgroup:
         return len(self.elements)
 
     def index_in(self, other: "Subgroup") -> int:
-        assert self.elements <= other.elements
+        if not self.elements <= other.elements:
+            raise GroupCheckError("index_in: not a subgroup of the other group")
         return other.order // self.order
 
     def __contains__(self, x: GElement) -> bool:
@@ -253,10 +241,11 @@ class Subgroup:
         return Subgroup.from_elements(self.pres, self.elements & other.elements)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
+        # conjugation is an automorphism, so the generators decide
         return all(
             self.pres.conj(x, g) in self.elements
             for g in other.generators
-            for x in self.elements
+            for x in self.generators
         )
 
     def derived_subgroup(self) -> "Subgroup":
@@ -272,31 +261,49 @@ class Subgroup:
         return abelian_invariants(self, self.derived_subgroup())
 
 
-def _closure(pres: GPresentation, gens: tuple[GElement, ...]) -> frozenset[GElement]:
-    elems = {pres.identity()}
-    frontier = [pres.identity()]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = pres.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
+def _grow(pres: GPresentation, candidates) -> tuple[list[GElement], frozenset[GElement]]:
+    """The candidates outside the subgroup generated by the ones before them, and <candidates>."""
+    gens: list[GElement] = []
+    elems = frozenset([pres.identity()])
+    for x in candidates:
+        if x not in elems:
+            gens.append(x)
+            elems = _extend(pres, elems, gens)
+    return gens, elems
+
+
+def _extend(pres: GPresentation, base: frozenset[GElement], gens) -> frozenset[GElement]:
+    """Elements of <gens>, given base = <gens[:-1]>, as a union of right cosets base*r.
+
+    base*r*g is the coset base*(r g), so a new representative costs one product
+    per generator instead of one per element and generator (Dimino's method).
+    """
+    mul = pres.mul
+    elems = set(base)
+    reps = [pres.identity()]
+    for r in reps:
+        for g in gens:
+            y = mul(r, g)
+            if y not in elems:
+                elems.update([mul(x, y) for x in base])
+                reps.append(y)
     return frozenset(elems)
 
 
 def _normal_closure(pres, seeds, conjugators) -> Subgroup:
-    current = frozenset(pres.element(*s) for s in seeds)
-    while True:
-        sub = _closure(pres, tuple(current))
-        conj = {
-            pres.conj(x, g) for x in sub for g in conjugators
-        }
-        if conj <= sub:
-            return Subgroup.from_elements(pres, sub)
-        current = sub | conj
+    """Smallest subgroup containing seeds and normalised by conjugators.
+
+    Only generators are conjugated: their conjugates lying inside is enough.
+    """
+    gens: list[GElement] = []
+    elems = frozenset([pres.identity()])
+    todo = [pres.element(*s) for s in seeds]
+    for x in todo:
+        if x not in elems:
+            gens.append(x)
+            elems = _extend(pres, elems, gens)
+            todo.extend(pres.conj(x, g) for g in conjugators)
+    return Subgroup.from_elements(pres, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +318,8 @@ def _coset_reps(pres, H: Subgroup, N: Subgroup):
     for x in sorted(H.elements):
         if x in rep_of:
             continue
-        coset = sorted(pres.mul(nu, x) for nu in N.elements)
-        r = coset[0]
+        coset = [pres.mul(nu, x) for nu in N.elements]
+        r = min(coset)
         reps.append(r)
         for y in coset:
             rep_of[y] = r
@@ -340,11 +347,11 @@ def lower_central_series(pres: GPresentation) -> list[Subgroup]:
     series = [G]
     while series[-1].order > 1:
         prev = series[-1]
-        seeds = {
-            pres.commutator(x, g) for x in prev.elements for g in G.generators
-        }
+        # [gamma_i, G] is the normal closure of the generators' commutators
+        seeds = [pres.commutator(x, g) for x in prev.generators for g in G.generators]
         nxt = _normal_closure(pres, seeds, G.generators)
-        assert nxt.elements < prev.elements, "lower central series stalled"
+        if not nxt.elements < prev.elements:
+            raise GroupCheckError("lower central series stalled")
         series.append(nxt)
     return series
 
@@ -377,31 +384,34 @@ def transfer(
     """
     if _ctx is None:
         _ctx = transfer_context(pres, H)
-    reps, locate, hprime_rep = _ctx["reps"], _ctx["locate"], _ctx["hprime_rep"]
+    mul = pres.mul
     val = pres.identity()
-    for x in reps:
-        xg = pres.mul(x, g)
-        target = locate[xg]
-        h = pres.mul(xg, pres.inv(target))
-        assert h in H.elements
-        val = pres.mul(val, h)
-    return hprime_rep[val]
+    for x in _ctx["reps"]:
+        xg = mul(x, g)
+        hs = [h for h in (mul(xg, t) for t in _ctx["rep_inverses"]) if h in H.elements]
+        if len(hs) != 1:
+            raise GroupCheckError(f"{xg} lies in {len(hs)} right cosets of H, not 1")
+        val = mul(val, hs[0])
+    return _ctx["hprime_rep"][val]
 
 
 def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
-    """Precomputed coset data for repeated transfers into one subgroup."""
-    all_elems = sorted(pres.elements())
-    reps: list[GElement] = []
-    locate: dict[GElement, GElement] = {}
-    for x in all_elems:
-        if x in locate:
-            continue
-        reps.append(x)
-        for h in H.elements:
-            locate[pres.mul(h, x)] = x
+    """Precomputed coset data for repeated transfers into one subgroup.
+
+    The right transversal is grown from the identity by the generators of G:
+    a product x joins it when x t^-1 lies in H for no representative t yet.
+    """
+    mul = pres.mul
+    reps, inverses = [pres.identity()], [pres.identity()]
+    for r in reps:
+        for g in (pres.rho(), pres.sigma(), pres.tau()):
+            x = mul(r, g)
+            if not any(mul(x, t) in H.elements for t in inverses):
+                reps.append(x)
+                inverses.append(pres.inv(x))
     Hp = H.derived_subgroup()
     _, hprime_rep = _coset_reps(pres, H, Hp)
-    return {"reps": reps, "locate": locate, "hprime_rep": hprime_rep, "derived": Hp}
+    return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep, "derived": Hp}
 
 
 def transfer_index2(pres: GPresentation, H: Subgroup, g: GElement, z: GElement) -> GElement:
@@ -410,7 +420,8 @@ def transfer_index2(pres: GPresentation, H: Subgroup, g: GElement, z: GElement) 
     z is the nontrivial coset representative; used as a test oracle against
     the generic coset transfer.
     """
-    assert z not in H.elements, "z must represent the nontrivial coset"
+    if z in H.elements:
+        raise GroupCheckError("z must represent the nontrivial coset")
     Hp = H.derived_subgroup()
     _, hprime_rep = _coset_reps(pres, H, Hp)
     if g in H.elements:

@@ -277,3 +277,35 @@ def test_rule_failure_under_python_O():
         {"p1": a, "p2": b, "failed": ["quartic-product-rule"]} for a, b in plus
     ]
     assert proc.stderr.count("\n") == len(plus)
+
+
+_DOUBLE_COSET = """
+import sys
+from classtower import gengroup
+from classtower.cli import main
+context = gengroup.transfer_context
+def doubled(pres, H):
+    ctx = context(pres, H)
+    ctx["rep_inverses"].append(ctx["rep_inverses"][0])  # the coset H listed twice
+    return ctx
+gengroup.transfer_context = doubled
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_engine_self_check_under_python_O():
+    # the transfer's coset check raises GroupCheckError, an AssertionError, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _DOUBLE_COSET, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and "right cosets of H" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pairs"] == 6
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from classtower.abelian import AbelianType
+import classtower
+from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
 from classtower.gengroup import (
     CLASS_VECTORS,
     GPresentation,
@@ -20,6 +25,7 @@ from classtower.gengroup import (
     transfer_context,
     transfer_index2,
     transfer_kernel,
+    _normal_closure,
 )
 
 SIGMA, TAU_SIGMA = PsiVariant.SIGMA_ONLY, PsiVariant.TAU_SIGMA
@@ -322,3 +328,209 @@ def test_word_helper():
     assert pres.word("st") == pres.mul(pres.sigma(), pres.tau())
     assert pres.word("ss") == pres.power(pres.sigma(), 2)
     assert pres.word("") == pres.identity()
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against test-only copies of the algorithms they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_canon(pres, a, b):
+    if pres.q == 1:
+        return a % (1 << pres.m), b % (1 << (pres.n + 1))
+    b %= 1 << (pres.n + 2)
+    if b >= 1 << (pres.n + 1):  # tau^(2^(n+1)) = sigma^(2^m)
+        b -= 1 << (pres.n + 1)
+        a += 1 << pres.m
+    return a % (1 << (pres.m + 1)), b % (1 << (pres.n + 1))
+
+
+def _ref_psi(pres):
+    return 1 << (pres.m - 1), 0 if (pres.q == 1 and pres.psi is SIGMA) else 1 << pres.n
+
+
+def _ref_conj_a(pres, a, b):
+    return _ref_canon(pres, a * (3 if pres.q == 2 else -1), -b)
+
+
+def _ref_mul(pres, x, y):
+    """Product of normal forms: conjugate, add, fold in psi = rho^2, canonicalise."""
+    e1, a1, b1 = x
+    e2, a2, b2 = y
+    if e2:
+        a1, b1 = _ref_conj_a(pres, a1, b1)
+    e, a, b = e1 + e2, a1 + a2, b1 + b2
+    if e == 2:
+        pa, pb = _ref_psi(pres)
+        e, a, b = 0, a + pa, b + pb
+    return (e, *_ref_canon(pres, a, b))
+
+
+def _ref_inv(pres, x):
+    e, a, b = x
+    if e == 0:
+        return (0, *_ref_canon(pres, -a, -b))
+    pa, pb = _ref_psi(pres)
+    return (1, *_ref_canon(pres, -a * (3 if pres.q == 2 else -1) - pa, b - pb))
+
+
+def test_kernel_matches_reference_exhaustive():
+    for pres in admissible_presentations(3, 3):
+        elems = pres.elements()
+        assert len(elems) == pres.order
+        for x in elems:
+            assert pres.inv(x) == _ref_inv(pres, x)
+            for y in elems:
+                assert pres.mul(x, y) == _ref_mul(pres, x, y), (pres, x, y)
+
+
+def test_kernel_matches_reference_random():
+    rng = random.Random(5)
+    for pres in constructible_presentations(8):
+        for _ in range(300):
+            x, y, z = ((rng.randrange(2), *_ref_canon(pres, rng.randrange(1 << 12), rng.randrange(1 << 12)))
+                       for _ in range(3))
+            assert pres.inv(x) == _ref_inv(pres, x)
+            assert pres.mul(pres.mul(x, y), z) == _ref_mul(pres, _ref_mul(pres, x, y), z), (pres, x, y, z)
+
+
+def _ref_closure(pres, gens):
+    elems = {pres.identity()}
+    frontier = [pres.identity()]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = pres.mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(elems)
+
+
+def _ref_normal_closure(pres, seeds, conjugators):
+    """Element set of the normal closure, conjugating every element each round."""
+    current = frozenset(seeds)
+    while True:
+        sub = _ref_closure(pres, tuple(current))
+        conj = {pres.conj(x, g) for x in sub for g in conjugators}
+        if conj <= sub:
+            return sub
+        current = sub | conj
+
+
+def _ref_lower_central_series(pres):
+    """Element sets gamma_1 = G, ..., 1, with gamma_(i+1) seeded by every element of gamma_i."""
+    gens = (pres.rho(), pres.sigma(), pres.tau())
+    series = [_ref_closure(pres, gens)]
+    while len(series[-1]) > 1:
+        seeds = {pres.commutator(x, g) for x in series[-1] for g in gens}
+        series.append(_ref_normal_closure(pres, seeds, gens))
+        assert series[-1] < series[-2]
+    return series
+
+
+def _ref_transfer_values(pres, H):
+    """V_{G/H}(g) for each class vector, from a locate table over all of G.
+
+    The transversal is the largest element of each right coset (the engine
+    once took the smallest), so this also checks independence of that choice.
+    """
+    locate, reps = {}, []
+    for x in sorted(pres.elements(), reverse=True):
+        if x not in locate:
+            reps.append(x)
+            for h in H.elements:
+                locate[pres.mul(h, x)] = x
+    values = {}
+    for v in CLASS_VECTORS:
+        g = class_to_group(pres, v)
+        val = pres.identity()
+        for x in reps:
+            xg = pres.mul(x, g)
+            h = pres.mul(xg, pres.inv(locate[xg]))
+            assert h in H.elements
+            val = pres.mul(val, h)
+        values[v] = val
+    return values
+
+
+def _engine_subgroups(pres):
+    """The 14 subgroups the engine checks: the index-2 and index-4 subgroups over G'."""
+    derived = Subgroup.whole_group(pres).derived_subgroup()
+    nonzero = [v for v in CLASS_VECTORS if v != (0, 0, 0)]
+    spans = {span(vs) for k in (1, 2) for vs in itertools.combinations(nonzero, k)}
+    out = [
+        Subgroup.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived.generators))
+        for vs in sorted(spans, key=sorted)
+    ]
+    assert sorted(H.index_in(Subgroup.whole_group(pres)) for H in out) == [2] * 7 + [4] * 7
+    return out
+
+
+def test_transfer_matches_locate_table_reference():
+    for pres in admissible_presentations(4, 4):
+        for H in _engine_subgroups(pres):
+            ctx = transfer_context(pres, H)
+            hprime = _ref_normal_closure(
+                pres, [pres.commutator(x, y) for x, y in itertools.combinations(H.generators, 2)],
+                H.generators,
+            )
+            assert hprime == ctx["derived"].elements
+            ref = _ref_transfer_values(pres, H)
+            for v, val in ref.items():
+                got = transfer(pres, H, class_to_group(pres, v), _ctx=ctx)
+                assert got == ctx["hprime_rep"][val], (pres, H.generators, v)
+            ref_kernel = frozenset(v for v, val in ref.items() if val in hprime)
+            assert transfer_kernel(pres, H) == ref_kernel, (pres, H.generators)
+
+
+def test_lower_central_series_matches_element_seeded_reference():
+    for pres in admissible_presentations(4, 4):
+        assert [s.elements for s in lower_central_series(pres)] == _ref_lower_central_series(pres)
+
+
+def test_normal_closure_matches_reference():
+    # <x> is not always normal (e.g. x = rho), so the conjugates matter
+    for pres in SMALL:
+        gens = (pres.rho(), pres.sigma(), pres.tau())
+        for x in pres.elements():
+            assert _normal_closure(pres, [x], gens).elements == _ref_normal_closure(pres, [x], gens)
+
+
+def test_abelian_structure_self_checks():
+    # 8-element non-groups, given by their squaring maps (op is only called with x == y)
+    with pytest.raises(GroupCheckError, match="does not fill order"):
+        abelian_structure(range(8), lambda x, y: x, 0)  # x^2 = x: no 2-torsion but 0
+    squares = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 3, 6: 5, 7: 6}  # torsion counts 1, 3, 5, ...
+    with pytest.raises(GroupCheckError, match="p-power graded"):
+        abelian_structure(range(8), lambda x, y: squares[x], 0)
+
+
+def test_transfer_rejects_a_broken_transversal():
+    pres = GPresentation(3, 1, 1, TAU_SIGMA)
+    H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
+    ctx = transfer_context(pres, H)
+    ctx["rep_inverses"].append(ctx["rep_inverses"][0])  # coset H listed twice
+    with pytest.raises(GroupCheckError):
+        transfer(pres, H, pres.tau(), _ctx=ctx)
+
+
+_UNCLOSED = """
+from classtower.abelian import GroupCheckError
+from classtower.gengroup import GPresentation, Subgroup
+pres = GPresentation(3, 1, 1)
+try:
+    Subgroup.from_elements(pres, [pres.identity(), pres.sigma()])
+except GroupCheckError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_from_elements_rejects_unclosed_set_under_python_O():
+    # an explicit raise survives -O, where an assert statement vanishes
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNCLOSED], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout == "False element set is not closed under the group law\n"
