@@ -28,7 +28,6 @@ from .quadratic import (
     ClassGroup,
     QuadUnit,
     class_group,
-    class_number,
     exponents_mn,
     fundamental_unit,
     norm_eps,
@@ -63,7 +62,6 @@ __all__ = [
     "Subgroup",
     "ValidationReport",
     "class_group",
-    "class_number",
     "classify_pair",
     "cross_validate",
     "exact_square_root",

@@ -45,6 +45,7 @@ from .gengroup import (
     Subgroup,
     abelian_invariants,
     class_to_group,
+    derived_cosets,
     lower_central_series,
     span,
     transfer_kernel,
@@ -712,24 +713,28 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
 
     norms = norm_groups(rec)
     kerns = kernels(rec)
+    k_types = {}
     for j in range(1, 8):
         Gj = ks[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)])
         add(f"K{j}:subgroup-words", True, Gj.elements == words.elements)
-        add(f"K{j}:type", k_type(rec, j), Gj.abelianization())
-        kern = transfer_kernel(pres, Gj)
+        derived = derived_cosets(Gj)
+        k_types[j] = Gj.abelianization(derived)
+        add(f"K{j}:type", k_type(rec, j), k_types[j])
+        kern = transfer_kernel(pres, Gj, derived)
         add(f"K{j}:kernel", _fmt_vectors(kerns[j]), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & norms[j]) > 1)
-    add("K3:class-group", k_type(rec, 3), ks["K3"].abelianization())
+    add("K3:class-group", k_type(rec, 3), k_types[3])
 
     full = frozenset(CLASS_VECTORS)
     for j, (_, Hj) in enumerate(ls, 1):
         add(f"L{j}:index", 4, Hj.index_in(G))
         words = Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)])
         add(f"L{j}:subgroup-words", True, Hj.elements == words.elements)
-        add(f"L{j}:type", l_type(rec, j), Hj.abelianization())
-        kern = transfer_kernel(pres, Hj)
+        derived = derived_cosets(Hj)
+        add(f"L{j}:type", l_type(rec, j), Hj.abelianization(derived))
+        kern = transfer_kernel(pres, Hj, derived)
         add(f"L{j}:kernel-total", _fmt_vectors(full), _fmt_vectors(kern))
     return tuple(checks)
 

@@ -153,6 +153,9 @@ def cmd_classify(args) -> int:
         print(f"invalid input: p1*p2 = {args.p1 * args.p2} exceeds the class-group bound "
               f"DISCRIMINANT_BOUND/4 = {DISCRIMINANT_BOUND // 4}", file=sys.stderr)
         return EXIT_INPUT
+    except PresentationError as exc:
+        print(f"invalid input: the pair's group is too large: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except AssertionError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY

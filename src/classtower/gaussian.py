@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .symbols import is_prime
+from .symbols import is_prime, sqrt_mod
 
 __all__ = [
+    "CornacchiaError",
     "GaussianInt",
     "PrimeSplit",
     "ONE_PLUS_I",
@@ -86,13 +87,13 @@ class PrimeSplit:
         return PrimeSplit(self.p, self.pi.conjugate())
 
 
+class CornacchiaError(AssertionError):
+    """The split of a prime came out wrong; raised explicitly, so it survives python -O."""
+
+
 def _sqrt_minus_one(p: int) -> int:
     """Some t with t^2 = -1 (mod p), p = 1 (mod 4) prime."""
-    for a in range(2, p):
-        t = pow(a, (p - 1) // 4, p)
-        if t * t % p == p - 1:
-            return t
-    raise AssertionError(f"no sqrt(-1) mod {p}; {p} is not a 1 mod 4 prime")
+    return sqrt_mod(-1, p)
 
 
 def split_prime(p: int) -> PrimeSplit:
@@ -112,9 +113,11 @@ def split_prime(p: int) -> PrimeSplit:
     x = b
     y2 = p - x * x
     y = math.isqrt(y2)
-    assert y * y == y2, f"Cornacchia failure for p={p}"
+    if y * y != y2:
+        raise CornacchiaError(f"Cornacchia failure for p={p}")
     e, f2 = (x, y) if x % 2 == 1 else (y, x)
-    assert f2 % 2 == 0 and e * e + f2 * f2 == p
+    if f2 % 2 or e * e + f2 * f2 != p:
+        raise CornacchiaError(f"bad split {e}^2 + {f2}^2 of p={p}")
     return PrimeSplit(p, GaussianInt(e, f2))
 
 

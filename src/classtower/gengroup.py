@@ -37,6 +37,7 @@ __all__ = [
     "transfer_index2",
     "transfer_kernel",
     "abelian_invariants",
+    "derived_cosets",
     "lower_central_series",
 ]
 
@@ -68,6 +69,10 @@ class GPresentation:
             raise PresentationError(f"q must be 1 or 2, got {self.q}")
         if self.q == 2 and self.psi is not PsiVariant.TAU_SIGMA:
             raise PresentationError("q = 2 forces rho^2 = tau^(2^n) sigma^(2^(m-1))")
+        log_order = self.m + self.n + 1 + self.q
+        if log_order > ENUMERATION_GUARD.bit_length() - 1:  # before any 2^m is formed
+            raise PresentationError(f"group order 2^{log_order} exceeds the enumeration "
+                                    f"guard {ENUMERATION_GUARD}")
         # Fixed here, so that mul and inv are plain integer arithmetic: rho^-1 sigma rho =
         # sigma^sigma_twist, rho^2 = sigma^pa tau^pb, and for q = 2 b is reduced mod b_wrap
         # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.
@@ -166,22 +171,12 @@ class GPresentation:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 
     def elements(self) -> list[GElement]:
-        if self.order > ENUMERATION_GUARD:
-            raise ValueError(f"group order {self.order} exceeds guard {ENUMERATION_GUARD}")
         return [
             (e, a, b)
             for e in (0, 1)
             for a in range(self.a_mod)
             for b in range(self.b_mod)
         ]
-
-    def element_order(self, x: GElement) -> int:
-        k = 1
-        y = x
-        while y != self.identity():
-            y = self.mul(y, x)
-            k += 1
-        return k
 
     def word(self, letters: str) -> GElement:
         """Product of generators named by letters: 's', 't', 'r' (e.g. 'str' or 'ss')."""
@@ -257,8 +252,10 @@ class Subgroup:
         ]
         return _normal_closure(pres, seeds, self.generators)
 
-    def abelianization(self) -> AbelianType:
-        return abelian_invariants(self, self.derived_subgroup())
+    def abelianization(self, derived=None) -> AbelianType:
+        """Type of H/H'; pass derived = derived_cosets(H) when it is already built."""
+        _, reps, rep_of = derived or derived_cosets(self)
+        return _quotient_type(self.pres, reps, rep_of)
 
 
 def _grow(pres: GPresentation, candidates) -> tuple[list[GElement], frozenset[GElement]]:
@@ -326,15 +323,26 @@ def _coset_reps(pres, H: Subgroup, N: Subgroup):
     return reps, rep_of
 
 
+def derived_cosets(H: Subgroup):
+    """(H', reps, rep_of): the derived subgroup and its right cosets in H.
+
+    Both the abelianization and the transfer into H need them; a caller doing
+    both builds them once and passes them to each.
+    """
+    Hp = H.derived_subgroup()
+    return (Hp, *_coset_reps(H.pres, H, Hp))
+
+
 def abelian_invariants(H: Subgroup, N: Subgroup) -> AbelianType:
     """Elementary divisors of the (abelian) quotient H/N; N must be normal in H."""
-    pres = H.pres
     if not N.elements <= H.elements:
         raise ValueError("modulus subgroup is not contained in H")
     if not N.is_normal_in(H):
         raise ValueError("modulus subgroup is not normal in H")
-    reps, rep_of = _coset_reps(pres, H, N)
+    return _quotient_type(H.pres, *_coset_reps(H.pres, H, N))
 
+
+def _quotient_type(pres: GPresentation, reps, rep_of) -> AbelianType:
     def op(x, y):
         return rep_of[pres.mul(x, y)]
 
@@ -395,11 +403,12 @@ def transfer(
     return _ctx["hprime_rep"][val]
 
 
-def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
+def transfer_context(pres: GPresentation, H: Subgroup, derived=None) -> dict:
     """Precomputed coset data for repeated transfers into one subgroup.
 
     The right transversal is grown from the identity by the generators of G:
     a product x joins it when x t^-1 lies in H for no representative t yet.
+    derived = derived_cosets(H) when the caller has already built it.
     """
     mul = pres.mul
     reps, inverses = [pres.identity()], [pres.identity()]
@@ -409,8 +418,7 @@ def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
             if not any(mul(x, t) in H.elements for t in inverses):
                 reps.append(x)
                 inverses.append(pres.inv(x))
-    Hp = H.derived_subgroup()
-    _, hprime_rep = _coset_reps(pres, H, Hp)
+    Hp, _, hprime_rep = derived or derived_cosets(H)
     return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep, "derived": Hp}
 
 
@@ -422,8 +430,7 @@ def transfer_index2(pres: GPresentation, H: Subgroup, g: GElement, z: GElement) 
     """
     if z in H.elements:
         raise GroupCheckError("z must represent the nontrivial coset")
-    Hp = H.derived_subgroup()
-    _, hprime_rep = _coset_reps(pres, H, Hp)
+    _, _, hprime_rep = derived_cosets(H)
     if g in H.elements:
         val = pres.mul(pres.mul(g, g), pres.commutator(g, z))
     else:
@@ -478,18 +485,9 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
     return out
 
 
-def group_to_class(pres: GPresentation, x: GElement, derived: Subgroup) -> ClassVector:
-    """Inverse dictionary: which class vector has x in its G'-coset."""
-    for v in CLASS_VECTORS:
-        rep = class_to_group(pres, v)
-        if pres.mul(pres.inv(rep), x) in derived.elements:
-            return v
-    raise ValueError(f"{x} lies in no G'-coset (G' wrong?)")
-
-
-def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
+def transfer_kernel(pres: GPresentation, H: Subgroup, derived=None) -> frozenset[ClassVector]:
     """Class vectors whose transfer to H is trivial (the capitulation kernel)."""
-    ctx = transfer_context(pres, H)
+    ctx = transfer_context(pres, H, derived)
     triv = ctx["hprime_rep"][pres.identity()]
     kernel = []
     for v in CLASS_VECTORS:

@@ -4,14 +4,11 @@ Units come from the continued fraction of sqrt(m) (or (1+sqrt(m))/2 when
 m = 1 mod 4), giving the fundamental unit of the maximal order together with
 its norm, which must match the period parity (-1)^l.
 
-Class groups are binary quadratic form groups under Dirichlet composition:
-all reduced definite forms for D < 0, cycles of reduced indefinite forms
-under the rho step for D > 0 (narrow group, then the wide quotient by the
-class of the negated principal form).  Only the order h and the 2-Sylow
-subgroup are computed: the reduced forms are counted, and the 2-Sylow is the
-small group generated by forms raised to the odd part of h (Cohen, A Course
-in Computational Algebraic Number Theory, 5.3-5.4).  No analytic input
-anywhere.
+Class groups are binary quadratic form groups under Dirichlet composition
+(narrow for D > 0, then the wide quotient by the class of the negated
+principal form).  Only their 2-Sylow subgroups are computed, by genus theory
+and square roots of forms, without enumerating the group or computing the
+class number h.  No analytic input anywhere.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import AbelianType, p_part_exponents, power
-from .symbols import PrimePair
+from .abelian import AbelianType, factorize
+from .symbols import PrimePair, is_prime, jacobi, sqrt_mod
 
 __all__ = [
     "QuadUnit",
@@ -32,7 +29,6 @@ __all__ = [
     "norm_eps",
     "field_discriminant",
     "class_group",
-    "class_number",
     "two_part_of_class_group",
     "exponents_mn",
     "DISCRIMINANT_BOUND",
@@ -76,9 +72,12 @@ class QuadUnit:
     norm: int
 
     def __post_init__(self) -> None:
-        assert (self.u * self.u - self.m * self.v * self.v) == self.norm * self.w * self.w
-        assert self.norm in (1, -1)
-        assert self.u > 0 and self.v > 0
+        if (self.u * self.u - self.m * self.v * self.v) != self.norm * self.w * self.w:
+            raise ClassGroupError(f"{self} does not have norm {self.norm}")
+        if self.norm not in (1, -1):
+            raise ClassGroupError(f"{self} has norm {self.norm}, not a unit")
+        if self.u <= 0 or self.v <= 0:
+            raise ClassGroupError(f"{self} is not the unit > 1 with u, v > 0")
 
     def __str__(self) -> str:
         body = f"{self.u} + {self.v}*sqrt({self.m})"
@@ -92,7 +91,7 @@ def fundamental_unit(m: int) -> QuadUnit:
     Expands omega = (1+sqrt(m))/2 for m = 1 (mod 4), else omega = sqrt(m).
     If l is the period, the convergent p/q ending just before the period
     closes gives eps = p - q*conj(omega), and N(eps) = (-1)^l; both the norm
-    identity and the parity law are asserted.
+    identity and the parity law are checked (ClassGroupError).
     """
     if m <= 1 or not is_squarefree(m):
         raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
@@ -128,7 +127,8 @@ def fundamental_unit(m: int) -> QuadUnit:
         u, v, w = p, q, 1
     norm = (u * u - m * v * v) // (w * w)
     parity_norm = 1 if period % 2 == 0 else -1
-    assert norm == parity_norm, f"norm/period mismatch for m={m}: {norm} vs l={period}"
+    if norm != parity_norm:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={period}")
     return QuadUnit(u, v, w, m, norm)
 
 
@@ -150,9 +150,6 @@ class BQForm:
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def content(self) -> int:
-        return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c))
 
     def inverse(self) -> "BQForm":
         return BQForm(self.a, -self.b, self.c)
@@ -191,7 +188,8 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     B = b1 (mod 2|a1|) and B = b2 (mod 2|a2|) (united-forms construction).
     """
     D = f1.disc()
-    assert f2.disc() == D
+    if f2.disc() != D:
+        raise ClassGroupError(f"cannot compose {f1} and {f2}: discriminants differ")
     f2 = _coprime_representative(f2, f1.a)
     a1, b1 = f1.a, f1.b
     a2, b2 = f2.a, f2.b
@@ -199,8 +197,20 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     B = _crt(b1 % n1, n1, b2 % n2, n2)
     A = a1 * a2
     num = B * B - D
-    assert num % (4 * A) == 0
+    if num % (4 * A):
+        raise ClassGroupError(f"composite of {f1} and {f2} is not integral")
     return BQForm(A, B, num // (4 * A))
+
+
+def _small_vectors():
+    """Primitive (x, y) up to sign, by growing max(|x|, |y|)."""
+    yield 1, 0
+    for k in range(1, 1 << 10):
+        for x in range(-k, k + 1):
+            for y in (k,) if abs(x) < k else range(1, k + 1):
+                if math.gcd(x, y) == 1:
+                    yield x, y
+    raise ClassGroupError("no suitable value among the small vectors; form not primitive?")
 
 
 def _coprime_representative(f: BQForm, n: int) -> BQForm:
@@ -209,32 +219,23 @@ def _coprime_representative(f: BQForm, n: int) -> BQForm:
     Primitive forms represent values coprime to any modulus, so a small search
     over primitive (x, y) always succeeds.
     """
-    n = abs(n)
     if math.gcd(f.a, n) == 1:
         return f
-    bound = 2
-    while bound <= 1 << 20:
-        for x in range(0, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                val = f.value(x, y)
-                if val != 0 and math.gcd(val, n) == 1:
-                    return _transform(f, x, y)
-        bound *= 2
-    raise AssertionError(f"no representative of {f} coprime to {n}; form primitive?")
+    return _transform(f, *next(xy for xy in _small_vectors() if math.gcd(f.value(*xy), n) == 1))
 
 
 def _transform(f: BQForm, x: int, y: int) -> BQForm:
     """Apply the unimodular substitution with first column (x, y), gcd(x, y) = 1."""
     g, u0, v0 = _xgcd(x, y)
-    assert g == 1
+    if g != 1:
+        raise ClassGroupError(f"({x}, {y}) is not primitive")
     u, v = -v0, u0  # det [[x, u], [y, v]] = 1
     a = f.value(x, y)
     b = 2 * (f.a * x * u + f.c * y * v) + f.b * (x * v + y * u)
     c = f.value(u, v)
     out = BQForm(a, b, c)
-    assert out.disc() == f.disc()
+    if out.disc() != f.disc():
+        raise ClassGroupError(f"substitution changed the discriminant of {f}")
     return out
 
 
@@ -252,12 +253,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-# --- definite forms (D < 0): reduction and enumeration ----------------------
+# --- reduction ---------------------------------------------------------------
 
 
 def reduce_definite(f: BQForm) -> BQForm:
     a, b, c = f.a, f.b, f.c
-    assert a > 0 and f.disc() < 0
+    if a <= 0 or f.disc() >= 0:
+        raise ClassGroupError(f"{f} is not positive definite")
     while True:
         if not (-a < b <= a):
             r = (a - b) // (2 * a)
@@ -270,25 +272,6 @@ def reduce_definite(f: BQForm) -> BQForm:
         return BQForm(a, b, c)
 
 
-def _reduced_definite_forms(D: int) -> list[BQForm]:
-    """All reduced primitive positive definite forms of discriminant D < 0."""
-    forms = []
-    b = D & 1
-    while 3 * b * b <= -D:
-        n = (b * b - D) // 4  # = a*c
-        for a in [a for a in range(max(b, 1), math.isqrt(n) + 1) if n % a == 0]:
-            c = n // a
-            if math.gcd(a, b, c) == 1:
-                forms.append(BQForm(a, b, c))
-                if 0 < b < a < c:
-                    forms.append(BQForm(a, -b, c))
-        b += 2
-    return forms
-
-
-# --- indefinite forms (D > 0): rho reduction and cycles ---------------------
-
-
 def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
     # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D); exact via s = isqrt(D)
     return 1 <= b <= s and 2 * abs(a) - b <= s and 2 * abs(a) + b >= s + 1
@@ -296,16 +279,19 @@ def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
 
 def rho_step(f: BQForm, s: int) -> BQForm:
     """One rho step; reduces arbitrary forms and walks cycles of reduced ones."""
-    D = f.disc()
-    c = f.c
+    return BQForm(f.c, *_rho(f.b, f.c, f.disc(), s))
+
+
+def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int]:
+    """(b', c') of the rho step (a, b, c) -> (c, b', c') for discriminant D, s = isqrt(D)."""
     ac = abs(c)
     if ac <= s:  # choose b' = -b (mod 2|c|) maximal below sqrt(D)
-        b_new = s - (s + f.b) % (2 * ac)
+        b_new = s - (s + b) % (2 * ac)
     else:  # choose b' in (-|c|, |c|]
-        b_new = (-f.b) % (2 * ac)
+        b_new = (-b) % (2 * ac)
         if b_new > ac:
             b_new -= 2 * ac
-    return BQForm(c, b_new, (b_new * b_new - D) // (4 * c))
+    return b_new, (b_new * b_new - D) // (4 * c)
 
 
 def reduce_indefinite(f: BQForm) -> BQForm:
@@ -315,174 +301,274 @@ def reduce_indefinite(f: BQForm) -> BQForm:
     return f
 
 
-def _reduced_indefinite_forms(D: int) -> list[BQForm]:
-    forms = []
-    s = math.isqrt(D)
-    b = 2 - (D & 1)
-    while b <= s:
-        if (D - b * b) % 4 == 0:
-            n = (D - b * b) // 4  # = |a*c|, with a*c < 0
-            for u in [u for u in range(1, math.isqrt(n) + 1) if n % u == 0]:
-                for aa in {u, n // u}:
-                    if 2 * aa - b <= s and 2 * aa + b >= s + 1:
-                        cc = n // aa
-                        if math.gcd(aa, b, cc) == 1:
-                            forms.append(BQForm(aa, b, -cc))
-                            forms.append(BQForm(-aa, b, cc))
-        b += 2
-    return forms
-
-
 # ---------------------------------------------------------------------------
-# Class groups
+# 2-Sylow subgroups of class groups by genus theory and square roots
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Order and 2-part of the form class group of discriminant D (wide for D > 0)."""
+    """The 2-Sylow subgroup of the form class group of discriminant D (wide for D > 0)."""
 
     D: int
-    order: int
     two_part: AbelianType
-    narrow_order: int  # = order for D < 0
 
 
 class ClassGroupError(AssertionError):
-    """A class-group self-check failed; an oracle bug, not an unusual input."""
+    """A self-check of the quadratic oracles failed; an oracle bug, not an unusual input."""
 
 
 class DiscriminantBoundError(ValueError):
-    """|D| exceeds DISCRIMINANT_BOUND, beyond which forms are not enumerated."""
+    """|D| exceeds DISCRIMINANT_BOUND, the largest |D| the class-group oracle accepts."""
 
 
-def _validate_disc(D: int) -> None:
+def _validate_disc(D: int) -> dict[int, int]:
+    """The factorization of |D|; ValueError unless D is fundamental and within the bound."""
     if D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a discriminant (need 0 or 1 mod 4)")
     if D == 0 or (D > 0 and math.isqrt(D) ** 2 == D):
         raise ValueError(f"invalid discriminant {D}: perfect square")
     if abs(D) > DISCRIMINANT_BOUND:
         raise DiscriminantBoundError(f"|D| = {abs(D)} exceeds bound {DISCRIMINANT_BOUND}")
+    factors = factorize(abs(D))
+    two = factors.get(2, 0)
+    if any(e > 1 for q, e in factors.items() if q != 2) or two not in (0, 2, 3) or (
+        two == 2 and D // 4 % 4 != 3
+    ):
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    return factors
 
 
-class _DefiniteGroup:
-    def __init__(self, D: int):
-        forms = _reduced_definite_forms(D)
-        self.elements = sorted(forms, key=BQForm.key)
-        assert len(set(self.elements)) == len(forms), f"duplicate reduced forms, D={D}"
-        self.identity = reduce_definite(principal_form(D))
+def _two_character(D: int, primes: list[int]) -> tuple[int, ...]:
+    """Residues n mod 8 where the genus character of the prime 2 is -1 (none for odd D).
 
-    def op(self, x: BQForm, y: BQForm) -> BQForm:
-        return reduce_definite(compose(x, y))
-
-
-class _CycleGroup:
-    """Narrow class group of D > 0: cycles of reduced forms under rho."""
-
-    def __init__(self, D: int):
-        self.s = math.isqrt(D)
-        reduced = _reduced_indefinite_forms(D)
-        cycle_of: dict[BQForm, int] = {}
-        reps: list[BQForm] = []
-        for f in reduced:
-            if f in cycle_of:
-                continue
-            idx = len(reps)
-            reps.append(f)
-            g = f
-            while True:
-                assert g not in cycle_of or cycle_of[g] == idx
-                cycle_of[g] = idx
-                g = rho_step(g, self.s)
-                if g == f:
-                    break
-        assert len(cycle_of) == len(reduced), f"rho left the reduced set, D={D}"
-        self._cycle_of = cycle_of
-        self._reps = reps
-        self.elements = list(range(len(reps)))
-        self.identity = self.cls(principal_form(D))
-
-    def cls(self, f: BQForm) -> int:
-        return self._cycle_of[reduce_indefinite(f)]
-
-    def op(self, x: int, y: int) -> int:
-        return self.cls(compose(self._reps[x], self._reps[y]))
-
-    def negated_principal_class(self) -> int:
-        D = self._reps[0].disc()
-        k = D % 2
-        return self.cls(BQForm(-1, k, (D - k * k) // 4))
-
-
-def _two_sylow(elements, op, identity, h: int) -> list:
-    """Elements of the 2-Sylow subgroup of an abelian group of order h = 2^e * u, u odd.
-
-    x -> x^u maps the group onto its 2-Sylow subgroup: the elements' u-th powers
-    are adjoined in turn, coset by coset, until the subgroup has 2^e elements.
-    Raises ClassGroupError unless it ends on exactly 2^e; each order reached
-    divides the next, so an overshoot or an odd factor is never undone.
+    D is the product of the prime discriminants (-1)^((q-1)/2) q of its odd
+    primes and one of 1, -4, 8, -8.
     """
-    target = h & -h
-    u = h // target
-    sub = [identity]
-    members = {identity}
-    for x in elements:
-        if len(sub) >= target:
+    odd = 1
+    for q in primes:
+        if q != 2:
+            odd *= q if q % 4 == 1 else -q
+    return {1: (), -4: (3, 7), 8: (3, 5), -8: (5, 7)}[D // odd]
+
+
+def _genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) -> int:
+    """Bit i set when the genus character of primes[i] is -1 on f; the last one dropped.
+
+    The characters are evaluated on a value n of f coprime to D; their product
+    is the Kronecker symbol (D/n) = 1, which is checked.
+    """
+    n = next(v for v in (f.value(x, y) for x, y in _small_vectors()) if math.gcd(v, D) == 1)
+    vec = 0
+    for i, q in enumerate(primes):
+        if (n % 8 in two) if q == 2 else jacobi(n, q) == -1:
+            vec |= 1 << i
+    if vec.bit_count() % 2:
+        raise ClassGroupError(f"genus characters of {f} at n = {n} multiply to -1")
+    return vec & ~(1 << (len(primes) - 1))
+
+
+def _squarefree_split(n: int) -> tuple[int, int, list[int]]:
+    """(s, c, primes of c) with n = s^2 * c and c squarefree, sign(c) = sign(n)."""
+    s, c, primes = 1, 1 if n > 0 else -1, []
+    for q, e in factorize(abs(n)).items():
+        s *= q ** (e // 2)
+        if e % 2:
+            c *= q
+            primes.append(q)
+    return s, c, primes
+
+
+def _legendre(a: int, fa: list[int], b: int, fb: list[int]) -> tuple[int, int, int]:
+    """Nonzero (w, x, y) with w^2 = a x^2 + b y^2, for squarefree a, b with primes fa, fb.
+
+    Lagrange's descent: with r^2 = a (mod b) and |r| <= |b|/2, r^2 - a = b s^2 c
+    where c is squarefree and |c| < |b|, and a point for (a, c) lifts through the
+    norm of r + sqrt(a).  Raises ClassGroupError when the conic has no point.
+    """
+    if abs(a) > abs(b):
+        w, y, x = _legendre(b, fb, a, fa)
+        return w, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    n = abs(b)
+    try:
+        r, mod = 0, 1
+        for q in fb:
+            r, mod = _crt(r, mod, sqrt_mod(a, q), q), mod * q
+    except ValueError:
+        raise ClassGroupError(f"w^2 = {a} x^2 + {b} y^2 has no rational point") from None
+    if n == 1:  # a = b = -1
+        raise ClassGroupError("w^2 = -x^2 - y^2 has no rational point")
+    if r > n // 2:
+        r -= n
+    s, c, fc = _squarefree_split((r * r - a) // b)
+    w, x, y = _legendre(a, fa, c, fc)
+    return r * w + a * x, w + r * x, s * c * y
+
+
+def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
+    """A form whose Dirichlet square is properly equivalent to f, for f in the principal genus.
+
+    f is moved to a prime leading coefficient p; a point of the conic
+    X^2 - D Y^2 = 4p Z^2 is a representation f(x, y) = z^2, primitive after
+    dividing out gcd(x, y), and z is prime to D because a primitive ideal has no
+    square ramified factor.  Then f ~ (z^2, B, C) and (z, B, zC) squares to it.
+    """
+    D = f.disc()
+    g = _transform(f, *next(xy for xy in _small_vectors() if _odd_prime_prime_to(f.value(*xy), D)))
+    p, b = g.a, g.b
+    w, u, v = _legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2
+    X, Y, Z = 2 * w, u if D % 4 == 0 else 2 * u, v  # X^2 - D Y^2 = 4p Z^2
+    if not Y:  # then X^2 = 4p Z^2 with p prime: only the zero point
+        raise ClassGroupError(f"conic point ({X}, {Y}, {Z}) of {g} has Y = 0")
+    k = math.gcd(X, Y, Z)
+    X, Y = X // k, Y // k
+    if (X - b * Y) % (2 * p):
+        X = -X
+    if (X - b * Y) % (2 * p):
+        raise ClassGroupError(f"conic point ({X}, {Y}) of {g} has p | Y")
+    x, y = (X - b * Y) // (2 * p), Y
+    k = math.gcd(x, y)
+    sq = _transform(g, x // k, y // k)
+    z = math.isqrt(sq.a) if sq.a > 0 else 0
+    if z * z != sq.a or math.gcd(z, sq.b) != 1:
+        raise ClassGroupError(f"conic point gives {sq}, not (z^2, B, C) with gcd(z, B) = 1")
+    return BQForm(z, sq.b, z * sq.c)
+
+
+def _odd_prime_prime_to(v: int, D: int) -> bool:
+    return abs(v) > 2 and D % v != 0 and is_prime(abs(v))
+
+
+def _ambiguous_form(D: int, q: int) -> BQForm:
+    """The form (q, b, c) with q | b of the prime q | D (the ramified prime above q)."""
+    b = next(b for b in (0, q) if (b * b - D) % (4 * q) == 0)
+    return BQForm(q, b, (b * b - D) // (4 * q))
+
+
+def _bits(n: int, primes: list[int]) -> int:
+    """Bit i set when primes[i] divides n."""
+    return sum(1 << i for i, q in enumerate(primes) if n % q == 0)
+
+
+def _narrow_relation(D: int, m: int, primes: list[int], s_m: int) -> int:
+    """The one nonzero relation S among the ambiguous forms: prod_{i in S} F_i ~ 1 (narrow).
+
+    For D < 0 it is S_m, the primes of m, since sqrt(m) generates their product.
+    For D > 0, with j the class of the negated principal form, sqrt(m) gives
+    prod_{S_m} F_i ~ j, and every ambiguous form (a, b, c), a | b, on the
+    principal rho cycle gives prod_{primes of a} F_i ~ j^[a < 0]; these must
+    agree on exactly one nonzero S (the narrow 2-rank is t - 1).
+    """
+    if D < 0:
+        relation = s_m or 1  # D = -4: (1 + i) is principal
+        one = reduce_definite(principal_form(D))
+        prod = one
+        for i, q in enumerate(primes):
+            if relation >> i & 1:
+                prod = reduce_definite(compose(prod, _ambiguous_form(D, q)))
+        if prod != one:
+            raise ClassGroupError(f"D={D}: the ambiguous forms of {m} compose to {prod}, not 1")
+        return relation
+    root = math.isqrt(D)
+    start = reduce_indefinite(principal_form(D)).key()
+    a, b, c = start
+    found = set()
+    while True:
+        if b % a == 0:
+            found.add(_bits(a, primes) ^ (s_m if a < 0 else 0))
+        a, (b, c) = c, _rho(b, c, D, root)
+        if (a, b, c) == start:
             break
-        g = power(x, u, op, identity)
-        base = list(sub)
-        y = g
-        while y not in members:  # adjoin the coset y*<sub> for y = g, g^2, ...
-            coset = [op(y, s) for s in base]
-            sub.extend(coset)
-            members.update(coset)
-            y = op(y, g)
-    if len(sub) != target:
-        raise ClassGroupError(f"u-th powers generate {len(sub)} elements, not 2^v2(h) = "
-                              f"{target} (h = {h})")
-    return sub
+    found.discard(0)
+    if len(found) != 1:
+        raise ClassGroupError(f"D={D}: principal cycle gives relations {sorted(found)}, "
+                              f"so the narrow 2-rank is not t - 1 = {len(primes) - 1}")
+    return found.pop()
 
 
-def _quotient_by_involution(elements, op, identity, j):
-    """Quotient of an abelian group of narrow classes by {identity, j}, j of order <= 2."""
-    if j == identity:
-        return elements, op, identity
-    assert op(j, j) == identity
-    rep = {x: min(x, op(x, j)) for x in elements}
-    return sorted(set(rep.values())), lambda x, y: rep[op(x, y)], rep[identity]
+def _in_span(v: int, vectors) -> bool:
+    pivots: dict[int, int] = {}
+    for w in [*vectors, v]:
+        while w and w.bit_length() in pivots:
+            w ^= pivots[w.bit_length()]
+        if w:
+            pivots[w.bit_length()] = w
+    return not w
+
+
+def _narrow_exponents(D: int, m: int, primes: list[int], relation: int, j: int):
+    """(e_1, ..., e_r) of the narrow 2-Sylow subgroup (2^e_1, ..., 2^e_r), and the height of j.
+
+    Level k holds a basis x of V_k = A[2] & A^(2^(k-1)) (A the narrow 2-Sylow),
+    as coordinates over the ambiguous forms, each with a 2^(k-1)-th root y.  The
+    classes of A[2^(k-1)] have genus vectors W_k, spanned by the roots of the
+    basis elements already of full order.  x lies in V_(k+1) exactly when
+    chi(y) lies in W_k; then y times roots from W_k is a square, whose square
+    root is the next root.  Elimination over F2 splits off the others, each a
+    cyclic factor of order 2^k.  No two classes are compared.
+    """
+    two = _two_character(D, primes)
+    m_primes = [q for q in primes if m % q == 0]
+    reduce = reduce_definite if D < 0 else reduce_indefinite
+    top = relation.bit_length() - 1
+    level = [(1 << i, reduce(_ambiguous_form(D, q))) for i, q in enumerate(primes) if i != top]
+    full: dict[int, tuple[int, int, BQForm]] = {}  # pivot -> (genus vector, coordinates, root)
+    exponents, height, k = [], 0, 1
+    while level:
+        pivots = {bit: (vec, 0, root) for bit, (vec, _, root) in full.items()}
+        nxt = []
+        for coords, root in level:
+            vec = _genus_vector(root, D, primes, two)
+            while vec and vec.bit_length() in pivots:
+                pvec, pcoords, proot = pivots[vec.bit_length()]
+                vec, coords, root = vec ^ pvec, coords ^ pcoords, reduce(compose(root, proot))
+            if vec:
+                pivots[vec.bit_length()] = (vec, coords, root)
+                exponents.append(k)
+            else:
+                nxt.append((coords, reduce(_square_root(root, m, m_primes))))
+        full, level = pivots, nxt
+        if j and _in_span(j, (coords for coords, _ in level)):
+            height = k
+        k += 1
+    return exponents, height
 
 
 @lru_cache(maxsize=None)
 def class_group(D: int) -> ClassGroup:
-    """Order and 2-part of the form class group of discriminant D (wide for D > 0).
+    """The 2-Sylow subgroup of the form class group of a fundamental discriminant D.
 
-    The narrow order is the number of reduced forms (D < 0) or of rho cycles
-    (D > 0), and the 2-Sylow subgroup is generated in the narrow group.  For
-    D > 0 the wide group is its quotient by the class j of the negated
-    principal form; for squarefree radicands j is trivial exactly when
-    N(eps) = -1, checked against the unit oracle as an independent cross-check.
+    Wide group for D > 0.  Nothing is enumerated and h is not computed: genus
+    theory gives the 2-torsion from the ambiguous forms of the primes of D and
+    decides squares by the genus characters, and square roots of forms descend
+    level by level (Gauss, Disquisitiones 286; Shanks, Math. Comp. 25 (1971);
+    Bosma and Stevenhagen, JTNB 8 (1996)).  For D > 0 the narrow type is divided
+    by j, the class of the negated principal form: one walk of the principal
+    rho cycle decides whether j is trivial, which must agree with N(eps) = -1,
+    and the height h of j replaces a cyclic factor 2^(h+1) by 2^h.
     """
-    _validate_disc(D)
-    grp = _DefiniteGroup(D) if D < 0 else _CycleGroup(D)
-    narrow_order = len(grp.elements)
-    op, identity = grp.op, grp.identity
-    sylow = _two_sylow(grp.elements, op, identity, narrow_order)
-    order = narrow_order
-    if D > 0:
-        j = grp.negated_principal_class()
-        m = D if D % 4 == 1 else D // 4
-        if is_squarefree(m) and (j == identity) != (norm_eps(m) == -1):
-            raise ClassGroupError(f"D={D}: negated-principal class trivial is "
-                                  f"{j == identity}, but N(eps) = {norm_eps(m)}")
-        if j != identity:
-            order //= 2
-        sylow, op, identity = _quotient_by_involution(sylow, op, identity, j)
-    exponents = p_part_exponents(sylow, op, identity, 2, len(sylow))
-    return ClassGroup(D, order, AbelianType(tuple(2**e for e in exponents)), narrow_order)
-
-
-def class_number(D: int) -> int:
-    return class_group(D).order
+    primes = sorted(_validate_disc(D))
+    m = D if D % 4 == 1 else D // 4
+    s_m = _bits(m, primes)
+    relation = _narrow_relation(D, m, primes, s_m)
+    # j = prod_{S_m} F_i, trivial for D < 0; of s_m and s_m + relation the smaller
+    # lacks the relation's top bit, as the coordinates in _narrow_exponents do
+    j = 0 if D < 0 else min(s_m, s_m ^ relation)
+    if D > 0 and (j == 0) != (norm_eps(m) == -1):
+        raise ClassGroupError(f"D={D}: negated-principal class trivial is "
+                              f"{j == 0}, but N(eps) = {norm_eps(m)}")
+    exponents, height = _narrow_exponents(D, m, primes, relation, j)
+    if j:
+        if height + 1 not in exponents:
+            raise ClassGroupError(f"D={D}: j has height {height} but no factor 2^{height + 1}")
+        exponents.remove(height + 1)
+        if height:
+            exponents.append(height)
+    return ClassGroup(D, AbelianType(tuple(sorted(2**e for e in exponents))))
 
 
 def two_part_of_class_group(D: int) -> AbelianType:

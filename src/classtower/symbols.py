@@ -17,6 +17,7 @@ __all__ = [
     "jacobi",
     "quartic_symbol",
     "quartic_symbol_mod2",
+    "sqrt_mod",
     "validate_pair",
 ]
 
@@ -75,6 +76,38 @@ def jacobi(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """Some x with x^2 = a (mod p) for a prime p, by Tonelli-Shanks.
+
+    Raises ValueError when a is not a square mod p.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # invariant: x^2 = a*t, and t has order 2^i < 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:
+                raise ValueError(f"{p} is not prime")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
 
 
 def quartic_symbol(a: int, p: int) -> int:

@@ -17,19 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadratic import QuadUnit, fundamental_unit
-from .symbols import (
-    PrimePair,
-    jacobi,
-    quartic_symbol,
-    quartic_symbol_mod2,
-)
+from .symbols import PrimePair, quartic_symbol, quartic_symbol_mod2
 
 __all__ = [
     "MultiQuadElt",
+    "UnitIndexError",
     "exact_square_root",
     "unit_index_q",
     "q_from_symbols",
 ]
+
+
+class UnitIndexError(AssertionError):
+    """A unit-index self-check failed; raised explicitly, so it survives python -O."""
+
+
+def _same_field(x: "MultiQuadElt", y: "MultiQuadElt") -> None:
+    if x.r != y.r:
+        raise TypeError(f"elements of Q(sqrt2, sqrt{x.r}) and Q(sqrt2, sqrt{y.r}) do not mix")
+
 
 @dataclass(frozen=True)
 class MultiQuadElt:
@@ -54,15 +60,15 @@ class MultiQuadElt:
         raise ValueError(f"unit of Q(sqrt {unit.m}) does not live in Q(sqrt2, sqrt{r})")
 
     def __add__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        assert self.r == other.r
+        _same_field(self, other)
         return MultiQuadElt(self.r, tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        assert self.r == other.r
+        _same_field(self, other)
         return MultiQuadElt(self.r, tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __mul__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        assert self.r == other.r
+        _same_field(self, other)
         r = self.r
         x0, x1, x2, x3 = self.c
         y0, y1, y2, y3 = other.c
@@ -80,10 +86,6 @@ class MultiQuadElt:
         """The conjugate fixing Q(sqrt 2): sqrt(r) -> -sqrt(r)."""
         c0, c1, c2, c3 = self.c
         return MultiQuadElt(self.r, (c0, c1, -c2, -c3))
-
-    def conj_sqrt2(self) -> "MultiQuadElt":
-        c0, c1, c2, c3 = self.c
-        return MultiQuadElt(self.r, (c0, -c1, c2, -c3))
 
     def __neg__(self) -> "MultiQuadElt":
         return MultiQuadElt(self.r, tuple(-x for x in self.c))
@@ -158,7 +160,8 @@ def _sqrt_in_q2(u: Fraction, v: Fraction) -> tuple[Fraction, Fraction] | None:
 
 
 def _q2_elt(elt: MultiQuadElt) -> tuple[Fraction, Fraction]:
-    assert elt.c[2] == 0 and elt.c[3] == 0, f"not in Q(sqrt2): {elt.c}"
+    if elt.c[2] or elt.c[3]:
+        raise UnitIndexError(f"not in Q(sqrt2): {elt.c}")
     return elt.c[0], elt.c[1]
 
 

@@ -1,0 +1,178 @@
+"""Test-only oracle: form class groups by enumerating every reduced form.
+
+This is the counting path that classtower.quadratic used before it computed
+2-Sylow subgroups by genus theory and square roots.  It enumerates all reduced
+definite forms (D < 0) or walks every rho cycle of reduced indefinite forms
+(D > 0, narrow group), so it costs about |D|^(1/2) and is kept here only to
+check the descent against: the order h, the narrow order, the 2-Sylow subgroup
+generated by u-th powers (h = 2^e * u, u odd) and the full structure.
+"""
+
+from __future__ import annotations
+
+import math
+
+from classtower.abelian import AbelianType, abelian_structure, p_part_exponents, power
+from classtower.quadratic import (
+    BQForm,
+    ClassGroupError,
+    compose,
+    principal_form,
+    reduce_definite,
+    reduce_indefinite,
+    rho_step,
+)
+
+
+def reduced_definite_forms(D: int) -> list[BQForm]:
+    """All reduced primitive positive definite forms of discriminant D < 0."""
+    forms = []
+    b = D & 1
+    while 3 * b * b <= -D:
+        n = (b * b - D) // 4  # = a*c
+        for a in [a for a in range(max(b, 1), math.isqrt(n) + 1) if n % a == 0]:
+            c = n // a
+            if math.gcd(a, b, c) == 1:
+                forms.append(BQForm(a, b, c))
+                if 0 < b < a < c:
+                    forms.append(BQForm(a, -b, c))
+        b += 2
+    return forms
+
+
+def reduced_indefinite_forms(D: int) -> list[BQForm]:
+    """All reduced primitive indefinite forms of discriminant D > 0."""
+    forms = []
+    s = math.isqrt(D)
+    b = 2 - (D & 1)
+    while b <= s:
+        if (D - b * b) % 4 == 0:
+            n = (D - b * b) // 4  # = |a*c|, with a*c < 0
+            for u in [u for u in range(1, math.isqrt(n) + 1) if n % u == 0]:
+                for aa in {u, n // u}:
+                    if 2 * aa - b <= s and 2 * aa + b >= s + 1:
+                        cc = n // aa
+                        if math.gcd(aa, b, cc) == 1:
+                            forms.append(BQForm(aa, b, -cc))
+                            forms.append(BQForm(-aa, b, cc))
+        b += 2
+    return forms
+
+
+class DefiniteGroup:
+    """Class group of D < 0: the reduced forms under composition."""
+
+    def __init__(self, D: int):
+        forms = reduced_definite_forms(D)
+        self.elements = sorted(forms, key=BQForm.key)
+        assert len(set(self.elements)) == len(forms), f"duplicate reduced forms, D={D}"
+        self.identity = reduce_definite(principal_form(D))
+
+    def op(self, x: BQForm, y: BQForm) -> BQForm:
+        return reduce_definite(compose(x, y))
+
+
+class CycleGroup:
+    """Narrow class group of D > 0: cycles of reduced forms under rho."""
+
+    def __init__(self, D: int):
+        self.s = math.isqrt(D)
+        reduced = reduced_indefinite_forms(D)
+        cycle_of: dict[BQForm, int] = {}
+        reps: list[BQForm] = []
+        for f in reduced:
+            if f in cycle_of:
+                continue
+            idx = len(reps)
+            reps.append(f)
+            g = f
+            while True:
+                assert g not in cycle_of or cycle_of[g] == idx
+                cycle_of[g] = idx
+                g = rho_step(g, self.s)
+                if g == f:
+                    break
+        assert len(cycle_of) == len(reduced), f"rho left the reduced set, D={D}"
+        self._cycle_of = cycle_of
+        self._reps = reps
+        self.elements = list(range(len(reps)))
+        self.identity = self.cls(principal_form(D))
+
+    def cls(self, f: BQForm) -> int:
+        return self._cycle_of[reduce_indefinite(f)]
+
+    def op(self, x: int, y: int) -> int:
+        return self.cls(compose(self._reps[x], self._reps[y]))
+
+    def negated_principal_class(self) -> int:
+        D = self._reps[0].disc()
+        k = D % 2
+        return self.cls(BQForm(-1, k, (D - k * k) // 4))
+
+
+def two_sylow(elements, op, identity, h: int) -> list:
+    """Elements of the 2-Sylow subgroup of an abelian group of order h = 2^e * u, u odd.
+
+    x -> x^u maps the group onto its 2-Sylow subgroup: the elements' u-th powers
+    are adjoined in turn, coset by coset, until the subgroup has 2^e elements.
+    Raises ClassGroupError unless it ends on exactly 2^e.
+    """
+    target = h & -h
+    u = h // target
+    sub = [identity]
+    members = {identity}
+    for x in elements:
+        if len(sub) >= target:
+            break
+        g = power(x, u, op, identity)
+        base = list(sub)
+        y = g
+        while y not in members:  # adjoin the coset y*<sub> for y = g, g^2, ...
+            coset = [op(y, s) for s in base]
+            sub.extend(coset)
+            members.update(coset)
+            y = op(y, g)
+    if len(sub) != target:
+        raise ClassGroupError(f"u-th powers generate {len(sub)} elements, not 2^v2(h) = "
+                              f"{target} (h = {h})")
+    return sub
+
+
+def quotient_by_involution(elements, op, identity, j):
+    """Quotient of an abelian group of narrow classes by {identity, j}, j of order <= 2."""
+    if j == identity:
+        return elements, op, identity
+    assert op(j, j) == identity
+    rep = {x: min(x, op(x, j)) for x in elements}
+    return sorted(set(rep.values())), lambda x, y: rep[op(x, y)], rep[identity]
+
+
+def group_law(D: int):
+    """(elements, op, identity) of the narrow class group of discriminant D."""
+    grp = DefiniteGroup(D) if D < 0 else CycleGroup(D)
+    return list(grp.elements), grp.op, grp.identity
+
+
+def counting_class_group(D: int) -> tuple[int, int, AbelianType]:
+    """(h, narrow h, 2-part of the wide group) by counting, as the old class_group did."""
+    grp = DefiniteGroup(D) if D < 0 else CycleGroup(D)
+    narrow_order = len(grp.elements)
+    op, identity = grp.op, grp.identity
+    sylow = two_sylow(grp.elements, op, identity, narrow_order)
+    order = narrow_order
+    if D > 0:
+        j = grp.negated_principal_class()
+        if j != identity:
+            order //= 2
+        sylow, op, identity = quotient_by_involution(sylow, op, identity, j)
+    exponents = p_part_exponents(sylow, op, identity, 2, len(sylow))
+    return order, narrow_order, AbelianType(tuple(2**e for e in exponents))
+
+
+def full_structure(D: int) -> AbelianType:
+    """Full structure of the (wide) class group over every element."""
+    elements, op, one = group_law(D)
+    if D > 0:
+        j = CycleGroup(D).negated_principal_class()
+        elements, op, one = quotient_by_involution(elements, op, one, j)
+    return abelian_structure(elements, op, one)

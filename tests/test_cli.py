@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from unittest import mock
 
 import classtower
 from classtower.cli import _largest_pair_product, build_parser, main
@@ -284,8 +287,8 @@ import sys
 from classtower import gengroup
 from classtower.cli import main
 context = gengroup.transfer_context
-def doubled(pres, H):
-    ctx = context(pres, H)
+def doubled(pres, H, *derived):
+    ctx = context(pres, H, *derived)
     ctx["rep_inverses"].append(ctx["rep_inverses"][0])  # the coset H listed twice
     return ctx
 gengroup.transfer_context = doubled
@@ -309,3 +312,144 @@ def test_engine_self_check_under_python_O():
     payload = json.loads(proc.stdout)
     assert payload["pairs"] == 6
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+
+
+_FORGED_UNIT = """
+import sys
+from classtower import quadratic, unitindex
+from classtower.cli import main
+real = quadratic.fundamental_unit
+def forged(m):
+    u = real(m)
+    # eps_65 = 8 + sqrt(65) has norm -1; claim +1
+    return quadratic.QuadUnit(u.u, u.v, u.w, u.m, -u.norm) if m == 65 else u
+quadratic.fundamental_unit = unitindex.fundamental_unit = forged
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_unit_parity_failure_under_python_O():
+    # QuadUnit's norm check raises ClassGroupError, an AssertionError, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_UNIT, "classify", "--p1", "5",
+                           "--p2", "13"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
+    assert "norm" in proc.stderr
+
+
+def test_forged_square_root_exits_3(capsys, monkeypatch):
+    # a conic point that misses the conic gives no square root: the descent's
+    # own check raises ClassGroupError, classify exits 3, scan rows fail
+    from classtower import quadratic
+
+    legendre = quadratic._legendre
+
+    def forged(*args):
+        w, x, y = legendre(*args)
+        return w, x, y + 1
+
+    monkeypatch.setattr(quadratic, "_legendre", forged)
+    quadratic.class_group.cache_clear()
+    try:
+        with pytest.raises(quadratic.ClassGroupError):
+            quadratic.class_group(-260)
+        code, _, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
+        scan_code, out, scan_err = run(capsys, "scan", "--max", "40", "--json")
+    finally:
+        quadratic.class_group.cache_clear()
+    assert code == 3 and err.startswith("consistency failure:") and err.count("\n") == 1
+    payload = json.loads(out)
+    assert scan_code == 3 and payload["pairs"] == 6
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+    assert scan_err.count("\n") == 6
+
+
+def test_classify_rejects_group_beyond_enumeration_guard(capsys, monkeypatch):
+    from classtower import classify, gengroup
+
+    monkeypatch.setattr(gengroup, "ENUMERATION_GUARD", 1 << 5)  # (5, 13) has |G| = 2^6
+    classify._engine_checks.cache_clear()
+    try:
+        code, out, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
+    finally:
+        classify._engine_checks.cache_clear()
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "enumeration guard" in err
+    code, _, err = run(capsys, "group", "--m", "30", "--n", "1", "--q", "1", "--force")
+    assert code == 2 and "enumeration guard" in err
+
+
+# --- fuzzing the argument vectors ---------------------------------------------
+
+# p1*p2 just inside and just outside DISCRIMINANT_BOUND/4 = 2.5*10^7
+_INSIDE, _OUTSIDE = (5, 4999957), (5, 5000077)
+_NUMBERS = st.one_of(
+    st.integers(-20, 120),
+    st.sampled_from([-(10**30), -13, 0, 1, 2, 4, 5, 13, 17, 21, 29, 37, 10**6, 10**30, 2**61 - 1]),
+)
+_JUNK = st.one_of(st.just([]), st.lists(
+    st.sampled_from(["--bogus", "-x", "--json", "--p1", "--max", "x", "", "1e3", "--", "-1",
+                     "--verbose", "--force", "--jobs", "0x10", "--table"]),
+    min_size=1, max_size=3,
+))
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_CLASSIFY = st.builds(
+    lambda pair, json_flag: ["classify", "--p1", str(pair[0]), "--p2", str(pair[1]), *json_flag],
+    st.one_of(st.tuples(_NUMBERS, _NUMBERS),
+              st.sampled_from([_INSIDE, _OUTSIDE, _OUTSIDE[::-1], (13, 5), (5, 5), (5, 17)])),
+    st.sampled_from([[], ["--json"]]),
+)
+_SCAN = st.builds(
+    lambda top, jobs, json_flag: ["scan", "--max", str(top), *jobs, *json_flag],
+    st.sampled_from([-5, 0, 12, 13, 29, 3541, 10**6, 10**30, "4O", "1e3"]),
+    _opt("--jobs", st.sampled_from([1, 0, -2, "two", ""])),
+    st.sampled_from([[], ["--json"]]),
+)
+_GROUP = st.builds(
+    lambda m, n, q, rest: ["group", "--m", str(m), "--n", str(n), "--q", str(q), *rest],
+    st.one_of(st.integers(2, 5), st.sampled_from([-2, 0, 1, 10**30, 40])),
+    st.one_of(st.integers(1, 4), st.sampled_from([-1, 0, 10**30, 40])),
+    st.sampled_from([1, 2, 1, 3, "x"]),
+    st.lists(st.sampled_from([["--force"], ["--json"], ["--psi", "sigma"], ["--legendre", "1"],
+                              ["--legendre", "-1"], ["--pi", "-1"], ["--b", "2"], ["--psi"]]),
+             max_size=3).map(lambda opts: [word for opt in opts for word in opt]),
+)
+_VERIFY = st.builds(
+    lambda table, filt, flags: ["verify-fixtures", *table, *filt, *flags],
+    _opt("--table", st.sampled_from(["4", "34", "9", "zz", ""])),
+    _opt("--filter", st.sampled_from([130, 754, 1, -130, 10**30, "x"])),
+    st.lists(st.sampled_from(["--json", "--verbose"]), max_size=2, unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_CLASSIFY, _SCAN, _GROUP, _VERIFY), _JUNK)
+def test_cli_fuzz_exit_codes(capsys, argv, junk):
+    # any argument vector ends in a documented exit code, never in an
+    # exception (a traceback on stderr); no process pool is started
+    argv = argv + junk  # no --jobs value above 1 can occur
+    if argv[0] == "verify-fixtures" and "--filter" not in argv:
+        argv += ["--filter", "130"]  # keep each example short
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 10**6), st.integers(13, 3540))
+def test_cli_fuzz_jobs_parser_only(jobs, top):
+    with mock.patch("os.cpu_count", return_value=4):
+        args = build_parser().parse_args(["scan", "--max", str(top), "--jobs", str(jobs)])
+    assert args.jobs == min(jobs, 4) and args.max == top

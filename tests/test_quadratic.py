@@ -1,13 +1,22 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from classtower.abelian import AbelianType, abelian_structure
+from class_group_oracle import (
+    counting_class_group,
+    full_structure,
+    group_law,
+    reduced_definite_forms,
+    two_sylow,
+)
+from classtower.abelian import AbelianType
 from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     class_group,
-    class_number,
     compose,
     exponents_mn,
     field_discriminant,
@@ -97,13 +106,14 @@ KNOWN_IMAGINARY = {
 
 def test_known_imaginary_class_numbers():
     for D, h in KNOWN_IMAGINARY.items():
-        assert class_number(D) == h, D
+        assert counting_class_group(D)[0] == h, D
+        assert class_group(D).two_part.order() == h & -h, D
 
 
 def test_known_imaginary_structures():
     known = {-84: (2, 2), -260: (2, 4), -23: (3,), -95: (8,), -39: (4,)}
     for D, divisors in known.items():
-        full = _full_structure(D)
+        full = full_structure(D)
         assert full == AbelianType(divisors), D
         assert class_group(D).two_part == full.two_part(), D
 
@@ -132,7 +142,7 @@ def test_class_number_matches_dirichlet_sum():
             discs += [field_discriminant(-p1 * p2), field_discriminant(-2 * p1 * p2)]
     for D in discs:
         h = _dirichlet_class_number(D)
-        assert class_number(D) == h, D
+        assert counting_class_group(D)[0] == h, D
         assert class_group(D).two_part.order() == h & -h, D
 
 
@@ -143,21 +153,19 @@ def test_two_part_matches_full_structure_oracle():
             for k in (1, 2):
                 for sign in (1, -1):
                     D = field_discriminant(sign * k * p1 * p2)
-                    grp = class_group(D)
-                    full = _full_structure(D)
-                    assert (grp.order, grp.two_part) == (full.order(), full.two_part()), D
+                    full = full_structure(D)
+                    assert counting_class_group(D)[0] == full.order(), D
+                    assert class_group(D).two_part == full.two_part(), D
 
 
 def test_two_sylow_rejects_wrong_order():
-    from classtower.quadratic import _two_sylow
-
-    elements, op, one = _group_law(-260)  # type (2, 4), h = 8
-    assert len(_two_sylow(elements, op, one, 8)) == 8
+    elements, op, one = group_law(-260)  # type (2, 4), h = 8
+    assert len(two_sylow(elements, op, one, 8)) == 8
     with pytest.raises(ClassGroupError):
-        _two_sylow(elements, op, one, 16)  # 2-Sylow never reaches 16
-    elements, op, one = _group_law(-23)  # type (3,)
+        two_sylow(elements, op, one, 16)  # 2-Sylow never reaches 16
+    elements, op, one = group_law(-23)  # type (3,)
     with pytest.raises(ClassGroupError):
-        _two_sylow(elements, op, one, 2)  # u = 1 leaves elements of order 3
+        two_sylow(elements, op, one, 2)  # u = 1 leaves elements of order 3
 
 
 KNOWN_REAL_WIDE = {5: 1, 8: 1, 12: 1, 13: 1, 40: 2, 60: 2, 65: 2, 136: 2, 229: 3}
@@ -165,16 +173,20 @@ KNOWN_REAL_WIDE = {5: 1, 8: 1, 12: 1, 13: 1, 40: 2, 60: 2, 65: 2, 136: 2, 229: 3
 
 def test_known_real_class_numbers():
     for D, h in KNOWN_REAL_WIDE.items():
-        assert class_number(D) == h, D
+        assert counting_class_group(D)[0] == h, D
+        assert class_group(D).two_part.order() == h & -h, D
 
 
 def test_narrow_vs_wide():
     # N(eps_3) = +1: narrow group of disc 12 is twice the wide group
-    g12 = class_group(12)
-    assert (g12.order, g12.narrow_order) == (1, 2)
+    assert counting_class_group(12)[:2] == (1, 2)
+    assert class_group(12).two_part == AbelianType(())
     # N(eps_10) = -1: narrow = wide for disc 40
-    g40 = class_group(40)
-    assert (g40.order, g40.narrow_order) == (2, 2)
+    assert counting_class_group(40)[:2] == (2, 2)
+    assert class_group(40).two_part == AbelianType((2,))
+    # N(eps_34) = +1 with narrow type (4): the wide quotient by j is (2)
+    assert counting_class_group(136)[:2] == (2, 4)
+    assert class_group(136).two_part == AbelianType((2,))
 
 
 def test_class_group_rejects():
@@ -184,23 +196,24 @@ def test_class_group_rejects():
         class_group(16)  # square
     with pytest.raises(ValueError):
         class_group(10**9)
+    for D in (-16, -12, 20, 5 * 9, 4 * 17, -32, -4 * 49, -1004):  # not fundamental
+        with pytest.raises(ValueError):
+            class_group(D)
 
 
 def test_reduced_form_count_is_group_order():
-    # independent counting check: composition-derived structure fills the
-    # exact number of reduced definite forms
-    from classtower.quadratic import _reduced_definite_forms
-
-    for D in (-260, -84, -95, -515, -1004, -10007, -34180):
-        grp = class_group(D)
-        assert grp.order == len(_reduced_definite_forms(D))
-        assert grp.two_part.order() == grp.order & -grp.order
+    # independent counting check: the 2-Sylow subgroup fills the 2-part of
+    # the exact number of reduced definite forms
+    for D in (-260, -84, -95, -515, -1012, -10007, -34180):
+        h = len(reduced_definite_forms(D))
+        assert counting_class_group(D)[0] == h
+        assert class_group(D).two_part.order() == h & -h
 
 
 def test_composition_group_axioms_random():
     rng = random.Random(7)
     for D in (-260, -84, -95, -515, -9912, -99991, 316, 520, 229, 1020, 99928):
-        elements, op, one = _group_law(D)
+        elements, op, one = group_law(D)
         sample = elements if len(elements) <= 6 else rng.sample(elements, 6)
         for f in sample:
             assert op(f, one) == f
@@ -211,30 +224,10 @@ def test_composition_group_axioms_random():
                     assert op(op(f, g), h) == op(f, op(g, h))
 
 
-def _group_law(D):
-    from classtower.quadratic import _CycleGroup, _DefiniteGroup
-
-    grp = _DefiniteGroup(D) if D < 0 else _CycleGroup(D)
-    return list(grp.elements), grp.op, grp.identity
-
-
-def _full_structure(D):
-    """Test-only oracle: full structure of the (wide) class group over every element."""
-    from classtower.quadratic import _CycleGroup, _quotient_by_involution
-
-    elements, op, one = _group_law(D)
-    if D > 0:
-        j = _CycleGroup(D).negated_principal_class()
-        elements, op, one = _quotient_by_involution(elements, op, one, j)
-    return abelian_structure(elements, op, one)
-
-
 def test_definite_inverse_is_b_negation():
     for D in (-260, -84, -95):
-        from classtower.quadratic import _reduced_definite_forms
-
         one = reduce_definite(principal_form(D))
-        for f in _reduced_definite_forms(D):
+        for f in reduced_definite_forms(D):
             assert reduce_definite(compose(f, f.inverse())) == one
 
 
@@ -269,3 +262,49 @@ def test_reduce_indefinite_reaches_reduced():
 
         assert _is_reduced_indefinite(g.a, g.b, math.isqrt(D))
         assert g.disc() == D
+
+
+# --- the descent against the counting oracle ---------------------------------
+
+# 2-Sylow subgroups with two cyclic factors of order >= 4 (square roots taken
+# at one level differ by 2-torsion of different heights), several with four or
+# more primes in D; found with the counting oracle among |D| <= 2*10^5
+PINNED_TYPES = {
+    12104: (4, 4), 69064: (4, 8), -103727: (8, 32), -152360: (2, 8, 16),
+    -159844: (8, 16), 164840: (2, 4, 4), -169176: (2, 2, 4, 4), -187239: (4, 128),
+    -198660: (2, 2, 2, 4, 4), -199795: (8, 8),
+}
+
+
+def test_descent_pinned_types():
+    for D, divisors in PINNED_TYPES.items():
+        assert counting_class_group(D)[2] == AbelianType(divisors), D
+        assert class_group(D).two_part == AbelianType(divisors), D
+
+
+ODD_PRIMES = [q for q in range(3, 400) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([1, -4, 8, -8]),
+    st.lists(st.sampled_from(ODD_PRIMES), unique=True, min_size=1, max_size=5),
+)
+def test_descent_matches_counting_oracle(two, odd_primes):
+    # a product of prime discriminants is fundamental, of either sign; primes
+    # that would take |D| beyond 2*10^5 are left out
+    D = two
+    for q in odd_primes:
+        q_star = q if q % 4 == 1 else -q
+        if abs(D * q_star) <= 200_000:
+            D *= q_star
+    assert class_group(D).two_part == counting_class_group(D)[2], D
+
+
+def test_descent_on_deepest_pool_pairs():
+    # the three perfbench large_pool.json pairs with the largest m: -4r has
+    # 2-part (2, 512), and there h = 1024
+    for p1, p2 in [(61, 36229), (149, 11173), (701, 2797)]:
+        assert class_group(-4 * p1 * p2).two_part == AbelianType((2, 512))
+        for D in (-4 * p1 * p2, p1 * p2):
+            assert class_group(D).two_part == counting_class_group(D)[2], D

@@ -32,11 +32,17 @@ def test_multiquad_ring():
     assert (x * y).c == (y * x).c
 
 
+def _conj_sqrt2(x: MultiQuadElt) -> MultiQuadElt:
+    """The conjugate fixing Q(sqrt r): sqrt(2) -> -sqrt(2)."""
+    c0, c1, c2, c3 = x.c
+    return MultiQuadElt(x.r, (c0, -c1, c2, -c3))
+
+
 def test_conjugations_are_ring_maps():
     r = 65
     x = MultiQuadElt.make(r, 1, 2, 3, 4)
     y = MultiQuadElt.make(r, -1, 5, 0, 2)
-    for conj in (MultiQuadElt.conj_sqrt_r, MultiQuadElt.conj_sqrt2):
+    for conj in (MultiQuadElt.conj_sqrt_r, _conj_sqrt2):
         assert conj(x * y).c == (conj(x) * conj(y)).c
         assert conj(x + y).c == (conj(x) + conj(y)).c
 
@@ -142,3 +148,10 @@ def test_q_agreement_small_range():
             pair = validate_pair(p1, p2)
             if pair.legendre == -1:
                 assert unit_index_q(pair) == q_from_symbols(pair)
+
+
+def test_mixed_fields_are_a_type_error():
+    x, y = MultiQuadElt.make(65, 1, 1), MultiQuadElt.make(377, 1, 1)
+    for op in (MultiQuadElt.__add__, MultiQuadElt.__sub__, MultiQuadElt.__mul__):
+        with pytest.raises(TypeError):
+            op(x, y)
