@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
 
 from .abelian import AbelianType
 from .gaussian import (
@@ -45,7 +44,6 @@ from .gengroup import (
     Subgroup,
     abelian_invariants,
     class_to_group,
-    derived_cosets,
     lower_central_series,
     span,
     transfer_kernel,
@@ -667,44 +665,37 @@ def _fmt_vectors(vs) -> str:
 
 
 def engine_subgroups(profile: tuple):
-    """(presentation, G, G', {"K1".."K7": subgroup}, iterator of ("L1", L1) .. ("L7", L7)).
+    """(presentation, G, G', {"K1": .., "K7": .., "L1": .., "L7": ..}).
 
     K_j is generated by G' and the classes of N_j; L_j is the intersection of
-    its three K factors, built when the iterator reaches it, so that at most one
-    L_j is alive.  Raises KeyError outside the tabulated symbol tuples.
-    Not cached: _engine_checks caches per profile, and keeping the subgroups
-    of 38 profiles in one process raised its peak RSS by about a third.
+    its three K factors.  Raises KeyError outside the tabulated symbol tuples.
     """
     _, _, _, q, m, n, psi = profile
     pres = GPresentation(m, n, q, psi)
     G = Subgroup.whole_group(pres)
     Gp = G.derived_subgroup()
     norms = norm_groups(_profile_record(profile))
-    ks = {
+    subgroups = {
         f"K{j}": Subgroup.generated(pres, [*(class_to_group(pres, v) for v in norms[j]), *Gp.generators])
         for j in range(1, 8)
     }
-    ls = (
-        (f"L{j}", reduce(Subgroup.intersection, (ks[f"K{i}"] for i in L_FACTORS[j])))
-        for j in range(1, 8)
-    )
-    return pres, G, Gp, ks, ls
+    for j in range(1, 8):
+        subgroups[f"L{j}"] = reduce(Subgroup.intersection, (subgroups[f"K{i}"] for i in L_FACTORS[j]))
+    return pres, G, Gp, subgroups
 
 
 @lru_cache(maxsize=None)
 def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     legendre, pi, b, q, m, n, psi = profile
     rec = _profile_record(profile)
-    pres, G, Gp, ks, ls = engine_subgroups(profile)
+    pres, G, Gp, subgroups = engine_subgroups(profile)
     checks: list[Check] = []
 
     def add(name, expected, got):
         checks.append(Check(name, expected == got, str(expected), str(got)))
 
     add("G:order", 1 << (m + n + (2 if q == 1 else 3)), G.order)
-    add("G:derived-generators", True, Gp.elements == Subgroup.generated(
-        pres, [pres.word("ss"), pres.word("tt")]
-    ).elements)
+    add("G:derived-generators", True, Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")]))
     add("G:abelianization", AbelianType((2, 2, 2)), abelian_invariants(G, Gp))
     add("G:derived-type", derived_type(rec), abelian_invariants(Gp, Subgroup.trivial(pres)))
     series = lower_central_series(pres)
@@ -715,26 +706,25 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     kerns = kernels(rec)
     k_types = {}
     for j in range(1, 8):
-        Gj = ks[f"K{j}"]
+        Gj = subgroups[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
-        words = Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)])
-        add(f"K{j}:subgroup-words", True, Gj.elements == words.elements)
-        derived = derived_cosets(Gj)
-        k_types[j] = Gj.abelianization(derived)
+        add(f"K{j}:subgroup-words", True,
+            Gj == Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)]))
+        k_types[j] = Gj.abelianization()
         add(f"K{j}:type", k_type(rec, j), k_types[j])
-        kern = transfer_kernel(pres, Gj, derived)
+        kern = transfer_kernel(pres, Gj)
         add(f"K{j}:kernel", _fmt_vectors(kerns[j]), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & norms[j]) > 1)
     add("K3:class-group", k_type(rec, 3), k_types[3])
 
     full = frozenset(CLASS_VECTORS)
-    for j, (_, Hj) in enumerate(ls, 1):
+    for j in range(1, 8):
+        Hj = subgroups[f"L{j}"]
         add(f"L{j}:index", 4, Hj.index_in(G))
-        words = Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)])
-        add(f"L{j}:subgroup-words", True, Hj.elements == words.elements)
-        derived = derived_cosets(Hj)
-        add(f"L{j}:type", l_type(rec, j), Hj.abelianization(derived))
-        kern = transfer_kernel(pres, Hj, derived)
+        add(f"L{j}:subgroup-words", True,
+            Hj == Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)]))
+        add(f"L{j}:type", l_type(rec, j), Hj.abelianization())
+        kern = transfer_kernel(pres, Hj)
         add(f"L{j}:kernel-total", _fmt_vectors(full), _fmt_vectors(kern))
     return tuple(checks)
 
@@ -775,8 +765,7 @@ def engine_abelianizations(profile: tuple) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi); raises KeyError when the symbol
     tuple falls outside the tabulated cases.
     """
-    *_, ks, ls = engine_subgroups(profile)
-    return {name: H.abelianization() for name, H in chain(ks.items(), ls)}
+    return {name: H.abelianization() for name, H in engine_subgroups(profile)[3].items()}
 
 
 def classify_pair(p1: int, p2: int, conj_swap: bool = False):

@@ -14,16 +14,26 @@ subgroup A = <sigma, tau> of index 2.  The defining data (m, n, q, psi):
 Construction validates that conjugation by rho squares to the identity on A
 and fixes psi (this forces m = 2 when q = 2); inconsistent parameters are
 rejected loudly rather than silently collapsing the group.
+
+Subgroups are lattices.  A is Z^2 / Lambda, Lambda the relation lattice, and
+conjugation by any element outside A acts on it by T = diag(sigma_twist, -1).
+A subgroup H is (H & A) u r(H & A) for at most one coset representative r
+outside A, so it is stored as the Hermite basis of the preimage of H & A in
+Z^2 (a lattice containing Lambda) and a canonical r.  Membership, derived
+subgroups, the lower central series, quotients (Smith normal form) and
+transfers are then integer arithmetic whose cost does not grow with |G|
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8;
+Cohen, A Course in Computational Algebraic Number Theory, sec. 2.4).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from math import prod
 
-from .abelian import AbelianType, GroupCheckError, abelian_structure
+from .abelian import AbelianType, GroupCheckError
 
 __all__ = [
     "PsiVariant",
@@ -34,16 +44,17 @@ __all__ = [
     "CLASS_VECTORS",
     "span",
     "transfer",
-    "transfer_index2",
     "transfer_kernel",
     "abelian_invariants",
-    "derived_cosets",
     "lower_central_series",
 ]
 
+# Bounds the exponents a presentation may ask for (|G| <= 2^20), so that no
+# input builds huge powers of 2; the lattice engine never enumerates G.
 ENUMERATION_GUARD = 1 << 20
 
 GElement = tuple[int, int, int]  # (eps, a, b) in normal form
+Lattice = tuple[int, int, int]  # Hermite basis (h11, h12), (0, h22) with 0 <= h12 < h22
 
 
 class PsiVariant(Enum):
@@ -75,12 +86,16 @@ class GPresentation:
                                     f"guard {ENUMERATION_GUARD}")
         # Fixed here, so that mul and inv are plain integer arithmetic: rho^-1 sigma rho =
         # sigma^sigma_twist, rho^2 = sigma^pa tau^pb, and for q = 2 b is reduced mod b_wrap
-        # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.
+        # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.  The relation lattice
+        # Lambda (with the carry relation (2^m, -2^(n+1)) for q = 2) and T's diagonal serve
+        # the subgroup lattices.
         q2, pb = self.q == 2, 0 if self.psi is PsiVariant.SIGMA_ONLY else 1 << self.n
+        a_mod, b_mod, b_wrap = 1 << (self.m + q2), 1 << (self.n + 1), 1 << (self.n + 1 + q2)
+        carry, twist = (1 << self.m) * q2, 3 if q2 else -1
         self.__dict__.update(
-            a_mod=1 << (self.m + q2), b_mod=1 << (self.n + 1), order=1 << (self.m + self.n + 2 + q2),
-            sigma_twist=3 if q2 else -1, psi_exponents=(1 << (self.m - 1), pb),
-            b_wrap=1 << (self.n + 1 + q2), carry=(1 << self.m) * q2,
+            a_mod=a_mod, b_mod=b_mod, order=1 << (self.m + self.n + 2 + q2),
+            sigma_twist=twist, psi_exponents=(1 << (self.m - 1), pb), b_wrap=b_wrap, carry=carry,
+            relations=_hermite([(a_mod, 0), (carry, -b_mod), (0, b_wrap)]), t_diagonal=(twist, -1),
         )
         # conjugation by rho must be an involution of A fixing psi
         for g in (self.sigma(), self.tau()):
@@ -153,35 +168,92 @@ class GPresentation:
             a += self.carry
         return (e, a % self.a_mod, b)
 
-    def power(self, x: GElement, k: int) -> GElement:
-        if k < 0:
-            x, k = self.inv(x), -k
-        acc = self.identity()
-        while k:
-            if k & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return acc
-
-    def conj(self, x: GElement, g: GElement) -> GElement:
-        return self.mul(self.mul(self.inv(g), x), g)
-
-    def commutator(self, x: GElement, y: GElement) -> GElement:
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
-
-    def elements(self) -> list[GElement]:
-        return [
-            (e, a, b)
-            for e in (0, 1)
-            for a in range(self.a_mod)
-            for b in range(self.b_mod)
-        ]
-
     def word(self, letters: str) -> GElement:
         """Product of generators named by letters: 's', 't', 'r' (e.g. 'str' or 'ss')."""
-        table = {"s": self.sigma(), "t": self.tau(), "r": self.rho()}
-        return reduce(self.mul, (table[ch] for ch in letters), self.identity())
+        return reduce(self.mul, (_LETTERS[ch] for ch in letters), self.identity())
+
+
+_LETTERS = {"r": (1, 0, 0), "s": (0, 1, 0), "t": (0, 0, 1)}  # normal forms for every m, n
+
+
+# ---------------------------------------------------------------------------
+# Lattices of Z^2 and relation matrices
+# ---------------------------------------------------------------------------
+
+
+def _echelon(rows, width: int) -> list[tuple[int, ...]]:
+    """Echelon basis of the span of integer rows in Z^width: one row per pivot column.
+
+    Column by column, Euclid's algorithm on that entry merges the rows into one
+    pivot row (a unimodular row operation); the rest have a zero there.
+    """
+    basis = []
+    for col in range(width):
+        pivot, rest = None, []
+        for row in rows:
+            if pivot is None and row[col]:
+                pivot = row
+                continue
+            while row[col]:  # a pivot dividing the entry stays put, as the Smith form needs
+                k = row[col] // pivot[col]
+                row = tuple(x - k * p for x, p in zip(row, pivot))
+                if row[col]:
+                    pivot, row = row, pivot
+            if any(row):
+                rest.append(row)
+        if pivot is not None:
+            basis.append(tuple(pivot) if pivot[col] > 0 else tuple(-x for x in pivot))
+        rows = rest
+    return basis
+
+
+def _hermite(vectors) -> Lattice:
+    """Hermite basis of a full-rank lattice of Z^2 given by spanning vectors."""
+    (h11, h12), (_, h22) = _echelon(vectors, 2)
+    return h11, h12 % h22, h22
+
+
+def _rows(lattice: Lattice) -> tuple[tuple[int, int], tuple[int, int]]:
+    h11, h12, h22 = lattice
+    return (h11, h12), (0, h22)
+
+
+def _reduce(lattice: Lattice, a: int, b: int) -> tuple[int, int]:
+    """The representative of (a, b) + lattice in [0, h11) x [0, h22)."""
+    h11, h12, h22 = lattice
+    k, a = divmod(a, h11)
+    return a, (b - k * h12) % h22
+
+
+def _coords(lattice: Lattice, a: int, b: int) -> tuple[int, int]:
+    """(c1, c2) with (a, b) = c1 (h11, h12) + c2 (0, h22)."""
+    h11, h12, h22 = lattice
+    c1, r1 = divmod(a, h11)
+    c2, r2 = divmod(b - c1 * h12, h22)
+    if r1 or r2:
+        raise GroupCheckError(f"({a}, {b}) does not lie in the lattice {lattice}")
+    return c1, c2
+
+
+def _conj(pres: GPresentation, vectors, shift: int = 0) -> list[tuple[int, int]]:
+    """(T - shift I) v for each v: conjugation by an element outside A, less v if shift = 1."""
+    s, t = pres.t_diagonal
+    return [((s - shift) * a, (t - shift) * b) for a, b in vectors]
+
+
+def _smith_diagonal(rows, width: int) -> list[int]:
+    """Diagonal of the Smith normal form of a full-rank square relation matrix.
+
+    Row and column echelon forms alternate until the matrix is diagonal: each
+    round either shrinks the leading entry or clears its row and column.  The
+    diagonal need not be a divisor chain (AbelianType.from_factors realigns it).
+    """
+    while True:
+        rows = _echelon(rows, width)
+        cols = _echelon(list(zip(*rows)), len(rows))
+        if not any(x for i, col in enumerate(cols) for x in col[i + 1:]):
+            return [col[i] for i, col in enumerate(cols)]
+        rows = list(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -191,116 +263,112 @@ class GPresentation:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """H = M u rM: M = H & A by the Hermite basis of its preimage in Z^2, r outside A or None.
+
+    r is reduced modulo M, so two subgroups are equal exactly when their fields are.
+    """
+
     pres: GPresentation
-    generators: tuple[GElement, ...]
-    elements: frozenset[GElement]
+    lattice: Lattice
+    r: GElement | None = None
 
     @classmethod
     def generated(cls, pres: GPresentation, gens) -> "Subgroup":
-        gens = tuple(pres.element(*g) for g in gens)
-        return cls(pres, gens, _grow(pres, gens)[1])
+        """<gens>.
+
+        With a generator r outside A, H & A is the smallest T-stable lattice over
+        Lambda, the A-generators, r^2 and r^-1 g for the other generators g outside A.
+        """
+        gens = [pres.element(*g) for g in gens]
+        vectors = [g[1:] for g in gens if not g[0]]
+        outside = [g for g in gens if g[0]]
+        if not outside:
+            return cls._from_vectors(pres, vectors)
+        r, r_inv = outside[0], pres.inv(outside[0])
+        vectors += [pres.mul(r, r)[1:], *(pres.mul(r_inv, g)[1:] for g in outside[1:])]
+        return cls._from_vectors(pres, vectors + _conj(pres, vectors), r)
 
     @classmethod
-    def from_elements(cls, pres: GPresentation, elems) -> "Subgroup":
-        """Recover a small generating set greedily from an element set."""
-        elems = frozenset(elems)
-        gens, closure = _grow(pres, sorted(elems))
-        if closure != elems:
-            raise GroupCheckError("element set is not closed under the group law")
-        return cls(pres, tuple(gens), elems)
+    def _from_vectors(cls, pres: GPresentation, vectors, r: GElement | None = None) -> "Subgroup":
+        lattice = _hermite([*vectors, *_rows(pres.relations)])
+        if r is None:
+            return cls(pres, lattice)
+        if any(_reduce(lattice, *v) != (0, 0) for v in _conj(pres, _rows(lattice))):
+            raise GroupCheckError(f"lattice {lattice} of a subgroup outside A is not T-stable")
+        return cls(pres, lattice, pres.element(1, *_reduce(lattice, r[1], r[2])))
 
     @classmethod
     def whole_group(cls, pres: GPresentation) -> "Subgroup":
-        return cls.generated(pres, [pres.rho(), pres.sigma(), pres.tau()])
+        return cls(pres, (1, 0, 1), pres.rho())
 
     @classmethod
     def trivial(cls, pres: GPresentation) -> "Subgroup":
-        return cls(pres, (), frozenset([pres.identity()]))
+        return cls(pres, pres.relations)
+
+    @property
+    def generators(self) -> tuple[GElement, ...]:
+        """The Hermite basis as elements of A (identities dropped), then r."""
+        pres = self.pres
+        gens = [x for x in (pres.element(0, *v) for v in _rows(self.lattice)) if any(x)]
+        return (*gens, self.r) if self.r is not None else tuple(gens)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        h11, _, h22 = self.lattice  # |M / Lambda| = |A| / (h11 h22) and |A| = |G| / 2
+        return self.pres.order // (h11 * h22) // (1 if self.r is not None else 2)
 
     def index_in(self, other: "Subgroup") -> int:
-        if not self.elements <= other.elements:
+        if not self <= other:
             raise GroupCheckError("index_in: not a subgroup of the other group")
         return other.order // self.order
 
     def __contains__(self, x: GElement) -> bool:
-        return x in self.elements
+        e, a, b = x
+        if e:
+            if self.r is None:
+                return False
+            a, b = a - self.r[1], b - self.r[2]
+        h11, h12, h22 = self.lattice  # _reduce inlined: this is the transfer's inner test
+        k, a = divmod(a, h11)
+        return not a and not (b - k * h12) % h22
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
+        h11, h12, h22 = self.lattice
+        return (0, h11, h12) in other and (0, 0, h22) in other and (
+            self.r is None or self.r in other)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup.from_elements(self.pres, self.elements & other.elements)
+        """H & K by Zassenhaus' echelon of the rows (u, u), (v, 0) over the bases u of M_H, v of M_K.
 
-    def is_normal_in(self, other: "Subgroup") -> bool:
-        # conjugation is an automorphism, so the generators decide
-        return all(
-            self.pres.conj(x, g) in self.elements
-            for g in other.generators
-            for x in self.generators
-        )
+        Its rows (0, 0, w) span M_H & M_K; its two pivot rows carry M_H's share of
+        M_H + M_K, which splits r_K - r_H when the rho-cosets meet.
+        """
+        pres = self.pres
+        rows = [(*u, *u) for u in _rows(self.lattice)] + [(*v, 0, 0) for v in _rows(other.lattice)]
+        p0, p1, *meet = _echelon(rows, 4)
+        r = None
+        if self.r is not None and other.r is not None:
+            k0, rem0 = divmod(other.r[1] - self.r[1], p0[0])
+            k1, rem1 = divmod(other.r[2] - self.r[2] - k0 * p0[1], p1[1])
+            if not rem0 and not rem1:  # r_H + (M_H part) lies in both rho-cosets
+                r = pres.element(1, self.r[1] + k0 * p0[2] + k1 * p1[2],
+                                 self.r[2] + k0 * p0[3] + k1 * p1[3])
+        return Subgroup._from_vectors(pres, [w[2:] for w in meet], r)
 
     def derived_subgroup(self) -> "Subgroup":
-        """Commutator subgroup: normal closure in self of generator commutators."""
-        pres = self.pres
-        seeds = [
-            pres.commutator(x, y)
-            for x, y in itertools.combinations(self.generators, 2)
-        ]
-        return _normal_closure(pres, seeds, self.generators)
+        """H' = (T - I)M + Lambda, since [r, x] = (T - I)x on A; H' = 1 when H lies in A."""
+        if self.r is None:
+            return Subgroup.trivial(self.pres)
+        return Subgroup._from_vectors(self.pres, _conj(self.pres, _rows(self.lattice), 1))
 
-    def abelianization(self, derived=None) -> AbelianType:
-        """Type of H/H'; pass derived = derived_cosets(H) when it is already built."""
-        _, reps, rep_of = derived or derived_cosets(self)
-        return _quotient_type(self.pres, reps, rep_of)
+    def abelianization(self) -> AbelianType:
+        """Type of H/H'."""
+        return _quotient_type(self, self.derived_subgroup())
 
-
-def _grow(pres: GPresentation, candidates) -> tuple[list[GElement], frozenset[GElement]]:
-    """The candidates outside the subgroup generated by the ones before them, and <candidates>."""
-    gens: list[GElement] = []
-    elems = frozenset([pres.identity()])
-    for x in candidates:
-        if x not in elems:
-            gens.append(x)
-            elems = _extend(pres, elems, gens)
-    return gens, elems
-
-
-def _extend(pres: GPresentation, base: frozenset[GElement], gens) -> frozenset[GElement]:
-    """Elements of <gens>, given base = <gens[:-1]>, as a union of right cosets base*r.
-
-    base*r*g is the coset base*(r g), so a new representative costs one product
-    per generator instead of one per element and generator (Dimino's method).
-    """
-    mul = pres.mul
-    elems = set(base)
-    reps = [pres.identity()]
-    for r in reps:
-        for g in gens:
-            y = mul(r, g)
-            if y not in elems:
-                elems.update([mul(x, y) for x in base])
-                reps.append(y)
-    return frozenset(elems)
-
-
-def _normal_closure(pres, seeds, conjugators) -> Subgroup:
-    """Smallest subgroup containing seeds and normalised by conjugators.
-
-    Only generators are conjugated: their conjugates lying inside is enough.
-    """
-    gens: list[GElement] = []
-    elems = frozenset([pres.identity()])
-    todo = [pres.element(*s) for s in seeds]
-    for x in todo:
-        if x not in elems:
-            gens.append(x)
-            elems = _extend(pres, elems, gens)
-            todo.extend(pres.conj(x, g) for g in conjugators)
-    return Subgroup.from_elements(pres, elems)
+    def coset_rep(self, x: GElement) -> GElement:
+        """Canonical representative of x(H & A); for H inside A, of the coset xH."""
+        e, a, b = x
+        return self.pres.element(e, *_reduce(self.lattice, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -308,69 +376,42 @@ def _normal_closure(pres, seeds, conjugators) -> Subgroup:
 # ---------------------------------------------------------------------------
 
 
-def _coset_reps(pres, H: Subgroup, N: Subgroup):
-    """Right cosets N*x inside H: canonical reps and the rep-of map."""
-    rep_of: dict[GElement, GElement] = {}
-    reps: list[GElement] = []
-    for x in sorted(H.elements):
-        if x in rep_of:
-            continue
-        coset = [pres.mul(nu, x) for nu in N.elements]
-        r = min(coset)
-        reps.append(r)
-        for y in coset:
-            rep_of[y] = r
-    return reps, rep_of
-
-
-def derived_cosets(H: Subgroup):
-    """(H', reps, rep_of): the derived subgroup and its right cosets in H.
-
-    Both the abelianization and the transfer into H need them; a caller doing
-    both builds them once and passes them to each.
-    """
-    Hp = H.derived_subgroup()
-    return (Hp, *_coset_reps(H.pres, H, Hp))
-
-
 def abelian_invariants(H: Subgroup, N: Subgroup) -> AbelianType:
     """Elementary divisors of the (abelian) quotient H/N; N must be normal in H."""
-    if not N.elements <= H.elements:
+    if not N <= H:
         raise ValueError("modulus subgroup is not contained in H")
-    if not N.is_normal_in(H):
-        raise ValueError("modulus subgroup is not normal in H")
-    return _quotient_type(H.pres, *_coset_reps(H.pres, H, N))
+    if not H.derived_subgroup() <= N:  # the same as: N normal in H with H/N abelian
+        raise ValueError("modulus subgroup is not normal in H, or H/N is not abelian")
+    return _quotient_type(H, N)
 
 
-def _quotient_type(pres: GPresentation, reps, rep_of) -> AbelianType:
-    def op(x, y):
-        return rep_of[pres.mul(x, y)]
+def _quotient_type(H: Subgroup, N: Subgroup) -> AbelianType:
+    """H/N for H' <= N <= H by the Smith normal form of its relation matrix.
 
-    return abelian_structure(reps, op, rep_of[pres.identity()])
+    Generators: the Hermite basis of M = H & A, and r when N lies in A.
+    Relations: the basis of N & A in M's coordinates, and 2[r] = [r^2].
+    """
+    rows = [_coords(H.lattice, *v) for v in _rows(N.lattice)]
+    if H.r is not None and N.r is None:
+        _, a, b = H.pres.mul(H.r, H.r)
+        rows = [(*c, 0) for c in rows] + [(*_coords(H.lattice, a, b), -2)]
+    diagonal = _smith_diagonal(rows, len(rows))
+    if prod(diagonal) != H.order // N.order:
+        raise GroupCheckError(f"Smith invariants {diagonal} do not multiply to "
+                              f"[H : N] = {H.order // N.order}")
+    return AbelianType.from_factors(diagonal)
 
 
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
-    """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G]."""
-    G = Subgroup.whole_group(pres)
-    series = [G]
+    """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G] = (T - I) gamma_i + Lambda."""
+    series = [Subgroup.whole_group(pres)]
     while series[-1].order > 1:
         prev = series[-1]
-        # [gamma_i, G] is the normal closure of the generators' commutators
-        seeds = [pres.commutator(x, g) for x in prev.generators for g in G.generators]
-        nxt = _normal_closure(pres, seeds, G.generators)
-        if not nxt.elements < prev.elements:
+        nxt = Subgroup._from_vectors(pres, _conj(pres, _rows(prev.lattice), 1))
+        if not (nxt <= prev and nxt.order < prev.order):
             raise GroupCheckError("lower central series stalled")
         series.append(nxt)
     return series
-
-
-def nilpotency_class(pres: GPresentation) -> int:
-    return len(lower_central_series(pres)) - 1
-
-
-def coclass(pres: GPresentation) -> int:
-    h = pres.order.bit_length() - 1
-    return h - nilpotency_class(pres)
 
 
 # ---------------------------------------------------------------------------
@@ -392,50 +433,32 @@ def transfer(
     """
     if _ctx is None:
         _ctx = transfer_context(pres, H)
-    mul = pres.mul
+    mul, inverses = pres.mul, _ctx["rep_inverses"]
     val = pres.identity()
     for x in _ctx["reps"]:
         xg = mul(x, g)
-        hs = [h for h in (mul(xg, t) for t in _ctx["rep_inverses"]) if h in H.elements]
+        hs = [h for t in inverses if (h := mul(xg, t)) in H]
         if len(hs) != 1:
             raise GroupCheckError(f"{xg} lies in {len(hs)} right cosets of H, not 1")
         val = mul(val, hs[0])
-    return _ctx["hprime_rep"][val]
+    return _ctx["derived"].coset_rep(val)
 
 
-def transfer_context(pres: GPresentation, H: Subgroup, derived=None) -> dict:
+def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
     """Precomputed coset data for repeated transfers into one subgroup.
 
     The right transversal is grown from the identity by the generators of G:
     a product x joins it when x t^-1 lies in H for no representative t yet.
-    derived = derived_cosets(H) when the caller has already built it.
     """
     mul = pres.mul
     reps, inverses = [pres.identity()], [pres.identity()]
     for r in reps:
-        for g in (pres.rho(), pres.sigma(), pres.tau()):
+        for g in _LETTERS.values():
             x = mul(r, g)
-            if not any(mul(x, t) in H.elements for t in inverses):
+            if not any(mul(x, t) in H for t in inverses):
                 reps.append(x)
                 inverses.append(pres.inv(x))
-    Hp, _, hprime_rep = derived or derived_cosets(H)
-    return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep, "derived": Hp}
-
-
-def transfer_index2(pres: GPresentation, H: Subgroup, g: GElement, z: GElement) -> GElement:
-    """Closed form for index-2 subgroups: g^2 [g, z] H' if g in H, else g^2 H'.
-
-    z is the nontrivial coset representative; used as a test oracle against
-    the generic coset transfer.
-    """
-    if z in H.elements:
-        raise GroupCheckError("z must represent the nontrivial coset")
-    _, _, hprime_rep = derived_cosets(H)
-    if g in H.elements:
-        val = pres.mul(pres.mul(g, g), pres.commutator(g, z))
-    else:
-        val = pres.mul(g, g)
-    return hprime_rep[val]
+    return {"reps": reps, "rep_inverses": inverses, "derived": H.derived_subgroup()}
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +478,8 @@ def vadd(u: ClassVector, v: ClassVector) -> ClassVector:
 
 def span(vectors) -> frozenset[ClassVector]:
     out = {(0, 0, 0)}
-    frontier = [(0, 0, 0)]
-    while frontier:
-        new = []
-        for x in frontier:
-            for v in vectors:
-                y = vadd(x, v)
-                if y not in out:
-                    out.add(y)
-                    new.append(y)
-        frontier = new
+    for v in vectors:
+        out |= {vadd(x, v) for x in out}
     return frozenset(out)
 
 
@@ -475,23 +490,13 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
     (so sigma <-> [H1 H2]).
     """
     x0, x1, x2 = v
-    out = pres.identity()
-    if x0:
-        out = pres.mul(out, pres.tau())
-    if x1:
-        out = pres.mul(out, pres.rho())
-    if x2:
-        out = pres.mul(out, pres.mul(pres.rho(), pres.sigma()))
-    return out
+    return pres.word("t" * x0 + "r" * x1 + "rs" * x2)
 
 
-def transfer_kernel(pres: GPresentation, H: Subgroup, derived=None) -> frozenset[ClassVector]:
+def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
     """Class vectors whose transfer to H is trivial (the capitulation kernel)."""
-    ctx = transfer_context(pres, H, derived)
-    triv = ctx["hprime_rep"][pres.identity()]
-    kernel = []
-    for v in CLASS_VECTORS:
-        g = class_to_group(pres, v)
-        if transfer(pres, H, g, _ctx=ctx) == triv:
-            kernel.append(v)
-    return frozenset(kernel)
+    ctx = transfer_context(pres, H)
+    triv = pres.identity()
+    return frozenset(
+        v for v in CLASS_VECTORS if transfer(pres, H, class_to_group(pres, v), _ctx=ctx) == triv
+    )

@@ -151,9 +151,6 @@ class BQForm:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def inverse(self) -> "BQForm":
-        return BQForm(self.a, -self.b, self.c)
-
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 

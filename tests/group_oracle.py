@@ -1,0 +1,250 @@
+"""Test-only oracle: the element engine that classtower.gengroup's lattices replaced.
+
+It lists every normal form rho^eps sigma^a tau^b of G, closes subgroups coset
+by coset (Dimino's method), builds normal closures by conjugating generators,
+reads quotients off right-coset tables with abelian_structure, and transfers
+along a right transversal found by membership tests.  Its cost grows with |G|,
+so the tests run it for m, n <= 4 or so and compare the lattice engine with it.
+Only GPresentation's multiplication is shared with the engine under test;
+power, conj and commutator are built on it here.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
+from classtower.gengroup import CLASS_VECTORS, GElement, GPresentation, Subgroup, class_to_group
+
+
+def power(pres: GPresentation, x: GElement, k: int) -> GElement:
+    if k < 0:
+        x, k = pres.inv(x), -k
+    acc = pres.identity()
+    while k:
+        if k & 1:
+            acc = pres.mul(acc, x)
+        x = pres.mul(x, x)
+        k >>= 1
+    return acc
+
+
+def conj(pres: GPresentation, x: GElement, g: GElement) -> GElement:
+    return pres.mul(pres.mul(pres.inv(g), x), g)
+
+
+def commutator(pres: GPresentation, x: GElement, y: GElement) -> GElement:
+    return pres.mul(pres.mul(pres.inv(x), pres.inv(y)), pres.mul(x, y))
+
+
+def elements(pres: GPresentation) -> list[GElement]:
+    return [
+        (e, a, b)
+        for e in (0, 1)
+        for a in range(pres.a_mod)
+        for b in range(pres.b_mod)
+    ]
+
+
+@dataclass(frozen=True)
+class ElementSubgroup:
+    pres: GPresentation
+    generators: tuple[GElement, ...]
+    elements: frozenset[GElement]
+
+    @classmethod
+    def generated(cls, pres: GPresentation, gens) -> "ElementSubgroup":
+        gens = tuple(pres.element(*g) for g in gens)
+        return cls(pres, gens, _grow(pres, gens)[1])
+
+    @classmethod
+    def from_elements(cls, pres: GPresentation, elems) -> "ElementSubgroup":
+        """Recover a small generating set greedily from an element set."""
+        elems = frozenset(elems)
+        gens, closure = _grow(pres, sorted(elems))
+        if closure != elems:
+            raise GroupCheckError("element set is not closed under the group law")
+        return cls(pres, tuple(gens), elems)
+
+    @classmethod
+    def of(cls, H: Subgroup) -> "ElementSubgroup":
+        """The elements of a lattice subgroup, by its membership test over all of G."""
+        return cls.from_elements(H.pres, (x for x in elements(H.pres) if x in H))
+
+    @classmethod
+    def whole_group(cls, pres: GPresentation) -> "ElementSubgroup":
+        return cls.generated(pres, [pres.rho(), pres.sigma(), pres.tau()])
+
+    @classmethod
+    def trivial(cls, pres: GPresentation) -> "ElementSubgroup":
+        return cls(pres, (), frozenset([pres.identity()]))
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def index_in(self, other: "ElementSubgroup") -> int:
+        if not self.elements <= other.elements:
+            raise GroupCheckError("index_in: not a subgroup of the other group")
+        return other.order // self.order
+
+    def intersection(self, other: "ElementSubgroup") -> "ElementSubgroup":
+        return ElementSubgroup.from_elements(self.pres, self.elements & other.elements)
+
+    def is_normal_in(self, other: "ElementSubgroup") -> bool:
+        # conjugation is an automorphism, so the generators decide
+        return all(
+            conj(self.pres, x, g) in self.elements
+            for g in other.generators
+            for x in self.generators
+        )
+
+    def derived_subgroup(self) -> "ElementSubgroup":
+        """Commutator subgroup: normal closure in self of generator commutators."""
+        pres = self.pres
+        seeds = [commutator(pres, x, y) for x, y in itertools.combinations(self.generators, 2)]
+        return _normal_closure(pres, seeds, self.generators)
+
+    def abelianization(self) -> AbelianType:
+        return _quotient_type(self.pres, *_coset_reps(self.pres, self, self.derived_subgroup()))
+
+
+def _grow(pres: GPresentation, candidates) -> tuple[list[GElement], frozenset[GElement]]:
+    """The candidates outside the subgroup generated by the ones before them, and <candidates>."""
+    gens: list[GElement] = []
+    elems = frozenset([pres.identity()])
+    for x in candidates:
+        if x not in elems:
+            gens.append(x)
+            elems = _extend(pres, elems, gens)
+    return gens, elems
+
+
+def _extend(pres: GPresentation, base: frozenset[GElement], gens) -> frozenset[GElement]:
+    """Elements of <gens>, given base = <gens[:-1]>, as a union of right cosets base*r.
+
+    base*r*g is the coset base*(r g), so a new representative costs one product
+    per generator instead of one per element and generator (Dimino's method).
+    """
+    mul = pres.mul
+    elems = set(base)
+    reps = [pres.identity()]
+    for r in reps:
+        for g in gens:
+            y = mul(r, g)
+            if y not in elems:
+                elems.update([mul(x, y) for x in base])
+                reps.append(y)
+    return frozenset(elems)
+
+
+def _normal_closure(pres, seeds, conjugators) -> ElementSubgroup:
+    """Smallest subgroup containing seeds and normalised by conjugators.
+
+    Only generators are conjugated: their conjugates lying inside is enough.
+    """
+    gens: list[GElement] = []
+    elems = frozenset([pres.identity()])
+    todo = [pres.element(*s) for s in seeds]
+    for x in todo:
+        if x not in elems:
+            gens.append(x)
+            elems = _extend(pres, elems, gens)
+            todo.extend(conj(pres, x, g) for g in conjugators)
+    return ElementSubgroup.from_elements(pres, elems)
+
+
+def _coset_reps(pres, H: ElementSubgroup, N: ElementSubgroup):
+    """Right cosets N*x inside H: canonical reps and the rep-of map."""
+    rep_of: dict[GElement, GElement] = {}
+    reps: list[GElement] = []
+    for x in sorted(H.elements):
+        if x in rep_of:
+            continue
+        coset = [pres.mul(nu, x) for nu in N.elements]
+        r = min(coset)
+        reps.append(r)
+        for y in coset:
+            rep_of[y] = r
+    return reps, rep_of
+
+
+def abelian_invariants(H: ElementSubgroup, N: ElementSubgroup) -> AbelianType:
+    """Elementary divisors of the (abelian) quotient H/N; N must be normal in H."""
+    if not N.elements <= H.elements:
+        raise ValueError("modulus subgroup is not contained in H")
+    if not N.is_normal_in(H):
+        raise ValueError("modulus subgroup is not normal in H")
+    return _quotient_type(H.pres, *_coset_reps(H.pres, H, N))
+
+
+def _quotient_type(pres: GPresentation, reps, rep_of) -> AbelianType:
+    def op(x, y):
+        return rep_of[pres.mul(x, y)]
+
+    return abelian_structure(reps, op, rep_of[pres.identity()])
+
+
+def lower_central_series(pres: GPresentation) -> list[ElementSubgroup]:
+    """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G]."""
+    G = ElementSubgroup.whole_group(pres)
+    series = [G]
+    while series[-1].order > 1:
+        prev = series[-1]
+        seeds = [commutator(pres, x, g) for x in prev.generators for g in G.generators]
+        nxt = _normal_closure(pres, seeds, G.generators)
+        if not nxt.elements < prev.elements:
+            raise GroupCheckError("lower central series stalled")
+        series.append(nxt)
+    return series
+
+
+def transfer_context(pres: GPresentation, H: ElementSubgroup) -> dict:
+    """Right transversal grown from the identity, and the coset map of H'."""
+    mul = pres.mul
+    reps, inverses = [pres.identity()], [pres.identity()]
+    for r in reps:
+        for g in (pres.rho(), pres.sigma(), pres.tau()):
+            x = mul(r, g)
+            if not any(mul(x, t) in H.elements for t in inverses):
+                reps.append(x)
+                inverses.append(pres.inv(x))
+    _, hprime_rep = _coset_reps(pres, H, H.derived_subgroup())
+    return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep}
+
+
+def transfer(pres: GPresentation, H: ElementSubgroup, g: GElement, ctx: dict) -> GElement:
+    """V_{G/H}(g G') as the smallest element of its coset of H'."""
+    mul = pres.mul
+    val = pres.identity()
+    for x in ctx["reps"]:
+        xg = mul(x, g)
+        hs = [h for h in (mul(xg, t) for t in ctx["rep_inverses"]) if h in H.elements]
+        if len(hs) != 1:
+            raise GroupCheckError(f"{xg} lies in {len(hs)} right cosets of H, not 1")
+        val = mul(val, hs[0])
+    return ctx["hprime_rep"][val]
+
+
+def transfer_kernel(pres: GPresentation, H: ElementSubgroup) -> frozenset:
+    ctx = transfer_context(pres, H)
+    triv = ctx["hprime_rep"][pres.identity()]
+    return frozenset(
+        v for v in CLASS_VECTORS if transfer(pres, H, class_to_group(pres, v), ctx) == triv
+    )
+
+
+def transfer_index2(pres: GPresentation, H: ElementSubgroup, g: GElement, z: GElement) -> GElement:
+    """Closed form for index-2 subgroups: g^2 [g, z] H' if g in H, else g^2 H'.
+
+    z is the nontrivial coset representative.
+    """
+    if z in H.elements:
+        raise GroupCheckError("z must represent the nontrivial coset")
+    _, hprime_rep = _coset_reps(pres, H, H.derived_subgroup())
+    if g in H.elements:
+        val = pres.mul(pres.mul(g, g), commutator(pres, g, z))
+    else:
+        val = pres.mul(g, g)
+    return hprime_rep[val]

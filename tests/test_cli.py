@@ -314,6 +314,37 @@ def test_engine_self_check_under_python_O():
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
 
 
+_FORGED_SMITH = """
+import sys
+from classtower import gengroup
+from classtower.cli import main
+smith = gengroup._smith_diagonal
+def forged(rows, width):
+    diagonal = smith(rows, width)
+    return [2 * diagonal[0], *diagonal[1:]]  # one invariant factor doubled
+gengroup._smith_diagonal = forged
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_forged_smith_form_under_python_O():
+    # the Smith invariants' product must be [H : H'], checked by an explicit raise
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _FORGED_SMITH, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == "" and "Smith invariants" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pairs"] == 6
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+
+
 _FORGED_UNIT = """
 import sys
 from classtower import quadratic, unitindex

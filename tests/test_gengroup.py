@@ -7,8 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import group_oracle as oracle
+from group_oracle import ElementSubgroup, commutator, conj, elements, power
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import classtower
 from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
+from classtower.classify import _profile_record, derived_type, nilpotency_class_formula
 from classtower.gengroup import (
     CLASS_VECTORS,
     GPresentation,
@@ -17,15 +23,11 @@ from classtower.gengroup import (
     Subgroup,
     abelian_invariants,
     class_to_group,
-    coclass,
     lower_central_series,
-    nilpotency_class,
     span,
     transfer,
     transfer_context,
-    transfer_index2,
     transfer_kernel,
-    _normal_closure,
 )
 
 SIGMA, TAU_SIGMA = PsiVariant.SIGMA_ONLY, PsiVariant.TAU_SIGMA
@@ -60,8 +62,8 @@ def test_order_formula_and_enumeration():
     assert GPresentation(2, 1, 2).order == 64
     assert GPresentation(2, 2, 1).order == 64
     for pres in constructible_presentations(10):
-        elems = pres.elements()
-        assert len(elems) == len(set(elems)) == pres.order
+        elems = elements(pres)
+        assert len(elems) == len(set(elems)) == pres.order == Subgroup.whole_group(pres).order
         q_bits = 3 if pres.q == 2 else 2
         assert pres.order == 1 << (pres.m + pres.n + q_bits)
         # products of normal forms land on normal forms (closure spot check)
@@ -100,24 +102,24 @@ def test_defining_relations():
     for pres in SMALL + admissible_presentations(5, 5):
         rho, sig, tau = pres.rho(), pres.sigma(), pres.tau()
         e = pres.identity()
-        assert pres.power(rho, 4) == e
-        assert pres.power(sig, 1 << pres.m) == (
-            e if pres.q == 1 else pres.power(tau, 1 << (pres.n + 1))
+        assert power(pres, rho, 4) == e
+        assert power(pres, sig, 1 << pres.m) == (
+            e if pres.q == 1 else power(pres, tau, 1 << (pres.n + 1))
         )
-        assert pres.power(tau, 1 << (pres.n + 1 + (pres.q == 2))) == e
+        assert power(pres, tau, 1 << (pres.n + 1 + (pres.q == 2))) == e
         psi = pres.mul(rho, rho)
         pa = 1 << (pres.m - 1)
         pb = 0 if (pres.q == 1 and pres.psi is SIGMA) else 1 << pres.n
         assert psi == pres.element(0, pa, pb)
-        assert pres.commutator(tau, sig) == e
-        twist = pres.power(sig, 2 if pres.q == 1 else -2)
-        assert pres.commutator(rho, sig) == twist
-        assert pres.commutator(rho, tau) == pres.power(tau, 2)
+        assert commutator(pres, tau, sig) == e
+        twist = power(pres, sig, 2 if pres.q == 1 else -2)
+        assert commutator(pres, rho, sig) == twist
+        assert commutator(pres, rho, tau) == power(pres, tau, 2)
 
 
 def test_associativity_exhaustive_small():
     pres = GPresentation(2, 1, 2)  # order 64; 64^3 triples
-    elems = pres.elements()
+    elems = elements(pres)
     for x in elems:
         for y in elems:
             xy = pres.mul(x, y)
@@ -128,7 +130,7 @@ def test_associativity_exhaustive_small():
 def test_associativity_random_larger():
     rng = random.Random(11)
     for pres in admissible_presentations(5, 5):
-        elems = pres.elements()
+        elems = elements(pres)
         for _ in range(200):
             x, y, z = (rng.choice(elems) for _ in range(3))
             assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
@@ -143,34 +145,34 @@ def test_power_commutator_identities():
         inv = pres.inv
         mul = pres.mul
         # rho^-1 sigma rho = sigma^-1 (q=1) or sigma^3 (q=2); rho^-1 tau rho = tau^-1
-        assert pres.conj(sig, rho) == pres.power(sig, -1 if pres.q == 1 else 3)
-        assert pres.conj(tau, rho) == inv(tau)
+        assert conj(pres, sig, rho) == power(pres, sig, -1 if pres.q == 1 else 3)
+        assert conj(pres, tau, rho) == inv(tau)
         rho2 = mul(rho, rho)
-        assert pres.commutator(rho2, sig) == pres.identity()
-        assert pres.commutator(rho2, tau) == pres.identity()
+        assert commutator(pres, rho2, sig) == pres.identity()
+        assert commutator(pres, rho2, tau) == pres.identity()
         taurho = mul(tau, rho)
         assert mul(taurho, taurho) == rho2
         sigrho = mul(sig, rho)
         sigtaurho = mul(sig, taurho)
-        expected = rho2 if pres.q == 1 else mul(rho2, pres.power(sig, 4))
+        expected = rho2 if pres.q == 1 else mul(rho2, power(pres, sig, 4))
         assert mul(sigrho, sigrho) == expected
         assert mul(sigtaurho, sigtaurho) == expected
         for r in range(0, pres.n + 2):
-            t2r = pres.power(tau, 1 << r)
-            assert pres.commutator(rho, t2r) == pres.power(tau, 1 << (r + 1))
-            s2r = pres.power(sig, 1 << r)
+            t2r = power(pres, tau, 1 << r)
+            assert commutator(pres, rho, t2r) == power(pres, tau, 1 << (r + 1))
+            s2r = power(pres, sig, 1 << r)
             sign = 1 if pres.q == 1 else -1
-            assert pres.commutator(rho, s2r) == pres.power(sig, sign * (1 << (r + 1)))
+            assert commutator(pres, rho, s2r) == power(pres, sig, sign * (1 << (r + 1)))
 
 
 def test_derived_subgroup_is_squares():
     for pres in admissible_presentations(5, 5):
         G = Subgroup.whole_group(pres)
         derived = G.derived_subgroup()
-        expected = Subgroup.generated(
-            pres, [pres.power(pres.sigma(), 2), pres.power(pres.tau(), 2)]
-        )
-        assert derived.elements == expected.elements
+        squares = [power(pres, pres.sigma(), 2), power(pres, pres.tau(), 2)]
+        assert derived == Subgroup.generated(pres, squares)
+        if pres.m <= 4 and pres.n <= 4:
+            assert ElementSubgroup.of(derived).elements == ElementSubgroup.generated(pres, squares).elements
 
 
 def test_lower_central_series_and_coclass():
@@ -180,18 +182,19 @@ def test_lower_central_series_and_coclass():
             expected = Subgroup.generated(
                 pres,
                 [
-                    pres.power(pres.sigma(), 1 << j),
-                    pres.power(pres.tau(), 1 << j),
+                    power(pres, pres.sigma(), 1 << j),
+                    power(pres, pres.tau(), 1 << j),
                 ],
             )
-            assert series[j].elements == expected.elements, (pres, j)
+            assert series[j] == expected, (pres, j)
         m, n = pres.m, pres.n
         if pres.q == 1:
             expected_class = max(n, m - 1) + 1
         else:
             expected_class = max(n + 1, m) + 1
-        assert nilpotency_class(pres) == expected_class
-        assert coclass(pres) == 3
+        nilpotency_class = len(series) - 1
+        assert nilpotency_class == expected_class
+        assert pres.order.bit_length() - 1 - nilpotency_class == 3  # coclass
 
 
 def test_abelianization_is_2_2_2():
@@ -203,7 +206,7 @@ def test_abelianization_is_2_2_2():
 def test_abelian_invariants_examples():
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     sig, tau, rho = pres.sigma(), pres.tau(), pres.rho()
-    H = Subgroup.generated(pres, [sig, pres.power(tau, 2)])
+    H = Subgroup.generated(pres, [sig, power(pres, tau, 2)])
     assert abelian_invariants(H, Subgroup.trivial(pres)) == AbelianType((2, 8))
     K1 = Subgroup.generated(pres, [sig, rho])
     assert K1.abelianization() == AbelianType((2, 4))
@@ -213,7 +216,7 @@ def test_abelian_invariants_rejects_non_normal():
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     G = Subgroup.whole_group(pres)
     H = Subgroup.generated(pres, [pres.rho()])  # <rho> is not normal in G
-    assert not H.is_normal_in(G)
+    assert not ElementSubgroup.generated(pres, [pres.rho()]).is_normal_in(ElementSubgroup.whole_group(pres))
     with pytest.raises(ValueError):
         abelian_invariants(G, H)
 
@@ -223,11 +226,12 @@ def test_transfer_known_values():
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     G1 = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
     ctx = transfer_context(pres, G1)
-    triv = ctx["hprime_rep"][pres.identity()]
+    triv = ctx["derived"].coset_rep(pres.identity())
+    assert triv == pres.identity()
     assert transfer(pres, G1, pres.rho(), _ctx=ctx) == triv
     assert transfer(pres, G1, pres.sigma(), _ctx=ctx) == triv
     tau_val = transfer(pres, G1, pres.tau(), _ctx=ctx)
-    assert tau_val == ctx["hprime_rep"][pres.power(pres.tau(), 2)]
+    assert tau_val == ctx["derived"].coset_rep(power(pres, pres.tau(), 2))
     assert tau_val != triv
 
 
@@ -235,8 +239,7 @@ def test_transfer_identity_is_trivial():
     for pres in SMALL[:3]:
         H = Subgroup.generated(pres, [pres.sigma(), pres.tau()])
         ctx = transfer_context(pres, H)
-        triv = ctx["hprime_rep"][pres.identity()]
-        assert transfer(pres, H, pres.identity(), _ctx=ctx) == triv
+        assert transfer(pres, H, pres.identity(), _ctx=ctx) == pres.identity()
 
 
 def test_transfer_closed_form_agrees_with_generic():
@@ -244,13 +247,14 @@ def test_transfer_closed_form_agrees_with_generic():
     for pres in SMALL:
         if pres.order > 512:
             continue
-        G = Subgroup.whole_group(pres)
-        derived = G.derived_subgroup()
+        derived = Subgroup.whole_group(pres).derived_subgroup()
         for H in _index2_subgroups(pres, derived):
             ctx = transfer_context(pres, H)
-            z = next(x for x in sorted(G.elements) if x not in H.elements)
-            for g in sorted(G.elements):
-                assert transfer(pres, H, g, _ctx=ctx) == transfer_index2(pres, H, g, z)
+            EH = ElementSubgroup.of(H)
+            z = next(x for x in elements(pres) if x not in H)
+            for g in elements(pres):
+                closed = oracle.transfer_index2(pres, EH, g, z)
+                assert transfer(pres, H, g, _ctx=ctx) == ctx["derived"].coset_rep(closed)
 
 
 def _index2_subgroups(pres, derived):
@@ -264,12 +268,7 @@ def _index2_subgroups(pres, derived):
             continue
         gens = [class_to_group(pres, v) for v in vs] + list(derived.generators)
         out.append(Subgroup.generated(pres, gens))
-    seen = set()
-    uniq = []
-    for H in out:
-        if H.elements not in seen:
-            seen.add(H.elements)
-            uniq.append(H)
+    uniq = list(dict.fromkeys(out))  # equal subgroups have equal lattices and r
     assert len(uniq) == 7
     return uniq
 
@@ -277,14 +276,13 @@ def _index2_subgroups(pres, derived):
 def test_transfer_rep_choice_independence():
     rng = random.Random(3)
     pres = GPresentation(2, 1, 2)
-    H = Subgroup.generated(pres, [pres.tau(), pres.power(pres.sigma(), 2)])
+    H = Subgroup.generated(pres, [pres.tau(), power(pres, pres.sigma(), 2)])
     ctx = transfer_context(pres, H)
-    G = Subgroup.whole_group(pres)
+    derived = ElementSubgroup.of(Subgroup.whole_group(pres).derived_subgroup())
     for _ in range(40):
-        g = rng.choice(sorted(G.elements))
+        g = rng.choice(elements(pres))
         base = transfer(pres, H, g, _ctx=ctx)
         # transfer of any element of the same G'-coset agrees
-        derived = G.derived_subgroup()
         d = rng.choice(sorted(derived.elements))
         assert transfer(pres, H, pres.mul(g, d), _ctx=ctx) == base
 
@@ -303,30 +301,29 @@ def test_transfer_kernel_examples():
     assert transfer_kernel(pres, G.derived_subgroup()) == frozenset(CLASS_VECTORS)
     # total capitulation into <tau, sigma^2> when q = 2
     pres2 = GPresentation(2, 1, 2)
-    H2 = Subgroup.generated(pres2, [pres2.tau(), pres2.power(pres2.sigma(), 2)])
+    H2 = Subgroup.generated(pres2, [pres2.tau(), power(pres2, pres2.sigma(), 2)])
     assert transfer_kernel(pres2, H2) == frozenset(CLASS_VECTORS)
 
 
 def test_class_to_group_dictionary():
     for pres in SMALL:
-        G = Subgroup.whole_group(pres)
-        derived = G.derived_subgroup()
+        derived = Subgroup.whole_group(pres).derived_subgroup()
         # the 8 class vectors hit the 8 cosets of G' exactly once
         seen = set()
         for v in CLASS_VECTORS:
             x = class_to_group(pres, v)
-            coset = frozenset(pres.mul(x, d) for d in derived.elements)
+            coset = frozenset(pres.mul(x, d) for d in ElementSubgroup.of(derived).elements)
             seen.add(coset)
         assert len(seen) == 8
         # sigma lands in the [H1 H2] coset
         x = class_to_group(pres, (0, 1, 1))
-        assert pres.mul(pres.inv(x), pres.sigma()) in derived.elements
+        assert pres.mul(pres.inv(x), pres.sigma()) in derived
 
 
 def test_word_helper():
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     assert pres.word("st") == pres.mul(pres.sigma(), pres.tau())
-    assert pres.word("ss") == pres.power(pres.sigma(), 2)
+    assert pres.word("ss") == power(pres, pres.sigma(), 2)
     assert pres.word("") == pres.identity()
 
 
@@ -376,7 +373,7 @@ def _ref_inv(pres, x):
 
 def test_kernel_matches_reference_exhaustive():
     for pres in admissible_presentations(3, 3):
-        elems = pres.elements()
+        elems = elements(pres)
         assert len(elems) == pres.order
         for x in elems:
             assert pres.inv(x) == _ref_inv(pres, x)
@@ -414,10 +411,10 @@ def _ref_normal_closure(pres, seeds, conjugators):
     current = frozenset(seeds)
     while True:
         sub = _ref_closure(pres, tuple(current))
-        conj = {pres.conj(x, g) for x in sub for g in conjugators}
-        if conj <= sub:
+        conjugates = {conj(pres, x, g) for x in sub for g in conjugators}
+        if conjugates <= sub:
             return sub
-        current = sub | conj
+        current = sub | conjugates
 
 
 def _ref_lower_central_series(pres):
@@ -425,7 +422,7 @@ def _ref_lower_central_series(pres):
     gens = (pres.rho(), pres.sigma(), pres.tau())
     series = [_ref_closure(pres, gens)]
     while len(series[-1]) > 1:
-        seeds = {pres.commutator(x, g) for x in series[-1] for g in gens}
+        seeds = {commutator(pres, x, g) for x in series[-1] for g in gens}
         series.append(_ref_normal_closure(pres, seeds, gens))
         assert series[-1] < series[-2]
     return series
@@ -438,7 +435,7 @@ def _ref_transfer_values(pres, H):
     once took the smallest), so this also checks independence of that choice.
     """
     locate, reps = {}, []
-    for x in sorted(pres.elements(), reverse=True):
+    for x in sorted(elements(pres), reverse=True):
         if x not in locate:
             reps.append(x)
             for h in H.elements:
@@ -456,16 +453,20 @@ def _ref_transfer_values(pres, H):
     return values
 
 
-def _engine_subgroups(pres):
-    """The 14 subgroups the engine checks: the index-2 and index-4 subgroups over G'."""
-    derived = Subgroup.whole_group(pres).derived_subgroup()
+def _engine_subgroups(pres, engine=Subgroup):
+    """The 14 subgroups the engine checks: the index-2 and index-4 subgroups over G'.
+
+    engine is Subgroup (lattices) or ElementSubgroup (the oracle), in the same order.
+    """
+    G = engine.whole_group(pres)
+    derived = G.derived_subgroup()
     nonzero = [v for v in CLASS_VECTORS if v != (0, 0, 0)]
     spans = {span(vs) for k in (1, 2) for vs in itertools.combinations(nonzero, k)}
     out = [
-        Subgroup.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived.generators))
+        engine.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived.generators))
         for vs in sorted(spans, key=sorted)
     ]
-    assert sorted(H.index_in(Subgroup.whole_group(pres)) for H in out) == [2] * 7 + [4] * 7
+    assert sorted(H.index_in(G) for H in out) == [2] * 7 + [4] * 7
     return out
 
 
@@ -473,30 +474,32 @@ def test_transfer_matches_locate_table_reference():
     for pres in admissible_presentations(4, 4):
         for H in _engine_subgroups(pres):
             ctx = transfer_context(pres, H)
+            EH = ElementSubgroup.of(H)
             hprime = _ref_normal_closure(
-                pres, [pres.commutator(x, y) for x, y in itertools.combinations(H.generators, 2)],
-                H.generators,
+                pres, [commutator(pres, x, y) for x, y in itertools.combinations(EH.generators, 2)],
+                EH.generators,
             )
-            assert hprime == ctx["derived"].elements
-            ref = _ref_transfer_values(pres, H)
+            assert hprime == ElementSubgroup.of(ctx["derived"]).elements
+            ref = _ref_transfer_values(pres, EH)
             for v, val in ref.items():
                 got = transfer(pres, H, class_to_group(pres, v), _ctx=ctx)
-                assert got == ctx["hprime_rep"][val], (pres, H.generators, v)
+                assert got == ctx["derived"].coset_rep(val), (pres, H, v)
             ref_kernel = frozenset(v for v, val in ref.items() if val in hprime)
             assert transfer_kernel(pres, H) == ref_kernel, (pres, H.generators)
 
 
 def test_lower_central_series_matches_element_seeded_reference():
     for pres in admissible_presentations(4, 4):
-        assert [s.elements for s in lower_central_series(pres)] == _ref_lower_central_series(pres)
+        series = [ElementSubgroup.of(s).elements for s in lower_central_series(pres)]
+        assert series == _ref_lower_central_series(pres)
 
 
 def test_normal_closure_matches_reference():
     # <x> is not always normal (e.g. x = rho), so the conjugates matter
     for pres in SMALL:
         gens = (pres.rho(), pres.sigma(), pres.tau())
-        for x in pres.elements():
-            assert _normal_closure(pres, [x], gens).elements == _ref_normal_closure(pres, [x], gens)
+        for x in elements(pres):
+            assert oracle._normal_closure(pres, [x], gens).elements == _ref_normal_closure(pres, [x], gens)
 
 
 def test_abelian_structure_self_checks():
@@ -519,10 +522,11 @@ def test_transfer_rejects_a_broken_transversal():
 
 _UNCLOSED = """
 from classtower.abelian import GroupCheckError
-from classtower.gengroup import GPresentation, Subgroup
+from classtower.gengroup import GPresentation
+from group_oracle import ElementSubgroup
 pres = GPresentation(3, 1, 1)
 try:
-    Subgroup.from_elements(pres, [pres.identity(), pres.sigma()])
+    ElementSubgroup.from_elements(pres, [pres.identity(), pres.sigma()])
 except GroupCheckError as exc:
     print(__debug__, exc)
 """
@@ -531,6 +535,83 @@ except GroupCheckError as exc:
 def test_from_elements_rejects_unclosed_set_under_python_O():
     # an explicit raise survives -O, where an assert statement vanishes
     src = str(Path(classtower.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
     proc = subprocess.run([sys.executable, "-O", "-c", _UNCLOSED], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.stdout == "False element set is not closed under the group law\n"
+
+
+# ---------------------------------------------------------------------------
+# The lattice engine against the element oracle, and beyond the oracle's range
+# ---------------------------------------------------------------------------
+
+
+def test_lattice_engine_matches_element_oracle():
+    # every admissible presentation with m, n <= 4 (orders up to 2^9)
+    for pres in admissible_presentations(4, 4):
+        G, EG = Subgroup.whole_group(pres), ElementSubgroup.whole_group(pres)
+        Gp, EGp = G.derived_subgroup(), EG.derived_subgroup()
+        assert ElementSubgroup.of(Gp).elements == EGp.elements, pres
+        assert [ElementSubgroup.of(s).elements for s in lower_central_series(pres)] == [
+            s.elements for s in oracle.lower_central_series(pres)
+        ], pres
+        assert abelian_invariants(G, Gp) == oracle.abelian_invariants(EG, EGp)
+        trivial, Etrivial = Subgroup.trivial(pres), ElementSubgroup.trivial(pres)
+        assert abelian_invariants(Gp, trivial) == oracle.abelian_invariants(EGp, Etrivial)
+        for H, EH in zip(_engine_subgroups(pres), _engine_subgroups(pres, ElementSubgroup)):
+            assert ElementSubgroup.of(H).elements == EH.elements, (pres, H)
+            assert H.abelianization() == EH.abelianization(), (pres, H)
+            assert transfer_kernel(pres, H) == oracle.transfer_kernel(pres, EH), (pres, H)
+            ctx, ectx = transfer_context(pres, H), oracle.transfer_context(pres, EH)
+            for g in elements(pres):
+                got = transfer(pres, H, g, _ctx=ctx)
+                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
+
+
+def test_random_subgroups_match_element_oracle():
+    # arbitrary subgroups, not only those over G': closure, order, membership, <=, ==,
+    # intersection (with and without a common point outside A) and derived subgroups
+    rng = random.Random(17)
+    for pres in SMALL:
+        elems = elements(pres)
+        for _ in range(25):
+            gens_h = rng.sample(elems, rng.randint(1, 3))
+            gens_k = rng.sample(elems, rng.randint(1, 3))
+            H, K = Subgroup.generated(pres, gens_h), Subgroup.generated(pres, gens_k)
+            EH, EK = ElementSubgroup.generated(pres, gens_h), ElementSubgroup.generated(pres, gens_k)
+            assert ElementSubgroup.of(H).elements == EH.elements, (pres, gens_h)
+            assert H.order == EH.order
+            assert (H <= K) == (EH.elements <= EK.elements)
+            assert (H == K) == (EH.elements == EK.elements)
+            assert ElementSubgroup.of(H.intersection(K)).elements == EH.intersection(EK).elements
+            assert ElementSubgroup.of(H.derived_subgroup()).elements == EH.derived_subgroup().elements
+            assert H.abelianization() == EH.abelianization(), (pres, gens_h)
+            assert Subgroup.generated(pres, H.generators) == H
+
+
+_ADMISSIBLE_UP_TO_GUARD = st.one_of(  # every admissible pattern with |G| <= 2^20
+    st.builds(lambda m, psi: GPresentation(m, 1, 1, psi), st.integers(3, 17), st.sampled_from([SIGMA, TAU_SIGMA])),
+    st.builds(lambda n, psi: GPresentation(2, n, 1, psi), st.integers(2, 16), st.sampled_from([SIGMA, TAU_SIGMA])),
+    st.builds(lambda n: GPresentation(2, n, 2, TAU_SIGMA), st.integers(1, 15)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pres=_ADMISSIBLE_UP_TO_GUARD, data=st.data())
+def test_structure_theorems_beyond_the_oracle(pres, data):
+    record = _profile_record((1, 1, 1, pres.q, pres.m, pres.n, pres.psi))
+    G = Subgroup.whole_group(pres)
+    Gp = G.derived_subgroup()
+    assert abelian_invariants(G, Gp) == AbelianType((2, 2, 2))
+    assert abelian_invariants(Gp, Subgroup.trivial(pres)) == derived_type(record)
+    assert Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
+    series = lower_central_series(pres)
+    assert len(series) - 1 == nilpotency_class_formula(record)
+    assert pres.order.bit_length() - len(series) == 3  # coclass
+    coords = st.integers(0, 1 << 21)
+    g = pres.element(data.draw(st.integers(0, 1)), data.draw(coords), data.draw(coords))
+    d = pres.element(0, 2 * data.draw(coords), 2 * data.draw(coords))
+    assert d in Gp
+    for H in _engine_subgroups(pres):
+        ctx = transfer_context(pres, H)
+        assert transfer(pres, H, pres.mul(g, d), _ctx=ctx) == transfer(pres, H, g, _ctx=ctx)

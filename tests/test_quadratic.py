@@ -228,7 +228,7 @@ def test_definite_inverse_is_b_negation():
     for D in (-260, -84, -95):
         one = reduce_definite(principal_form(D))
         for f in reduced_definite_forms(D):
-            assert reduce_definite(compose(f, f.inverse())) == one
+            assert reduce_definite(compose(f, BQForm(f.a, -f.b, f.c))) == one
 
 
 def test_exponents_mn_fixture_rows():
