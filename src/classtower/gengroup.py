@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from math import prod
+from functools import cached_property, reduce
+from math import gcd, prod
 
 from .abelian import AbelianType, GroupCheckError
 
@@ -168,6 +168,10 @@ class GPresentation:
             a += self.carry
         return (e, a % self.a_mod, b)
 
+    @cached_property
+    def class_elements(self) -> tuple[GElement, ...]:  # class_to_group over CLASS_VECTORS
+        return tuple(class_to_group(self, v) for v in CLASS_VECTORS)
+
     def word(self, letters: str) -> GElement:
         """Product of generators named by letters: 's', 't', 'r' (e.g. 'str' or 'ss')."""
         return reduce(self.mul, (_LETTERS[ch] for ch in letters), self.identity())
@@ -208,9 +212,17 @@ def _echelon(rows, width: int) -> list[tuple[int, ...]]:
 
 
 def _hermite(vectors) -> Lattice:
-    """Hermite basis of a full-rank lattice of Z^2 given by spanning vectors."""
-    (h11, h12), (_, h22) = _echelon(vectors, 2)
-    return h11, h12 % h22, h22
+    """Hermite basis of a full-rank lattice of Z^2 given by spanning vectors: Euclid's
+    algorithm on the first column leaves the row (h11, h12), and h22 the gcd of the rest."""
+    h11 = h12 = h22 = 0
+    for a, b in vectors:
+        while a:
+            k = h11 // a
+            h11, h12, a, b = a, b, h11 - k * a, h12 - k * b
+        h22 = gcd(h22, b)
+    if not h11 or not h22:
+        raise GroupCheckError("the vectors do not span a full-rank lattice of Z^2")
+    return abs(h11), (h12 if h11 > 0 else -h12) % h22, h22
 
 
 def _rows(lattice: Lattice) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -428,37 +440,56 @@ def transfer(
     """V_{G/H}(g G') as a canonical representative of its coset of H'.
 
     Standard coset-representative transfer: with right cosets H x_i, write
-    x_i g = h_i x_j(i); the value is prod_i h_i mod H'.  The value is a
-    well-defined function of g G' (checked in tests, not assumed).
+    x_i g = h_i x_j(i), finding j by the key of H x_i g, so that a value costs
+    O([G : H]) products; the value is prod_i h_i mod H'.  It is a well-defined
+    function of g G' (checked in tests, not assumed).
     """
     if _ctx is None:
         _ctx = transfer_context(pres, H)
-    mul, inverses = pres.mul, _ctx["rep_inverses"]
+    reps, inverses, index, mul = _ctx["reps"], _ctx["rep_inverses"], _ctx["index"], pres.mul
+    if not len(inverses) == len(index) == len(reps) == pres.order // H.order:
+        raise GroupCheckError(f"{len(reps)} representatives, {len(inverses)} inverses and {len(index)} "
+                              f"keys listed for the {pres.order // H.order} right cosets of H")
     val = pres.identity()
-    for x in _ctx["reps"]:
+    for x in reps:
         xg = mul(x, g)
-        hs = [h for t in inverses if (h := mul(xg, t)) in H]
-        if len(hs) != 1:
-            raise GroupCheckError(f"{xg} lies in {len(hs)} right cosets of H, not 1")
-        val = mul(val, hs[0])
+        j = index.get(_coset_key(H, _ctx["conjugate"], xg))
+        if j is None or (h := mul(xg, inverses[j])) not in H:
+            raise GroupCheckError(f"{xg} lies in none of the listed right cosets of H")
+        val = mul(val, h)
     return _ctx["derived"].coset_rep(val)
+
+
+def _coset_key(H: Subgroup, conjugate: Lattice, x: GElement):
+    """Canonical key of the right coset Hx; conjugate is T(M), M the lattice of H & A.
+
+    With r in H, Hx = H r^-1 x and r^-1 x is in A: its class modulo M.  Else
+    M rho alpha = rho (T(M) + alpha): eps and alpha modulo M or T(M) (equal for H normal).
+    """
+    e, a, b = x
+    if H.r is not None:
+        return _reduce(H.lattice, a - e * H.r[1], b - e * H.r[2])
+    return e, _reduce(conjugate if e else H.lattice, a, b)
 
 
 def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
     """Precomputed coset data for repeated transfers into one subgroup.
 
-    The right transversal is grown from the identity by the generators of G:
-    a product x joins it when x t^-1 lies in H for no representative t yet.
+    The right transversal is grown from the identity by the generators of G: a
+    product joins it when its coset's key is new.  index maps keys to positions.
     """
-    mul = pres.mul
+    conjugate = _hermite([*_conj(pres, _rows(H.lattice)), *_rows(pres.relations)])
     reps, inverses = [pres.identity()], [pres.identity()]
+    index = {_coset_key(H, conjugate, reps[0]): 0}
     for r in reps:
         for g in _LETTERS.values():
-            x = mul(r, g)
-            if not any(mul(x, t) in H for t in inverses):
+            x = pres.mul(r, g)
+            if (k := _coset_key(H, conjugate, x)) not in index:
+                index[k] = len(reps)
                 reps.append(x)
                 inverses.append(pres.inv(x))
-    return {"reps": reps, "rep_inverses": inverses, "derived": H.derived_subgroup()}
+    return {"reps": reps, "rep_inverses": inverses, "index": index, "conjugate": conjugate,
+            "derived": H.derived_subgroup()}
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +526,6 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
     """Class vectors whose transfer to H is trivial (the capitulation kernel)."""
-    ctx = transfer_context(pres, H)
-    triv = pres.identity()
-    return frozenset(
-        v for v in CLASS_VECTORS if transfer(pres, H, class_to_group(pres, v), _ctx=ctx) == triv
-    )
+    ctx, triv = transfer_context(pres, H), pres.identity()
+    return frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements)
+                     if transfer(pres, H, g, _ctx=ctx) == triv)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -312,6 +313,49 @@ def test_engine_self_check_under_python_O():
     payload = json.loads(proc.stdout)
     assert payload["pairs"] == 6
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+
+
+_MERGED_COSETS = """
+import sys
+from classtower import gengroup
+from classtower.cli import main
+key = gengroup._coset_key
+def merged(H, conjugate, x):
+    # the right coset of the first generator outside H gets the key of H itself
+    outside = next(g for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if g not in H)
+    k = key(H, conjugate, x)
+    return key(H, conjugate, (0, 0, 0)) if k == key(H, conjugate, outside) else k
+gengroup._coset_key = merged
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_merged_coset_keys_under_python_O():
+    # a key function that merges two right cosets is caught by the transfer's coset checks
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _MERGED_COSETS, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "right cosets of H" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pairs"] == 6
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+
+
+def test_no_assert_statements_in_src():
+    # self-checks must survive python -O, where assert statements vanish
+    package = Path(classtower.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 _FORGED_SMITH = """

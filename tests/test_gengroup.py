@@ -28,6 +28,10 @@ from classtower.gengroup import (
     transfer,
     transfer_context,
     transfer_kernel,
+    _coset_key,
+    _echelon,
+    _hermite,
+    _rows,
 )
 
 SIGMA, TAU_SIGMA = PsiVariant.SIGMA_ONLY, PsiVariant.TAU_SIGMA
@@ -587,6 +591,58 @@ def test_random_subgroups_match_element_oracle():
             assert ElementSubgroup.of(H.derived_subgroup()).elements == EH.derived_subgroup().elements
             assert H.abelianization() == EH.abelianization(), (pres, gens_h)
             assert Subgroup.generated(pres, H.generators) == H
+
+
+def test_coset_keys_and_transfers_on_arbitrary_subgroups():
+    # random subgroups inside and outside A, normal or not (for q = 2 a lattice inside A
+    # need not be T-stable): the key is constant on each right coset of the oracle's
+    # partition and differs across cosets, the transversal has [G : H] representatives
+    # and every transfer value agrees with the oracle's
+    rng = random.Random(29)
+    seen = set()  # (H outside A, H normal) pairs met
+    for pres in SMALL:
+        elems = elements(pres)
+        EG = ElementSubgroup.whole_group(pres)
+        in_a = [x for x in elems if not x[0]]
+        for _ in range(12):
+            gens = rng.sample(rng.choice([elems, in_a]), rng.randint(1, 2))
+            H, EH = Subgroup.generated(pres, gens), ElementSubgroup.generated(pres, gens)
+            ctx, ectx = transfer_context(pres, H), oracle.transfer_context(pres, EH)
+            keys, covered = set(), set()
+            for x in elems:
+                if x in covered:
+                    continue
+                coset = {pres.mul(h, x) for h in EH.elements}
+                covered |= coset
+                coset_keys = {_coset_key(H, ctx["conjugate"], y) for y in coset}
+                assert len(coset_keys) == 1 and not coset_keys & keys, (pres, gens, x)
+                keys |= coset_keys
+            assert len(keys) == len(ctx["reps"]) == EH.index_in(EG), (pres, gens)
+            for g in elems:
+                got = transfer(pres, H, g, _ctx=ctx)
+                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, gens, g)
+            seen.add((H.r is not None, EH.is_normal_in(EG)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_hermite_rejects_rank_deficient_input():
+    for vectors in ([], [(0, 0)], [(2, 4), (-1, -2)], [(0, 3), (0, 5)], [(3, 1), (0, 0), (6, 2)]):
+        with pytest.raises(GroupCheckError, match="full-rank"):
+            _hermite(vectors)
+
+
+_VECTORS = st.lists(st.one_of(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), st.just((0, 0))),
+                    max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pres=st.sampled_from(SMALL), vectors=_VECTORS, sign=st.sampled_from([1, -1]), data=st.data())
+def test_hermite_matches_echelon(pres, vectors, sign, data):
+    # spanning sets with negative entries, zero rows and duplicates around a full-rank Lambda
+    lam = [(sign * a, sign * b) for a, b in _rows(pres.relations)]
+    spanning = data.draw(st.permutations(vectors + vectors[:data.draw(st.integers(0, 2))] + lam))
+    (h11, h12), (_, h22) = _echelon(spanning, 2)
+    assert _hermite(spanning) == (h11, h12 % h22, h22)
 
 
 _ADMISSIBLE_UP_TO_GUARD = st.one_of(  # every admissible pattern with |G| <= 2^20
