@@ -312,17 +312,19 @@ _N_MINUS = {
 }
 
 
+def _keyed_entry(plus: dict, minus: dict, record: InvariantRecord, j: int):
+    """Entry j of the table plus when (p1/p2) = +1, of minus when it is -1; a keyed entry
+    is looked up by (pi, B) in plus and by (q, pi) in minus."""
+    if record.legendre == 1:
+        entry, key = plus[j], (record.pi, record.B)
+    else:
+        entry, key = minus[j], (record.q, record.pi)
+    return entry[key] if isinstance(entry, dict) else entry
+
+
 def norm_groups(record: InvariantRecord) -> dict[int, frozenset[ClassVector]]:
     """The norm class groups N_1..N_7 from the transcribed decision table."""
-    table = _N_PLUS if record.legendre == 1 else _N_MINUS
-    out = {}
-    for j in range(1, 8):
-        entry = table[j]
-        if isinstance(entry, dict):
-            key = (record.pi, record.B) if record.legendre == 1 else (record.q, record.pi)
-            entry = entry[key]
-        out[j] = subgroup_span(entry)
-    return out
+    return {j: subgroup_span(_keyed_entry(_N_PLUS, _N_MINUS, record, j)) for j in range(1, 8)}
 
 
 # radicand factorizations: each K_j has the two representations delta, d/delta
@@ -496,15 +498,6 @@ _GL_MINUS = {
     6: {(1, -1): ("st", "tt"), (1, 1): ("t", "ss"), (2, -1): ("t", "ss"), (2, 1): ("st", "ss")},
     7: {(1, -1): ("t", "ss"), (1, 1): ("st", "ss"), (2, -1): ("st", "ss"), (2, 1): ("t", "ss")},
 }
-
-
-def _gj_words(record: InvariantRecord, j: int):
-    table = _GJ_PLUS if record.legendre == 1 else _GJ_MINUS
-    entry = table[j]
-    if isinstance(entry, dict):
-        key = (record.pi, record.B) if record.legendre == 1 else (record.q, record.pi)
-        entry = entry[key]
-    return entry
 
 
 def _gl_words(record: InvariantRecord, j: int):
@@ -708,8 +701,8 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     for j in range(1, 8):
         Gj = subgroups[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
-        add(f"K{j}:subgroup-words", True,
-            Gj == Subgroup.generated(pres, [pres.word(w) for w in _gj_words(rec, j)]))
+        words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, rec, j)
+        add(f"K{j}:subgroup-words", True, Gj == Subgroup.generated(pres, [pres.word(w) for w in words]))
         k_types[j] = Gj.abelianization()
         add(f"K{j}:type", k_type(rec, j), k_types[j])
         kern = transfer_kernel(pres, Gj)

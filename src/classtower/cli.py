@@ -1,8 +1,9 @@
 """Command line surface: classify, verify-fixtures, group, scan.
 
-Exit codes: 0 success, 2 invalid input/usage, 3 internal consistency failure,
-4 fixture mismatch.  All JSON output is canonical (sorted keys, compact
-separators, integers only) so that parse + re-serialize is byte-identical.
+Exit codes: 0 success, 1 stdout closed by its reader (broken pipe), 2 invalid
+input/usage, 3 internal consistency failure, 4 fixture mismatch.  All JSON
+output is canonical (sorted keys, compact separators, integers only) so that
+parse + re-serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
 from .symbols import InvalidPairError, is_prime, primes_5_mod_8
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_CONSISTENCY = 3
 EXIT_FIXTURE = 4
@@ -445,7 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -20,10 +20,12 @@ conjugation by any element outside A acts on it by T = diag(sigma_twist, -1).
 A subgroup H is (H & A) u r(H & A) for at most one coset representative r
 outside A, so it is stored as the Hermite basis of the preimage of H & A in
 Z^2 (a lattice containing Lambda) and a canonical r.  Membership, derived
-subgroups, the lower central series, quotients (Smith normal form) and
-transfers are then integer arithmetic whose cost does not grow with |G|
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8;
-Cohen, A Course in Computational Algebraic Number Theory, sec. 2.4).
+subgroups, the lower central series and quotients (Smith normal form) are then
+integer arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
+Algebraic Number Theory, sec. 2.4).  By transitivity, a transfer into a subgroup
+over G' is a chain of index-2 transfers, each a two-case formula (Huppert,
+Endliche Gruppen I, IV.1).
 """
 
 from __future__ import annotations
@@ -431,65 +433,38 @@ def lower_central_series(pres: GPresentation) -> list[Subgroup]:
 # ---------------------------------------------------------------------------
 
 
-def transfer(
-    pres: GPresentation,
-    H: Subgroup,
-    g: GElement,
-    _ctx: dict | None = None,
-) -> GElement:
-    """V_{G/H}(g G') as a canonical representative of its coset of H'.
-
-    Standard coset-representative transfer: with right cosets H x_i, write
-    x_i g = h_i x_j(i), finding j by the key of H x_i g, so that a value costs
-    O([G : H]) products; the value is prod_i h_i mod H'.  It is a well-defined
-    function of g G' (checked in tests, not assumed).
-    """
-    if _ctx is None:
-        _ctx = transfer_context(pres, H)
-    reps, inverses, index, mul = _ctx["reps"], _ctx["rep_inverses"], _ctx["index"], pres.mul
-    if not len(inverses) == len(index) == len(reps) == pres.order // H.order:
-        raise GroupCheckError(f"{len(reps)} representatives, {len(inverses)} inverses and {len(index)} "
-                              f"keys listed for the {pres.order // H.order} right cosets of H")
-    val = pres.identity()
-    for x in reps:
-        xg = mul(x, g)
-        j = index.get(_coset_key(H, _ctx["conjugate"], xg))
-        if j is None or (h := mul(xg, inverses[j])) not in H:
-            raise GroupCheckError(f"{xg} lies in none of the listed right cosets of H")
-        val = mul(val, h)
-    return _ctx["derived"].coset_rep(val)
+def _index2_steps(pres: GPresentation, H: Subgroup) -> list[tuple[Subgroup, GElement]]:
+    """The steps (K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first: z_i is the first
+    generator letter outside K_i and K_(i-1) = <K_i, z_i>, of index 2 as H contains G'."""
+    if pres.word("ss") not in H or pres.word("tt") not in H:
+        raise ValueError("the transfer needs a subgroup containing G' = <sigma^2, tau^2>")
+    steps, K = [], H
+    while K.order < pres.order:
+        z = next(g for g in _LETTERS.values() if g not in K)
+        above = Subgroup.generated(pres, [*K.generators, z])
+        if above.order != 2 * K.order:
+            raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.order // K.order} over K")
+        steps.append((K, z))
+        K = above
+    return steps[::-1]
 
 
-def _coset_key(H: Subgroup, conjugate: Lattice, x: GElement):
-    """Canonical key of the right coset Hx; conjugate is T(M), M the lattice of H & A.
+def _transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
+    """The index-2 transfers K_(i-1) -> K_i in turn: g z g z^-1 for g in K_i, else g^2."""
+    mul = pres.mul
+    for K, z in steps:
+        if z in K:
+            raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        if g not in K:
+            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
+    return g
 
-    With r in H, Hx = H r^-1 x and r^-1 x is in A: its class modulo M.  Else
-    M rho alpha = rho (T(M) + alpha): eps and alpha modulo M or T(M) (equal for H normal).
-    """
-    e, a, b = x
-    if H.r is not None:
-        return _reduce(H.lattice, a - e * H.r[1], b - e * H.r[2])
-    return e, _reduce(conjugate if e else H.lattice, a, b)
 
-
-def transfer_context(pres: GPresentation, H: Subgroup) -> dict:
-    """Precomputed coset data for repeated transfers into one subgroup.
-
-    The right transversal is grown from the identity by the generators of G: a
-    product joins it when its coset's key is new.  index maps keys to positions.
-    """
-    conjugate = _hermite([*_conj(pres, _rows(H.lattice)), *_rows(pres.relations)])
-    reps, inverses = [pres.identity()], [pres.identity()]
-    index = {_coset_key(H, conjugate, reps[0]): 0}
-    for r in reps:
-        for g in _LETTERS.values():
-            x = pres.mul(r, g)
-            if (k := _coset_key(H, conjugate, x)) not in index:
-                index[k] = len(reps)
-                reps.append(x)
-                inverses.append(pres.inv(x))
-    return {"reps": reps, "rep_inverses": inverses, "index": index, "conjugate": conjugate,
-            "derived": H.derived_subgroup()}
+def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
+    """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
+    ValueError): by transitivity, the composite of the index-2 transfers of _index2_steps."""
+    return H.derived_subgroup().coset_rep(_transfer_along(pres, _index2_steps(pres, H), g))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +500,7 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
-    """Class vectors whose transfer to H is trivial (the capitulation kernel)."""
-    ctx, triv = transfer_context(pres, H), pres.identity()
+    """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'."""
+    steps, derived = _index2_steps(pres, H), H.derived_subgroup()
     return frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements)
-                     if transfer(pres, H, g, _ctx=ctx) == triv)
+                     if _transfer_along(pres, steps, g) in derived)

@@ -283,70 +283,49 @@ def test_rule_failure_under_python_O():
     assert proc.stderr.count("\n") == len(plus)
 
 
-_DOUBLE_COSET = """
+_IDENTITY_STEPS = """
 import sys
 from classtower import gengroup
 from classtower.cli import main
-context = gengroup.transfer_context
-def doubled(pres, H, *derived):
-    ctx = context(pres, H, *derived)
-    ctx["rep_inverses"].append(ctx["rep_inverses"][0])  # the coset H listed twice
-    return ctx
-gengroup.transfer_context = doubled
+steps = gengroup._index2_steps
+def identity_steps(pres, H):
+    return [(K, (0, 0, 0)) for K, _ in steps(pres, H)]  # every z replaced by the identity
+gengroup._index2_steps = identity_steps
 sys.exit(main(sys.argv[1:]))
 """
 
 
 def test_engine_self_check_under_python_O():
-    # the transfer's coset check raises GroupCheckError, an AssertionError, also under -O
+    # the transfer's check that z lies outside K raises GroupCheckError, an AssertionError,
+    # also under -O
     src = str(Path(classtower.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
     def run_O(*argv):
-        return subprocess.run([sys.executable, "-O", "-c", _DOUBLE_COSET, *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-
-    proc = run_O("classify", "--p1", "5", "--p2", "13")
-    assert proc.returncode == 3 and "right cosets of H" in proc.stderr
-    proc = run_O("scan", "--max", "40", "--json")
-    assert proc.returncode == 3
-    payload = json.loads(proc.stdout)
-    assert payload["pairs"] == 6
-    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
-
-
-_MERGED_COSETS = """
-import sys
-from classtower import gengroup
-from classtower.cli import main
-key = gengroup._coset_key
-def merged(H, conjugate, x):
-    # the right coset of the first generator outside H gets the key of H itself
-    outside = next(g for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if g not in H)
-    k = key(H, conjugate, x)
-    return key(H, conjugate, (0, 0, 0)) if k == key(H, conjugate, outside) else k
-gengroup._coset_key = merged
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def test_merged_coset_keys_under_python_O():
-    # a key function that merges two right cosets is caught by the transfer's coset checks
-    src = str(Path(classtower.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def run_O(*argv):
-        return subprocess.run([sys.executable, "-O", "-c", _MERGED_COSETS, *argv],
+        return subprocess.run([sys.executable, "-O", "-c", _IDENTITY_STEPS, *argv],
                               capture_output=True, text=True, env=env, timeout=120)
 
     proc = run_O("classify", "--p1", "5", "--p2", "13")
     assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "right cosets of H" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "index-2 step" in proc.stderr
     proc = run_O("scan", "--max", "40", "--json")
     assert proc.returncode == 3
     payload = json.loads(proc.stdout)
     assert payload["pairs"] == 6
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # a reader that closes the pipe at once: exit code 1 and nothing on stderr
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    argv = ["group", "--m", "2", "--n", "2", "--q", "1", "--psi", "sigma",
+            "--legendre", "1", "--pi", "1", "--b", "-1"]
+    proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""
 
 
 def test_no_assert_statements_in_src():

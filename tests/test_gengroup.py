@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classtower
+from classtower import gengroup
 from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
 from classtower.classify import _profile_record, derived_type, nilpotency_class_formula
 from classtower.gengroup import (
@@ -26,9 +27,8 @@ from classtower.gengroup import (
     lower_central_series,
     span,
     transfer,
-    transfer_context,
     transfer_kernel,
-    _coset_key,
+    vadd,
     _echelon,
     _hermite,
     _rows,
@@ -229,21 +229,19 @@ def test_transfer_known_values():
     # V_{G/G1}(rho G') = G1', V(tau G') = tau^2 G1' != G1' when (p1/p2) = -1
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     G1 = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    ctx = transfer_context(pres, G1)
-    triv = ctx["derived"].coset_rep(pres.identity())
+    triv = G1.derived_subgroup().coset_rep(pres.identity())
     assert triv == pres.identity()
-    assert transfer(pres, G1, pres.rho(), _ctx=ctx) == triv
-    assert transfer(pres, G1, pres.sigma(), _ctx=ctx) == triv
-    tau_val = transfer(pres, G1, pres.tau(), _ctx=ctx)
-    assert tau_val == ctx["derived"].coset_rep(power(pres, pres.tau(), 2))
+    assert transfer(pres, G1, pres.rho()) == triv
+    assert transfer(pres, G1, pres.sigma()) == triv
+    tau_val = transfer(pres, G1, pres.tau())
+    assert tau_val == G1.derived_subgroup().coset_rep(power(pres, pres.tau(), 2))
     assert tau_val != triv
 
 
 def test_transfer_identity_is_trivial():
     for pres in SMALL[:3]:
         H = Subgroup.generated(pres, [pres.sigma(), pres.tau()])
-        ctx = transfer_context(pres, H)
-        assert transfer(pres, H, pres.identity(), _ctx=ctx) == pres.identity()
+        assert transfer(pres, H, pres.identity()) == pres.identity()
 
 
 def test_transfer_closed_form_agrees_with_generic():
@@ -253,18 +251,15 @@ def test_transfer_closed_form_agrees_with_generic():
             continue
         derived = Subgroup.whole_group(pres).derived_subgroup()
         for H in _index2_subgroups(pres, derived):
-            ctx = transfer_context(pres, H)
-            EH = ElementSubgroup.of(H)
+            EH, Hp = ElementSubgroup.of(H), H.derived_subgroup()
             z = next(x for x in elements(pres) if x not in H)
             for g in elements(pres):
                 closed = oracle.transfer_index2(pres, EH, g, z)
-                assert transfer(pres, H, g, _ctx=ctx) == ctx["derived"].coset_rep(closed)
+                assert transfer(pres, H, g) == Hp.coset_rep(closed)
 
 
 def _index2_subgroups(pres, derived):
     # index-2 subgroups = preimages of index-2 subgroups of G/(G')  = (2,2,2)
-    from classtower.gengroup import vadd
-
     out = []
     for kernel_vectors in itertools.combinations([v for v in CLASS_VECTORS if v != (0, 0, 0)], 2):
         vs = span(kernel_vectors)
@@ -281,14 +276,13 @@ def test_transfer_rep_choice_independence():
     rng = random.Random(3)
     pres = GPresentation(2, 1, 2)
     H = Subgroup.generated(pres, [pres.tau(), power(pres, pres.sigma(), 2)])
-    ctx = transfer_context(pres, H)
     derived = ElementSubgroup.of(Subgroup.whole_group(pres).derived_subgroup())
     for _ in range(40):
         g = rng.choice(elements(pres))
-        base = transfer(pres, H, g, _ctx=ctx)
+        base = transfer(pres, H, g)
         # transfer of any element of the same G'-coset agrees
         d = rng.choice(sorted(derived.elements))
-        assert transfer(pres, H, pres.mul(g, d), _ctx=ctx) == base
+        assert transfer(pres, H, pres.mul(g, d)) == base
 
 
 def test_transfer_kernel_examples():
@@ -477,17 +471,16 @@ def _engine_subgroups(pres, engine=Subgroup):
 def test_transfer_matches_locate_table_reference():
     for pres in admissible_presentations(4, 4):
         for H in _engine_subgroups(pres):
-            ctx = transfer_context(pres, H)
-            EH = ElementSubgroup.of(H)
+            EH, Hp = ElementSubgroup.of(H), H.derived_subgroup()
             hprime = _ref_normal_closure(
                 pres, [commutator(pres, x, y) for x, y in itertools.combinations(EH.generators, 2)],
                 EH.generators,
             )
-            assert hprime == ElementSubgroup.of(ctx["derived"]).elements
+            assert hprime == ElementSubgroup.of(Hp).elements
             ref = _ref_transfer_values(pres, EH)
             for v, val in ref.items():
-                got = transfer(pres, H, class_to_group(pres, v), _ctx=ctx)
-                assert got == ctx["derived"].coset_rep(val), (pres, H, v)
+                got = transfer(pres, H, class_to_group(pres, v))
+                assert got == Hp.coset_rep(val), (pres, H, v)
             ref_kernel = frozenset(v for v, val in ref.items() if val in hprime)
             assert transfer_kernel(pres, H) == ref_kernel, (pres, H.generators)
 
@@ -515,13 +508,27 @@ def test_abelian_structure_self_checks():
         abelian_structure(range(8), lambda x, y: squares[x], 0)
 
 
-def test_transfer_rejects_a_broken_transversal():
+def test_transfer_rejects_a_forged_step(monkeypatch):
+    # each self-check of the index-2 steps fires on the forgery it guards against
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    ctx = transfer_context(pres, H)
-    ctx["rep_inverses"].append(ctx["rep_inverses"][0])  # coset H listed twice
-    with pytest.raises(GroupCheckError):
-        transfer(pres, H, pres.tau(), _ctx=ctx)
+    steps, generated = gengroup._index2_steps, Subgroup.generated
+
+    def identity_steps(pres, H):
+        return [(K, pres.identity()) for K, _ in steps(pres, H)]
+
+    with monkeypatch.context() as patch:  # z inside K: the formula assumes z outside
+        patch.setattr(gengroup, "_index2_steps", identity_steps)
+        with pytest.raises(GroupCheckError, match="index-2 step: z = .* lies inside K"):
+            transfer(pres, H, pres.tau())
+    with monkeypatch.context() as patch:  # a step below G', where g^2 leaves K
+        patch.setattr(gengroup, "_index2_steps", lambda pres, H: [(Subgroup.trivial(pres), pres.rho())])
+        with pytest.raises(GroupCheckError, match="index-2 step: the value .* leaves K"):
+            transfer(pres, H, pres.sigma())
+    with monkeypatch.context() as patch:  # a builder that drops z makes a step of index 1
+        patch.setattr(Subgroup, "generated", classmethod(lambda cls, pres, gens: generated(pres, gens[:-1])))
+        with pytest.raises(GroupCheckError, match="index-2 step: .* has index 1 over K"):
+            transfer_kernel(pres, H)
 
 
 _UNCLOSED = """
@@ -566,9 +573,12 @@ def test_lattice_engine_matches_element_oracle():
             assert ElementSubgroup.of(H).elements == EH.elements, (pres, H)
             assert H.abelianization() == EH.abelianization(), (pres, H)
             assert transfer_kernel(pres, H) == oracle.transfer_kernel(pres, EH), (pres, H)
-            ctx, ectx = transfer_context(pres, H), oracle.transfer_context(pres, EH)
+            # the steps and H' built once, as transfer_kernel does; the public transfer,
+            # which builds them per call, is compared at every element of SMALL below
+            ectx = oracle.transfer_context(pres, EH)
+            steps, Hp = gengroup._index2_steps(pres, H), H.derived_subgroup()
             for g in elements(pres):
-                got = transfer(pres, H, g, _ctx=ctx)
+                got = Hp.coset_rep(gengroup._transfer_along(pres, steps, g))
                 assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
 
 
@@ -593,36 +603,24 @@ def test_random_subgroups_match_element_oracle():
             assert Subgroup.generated(pres, H.generators) == H
 
 
-def test_coset_keys_and_transfers_on_arbitrary_subgroups():
-    # random subgroups inside and outside A, normal or not (for q = 2 a lattice inside A
-    # need not be T-stable): the key is constant on each right coset of the oracle's
-    # partition and differs across cosets, the transversal has [G : H] representatives
-    # and every transfer value agrees with the oracle's
-    rng = random.Random(29)
-    seen = set()  # (H outside A, H normal) pairs met
+def test_transfers_over_the_derived_subgroup_match_element_oracle():
+    # all 16 subgroups over G' (G, the seven of index 2, the seven of index 4, G'): every
+    # transfer value agrees with the oracle's generic right-transversal transfer
     for pres in SMALL:
-        elems = elements(pres)
-        EG = ElementSubgroup.whole_group(pres)
-        in_a = [x for x in elems if not x[0]]
-        for _ in range(12):
-            gens = rng.sample(rng.choice([elems, in_a]), rng.randint(1, 2))
-            H, EH = Subgroup.generated(pres, gens), ElementSubgroup.generated(pres, gens)
-            ctx, ectx = transfer_context(pres, H), oracle.transfer_context(pres, EH)
-            keys, covered = set(), set()
-            for x in elems:
-                if x in covered:
-                    continue
-                coset = {pres.mul(h, x) for h in EH.elements}
-                covered |= coset
-                coset_keys = {_coset_key(H, ctx["conjugate"], y) for y in coset}
-                assert len(coset_keys) == 1 and not coset_keys & keys, (pres, gens, x)
-                keys |= coset_keys
-            assert len(keys) == len(ctx["reps"]) == EH.index_in(EG), (pres, gens)
-            for g in elems:
-                got = transfer(pres, H, g, _ctx=ctx)
-                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, gens, g)
-            seen.add((H.r is not None, EH.is_normal_in(EG)))
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+        G = Subgroup.whole_group(pres)
+        for H in [G, *_engine_subgroups(pres), G.derived_subgroup()]:
+            EH = ElementSubgroup.of(H)
+            ectx = oracle.transfer_context(pres, EH)
+            for g in elements(pres):
+                got = transfer(pres, H, g)
+                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
+        # below G' the quotient G/H is not elementary abelian: no chain of index-2 steps
+        for H in (Subgroup.generated(pres, [pres.rho()]), Subgroup.generated(pres, [pres.sigma()]),
+                  Subgroup.trivial(pres)):
+            with pytest.raises(ValueError, match="containing G'"):
+                transfer(pres, H, pres.tau())
+            with pytest.raises(ValueError, match="containing G'"):
+                transfer_kernel(pres, H)
 
 
 def test_hermite_rejects_rank_deficient_input():
@@ -668,6 +666,13 @@ def test_structure_theorems_beyond_the_oracle(pres, data):
     g = pres.element(data.draw(st.integers(0, 1)), data.draw(coords), data.draw(coords))
     d = pres.element(0, 2 * data.draw(coords), 2 * data.draw(coords))
     assert d in Gp
+    x, y = (pres.element(data.draw(st.integers(0, 1)), data.draw(coords), data.draw(coords))
+            for _ in range(2))
     for H in _engine_subgroups(pres):
-        ctx = transfer_context(pres, H)
-        assert transfer(pres, H, pres.mul(g, d), _ctx=ctx) == transfer(pres, H, g, _ctx=ctx)
+        Hp = H.derived_subgroup()
+        assert transfer(pres, H, pres.mul(g, d)) == transfer(pres, H, g)
+        # the transfer is a homomorphism into H/H', and its kernel a subgroup of (Z/2)^3
+        assert transfer(pres, H, pres.mul(x, y)) == Hp.coset_rep(
+            pres.mul(transfer(pres, H, x), transfer(pres, H, y)))
+        kern = transfer_kernel(pres, H)
+        assert {vadd(u, v) for u in kern for v in kern} == kern
