@@ -315,6 +315,44 @@ def test_engine_self_check_under_python_O():
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
 
 
+_MERGED_COSETS = """
+import sys
+from classtower import gengroup
+from classtower.cli import main
+steps, generated = gengroup._index2_steps, gengroup.Subgroup.generated
+def merged_steps(pres, H):
+    # while the steps are built, <K, z> drops z and comes out as K: both cosets of K merge
+    gengroup.Subgroup.generated = classmethod(lambda cls, pres, gens: generated(pres, gens[:-1]))
+    try:
+        return steps(pres, H)
+    finally:
+        gengroup.Subgroup.generated = generated
+gengroup._index2_steps = merged_steps
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_merged_coset_keys_under_python_O():
+    # a step builder that merges the two cosets of K in <K, z> is caught by the step's index
+    # check, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _MERGED_COSETS, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "has index 1 over K" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pairs"] == 6
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+    assert proc.stderr.count("has index 1 over K") == 6
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # a reader that closes the pipe at once: exit code 1 and nothing on stderr
     src = str(Path(classtower.__file__).resolve().parents[1])
