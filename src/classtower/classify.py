@@ -479,46 +479,26 @@ _GJ_MINUS = {
     7: {(1, -1): ("st", "tr"), (1, 1): ("r", "t", "ss"), (2, -1): ("t", "rs"), (2, 1): ("r", "st", "ss")},
 }
 
+# the keyed L_j entries, like the K_j ones, by (pi, B) in _GL_PLUS and (q, pi) in _GL_MINUS
 _GL_PLUS = {
     1: ("tt", "s"),
-    2: {(-1, 1): ("str", "ss", "tt"), (-1, -1): ("tr", "ss", "tt"), (1, 1): ("tr", "tt"), (1, -1): ("str", "tt")},
-    3: {(-1, 1): ("tr", "ss", "tt"), (-1, -1): ("str", "ss", "tt"), (1, 1): ("str", "tt"), (1, -1): ("tr", "tt")},
-    4: {-1: ("sr", "ss", "tt"), 1: ("r", "tt")},
-    5: {-1: ("r", "ss", "tt"), 1: ("rs", "tt")},
-    6: {-1: ("st", "ss"), 1: ("t", "ss")},  # keyed by B
-    7: {-1: ("t", "ss"), 1: ("st", "ss")},  # keyed by B
+    2: {(-1, 1): ("str", "ss", "tt"), (1, 1): ("tr", "tt"), (-1, -1): ("tr", "ss", "tt"), (1, -1): ("str", "tt")},
+    3: {(-1, 1): ("tr", "ss", "tt"), (1, 1): ("str", "tt"), (-1, -1): ("str", "ss", "tt"), (1, -1): ("tr", "tt")},
+    4: {(-1, 1): ("sr", "ss", "tt"), (1, 1): ("r", "tt"), (-1, -1): ("sr", "ss", "tt"), (1, -1): ("r", "tt")},
+    5: {(-1, 1): ("r", "ss", "tt"), (1, 1): ("rs", "tt"), (-1, -1): ("r", "ss", "tt"), (1, -1): ("rs", "tt")},
+    6: {(-1, 1): ("t", "ss"), (1, 1): ("t", "ss"), (-1, -1): ("st", "ss"), (1, -1): ("st", "ss")},
+    7: {(-1, 1): ("st", "ss"), (1, 1): ("st", "ss"), (-1, -1): ("t", "ss"), (1, -1): ("t", "ss")},
 }
 
 _GL_MINUS = {
     1: ("tt", "s"),
-    2: {-1: ("r", "ss"), 1: ("rs", "ss")},  # keyed by pi
-    3: {-1: ("rs", "ss"), 1: ("r", "ss")},
-    4: {1: ("str", "ss"), 2: ("tr", "ss")},  # keyed by q
-    5: {1: ("tr", "ss"), 2: ("str", "ss")},
+    2: {(1, -1): ("r", "ss"), (1, 1): ("rs", "ss"), (2, -1): ("r", "ss"), (2, 1): ("rs", "ss")},
+    3: {(1, -1): ("rs", "ss"), (1, 1): ("r", "ss"), (2, -1): ("rs", "ss"), (2, 1): ("r", "ss")},
+    4: {(1, -1): ("str", "ss"), (1, 1): ("str", "ss"), (2, -1): ("tr", "ss"), (2, 1): ("tr", "ss")},
+    5: {(1, -1): ("tr", "ss"), (1, 1): ("tr", "ss"), (2, -1): ("str", "ss"), (2, 1): ("str", "ss")},
     6: {(1, -1): ("st", "tt"), (1, 1): ("t", "ss"), (2, -1): ("t", "ss"), (2, 1): ("st", "ss")},
     7: {(1, -1): ("t", "ss"), (1, 1): ("st", "ss"), (2, -1): ("st", "ss"), (2, 1): ("t", "ss")},
 }
-
-
-def _gl_words(record: InvariantRecord, j: int):
-    table = _GL_PLUS if record.legendre == 1 else _GL_MINUS
-    entry = table[j]
-    if isinstance(entry, dict):
-        if record.legendre == 1:
-            if j in (2, 3):
-                entry = entry[(record.pi, record.B)]
-            elif j in (4, 5):
-                entry = entry[record.pi]
-            else:
-                entry = entry[record.B]
-        else:
-            if j in (2, 3):
-                entry = entry[record.pi]
-            elif j in (4, 5):
-                entry = entry[record.q]
-            else:
-                entry = entry[(record.q, record.pi)]
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +694,8 @@ def _engine_checks(profile: tuple) -> tuple[Check, ...]:
     for j in range(1, 8):
         Hj = subgroups[f"L{j}"]
         add(f"L{j}:index", 4, Hj.index_in(G))
-        add(f"L{j}:subgroup-words", True,
-            Hj == Subgroup.generated(pres, [pres.word(w) for w in _gl_words(rec, j)]))
+        words = _keyed_entry(_GL_PLUS, _GL_MINUS, rec, j)
+        add(f"L{j}:subgroup-words", True, Hj == Subgroup.generated(pres, [pres.word(w) for w in words]))
         add(f"L{j}:type", l_type(rec, j), Hj.abelianization())
         kern = transfer_kernel(pres, Hj)
         add(f"L{j}:kernel-total", _fmt_vectors(full), _fmt_vectors(kern))

@@ -1,8 +1,10 @@
 """Independent oracles for quadratic fields: fundamental units and class groups.
 
-Units come from the continued fraction of sqrt(m) (or (1+sqrt(m))/2 when
-m = 1 mod 4), giving the fundamental unit of the maximal order together with
-its norm, which must match the period parity (-1)^l.
+Units come from one walk of the principal rho cycle of D = field_discriminant(m),
+which is the period of the continued fraction of sqrt(m) (or (1+sqrt(m))/2 when
+m = 1 mod 4): it gives the fundamental unit of the maximal order together with
+its norm, which must match the period parity (-1)^l, and the ambiguous forms of
+the principal cycle that class groups of D > 0 need.
 
 Class groups are binary quadratic form groups under Dirichlet composition
 (narrow for D > 0, then the wide quotient by the class of the negated
@@ -57,7 +59,7 @@ def field_discriminant(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fundamental units by continued fractions
+# Fundamental units from the principal cycle
 # ---------------------------------------------------------------------------
 
 
@@ -86,50 +88,47 @@ class QuadUnit:
 
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:
-    """Fundamental unit of O_{Q(sqrt(m))} via the continued fraction expansion.
-
-    Expands omega = (1+sqrt(m))/2 for m = 1 (mod 4), else omega = sqrt(m).
-    If l is the period, the convergent p/q ending just before the period
-    closes gives eps = p - q*conj(omega), and N(eps) = (-1)^l; both the norm
-    identity and the parity law are checked (ClassGroupError).
-    """
+    """Fundamental unit of O_{Q(sqrt(m))}, from one walk of the principal cycle of its D."""
     if m <= 1 or not is_squarefree(m):
         raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
-    s = math.isqrt(m)
-    half = m % 4 == 1  # omega = (1 + sqrt(m))/2
-    P, Q = (1, 2) if half else (0, 1)
-    a = (P + s) // Q
-    # convergents h_k = a_k h_{k-1} + h_{k-2}
-    p1, p2 = 1, 0
-    q1, q2 = 0, 1
-    first = None
-    k = 0
+    return _principal_cycle(m)[0]
+
+
+@lru_cache(maxsize=None)
+def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
+    """(eps, l, ambiguous) from one walk of the principal rho cycle of D = field_discriminant(m).
+
+    The l rho steps from the reduced principal form (1, b_0, c_0) to the first
+    form with |a| = 1 are the period of the continued fraction of omega
+    (Cohen, A Course in Computational Algebraic Number Theory, 5.7; Buchmann
+    and Vollmer, Binary Quadratic Forms, 2007).  Starting from (q, q') = (1, 0),
+    every step (a, b, c) -> (c, b', c') but the last sets (q, q') to
+    (t q + q', q) with t = (b + b')/(2|c|); then eps = (q b_0 + 2q' + q sqrt(D))/2
+    is the fundamental unit and N(eps) = (-1)^l, which is checked.  ambiguous
+    holds the signed a of the ambiguous forms (a | b) among the l forms before
+    the last; for odd l the rest of the signed cycle is these forms negated.
+    """
+    D = field_discriminant(m)
+    s = math.isqrt(D)
+    a, b0, c = reduce_indefinite(principal_form(D)).key()
+    b, q, q_prev, steps, ambiguous = b0, 1, 0, 0, []
     while True:
-        if k >= 1:
-            if first is None:
-                first = (P, Q)
-            elif (P, Q) == first:
-                period = k - 1
-                break
-        p1, p2 = a * p1 + p2, p1
-        q1, q2 = a * q1 + q2, q1
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        a = (P + s) // Q
-        k += 1
-    p, q = p2, q2  # convergent of index period-1 (a_0 included)
-    if half:
-        # eps = p - q*(1 - sqrt(m))/2
-        u, v, w = 2 * p - q, q, 2
-        if u % 2 == 0 and v % 2 == 0:
-            u, v, w = u // 2, v // 2, 1
-    else:
-        u, v, w = p, q, 1
+        if b % a == 0:
+            ambiguous.append(a)
+        b_next, c_next = _rho(b, c, D, s)
+        steps += 1
+        if abs(c) == 1:
+            break
+        q, q_prev = (b + b_next) // (2 * abs(c)) * q + q_prev, q
+        a, b, c = c, b_next, c_next
+    # eps = (u + v sqrt(m))/w, as sqrt(D) = sqrt(m) or 2 sqrt(m); w = 1 when u, v are even
+    u, v, w = q * b0 + 2 * q_prev, q if D == m else 2 * q, 2
+    if u % 2 == v % 2 == 0:
+        u, v, w = u // 2, v // 2, 1
     norm = (u * u - m * v * v) // (w * w)
-    parity_norm = 1 if period % 2 == 0 else -1
-    if norm != parity_norm:
-        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={period}")
-    return QuadUnit(u, v, w, m, norm)
+    if norm != (1 if steps % 2 == 0 else -1):
+        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={steps}")
+    return QuadUnit(u, v, w, m, norm), steps, tuple(ambiguous)
 
 
 def norm_eps(m: int) -> int:
@@ -470,16 +469,12 @@ def _narrow_relation(D: int, m: int, primes: list[int], s_m: int) -> int:
         if prod != one:
             raise ClassGroupError(f"D={D}: the ambiguous forms of {m} compose to {prod}, not 1")
         return relation
-    root = math.isqrt(D)
-    start = reduce_indefinite(principal_form(D)).key()
-    a, b, c = start
+    _, steps, ambiguous = _principal_cycle(m)
     found = set()
-    while True:
-        if b % a == 0:
-            found.add(_bits(a, primes) ^ (s_m if a < 0 else 0))
-        a, (b, c) = c, _rho(b, c, D, root)
-        if (a, b, c) == start:
-            break
+    for a in ambiguous:
+        found.add(_bits(a, primes) ^ (s_m if a < 0 else 0))
+        if steps % 2:  # the negated form (-a, b, -c) is on the signed cycle too
+            found.add(_bits(a, primes) ^ (s_m if a > 0 else 0))
     found.discard(0)
     if len(found) != 1:
         raise ClassGroupError(f"D={D}: principal cycle gives relations {sorted(found)}, "
@@ -544,9 +539,10 @@ def class_group(D: int) -> ClassGroup:
     decides squares by the genus characters, and square roots of forms descend
     level by level (Gauss, Disquisitiones 286; Shanks, Math. Comp. 25 (1971);
     Bosma and Stevenhagen, JTNB 8 (1996)).  For D > 0 the narrow type is divided
-    by j, the class of the negated principal form: one walk of the principal
-    rho cycle decides whether j is trivial, which must agree with N(eps) = -1,
-    and the height h of j replaces a cyclic factor 2^(h+1) by 2^h.
+    by j, the class of the negated principal form: the ambiguous forms met on
+    the walk of the principal rho cycle that also gives eps decide whether j is
+    trivial, which must agree with the exact norm N(eps) = -1, and the height h
+    of j replaces a cyclic factor 2^(h+1) by 2^h.
     """
     primes = sorted(_validate_disc(D))
     m = D if D % 4 == 1 else D // 4

@@ -12,7 +12,6 @@ No floating point is involved anywhere.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,16 +224,8 @@ def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
 def unit_product(pair: PrimePair) -> MultiQuadElt:
     """eps_2 * eps_{p1p2} * eps_{2p1p2} on the exact basis."""
     r = pair.r
-    eps_r = fundamental_unit(r)
-    if eps_r.w != 1:
-        # r = 1 (mod 8) should force integral coordinates; the arithmetic
-        # below stays exact either way, so diagnose rather than assume.
-        warnings.warn(
-            f"eps_{r} has half-integral coordinates (w=2); unexpected for r = 1 mod 8",
-            stacklevel=2,
-        )
     e2 = MultiQuadElt.from_unit(fundamental_unit(2), r)
-    er = MultiQuadElt.from_unit(eps_r, r)
+    er = MultiQuadElt.from_unit(fundamental_unit(r), r)
     e2r = MultiQuadElt.from_unit(fundamental_unit(2 * r), r)
     return e2 * er * e2r
 

@@ -6,6 +6,10 @@ definite forms (D < 0) or walks every rho cycle of reduced indefinite forms
 (D > 0, narrow group), so it costs about |D|^(1/2) and is kept here only to
 check the descent against: the order h, the narrow order, the 2-Sylow subgroup
 generated by u-th powers (h = 2^e * u, u odd) and the full structure.
+
+continued_fraction_unit is the (P, Q) continued-fraction expansion that
+classtower.quadratic used for fundamental units before it read them off the
+walk of the principal cycle; it is kept to check that walk against.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from classtower.abelian import AbelianType, abelian_structure, p_part_exponents,
 from classtower.quadratic import (
     BQForm,
     ClassGroupError,
+    QuadUnit,
     compose,
     principal_form,
     reduce_definite,
@@ -176,3 +181,48 @@ def full_structure(D: int) -> AbelianType:
         j = CycleGroup(D).negated_principal_class()
         elements, op, one = quotient_by_involution(elements, op, one, j)
     return abelian_structure(elements, op, one)
+
+
+def continued_fraction_unit(m: int) -> QuadUnit:
+    """Fundamental unit of O_{Q(sqrt(m))} via the continued fraction expansion.
+
+    Expands omega = (1+sqrt(m))/2 for m = 1 (mod 4), else omega = sqrt(m).
+    If l is the period, the convergent p/q ending just before the period
+    closes gives eps = p - q*conj(omega), and N(eps) = (-1)^l; both the norm
+    identity and the parity law are checked (ClassGroupError).
+    """
+    s = math.isqrt(m)
+    half = m % 4 == 1  # omega = (1 + sqrt(m))/2
+    P, Q = (1, 2) if half else (0, 1)
+    a = (P + s) // Q
+    # convergents h_k = a_k h_{k-1} + h_{k-2}
+    p1, p2 = 1, 0
+    q1, q2 = 0, 1
+    first = None
+    k = 0
+    while True:
+        if k >= 1:
+            if first is None:
+                first = (P, Q)
+            elif (P, Q) == first:
+                period = k - 1
+                break
+        p1, p2 = a * p1 + p2, p1
+        q1, q2 = a * q1 + q2, q1
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        a = (P + s) // Q
+        k += 1
+    p, q = p2, q2  # convergent of index period-1 (a_0 included)
+    if half:
+        # eps = p - q*(1 - sqrt(m))/2
+        u, v, w = 2 * p - q, q, 2
+        if u % 2 == 0 and v % 2 == 0:
+            u, v, w = u // 2, v // 2, 1
+    else:
+        u, v, w = p, q, 1
+    norm = (u * u - m * v * v) // (w * w)
+    parity_norm = 1 if period % 2 == 0 else -1
+    if norm != parity_norm:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={period}")
+    return QuadUnit(u, v, w, m, norm)

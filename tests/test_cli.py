@@ -431,6 +431,40 @@ def test_unit_parity_failure_under_python_O():
     assert "norm" in proc.stderr
 
 
+_FORGED_CYCLE = """
+import sys
+from classtower import quadratic
+from classtower.cli import main
+forgery, argv = sys.argv[1], sys.argv[2:]
+if forgery == "start":  # the walk starts one rho step into the principal cycle
+    reduce = quadratic.reduce_indefinite
+    quadratic.reduce_indefinite = lambda f: quadratic.rho_step(reduce(f), quadratic.math.isqrt(f.disc()))
+elif forgery == "ambiguous":  # the walk reports an ambiguous form (5, b, c) it never met
+    walk = quadratic._principal_cycle
+    quadratic._principal_cycle = lambda m: (lambda u, l, a: (u, l, a + (5,)))(*walk(m))
+else:  # N(eps) negated
+    quadratic.norm_eps = lambda m: -quadratic.fundamental_unit(m).norm
+sys.exit(main(argv))
+"""
+
+
+@pytest.mark.parametrize("forgery, message", [
+    ("start", "norm/period mismatch"),
+    ("ambiguous", "principal cycle gives relations"),
+    ("norm", "N(eps)"),
+])
+def test_principal_cycle_checks_under_python_O(forgery, message):
+    # the parity law N(eps) = (-1)^l, the one nonzero relation and the agreement of j
+    # with N(eps) raise ClassGroupError, an AssertionError, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_CYCLE, forgery, "classify",
+                           "--p1", "5", "--p2", "13"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
 def test_forged_square_root_exits_3(capsys, monkeypatch):
     # a conic point that misses the conic gives no square root: the descent's
     # own check raises ClassGroupError, classify exits 3, scan rows fail

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_group_oracle import (
+    continued_fraction_unit,
     counting_class_group,
     full_structure,
     group_law,
@@ -74,6 +75,18 @@ def test_fundamental_unit_matches_brute_force():
         unit = fundamental_unit(m)
         u, v, w, sign = pell_brute(m)
         assert (unit.u, unit.v, unit.w, unit.norm) == (u, v, w, sign), m
+
+
+def test_fundamental_unit_matches_continued_fraction():
+    # the walk of the principal cycle against the (P, Q) expansion of omega; for
+    # r = 1 (mod 8), u^2 - r v^2 with u, v odd is 0 mod 8, so eps_r is never half-integral
+    ps = primes_5_mod_8(400)
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            r = p1 * p2
+            for m in (r, 2 * r):
+                assert fundamental_unit(m) == continued_fraction_unit(m), m
+            assert fundamental_unit(r).w == 1, r
 
 
 def test_fundamental_unit_rejects():
