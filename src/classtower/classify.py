@@ -126,7 +126,7 @@ class InvariantRecord:
     q: int
     norm_eps_r: int
     psi: PsiVariant
-    conj_swapped: bool = False  # True when built with the swapped factor of p2
+    splits: tuple[PrimeSplit, ...] = ()  # (pi_1, pi_3) of the symbols; () when detached
 
     @property
     def d(self) -> int:
@@ -134,13 +134,6 @@ class InvariantRecord:
 
     def profile(self) -> tuple:
         return (self.legendre, self.pi, self.B, self.q, self.m, self.n, self.psi)
-
-    def splits(self) -> tuple[PrimeSplit, PrimeSplit]:
-        s1 = split_prime(self.pair.p1)
-        s2 = split_prime(self.pair.p2)
-        if self.conj_swapped:
-            s2 = s2.conjugate_choice()
-        return s1, s2
 
 
 def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
@@ -163,7 +156,7 @@ def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
         if (legendre == 1 and nrm == 1)
         else PsiVariant.TAU_SIGMA
     )
-    record = InvariantRecord(pair, legendre, pi, b, m, n, q, nrm, psi, conj_swap)
+    record = InvariantRecord(pair, legendre, pi, b, m, n, q, nrm, psi, (s1, s2))
     _check_consistency(record)
     return record
 
@@ -349,14 +342,9 @@ def norm_groups_from_symbols(
     mod pi_1 or pi_2; for H0 (the prime over 1+i) it is the product of
     (1+i/pi) over the Gaussian prime factors of the odd representation.
     """
-    s1, s2 = record.splits()
-    gauss = {
-        "2": GaussianInt(2, 0),
-        "pi1": s1.pi,
-        "pi2": s1.pi_bar,
-        "pi3": s2.pi,
-        "pi4": s2.pi_bar,
-    }
+    s1, s2 = record.splits
+    moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
+    gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
     out = {}
     for j in range(1, 8):
         reps = _RADICAND_FACTORS[j]
@@ -364,11 +352,11 @@ def norm_groups_from_symbols(
         odd_rep = next(rep for rep in reps if "2" not in rep)
         chi["H0"] = 1
         for f in odd_rep:
-            chi["H0"] *= gauss_symbol(ONE_PLUS_I, gauss[f])
+            chi["H0"] *= gauss_symbol(ONE_PLUS_I, moduli[f])
         for name, avoid in (("H1", "pi1"), ("H2", "pi2")):
             rep = next(rep for rep in reps if avoid not in rep)
             alpha = reduce(GaussianInt.__mul__, (gauss[f] for f in rep))
-            chi[name] = gauss_symbol(alpha, gauss[avoid])
+            chi[name] = gauss_symbol(alpha, moduli[avoid])
         signs = (chi["H0"], chi["H1"], chi["H2"])
         if signs == (1, 1, 1):
             raise ConsistencyError(f"norm group of K{j} came out with index 1")

@@ -1,9 +1,10 @@
 """Command line surface: classify, verify-fixtures, group, scan.
 
 Exit codes: 0 success, 1 stdout closed by its reader (broken pipe), 2 invalid
-input/usage, 3 internal consistency failure, 4 fixture mismatch.  All JSON
-output is canonical (sorted keys, compact separators, integers only) so that
-parse + re-serialize is byte-identical.
+input/usage, 3 internal consistency failure, 4 fixture mismatch, 130 interrupted
+(SIGINT; one stderr line, no traceback).  All JSON output is canonical (sorted
+keys, compact separators, integers only) so that parse + re-serialize is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from .abelian import AbelianType
@@ -43,6 +45,7 @@ EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_CONSISTENCY = 3
 EXIT_FIXTURE = 4
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 
 def dumps(obj) -> str:
@@ -326,6 +329,11 @@ def _scan_pair(pair_tuple) -> dict:
     return {"p1": p1, "p2": p2, "properties": props}
 
 
+def _ignore_interrupts() -> None:
+    """Pool worker initializer: an interrupt is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _largest_pair_product(limit: int) -> int:
     """p1*p2 for the two largest primes p1 < p2 <= limit with p = 5 (mod 8), limit >= 13."""
     top = []
@@ -351,8 +359,12 @@ def cmd_scan(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_ignore_interrupts)
+        try:
             rows = list(pool.map(_scan_pair, pairs, chunksize=8))
+        finally:
+            # after an interrupt only the chunks already running are waited for
+            pool.shutdown(cancel_futures=True)
     else:
         rows = [_scan_pair(p) for p in pairs]
     prop_counts: dict[str, int] = {}
@@ -454,6 +466,9 @@ def main(argv=None) -> int:
         # the reader is gone; point stdout at devnull so that the final flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return code
 
 

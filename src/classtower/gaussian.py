@@ -3,7 +3,8 @@
 A prime p = 5 (mod 8) splits as p = pi * conj(pi) with the normalized factor
 pi = e + 2if, e odd > 0, f > 0 (so p = e^2 + 4f^2).  The quadratic residue
 symbol (alpha/pi) is evaluated in the residue field Z[i]/(pi) = F_p via the
-substitution i -> -e * (2f)^(-1) mod p, then one modular exponentiation.
+substitution i -> -e * (2f)^(-1) mod p, then one modular exponentiation.  Only
+split_prime builds a PrimeSplit, so the symbols take p as proved prime.
 """
 
 from __future__ import annotations
@@ -64,16 +65,14 @@ ONE_PLUS_I = GaussianInt(1, 1)
 class PrimeSplit:
     """p = pi * conj(pi); split_prime returns pi = e + 2if normalized (e odd > 0, f > 0).
 
-    conjugate_choice() deliberately breaks the normalization: swapping pi with
-    conj(pi) is the symmetry that permutes the K4/K5 and K6/K7 predictions.
+    i_residue is the image of i in Z[i]/(pi) = F_p.  conjugate_choice()
+    deliberately breaks the normalization: swapping pi with conj(pi) is the
+    symmetry that permutes the K4/K5 and K6/K7 predictions.
     """
 
     p: int
     pi: GaussianInt
-
-    @property
-    def pi_bar(self) -> GaussianInt:
-        return self.pi.conjugate()
+    i_residue: int
 
     @property
     def e(self) -> int:
@@ -84,16 +83,11 @@ class PrimeSplit:
         return self.pi.im // 2
 
     def conjugate_choice(self) -> "PrimeSplit":
-        return PrimeSplit(self.p, self.pi.conjugate())
+        return PrimeSplit(self.p, self.pi.conjugate(), self.p - self.i_residue)
 
 
 class CornacchiaError(AssertionError):
     """The split of a prime came out wrong; raised explicitly, so it survives python -O."""
-
-
-def _sqrt_minus_one(p: int) -> int:
-    """Some t with t^2 = -1 (mod p), p = 1 (mod 4) prime."""
-    return sqrt_mod(-1, p)
 
 
 def split_prime(p: int) -> PrimeSplit:
@@ -104,7 +98,7 @@ def split_prime(p: int) -> PrimeSplit:
     """
     if not is_prime(p) or p % 8 != 5:
         raise ValueError(f"split_prime needs a prime p = 5 (mod 8), got {p}")
-    t = _sqrt_minus_one(p)
+    t = sqrt_mod(-1, p)
     # Euclid descent: the first remainder below sqrt(p) is a leg of the square sum.
     a, b = p, min(t, p - t)
     bound = math.isqrt(p)
@@ -118,43 +112,31 @@ def split_prime(p: int) -> PrimeSplit:
     e, f2 = (x, y) if x % 2 == 1 else (y, x)
     if f2 % 2 or e * e + f2 * f2 != p:
         raise CornacchiaError(f"bad split {e}^2 + {f2}^2 of p={p}")
-    return PrimeSplit(p, GaussianInt(e, f2))
+    # e + 2fi = 0 in Z[i]/(pi)  =>  i = -e * (2f)^(-1) mod p (0 < 2f < p).
+    return PrimeSplit(p, GaussianInt(e, f2), -e * pow(f2, -1, p) % p)
 
 
-def _residue_i(pi: GaussianInt, p: int) -> int:
-    # pi = a + bi = 0 in Z[i]/(pi)  =>  i = -a * b^(-1) mod p  (b is invertible:
-    # p | b would force p | a, impossible for norm(pi) = p).
-    return (-pi.re * pow(pi.im, -1, p)) % p
+def gauss_symbol(alpha: GaussianInt, modulus: PrimeSplit) -> int:
+    """Quadratic residue symbol (alpha/pi) in {+1, -1} for the split pi = modulus.pi.
 
-
-def gauss_symbol(alpha: GaussianInt, pi: GaussianInt) -> int:
-    """Quadratic residue symbol (alpha/pi) in {+1, -1} for a split Gaussian prime pi.
-
-    Computed as the image of alpha^((N-1)/2) in Z[i]/(pi) = F_N, N = norm(pi)
-    an odd prime.  Inert primes (norm q^2) are rejected; nothing here needs them.
+    Computed as the image of alpha^((p-1)/2) in Z[i]/(pi) = F_p.
     """
-    n = pi.norm()
-    if n % 2 == 0 or not is_prime(n):
-        raise ValueError(
-            f"gauss_symbol modulus must have odd prime norm, got norm({pi}) = {n}"
-        )
-    i_res = _residue_i(pi, n)
-    a = (alpha.re + alpha.im * i_res) % n
+    p = modulus.p
+    a = (alpha.re + alpha.im * modulus.i_residue) % p
     if a == 0:
-        raise ValueError(f"gauss_symbol argument {alpha} is divisible by {pi}")
-    r = pow(a, (n - 1) // 2, n)
-    return 1 if r == 1 else -1
+        raise ValueError(f"gauss_symbol argument {alpha} is divisible by {modulus.pi}")
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def symbol_pi(split1: PrimeSplit, split2: PrimeSplit) -> int:
     """The classification symbol pi = (pi_1/pi_3) for a pair of splits."""
     if split1.p == split2.p:
         raise ValueError("symbol_pi needs splits of distinct primes")
-    return gauss_symbol(split1.pi, split2.pi)
+    return gauss_symbol(split1.pi, split2)
 
 
 def symbol_B(split1: PrimeSplit, split2: PrimeSplit) -> int:
     """The classification symbol B = (1+i/pi_1)(1+i/pi_3)."""
     if split1.p == split2.p:
         raise ValueError("symbol_B needs splits of distinct primes")
-    return gauss_symbol(ONE_PLUS_I, split1.pi) * gauss_symbol(ONE_PLUS_I, split2.pi)
+    return gauss_symbol(ONE_PLUS_I, split1) * gauss_symbol(ONE_PLUS_I, split2)

@@ -40,19 +40,6 @@ __all__ = [
 DISCRIMINANT_BOUND = 10**8
 
 
-def is_squarefree(m: int) -> bool:
-    if m <= 0:
-        raise ValueError(f"is_squarefree needs m > 0, got {m}")
-    if m % 4 == 0:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def field_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for squarefree m: m if m = 1 (mod 4), else 4m."""
     return m if m % 4 == 1 else 4 * m
@@ -75,11 +62,16 @@ class QuadUnit:
 
     def __post_init__(self) -> None:
         if (self.u * self.u - self.m * self.v * self.v) != self.norm * self.w * self.w:
-            raise ClassGroupError(f"{self} does not have norm {self.norm}")
+            raise ClassGroupError(f"{self._label()} does not have norm {self.norm}")
         if self.norm not in (1, -1):
-            raise ClassGroupError(f"{self} has norm {self.norm}, not a unit")
+            raise ClassGroupError(f"{self._label()} has norm {self.norm}, not a unit")
         if self.u <= 0 or self.v <= 0:
-            raise ClassGroupError(f"{self} is not the unit > 1 with u, v > 0")
+            raise ClassGroupError(f"{self._label()} is not the unit > 1 with u, v > 0")
+
+    def _label(self) -> str:
+        # by bit lengths: str() of a unit over 4300 digits raises ValueError
+        return (f"unit of Q(sqrt({self.m})) with {self.u.bit_length()}-bit u, "
+                f"{self.v.bit_length()}-bit v")
 
     def __str__(self) -> str:
         body = f"{self.u} + {self.v}*sqrt({self.m})"
@@ -89,7 +81,7 @@ class QuadUnit:
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:
     """Fundamental unit of O_{Q(sqrt(m))}, from one walk of the principal cycle of its D."""
-    if m <= 1 or not is_squarefree(m):
+    if m <= 1 or max(factorize(m).values()) > 1:
         raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
     return _principal_cycle(m)[0]
 

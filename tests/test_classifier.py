@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from classtower import classify, gaussian
 from classtower.abelian import AbelianType
 from classtower.classify import (
     ConsistencyError,
@@ -16,6 +17,7 @@ from classtower.classify import (
     predict,
     subgroup_span,
 )
+from classtower.gaussian import split_prime
 from classtower.gengroup import PsiVariant
 from classtower.symbols import primes_5_mod_8, validate_pair
 
@@ -106,6 +108,7 @@ def test_conjugate_swap_symmetry():
     for pair in pairs_upto(200):
         rec = invariants(pair)
         swapped = invariants(pair, conj_swap=True)
+        assert swapped.splits[1] == split_prime(pair.p2).conjugate_choice()
         assert swapped.B == -rec.B
         assert swapped.pi == (-rec.pi if rec.legendre == -1 else rec.pi)
         rep, rep_swapped = predict(rec), predict(swapped)
@@ -127,6 +130,29 @@ def test_conjugate_swap_cross_validates():
     for p1, p2 in [(5, 13), (5, 37), (5, 29), (13, 29)]:
         _, _, val = classify_pair(p1, p2, conj_swap=True)
         assert val.passed, (p1, p2, [c.name for c in val.failures()])
+
+
+def test_symbols_trust_the_splits(monkeypatch):
+    """Each prime is split once; after that no symbol re-tests primality."""
+    split, inside = [], []
+
+    def split_prime_once(p):
+        inside.append(p)
+        s = split_prime(p)
+        split.append(inside.pop())
+        return s
+
+    def no_retest(n):
+        if split and not inside:
+            raise RuntimeError(f"is_prime({n}) re-tested after the pair was split")
+        return real_is_prime(n)
+
+    real_is_prime = gaussian.is_prime
+    monkeypatch.setattr(classify, "split_prime", split_prime_once)
+    monkeypatch.setattr(gaussian, "is_prime", no_retest)
+    _, _, val = classify_pair(5, 13)
+    assert val.passed
+    assert split == [5, 13]
 
 
 SWAP_K_MAP = {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5, 7: 7}

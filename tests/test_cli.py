@@ -1,8 +1,12 @@
 import ast
+import importlib
 import json
 import os
+import pkgutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 import classtower
-from classtower.cli import _largest_pair_product, build_parser, main
+from classtower.cli import EXIT_INTERRUPTED, _largest_pair_product, build_parser, main
 from classtower.symbols import primes_5_mod_8, validate_pair
 
 
@@ -364,6 +368,33 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and err == b""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupted_scan_exits_130_without_traceback(jobs):
+    # Ctrl-C reaches the whole process group, pool workers included
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "1500",
+                             "--jobs", jobs],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    time.sleep(1.0)
+    os.killpg(proc.pid, signal.SIGINT)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # leave no stuck pool behind
+        raise
+    assert proc.returncode == EXIT_INTERRUPTED == 130
+    assert out == "" and err == "interrupted\n"
+
+
+def test_every_exported_name_resolves():
+    modules = [classtower] + [importlib.import_module(f"classtower.{info.name}")
+                              for info in pkgutil.iter_modules(classtower.__path__)]
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert len(modules) > 1 and stale == []
 
 
 def test_no_assert_statements_in_src():

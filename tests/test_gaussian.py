@@ -44,7 +44,7 @@ def test_split_prime_against_brute_force():
         sp = split_prime(p)
         e, f = split_brute(p)
         assert (sp.e, sp.f) == (e, f)
-        assert sp.pi * sp.pi_bar == GaussianInt(p, 0)
+        assert sp.pi * sp.pi.conjugate() == GaussianInt(p, 0)
         assert sp.e % 2 == 1 and sp.e > 0 and sp.f > 0
 
 
@@ -56,23 +56,22 @@ def test_split_prime_rejects():
 
 
 def test_gauss_symbol_examples():
-    assert gauss_symbol(GaussianInt(1, 2), GaussianInt(3, 2)) == -1
-    assert gauss_symbol(GaussianInt(1, 2), GaussianInt(7, 2)) == 1
+    assert split_prime(13).pi == GaussianInt(3, 2)
+    assert split_prime(53).pi == GaussianInt(7, 2)
+    assert gauss_symbol(GaussianInt(1, 2), split_prime(13)) == -1
+    assert gauss_symbol(GaussianInt(1, 2), split_prime(53)) == 1
     for p in (5, 13, 29):
-        assert gauss_symbol(GaussianInt(1, 0), split_prime(p).pi) == 1
+        assert gauss_symbol(GaussianInt(1, 0), split_prime(p)) == 1
 
 
 def test_gauss_symbol_rejects():
+    # moduli of norm 2 or composite norm have no PrimeSplit (test_split_prime_rejects)
     with pytest.raises(ValueError):
-        gauss_symbol(GaussianInt(1, 2), ONE_PLUS_I)  # norm 2
-    with pytest.raises(ValueError):
-        gauss_symbol(GaussianInt(3, 2), GaussianInt(3, 2))  # alpha = 0 mod pi
-    with pytest.raises(ValueError):
-        gauss_symbol(GaussianInt(1, 0), GaussianInt(5, 2) * GaussianInt(3, 2))
+        gauss_symbol(GaussianInt(3, 2), split_prime(13))  # alpha = 0 mod pi
 
 
 def test_gauss_symbol_is_multiplicative_in_alpha():
-    pi = split_prime(53).pi
+    pi = split_prime(53)
     vals = [GaussianInt(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     vals = [v for v in vals if gauss_symbol_defined(v, pi)]
     for x in vals[:20]:
@@ -92,14 +91,14 @@ def test_conjugate_factor_symbol_is_minus_one():
     # (pi/conj(pi)) = -1 for every p = 5 (mod 8), p < 2000
     for p in primes_5_mod_8(2000):
         sp = split_prime(p)
-        assert gauss_symbol(sp.pi, sp.pi_bar) == -1
+        assert gauss_symbol(sp.pi, sp.conjugate_choice()) == -1
 
 
 def test_one_plus_i_flips_between_conjugates():
     # (2/p) = -1 forces (1+i/pi) = -(1+i/conj(pi))
     for p in primes_5_mod_8(2000):
         sp = split_prime(p)
-        assert gauss_symbol(ONE_PLUS_I, sp.pi) == -gauss_symbol(ONE_PLUS_I, sp.pi_bar)
+        assert gauss_symbol(ONE_PLUS_I, sp) == -gauss_symbol(ONE_PLUS_I, sp.conjugate_choice())
 
 
 def valid_pairs(limit):
@@ -112,10 +111,11 @@ def test_conjugate_choice_invariance_legendre_plus():
         if jacobi(p1, p2) != 1:
             continue
         s1, s2 = split_prime(p1), split_prime(p2)
-        base = gauss_symbol(s1.pi, s2.pi)
-        assert gauss_symbol(s1.pi_bar, s2.pi) == base
-        assert gauss_symbol(s1.pi, s2.pi_bar) == base
-        assert gauss_symbol(s1.pi_bar, s2.pi_bar) == base
+        s1_bar, s2_bar = s1.conjugate_choice(), s2.conjugate_choice()
+        base = gauss_symbol(s1.pi, s2)
+        assert gauss_symbol(s1_bar.pi, s2) == base
+        assert gauss_symbol(s1.pi, s2_bar) == base
+        assert gauss_symbol(s1_bar.pi, s2_bar) == base
 
 
 def test_conjugate_swap_flips_legendre_minus():
@@ -123,10 +123,11 @@ def test_conjugate_swap_flips_legendre_minus():
         if jacobi(p1, p2) != -1:
             continue
         s1, s2 = split_prime(p1), split_prime(p2)
-        base = gauss_symbol(s1.pi, s2.pi)
-        assert gauss_symbol(s1.pi_bar, s2.pi_bar) == base
-        assert gauss_symbol(s1.pi_bar, s2.pi) == -base
-        assert gauss_symbol(s1.pi, s2.pi_bar) == -base
+        s1_bar, s2_bar = s1.conjugate_choice(), s2.conjugate_choice()
+        base = gauss_symbol(s1.pi, s2)
+        assert gauss_symbol(s1_bar.pi, s2_bar) == base
+        assert gauss_symbol(s1_bar.pi, s2) == -base
+        assert gauss_symbol(s1.pi, s2_bar) == -base
 
 
 def test_quartic_product_identity_legendre_plus():
@@ -165,3 +166,28 @@ def test_symbols_reject_equal_primes():
         symbol_pi(s, s)
     with pytest.raises(ValueError):
         symbol_B(s, s)
+
+
+def test_i_residue_is_a_root_of_each_factor():
+    # e + 2fi = 0 in Z[i]/(pi): the stored residue of i, for pi and conj(pi)
+    for p in primes_5_mod_8(2000):
+        for s in (split_prime(p), split_prime(p).conjugate_choice()):
+            assert (s.pi.re + s.pi.im * s.i_residue) % p == 0, (p, s)
+
+
+def divisible_by(beta, pi, p):
+    """pi | beta in Z[i] for pi of prime norm p, i.e. p | beta conj(pi); no residue of i."""
+    t = beta * pi.conjugate()
+    return t.re % p == 0 and t.im % p == 0
+
+
+def test_gauss_symbol_matches_brute_force_squares():
+    # alpha is a square mod pi iff pi | alpha - x^2 for some integer x in 0..p-1
+    alphas = [GaussianInt(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for p in primes_5_mod_8(200):
+        for s in (split_prime(p), split_prime(p).conjugate_choice()):
+            for alpha in alphas:
+                if divisible_by(alpha, s.pi, p):
+                    continue
+                square = any(divisible_by(alpha - GaussianInt(x * x, 0), s.pi, p) for x in range(p))
+                assert gauss_symbol(alpha, s) == (1 if square else -1), (p, s.pi, alpha)

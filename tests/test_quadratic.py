@@ -17,6 +17,7 @@ from classtower.abelian import AbelianType
 from classtower.quadratic import (
     BQForm,
     ClassGroupError,
+    QuadUnit,
     class_group,
     compose,
     exponents_mn,
@@ -94,6 +95,12 @@ def test_fundamental_unit_rejects():
         fundamental_unit(12)
     with pytest.raises(ValueError):
         fundamental_unit(1)
+
+
+def test_quad_unit_error_names_a_huge_unit():
+    # u has over 4300 digits, where str(u) raises ValueError
+    with pytest.raises(ClassGroupError, match="16610-bit u"):
+        QuadUnit(10**5000, 1, 1, 2, 1)
 
 
 def test_norm_eps_values():
