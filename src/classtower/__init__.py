@@ -12,6 +12,7 @@ from .classify import (
     ConsistencyError,
     InvariantRecord,
     PredictionReport,
+    Profile,
     ValidationReport,
     classify_pair,
     cross_validate,
@@ -57,6 +58,7 @@ __all__ = [
     "PredictionReport",
     "PrimePair",
     "PrimeSplit",
+    "Profile",
     "PsiVariant",
     "QuadUnit",
     "Subgroup",

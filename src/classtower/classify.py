@@ -1,8 +1,9 @@
 """End-to-end decision logic for a prime pair: invariants, predictions, validation.
 
-The flow is invariants() -> predict() -> cross_validate().  The norm class
-groups and capitulation kernels are transcribed decision tables keyed by the
-symbols (legendre, pi, B, q); norm_groups_from_symbols() recomputes the same
+The flow is invariants() (per pair) -> predict(profile) (cached) ->
+cross_validate().  The norm class groups and capitulation kernels are
+transcribed decision tables keyed by the symbols (legendre, pi, B, q);
+norm_groups_from_symbols() recomputes the same
 subgroups from first principles (one quadratic symbol per generator class and
 radicand representation) to keep the transcription honest, and
 cross_validate() rebuilds everything inside the concrete group model, where
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .abelian import AbelianType
 from .gaussian import (
@@ -56,6 +58,7 @@ from .unitindex import q_from_symbols, unit_index_q
 __all__ = [
     "ConsistencyError",
     "RULES",
+    "Profile",
     "InvariantRecord",
     "FieldLabel",
     "KPrediction",
@@ -115,6 +118,18 @@ def vector_name(v: ClassVector) -> str:
 # ---------------------------------------------------------------------------
 
 
+class Profile(NamedTuple):
+    """The symbols and exponents that key every table, prediction and engine check."""
+
+    legendre: int
+    pi: int  # (pi_1/pi_3)
+    B: int  # (1+i/pi_1)(1+i/pi_3)
+    q: int
+    m: int
+    n: int
+    psi: PsiVariant
+
+
 @dataclass(frozen=True)
 class InvariantRecord:
     pair: PrimePair
@@ -126,14 +141,19 @@ class InvariantRecord:
     q: int
     norm_eps_r: int
     psi: PsiVariant
-    splits: tuple[PrimeSplit, ...] = ()  # (pi_1, pi_3) of the symbols; () when detached
+    splits: tuple[PrimeSplit, ...]  # (pi_1, pi_3) of the symbols
 
     @property
     def d(self) -> int:
         return self.pair.d
 
-    def profile(self) -> tuple:
-        return (self.legendre, self.pi, self.B, self.q, self.m, self.n, self.psi)
+    @property
+    def disc(self) -> int:
+        # discriminant of k: the product of its three quadratic subfield discriminants
+        return 256 * self.pair.p1**2 * self.pair.p2**2
+
+    def profile(self) -> Profile:
+        return Profile(self.legendre, self.pi, self.B, self.q, self.m, self.n, self.psi)
 
 
 def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
@@ -166,33 +186,35 @@ def _quartic_product_holds(rec: InvariantRecord) -> bool:
     return quartic_symbol(p1, p2) * quartic_symbol(p2, p1) == rec.pi
 
 
-def q_matches_pi_b(rec: InvariantRecord) -> bool:
+def q_matches_pi_b(profile: Profile) -> bool:
     """(q = 1) <=> (pi = B), forced when (p1/p2) = -1."""
-    return (rec.q == 1) == (rec.pi == rec.B)
+    return (profile.q == 1) == (profile.pi == profile.B)
 
 
 def _q_agrees(rec: InvariantRecord) -> bool:
-    return rec.norm_eps_r == -1 and rec.q == q_from_symbols(rec.pair) and q_matches_pi_b(rec)
+    return rec.norm_eps_r == -1 and rec.q == q_from_symbols(rec.pair) and q_matches_pi_b(rec.profile())
 
 
-def exponents_coupled(rec: InvariantRecord) -> bool:
-    """N(eps_r) = +1 forces q = 1; (legendre, pi, q) constrain m and n."""
-    if rec.norm_eps_r == 1 and rec.q != 1:
+def exponents_coupled(profile: Profile) -> bool:
+    """(legendre, pi, q) constrain m and n."""
+    if profile.q == 2 and profile.m != 2:
         return False
-    if rec.q == 2 and rec.m != 2:
-        return False
-    if rec.legendre == -1:
-        return rec.n == 1 and (rec.q == 2 or rec.m >= 3)
-    if rec.pi == -1:
-        return rec.q == 1 and rec.n == 1 and rec.m >= 3
-    return rec.m == 2 and rec.n >= 2
+    if profile.legendre == -1:
+        return profile.n == 1 and (profile.q == 2 or profile.m >= 3)
+    if profile.pi == -1:
+        return profile.q == 1 and profile.n == 1 and profile.m >= 3
+    return profile.m == 2 and profile.n >= 2
 
 
 # name -> (applies to the record, holds for the record)
 RULES = {
     "quartic-product-rule": (lambda rec: rec.legendre == 1, _quartic_product_holds),
     "q-agreement": (lambda rec: rec.legendre == -1, _q_agrees),
-    "exponent-coupling": (lambda rec: True, exponents_coupled),
+    # N(eps_r) = +1 forces q = 1; the rest constrains the profile alone
+    "exponent-coupling": (
+        lambda rec: True,
+        lambda rec: (rec.norm_eps_r != 1 or rec.q == 1) and exponents_coupled(rec.profile()),
+    ),
 }
 
 
@@ -273,11 +295,6 @@ def field_layout(record: InvariantRecord) -> list[FieldLabel]:
     return out
 
 
-def discriminant_of_base_field(pair: PrimePair) -> int:
-    # product of the three quadratic subfield discriminants
-    return 256 * pair.p1**2 * pair.p2**2
-
-
 # ---------------------------------------------------------------------------
 # Norm class groups: transcribed table and first-principles recomputation
 # ---------------------------------------------------------------------------
@@ -305,19 +322,19 @@ _N_MINUS = {
 }
 
 
-def _keyed_entry(plus: dict, minus: dict, record: InvariantRecord, j: int):
+def _keyed_entry(plus: dict, minus: dict, profile: Profile, j: int):
     """Entry j of the table plus when (p1/p2) = +1, of minus when it is -1; a keyed entry
     is looked up by (pi, B) in plus and by (q, pi) in minus."""
-    if record.legendre == 1:
-        entry, key = plus[j], (record.pi, record.B)
+    if profile.legendre == 1:
+        entry, key = plus[j], (profile.pi, profile.B)
     else:
-        entry, key = minus[j], (record.q, record.pi)
+        entry, key = minus[j], (profile.q, profile.pi)
     return entry[key] if isinstance(entry, dict) else entry
 
 
-def norm_groups(record: InvariantRecord) -> dict[int, frozenset[ClassVector]]:
+def norm_groups(profile: Profile) -> dict[int, frozenset[ClassVector]]:
     """The norm class groups N_1..N_7 from the transcribed decision table."""
-    return {j: subgroup_span(_keyed_entry(_N_PLUS, _N_MINUS, record, j)) for j in range(1, 8)}
+    return {j: subgroup_span(_keyed_entry(_N_PLUS, _N_MINUS, profile, j)) for j in range(1, 8)}
 
 
 # radicand factorizations: each K_j has the two representations delta, d/delta
@@ -381,65 +398,65 @@ _KAPPA_B = {
 }
 
 
-def kernels(record: InvariantRecord) -> dict[int, frozenset[ClassVector]]:
+def kernels(profile: Profile) -> dict[int, frozenset[ClassVector]]:
     out = {
         1: subgroup_span(("H1", "H2")),
         2: subgroup_span(("H0H1", "H0H2")),
-        3: subgroup_span(("H0", "H1H2") if record.q == 1 else ("H0",)),
+        3: subgroup_span(("H0", "H1H2") if profile.q == 1 else ("H0",)),
     }
     for j in range(4, 8):
-        out[j] = subgroup_span(_KAPPA_B[j][record.B])
+        out[j] = subgroup_span(_KAPPA_B[j][profile.B])
     return out
 
 
-def k_type(record: InvariantRecord, j: int) -> AbelianType:
-    m, n, q = record.m, record.n, record.q
+def k_type(profile: Profile, j: int) -> AbelianType:
+    m, n, q = profile.m, profile.n, profile.q
     if j in (1, 2):
-        return AbelianType((2, 2, 2)) if record.legendre == 1 else AbelianType((2, 4))
+        return AbelianType((2, 2, 2)) if profile.legendre == 1 else AbelianType((2, 4))
     if j == 3:
         if q == 1:
             return AbelianType.from_factors((1 << m, 1 << (n + 1)))
         return AbelianType.from_factors(
             (1 << min(m, n + 1), 1 << max(m + 1, n + 2))
         )
-    if record.legendre == 1:
-        return AbelianType((2, 2, 2)) if record.pi == -1 else AbelianType((2, 4))
+    if profile.legendre == 1:
+        return AbelianType((2, 2, 2)) if profile.pi == -1 else AbelianType((2, 4))
     # legendre = -1: K4/K7 and K5/K6 pair up, exchanged by the sign of pi
-    two_four = {4, 7} if record.pi == -1 else {5, 6}
+    two_four = {4, 7} if profile.pi == -1 else {5, 6}
     return AbelianType((2, 4)) if j in two_four else AbelianType((2, 2, 2))
 
 
-def l_type(record: InvariantRecord, j: int) -> AbelianType:
-    m, n, q = record.m, record.n, record.q
+def l_type(profile: Profile, j: int) -> AbelianType:
+    m, n, q = profile.m, profile.n, profile.q
     if j == 1:
         if q == 1:
             return AbelianType.from_factors((1 << n, 1 << m))
         return AbelianType.from_factors((1 << min(m, n), 1 << max(m + 1, n + 1)))
     if j in (2, 3, 4, 5):
-        if record.legendre == 1 and record.pi == -1:
+        if profile.legendre == 1 and profile.pi == -1:
             return AbelianType((2, 2, 2))
         return AbelianType((2, 4))
     # L6 / L7
     if q == 2:
-        if record.legendre == 1:
+        if profile.legendre == 1:
             return AbelianType.from_factors((2, 1 << (n + 2)))
-        flip = (record.pi == -1) == (j == 6)
+        flip = (profile.pi == -1) == (j == 6)
         return AbelianType((2, 8)) if flip else AbelianType((4, 4))
-    b_here = record.B if j == 6 else -record.B
+    b_here = profile.B if j == 6 else -profile.B
     if b_here == 1:
         return AbelianType.from_factors((1 << (m - 1), 1 << (n + 1)))
     return AbelianType.from_factors((1 << min(m - 1, n), 1 << max(m, n + 1)))
 
 
-def derived_type(record: InvariantRecord) -> AbelianType:
-    m, n, q = record.m, record.n, record.q
+def derived_type(profile: Profile) -> AbelianType:
+    m, n, q = profile.m, profile.n, profile.q
     if q == 1:
         return AbelianType.from_factors((1 << (m - 1), 1 << n))
     return AbelianType.from_factors((2, 1 << (n + 1)))
 
 
-def nilpotency_class_formula(record: InvariantRecord) -> int:
-    m, n, q = record.m, record.n, record.q
+def nilpotency_class_formula(profile: Profile) -> int:
+    m, n, q = profile.m, profile.n, profile.q
     return max(n, m - 1) + 1 if q == 1 else max(n + 1, m) + 1
 
 
@@ -515,8 +532,6 @@ class LPrediction:
 
 @dataclass(frozen=True)
 class PredictionReport:
-    record: InvariantRecord
-    disc: int
     group_order: int
     derived: AbelianType  # = Cl2 of the first Hilbert field
     cl2_k3: AbelianType
@@ -525,17 +540,13 @@ class PredictionReport:
     k_fields: dict[int, KPrediction]
     l_fields: dict[int, LPrediction]
 
-    @property
-    def kernel_sizes(self) -> dict[str, int]:
-        sizes = {f"K{j}": len(self.k_fields[j].kernel) for j in range(1, 8)}
-        sizes.update({f"L{j}": len(self.l_fields[j].kernel) for j in range(1, 8)})
-        return sizes
 
-
-def predict(record: InvariantRecord) -> PredictionReport:
-    m, n, q = record.m, record.n, record.q
-    norms = norm_groups(record)
-    kerns = kernels(record)
+@lru_cache(maxsize=None)
+def predict(profile: Profile) -> PredictionReport:
+    profile = Profile(*profile)  # a TypeError for anything that is not a 7-tuple
+    m, n, q = profile.m, profile.n, profile.q
+    norms = norm_groups(profile)
+    kerns = kernels(profile)
     k_fields = {}
     for j in range(1, 8):
         kern = kerns[j]
@@ -545,7 +556,7 @@ def predict(record: InvariantRecord) -> PredictionReport:
             _K_RADICANDS[j],
             norm,
             kern,
-            k_type(record, j),
+            k_type(profile, j),
             len(kern & norm) > 1,
         )
     l_fields = {}
@@ -557,30 +568,27 @@ def predict(record: InvariantRecord) -> PredictionReport:
             L_FACTORS[j],
             norms[a] & norms[b] & norms[c],
             full,
-            l_type(record, j),
+            l_type(profile, j),
         )
     order_bits = m + n + (2 if q == 1 else 3)
     report = PredictionReport(
-        record,
-        discriminant_of_base_field(record.pair),
         1 << order_bits,
-        derived_type(record),
-        k_type(record, 3),
+        derived_type(profile),
+        k_type(profile, 3),
         3,
-        nilpotency_class_formula(record),
+        nilpotency_class_formula(profile),
         k_fields,
         l_fields,
     )
-    _check_report(report)
+    _check_report(profile, report)
     return report
 
 
-def _check_report(report: PredictionReport) -> None:
-    rec = report.record
+def _check_report(profile: Profile, report: PredictionReport) -> None:
     for j, kf in report.k_fields.items():
         if len(kf.norm_group) != 4:
             raise ConsistencyError(f"norm group of K{j} must have index 2")
-        expected = 4 if (j != 3 or rec.q == 1) else 2
+        expected = 4 if (j != 3 or profile.q == 1) else 2
         if len(kf.kernel) != expected:
             raise ConsistencyError(f"kernel size of K{j}: {len(kf.kernel)} != {expected}")
         if not kf.taussky_A:
@@ -589,7 +597,7 @@ def _check_report(report: PredictionReport) -> None:
         if len(lf.norm_group) != 2:
             raise ConsistencyError(f"norm group of L{j} must have index 4")
     # h(K3) product rule: |Cl2(K3)| = 2^(n+m+1) for q=1, 2^(n+m+2) for q=2
-    expected = 1 << (rec.n + rec.m + (1 if rec.q == 1 else 2))
+    expected = 1 << (profile.n + profile.m + (1 if profile.q == 1 else 2))
     if report.cl2_k3.order() != expected:
         raise ConsistencyError(
             f"|Cl2(K3)| = {report.cl2_k3.order()} != {expected} (class number product rule)"
@@ -625,7 +633,7 @@ def _fmt_vectors(vs) -> str:
     return "{" + ",".join(sorted(vector_name(v) for v in vs)) + "}"
 
 
-def engine_subgroups(profile: tuple):
+def engine_subgroups(profile: Profile):
     """(presentation, G, G', {"K1": .., "K7": .., "L1": .., "L7": ..}).
 
     K_j is generated by G' and the classes of N_j; L_j is the intersection of
@@ -635,7 +643,7 @@ def engine_subgroups(profile: tuple):
     pres = GPresentation(m, n, q, psi)
     G = Subgroup.whole_group(pres)
     Gp = G.derived_subgroup()
-    norms = norm_groups(_profile_record(profile))
+    norms = {j: kf.norm_group for j, kf in predict(profile).k_fields.items()}
     subgroups = {
         f"K{j}": Subgroup.generated(pres, [*(class_to_group(pres, v) for v in norms[j]), *Gp.generators])
         for j in range(1, 8)
@@ -646,56 +654,44 @@ def engine_subgroups(profile: tuple):
 
 
 @lru_cache(maxsize=None)
-def _engine_checks(profile: tuple) -> tuple[Check, ...]:
-    legendre, pi, b, q, m, n, psi = profile
-    rec = _profile_record(profile)
+def _engine_checks(profile: Profile) -> tuple[Check, ...]:
+    report = predict(profile)
     pres, G, Gp, subgroups = engine_subgroups(profile)
     checks: list[Check] = []
 
     def add(name, expected, got):
         checks.append(Check(name, expected == got, str(expected), str(got)))
 
-    add("G:order", 1 << (m + n + (2 if q == 1 else 3)), G.order)
+    add("G:order", report.group_order, G.order)
     add("G:derived-generators", True, Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")]))
     add("G:abelianization", AbelianType((2, 2, 2)), abelian_invariants(G, Gp))
-    add("G:derived-type", derived_type(rec), abelian_invariants(Gp, Subgroup.trivial(pres)))
+    add("G:derived-type", report.derived, abelian_invariants(Gp, Subgroup.trivial(pres)))
     series = lower_central_series(pres)
-    add("G:nilpotency-class", nilpotency_class_formula(rec), len(series) - 1)
-    add("G:coclass", 3, G.order.bit_length() - 1 - (len(series) - 1))
+    add("G:nilpotency-class", report.nilpotency_class, len(series) - 1)
+    add("G:coclass", report.coclass, G.order.bit_length() - 1 - (len(series) - 1))
 
-    norms = norm_groups(rec)
-    kerns = kernels(rec)
     k_types = {}
-    for j in range(1, 8):
+    for j, kf in report.k_fields.items():
         Gj = subgroups[f"K{j}"]
         add(f"K{j}:index", 2, Gj.index_in(G))
-        words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, rec, j)
+        words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
         add(f"K{j}:subgroup-words", True, Gj == Subgroup.generated(pres, [pres.word(w) for w in words]))
         k_types[j] = Gj.abelianization()
-        add(f"K{j}:type", k_type(rec, j), k_types[j])
+        add(f"K{j}:type", kf.cl2, k_types[j])
         kern = transfer_kernel(pres, Gj)
-        add(f"K{j}:kernel", _fmt_vectors(kerns[j]), _fmt_vectors(kern))
-        add(f"K{j}:taussky-A", True, len(kern & norms[j]) > 1)
-    add("K3:class-group", k_type(rec, 3), k_types[3])
+        add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(kern))
+        add(f"K{j}:taussky-A", True, len(kern & kf.norm_group) > 1)
+    add("K3:class-group", report.cl2_k3, k_types[3])
 
-    full = frozenset(CLASS_VECTORS)
-    for j in range(1, 8):
+    for j, lf in report.l_fields.items():
         Hj = subgroups[f"L{j}"]
         add(f"L{j}:index", 4, Hj.index_in(G))
-        words = _keyed_entry(_GL_PLUS, _GL_MINUS, rec, j)
+        words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
         add(f"L{j}:subgroup-words", True, Hj == Subgroup.generated(pres, [pres.word(w) for w in words]))
-        add(f"L{j}:type", l_type(rec, j), Hj.abelianization())
+        add(f"L{j}:type", lf.cl2, Hj.abelianization())
         kern = transfer_kernel(pres, Hj)
-        add(f"L{j}:kernel-total", _fmt_vectors(full), _fmt_vectors(kern))
+        add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(kern))
     return tuple(checks)
-
-
-def _profile_record(profile: tuple) -> InvariantRecord:
-    """A detached record carrying only the symbol data (no pair), for table lookups."""
-    legendre, pi, b, q, m, n, psi = profile
-    return InvariantRecord(
-        PrimePair(0, 0), legendre, pi, b, q=q, m=m, n=n, norm_eps_r=0, psi=psi
-    )
 
 
 def cross_validate(record: InvariantRecord) -> ValidationReport:
@@ -705,26 +701,27 @@ def cross_validate(record: InvariantRecord) -> ValidationReport:
     re-derives the norm groups from first-principles symbols and compares
     against the transcribed table.
     """
-    checks = list(_engine_checks(record.profile()))
-    table = norm_groups(record)
+    profile = record.profile()
+    checks = list(_engine_checks(profile))
+    table = predict(profile).k_fields
     first_principles = norm_groups_from_symbols(record)
     for j in range(1, 8):
         checks.append(
             Check(
                 f"K{j}:norm-group-symbols",
-                table[j] == first_principles[j],
-                _fmt_vectors(table[j]),
+                table[j].norm_group == first_principles[j],
+                _fmt_vectors(table[j].norm_group),
                 _fmt_vectors(first_principles[j]),
             )
         )
     return ValidationReport(tuple(checks))
 
 
-def engine_abelianizations(profile: tuple) -> dict[str, AbelianType]:
+def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     """The 14 subgroup abelianizations for a symbol tuple and exponents.
 
-    profile = (legendre, pi, B, q, m, n, psi); raises KeyError when the symbol
-    tuple falls outside the tabulated cases.
+    profile = (legendre, pi, B, q, m, n, psi), a Profile or a plain tuple;
+    raises KeyError when the symbol tuple falls outside the tabulated cases.
     """
     return {name: H.abelianization() for name, H in engine_subgroups(profile)[3].items()}
 
@@ -733,6 +730,6 @@ def classify_pair(p1: int, p2: int, conj_swap: bool = False):
     """Full pipeline: validate, compute invariants, predict, cross-validate."""
     pair = validate_pair(p1, p2)
     record = invariants(pair, conj_swap=conj_swap)
-    report = predict(record)
+    report = predict(record.profile())
     validation = cross_validate(record)
     return record, report, validation

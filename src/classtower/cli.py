@@ -19,8 +19,8 @@ from .abelian import AbelianType
 from .classify import (
     InvariantRecord,
     PredictionReport,
+    Profile,
     ValidationReport,
-    _profile_record,
     applicable_rules,
     classify_pair,
     engine_abelianizations,
@@ -85,7 +85,7 @@ def report_to_dict(
         "p1": record.pair.p1,
         "p2": record.pair.p2,
         "d": record.d,
-        "disc": report.disc,
+        "disc": record.disc,
         "invariants": {
             "legendre": record.legendre,
             "pi": record.pi,
@@ -119,7 +119,7 @@ def report_to_dict(
 
 def _print_classify_text(record, report, validation):
     rec = record
-    print(f"pair (p1, p2) = ({rec.pair.p1}, {rec.pair.p2}),  d = {rec.d},  disc = {report.disc}")
+    print(f"pair (p1, p2) = ({rec.pair.p1}, {rec.pair.p2}),  d = {rec.d},  disc = {rec.disc}")
     print(
         f"symbols: (p1/p2) = {rec.legendre:+d}, pi = {rec.pi:+d}, B = {rec.B:+d}, "
         f"N(eps_r) = {rec.norm_eps_r:+d}"
@@ -226,10 +226,10 @@ def cmd_verify_fixtures(args) -> int:
     return EXIT_OK if n_pass == n_rows else EXIT_FIXTURE
 
 
-def _admissible(m: int, n: int, q: int) -> bool:
+def _admissible(m: int, n: int, q: int, psi: PsiVariant) -> bool:
     """Some (legendre, pi) couples with the exponents (m, n, q)."""
     return any(
-        exponents_coupled(_profile_record((legendre, pi, 1, q, m, n, None)))
+        exponents_coupled(Profile(legendre, pi, 1, q, m, n, psi))
         for legendre in (1, -1)
         for pi in (1, -1)
     )
@@ -242,7 +242,7 @@ def cmd_group(args) -> int:
     except PresentationError as exc:
         print(f"invalid presentation: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    admissible = _admissible(args.m, args.n, args.q)
+    admissible = _admissible(args.m, args.n, args.q, psi)
     if not admissible and not args.force:
         print(
             f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent "
@@ -268,9 +268,8 @@ def cmd_group(args) -> int:
         "admissible": admissible,
     }
     if args.legendre is not None:
-        profile = (args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
-        record = _profile_record(profile)
-        if not exponents_coupled(record) or (args.legendre == -1 and not q_matches_pi_b(record)):
+        profile = Profile(args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
+        if not exponents_coupled(profile) or (args.legendre == -1 and not q_matches_pi_b(profile)):
             print(
                 "symbol tuple inconsistent: no pair has these symbols with "
                 f"(m, n, q) = ({args.m}, {args.n}, {args.q}) (see the exponent-coupling "

@@ -139,7 +139,7 @@ def verify_row(row: FixtureRow) -> RowResult:
         "b": record.B,
         "m": record.m,
         "n": record.n,
-        "disc": report.disc,
+        "disc": record.disc,
         "coclass": report.coclass,
     }
     for key, printed in sorted(row.values.items()):

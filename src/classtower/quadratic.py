@@ -572,7 +572,7 @@ def exponents_mn(pair: PrimePair) -> tuple[int, int]:
     m = h_minus_two.bit_length() - 2
     n = h_plus_two.bit_length() - 1
     if m < 2:
-        raise AssertionError(f"m={m} < 2 for pair {pair}; oracle bug")
+        raise ClassGroupError(f"m={m} < 2 for pair {pair}; oracle bug")
     if n < 1:
-        raise AssertionError(f"n={n} < 1 for pair {pair}; oracle bug")
+        raise ClassGroupError(f"n={n} < 1 for pair {pair}; oracle bug")
     return m, n

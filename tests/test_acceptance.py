@@ -16,7 +16,6 @@ from classtower.classify import (
     class_to_group,
     classify_pair,
     norm_groups,
-    _profile_record,
 )
 from classtower.fixtures import verify_fixtures
 from classtower.gengroup import (
@@ -132,10 +131,9 @@ def test_criterion_4_master_property(sweep):
     # kernel sizes read off the engine itself, once per distinct symbol profile
     profiles = {record.profile() for record, _, _ in results.values()}
     for profile in profiles:
-        rec = _profile_record(profile)
         pres = GPresentation(profile[4], profile[5], profile[3], profile[6])
         derived = Subgroup.whole_group(pres).derived_subgroup()
-        norms = norm_groups(rec)
+        norms = norm_groups(profile)
         for j in range(1, 8):
             gens = [class_to_group(pres, v) for v in norms[j]] + list(derived.generators)
             Gj = Subgroup.generated(pres, gens)

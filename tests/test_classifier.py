@@ -47,8 +47,7 @@ def test_field_layout():
     assert labels["L1"].note == "genus field"
     assert labels["K4"].normal_over_Q is False
     assert labels["K1"].normal_over_Q is True
-    report = predict(rec)
-    assert report.disc == 1081600
+    assert rec.disc == 1081600
 
 
 def test_norm_groups_table_entries():
@@ -82,7 +81,7 @@ def test_predict_fixture_examples():
 def test_kernel_sizes():
     for pair in pairs_upto(200):
         rec = invariants(pair)
-        rep = predict(rec)
+        rep = predict(rec.profile())
         for j in range(1, 8):
             expected = 4 if (j != 3 or rec.q == 1) else 2
             assert len(rep.k_fields[j].kernel) == expected
@@ -111,7 +110,7 @@ def test_conjugate_swap_symmetry():
         assert swapped.splits[1] == split_prime(pair.p2).conjugate_choice()
         assert swapped.B == -rec.B
         assert swapped.pi == (-rec.pi if rec.legendre == -1 else rec.pi)
-        rep, rep_swapped = predict(rec), predict(swapped)
+        rep, rep_swapped = predict(rec.profile()), predict(swapped.profile())
         for j in range(1, 8):
             other = rep_swapped.k_fields[CONJ_K_MAP[j]]
             mine = rep.k_fields[j]
@@ -177,7 +176,7 @@ def test_pair_order_swap_invariance():
             rec_swapped.q,
             rec_swapped.psi,
         )
-        rep, rep_swapped = predict(rec), predict(rec_swapped)
+        rep, rep_swapped = predict(rec.profile()), predict(rec_swapped.profile())
         for j in range(1, 8):
             assert rep.k_fields[j].cl2 == rep_swapped.k_fields[SWAP_K_MAP[j]].cl2
             assert len(rep.k_fields[j].kernel) == len(
@@ -189,7 +188,7 @@ def test_pair_order_swap_invariance():
 def test_h_k3_product_law():
     for pair in pairs_upto(200):
         rec = invariants(pair)
-        rep = predict(rec)
+        rep = predict(rec.profile())
         expected = 1 << (rec.n + rec.m + (1 if rec.q == 1 else 2))
         assert rep.cl2_k3.order() == expected
 
@@ -198,6 +197,15 @@ def test_engine_abelianizations_helper():
     fields = engine_abelianizations((-1, -1, 1, 2, 2, 1, PsiVariant.TAU_SIGMA))
     assert fields["K3"] == AbelianType((4, 8))
     assert fields["L7"] == AbelianType((4, 4))
+    # the same profile as a Profile of (5, 13): a real 7-tuple, one cached report
+    rec = invariants(validate_pair(5, 13))
+    prof = rec.profile()
+    assert prof == tuple(prof) and hash(prof) == hash(tuple(prof))
+    assert prof[:6] + (prof[6].value,) == (-1, -1, 1, 2, 2, 1, "tau-sigma")
+    assert predict(tuple(prof)) is predict(prof)
+    assert engine_abelianizations(prof) == fields
+    with pytest.raises(TypeError):
+        predict(rec)
     with pytest.raises(KeyError):
         engine_abelianizations((1, 0, 1, 1, 3, 1, PsiVariant.TAU_SIGMA))
 
@@ -205,9 +213,7 @@ def test_engine_abelianizations_helper():
 def test_detached_consistency_errors():
     # a record with a wrong q must be rejected by the consistency layer
     rec = invariants(validate_pair(5, 13))
-    bad = type(rec)(
-        rec.pair, rec.legendre, rec.pi, rec.B, rec.m, rec.n, 1, rec.norm_eps_r, rec.psi
-    )
+    bad = replace(rec, q=1)
     from classtower.classify import _check_consistency
 
     with pytest.raises(ConsistencyError):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 import classtower
+from classtower.abelian import AbelianType
 from classtower.cli import EXIT_INTERRUPTED, _largest_pair_product, build_parser, main
 from classtower.symbols import primes_5_mod_8, validate_pair
 
@@ -357,6 +358,66 @@ def test_merged_coset_keys_under_python_O():
     assert proc.stderr.count("has index 1 over K") == 6
 
 
+_SHRUNK_KERNEL = """
+import sys
+from classtower import classify
+from classtower.cli import main
+classify._KAPPA_B[4][1] = ("H0",)  # the B = +1 kernel of K4 loses a generator
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_prediction_self_check_under_python_O():
+    # the report's kernel-size check raises ConsistencyError, an AssertionError, also under -O;
+    # lru_cache keeps no exception, so the failing profile fails on each of its pairs
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _SHRUNK_KERNEL, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "kernel size of K4" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    payload = json.loads(proc.stdout)
+    assert payload["pairs"] == 6
+    assert payload["failing_pairs"] == [  # the B = +1 pairs, which share one profile
+        {"p1": 5, "p2": 13, "failed": ["self-check"]},
+        {"p1": 29, "p2": 37, "failed": ["self-check"]},
+    ]
+    assert proc.stderr.count("kernel size of K4") == 2
+
+
+def test_predict_runs_once_per_profile(capsys, monkeypatch):
+    # the tables are evaluated once per symbol profile, not once per pair
+    from classtower import classify
+
+    norm_groups, calls = classify.norm_groups, []
+
+    def counted(profile):
+        calls.append(profile)
+        return norm_groups(profile)
+
+    monkeypatch.setattr(classify, "norm_groups", counted)
+    classify.predict.cache_clear()
+    classify._engine_checks.cache_clear()
+    try:
+        code, _, _ = run(capsys, "scan", "--max", "200")
+        misses = classify.predict.cache_info().misses
+    finally:
+        classify.predict.cache_clear()
+        classify._engine_checks.cache_clear()
+    ps = primes_5_mod_8(200)
+    profiles = {classify.invariants(validate_pair(a, b)).profile()
+                for i, a in enumerate(ps) for b in ps[i + 1 :]}
+    assert code == 0
+    assert misses == len(profiles)
+    assert len(calls) == len(profiles) and set(calls) == profiles
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # a reader that closes the pipe at once: exit code 1 and nothing on stderr
     src = str(Path(classtower.__file__).resolve().parents[1])
@@ -403,6 +464,17 @@ def test_no_assert_statements_in_src():
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_private_imports_across_modules():
+    # a module reaches another module only through its public names
+    package = Path(classtower.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "classtower")
+             for alias in node.names if alias.name.startswith("_")]
     assert found == []
 
 
@@ -494,6 +566,20 @@ def test_principal_cycle_checks_under_python_O(forgery, message):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+def test_out_of_range_exponent_exits_3(capsys, monkeypatch):
+    # a 2-class group of -p1p2 of order 2 gives m = 0; exponents_mn raises ClassGroupError
+    from classtower import quadratic
+
+    two_part = quadratic.two_part_of_class_group
+    monkeypatch.setattr(quadratic, "two_part_of_class_group",
+                        lambda D: AbelianType((2,)) if D < 0 else two_part(D))
+    with pytest.raises(quadratic.ClassGroupError, match="m=0 < 2"):
+        quadratic.exponents_mn(validate_pair(5, 13))
+    code, out, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
+    assert code == 3 and out == ""
+    assert err.startswith("consistency failure:") and err.count("\n") == 1
 
 
 def test_forged_square_root_exits_3(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import classtower
 from classtower import gengroup
 from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
-from classtower.classify import _profile_record, derived_type, nilpotency_class_formula
+from classtower.classify import Profile, derived_type, nilpotency_class_formula
 from classtower.gengroup import (
     CLASS_VECTORS,
     GPresentation,
@@ -653,14 +653,14 @@ _ADMISSIBLE_UP_TO_GUARD = st.one_of(  # every admissible pattern with |G| <= 2^2
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(pres=_ADMISSIBLE_UP_TO_GUARD, data=st.data())
 def test_structure_theorems_beyond_the_oracle(pres, data):
-    record = _profile_record((1, 1, 1, pres.q, pres.m, pres.n, pres.psi))
+    profile = Profile(1, 1, 1, pres.q, pres.m, pres.n, pres.psi)
     G = Subgroup.whole_group(pres)
     Gp = G.derived_subgroup()
     assert abelian_invariants(G, Gp) == AbelianType((2, 2, 2))
-    assert abelian_invariants(Gp, Subgroup.trivial(pres)) == derived_type(record)
+    assert abelian_invariants(Gp, Subgroup.trivial(pres)) == derived_type(profile)
     assert Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
     series = lower_central_series(pres)
-    assert len(series) - 1 == nilpotency_class_formula(record)
+    assert len(series) - 1 == nilpotency_class_formula(profile)
     assert pres.order.bit_length() - len(series) == 3  # coclass
     coords = st.integers(0, 1 << 21)
     g = pres.element(data.draw(st.integers(0, 1)), data.draw(coords), data.draw(coords))
