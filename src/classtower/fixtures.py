@@ -84,12 +84,24 @@ def _load_fixtures_cached(path: str | None) -> dict[str, list[FixtureRow]]:
         with open(path) as fh:
             text = fh.read()
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the fixture document is not a JSON object")
     if doc.get("version") != "fixtures_v1":
         raise ValueError(f"unsupported fixture version: {doc.get('version')!r}")
+    if not isinstance(doc.get("tables"), dict):
+        raise ValueError("the fixture document has no 'tables' object")
     out: dict[str, list[FixtureRow]] = {}
     for table, body in doc["tables"].items():
+        if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
+            raise ValueError(f"fixture table {table!r} has no 'rows' list")
         caption = {k: body[k] for k in _CAPTION_KEYS if k in body}
-        out[table] = [_row_from_json(table, raw, caption) for raw in body["rows"]]
+        out[table] = []
+        for i, raw in enumerate(body["rows"]):
+            try:
+                out[table].append(_row_from_json(table, raw, caption))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"fixture table {table!r}, row {i}: "
+                                 f"{type(exc).__name__}: {exc}") from None
     return out
 
 

@@ -1,19 +1,20 @@
 """The unit index q in {1, 2}: is eps_2 * eps_r * eps_2r a square in Q(sqrt2, sqrt r)?
 
-r = p1*p2.  Elements of the real multiquadratic field live on the exact basis
-(1, sqrt2, sqrt r, sqrt 2r) with rational coefficients.  The square test is
-exact and has one stage: a relative-norm filter (the norm to Q(sqrt2) of a
-square is a square there), then a complete descent through Q(sqrt2) that
-either reconstructs the root or proves that none exists.  The root is
-normalised to a positive principal embedding by an integer-only sign test.
-No floating point is involved anywhere.
+r = p1*p2 = 1 (mod 8), so the ring of integers of K = Q(sqrt2, sqrt r) is
+Z[sqrt2, (1 + sqrt r)/2].  Every element the test meets is an algebraic
+integer of K: the three units, their product and any square root of it.  So
+twice its coordinates on the basis (1, sqrt2, sqrt r, sqrt 2r) are integers,
+and they are all that is stored.  The square test is exact and has one stage:
+a relative-norm filter (the norm to Q(sqrt2) of a square is a square there),
+then a complete descent through Z[sqrt2] that either reconstructs the root or
+proves that none exists.  The root is normalised to a positive principal
+embedding by an integer-only sign test.  Only integers are involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quadratic import QuadUnit, fundamental_unit
 from .symbols import PrimePair, quartic_symbol, quartic_symbol_mod2
@@ -31,53 +32,48 @@ class UnitIndexError(AssertionError):
     """A unit-index self-check failed; raised explicitly, so it survives python -O."""
 
 
-def _same_field(x: "MultiQuadElt", y: "MultiQuadElt") -> None:
-    if x.r != y.r:
-        raise TypeError(f"elements of Q(sqrt2, sqrt{x.r}) and Q(sqrt2, sqrt{y.r}) do not mix")
-
-
 @dataclass(frozen=True)
 class MultiQuadElt:
-    """c0 + c1*sqrt(2) + c2*sqrt(r) + c3*sqrt(2r) with exact rational ci."""
+    """(c0 + c1*sqrt(2) + c2*sqrt(r) + c3*sqrt(2r))/2, an algebraic integer of Q(sqrt2, sqrt r).
+
+    The ci are the integer doubled coordinates; r = 1 (mod 8) makes c0 = c2 and
+    c1 = c3 (mod 2) exactly the condition for the element to be integral.
+    """
 
     r: int
-    c: tuple[Fraction, Fraction, Fraction, Fraction]
+    c: tuple[int, int, int, int]
 
-    @classmethod
-    def make(cls, r: int, c0=0, c1=0, c2=0, c3=0) -> "MultiQuadElt":
-        return cls(r, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+    def __post_init__(self) -> None:
+        c0, c1, c2, c3 = self.c
+        if self.r % 8 != 1 or (c0 - c2) % 2 or (c1 - c3) % 2:
+            raise ValueError(f"{self.c}/2 is not an integer of Q(sqrt2, sqrt{self.r})")
 
     @classmethod
     def from_unit(cls, unit: QuadUnit, r: int) -> "MultiQuadElt":
-        u, v = Fraction(unit.u, unit.w), Fraction(unit.v, unit.w)
+        u, v = 2 * unit.u // unit.w, 2 * unit.v // unit.w
         if unit.m == 2:
-            return cls(r, (u, v, Fraction(0), Fraction(0)))
+            return cls(r, (u, v, 0, 0))
         if unit.m == r:
-            return cls(r, (u, Fraction(0), v, Fraction(0)))
+            return cls(r, (u, 0, v, 0))
         if unit.m == 2 * r:
-            return cls(r, (u, Fraction(0), Fraction(0), v))
+            return cls(r, (u, 0, 0, v))
         raise ValueError(f"unit of Q(sqrt {unit.m}) does not live in Q(sqrt2, sqrt{r})")
 
-    def __add__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        _same_field(self, other)
-        return MultiQuadElt(self.r, tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        _same_field(self, other)
-        return MultiQuadElt(self.r, tuple(a - b for a, b in zip(self.c, other.c)))
-
     def __mul__(self, other: "MultiQuadElt") -> "MultiQuadElt":
-        _same_field(self, other)
         r = self.r
+        if r != other.r:
+            raise TypeError(f"elements of Q(sqrt2, sqrt{r}) and Q(sqrt2, sqrt{other.r}) "
+                            "do not mix")
         x0, x1, x2, x3 = self.c
         y0, y1, y2, y3 = other.c
+        # the product of two doubled elements is four times the product: every sum is even
         return MultiQuadElt(
             r,
             (
-                x0 * y0 + 2 * x1 * y1 + r * x2 * y2 + 2 * r * x3 * y3,
-                x0 * y1 + x1 * y0 + r * (x2 * y3 + x3 * y2),
-                x0 * y2 + x2 * y0 + 2 * (x1 * y3 + x3 * y1),
-                x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+                (x0 * y0 + 2 * x1 * y1 + r * x2 * y2 + 2 * r * x3 * y3) >> 1,
+                (x0 * y1 + x1 * y0 + r * (x2 * y3 + x3 * y2)) >> 1,
+                (x0 * y2 + x2 * y0 + 2 * (x1 * y3 + x3 * y1)) >> 1,
+                (x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1) >> 1,
             ),
         )
 
@@ -95,17 +91,12 @@ class MultiQuadElt:
     def principal_sign(self) -> int:
         """The sign of c0 + c1*sqrt2 + c2*sqrt r + c3*sqrt 2r, exactly.
 
-        With the coefficients scaled to integers a_i, each term
-        a_i*sqrt(m_i)*scale lies within 1 of +-isqrt(a_i^2*m_i*scale^2);
+        Each term a*sqrt(m)*scale lies within 1 of +-isqrt(a^2*m*scale^2);
         the scale doubles until the summed interval leaves 0.
         """
         if self.is_zero():
             raise ValueError("the zero element has no sign")
-        den = math.lcm(*(x.denominator for x in self.c))
-        terms = [
-            (x.numerator * (den // x.denominator), m)
-            for x, m in zip(self.c, (1, 2, self.r, 2 * self.r))
-        ]
+        terms = list(zip(self.c, (1, 2, self.r, 2 * self.r)))
         scale = 1
         while True:
             lo = hi = 0
@@ -121,81 +112,63 @@ class MultiQuadElt:
 
 
 # ---------------------------------------------------------------------------
-# Exact square roots in Q and Q(sqrt 2)
+# Exact square roots in Z[sqrt 2] and K
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_fraction(x: Fraction) -> Fraction | None:
-    if x < 0:
+def _sqrt_z2(u: int, v: int) -> tuple[int, int] | None:
+    """A root (x, y) of (x + y*sqrt2)^2 = u + v*sqrt2 in Z[sqrt2], or None if there is none.
+
+    A root has x^2 + 2y^2 = u and x^2 - 2y^2 = +-isqrt(u^2 - 2v^2); each sign
+    fixes x^2 and y^2, and the sign of y follows from 2xy = v.
+    """
+    disc = u * u - 2 * v * v
+    if u < 0 or disc < 0:
         return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _sqrt_in_q2(u: Fraction, v: Fraction) -> tuple[Fraction, Fraction] | None:
-    """A root (x, y) of (x + y*sqrt2)^2 = u + v*sqrt2, if one exists in Q(sqrt2)."""
-    if u == 0 and v == 0:
-        return (Fraction(0), Fraction(0))
-    t = _sqrt_fraction(u * u - 2 * v * v)
-    if t is None:
+    n = math.isqrt(disc)
+    if n * n != disc:
         return None
-    for tt in (t, -t):
-        w = (u + tt) / 2
-        x = _sqrt_fraction(w)
-        if x is None:
-            continue
-        if x != 0:
-            y = v / (2 * x)
-            if x * x + 2 * y * y == u and 2 * x * y == v:
-                return (x, y)
-        elif v == 0:
-            y = _sqrt_fraction(u / 2)
-            if y is not None:
-                return (Fraction(0), y)
+    for x2 in ((u + n) // 2, (u - n) // 2):
+        x, y = math.isqrt(x2), math.isqrt((u - x2) // 2)
+        if v < 0:
+            y = -y
+        if x * x + 2 * y * y == u and 2 * x * y == v:
+            return x, y
     return None
-
-
-def _q2_elt(elt: MultiQuadElt) -> tuple[Fraction, Fraction]:
-    if elt.c[2] or elt.c[3]:
-        raise UnitIndexError(f"not in Q(sqrt2): {elt.c}")
-    return elt.c[0], elt.c[1]
 
 
 def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
-    """Exact and complete square root by descent through Q(sqrt 2).
+    """Exact and complete square root by descent through Z[sqrt 2].
 
-    If target = s^2 then s*s^sigma, s+s^sigma, s-s^sigma all square into
-    explicitly computable elements of Q(sqrt2); solving those three square
-    roots exactly reconstructs s or proves no root exists.  The first of
-    them is the relative-norm filter: N(target) = target*target^sigma must be
-    a square in Q(sqrt2).
+    Write t = target and s = a + b*sqrt r with a, b in Q(sqrt2).  If t = s^2
+    then, with T = 2t on the stored coordinates:
+      t + t^sigma = T0 + T1*sqrt2,   beta = +-sqrt(t*t^sigma) = +-(a^2 - r*b^2),
+      (2a)^2 = t + t^sigma + 2*beta,   r*(2b)^2 = t + t^sigma - 2*beta,
+    all in Z[sqrt2], and 2a, 2b are the stored coordinates of s.  Solving the
+    three square roots exactly reconstructs s or proves no root exists.  The
+    first of them is the relative-norm filter: t*t^sigma must be a square in
+    Z[sqrt2].
     """
     r = target.r
-    sigma = target.conj_sqrt_r()
-    a_u, a_v = _q2_elt(target + sigma)
-    b_u, b_v = _q2_elt(target * sigma)
-    beta = _sqrt_in_q2(b_u, b_v)
+    t0, t1 = target.c[0], target.c[1]
+    norm = target * target.conj_sqrt_r()
+    if norm.c[2] or norm.c[3]:
+        raise UnitIndexError(f"t*t^sigma = {norm.c}/2 is not in Z[sqrt2]")
+    beta = _sqrt_z2(norm.c[0] >> 1, norm.c[1] >> 1)
     if beta is None:
         return None
     for sign in (1, -1):
-        bu, bv = sign * beta[0], sign * beta[1]
-        gamma = _sqrt_in_q2(a_u + 2 * bu, a_v + 2 * bv)  # = 2*(c0 + c1*sqrt2)
-        if gamma is None:
+        b0, b1 = 2 * sign * beta[0], 2 * sign * beta[1]
+        a = _sqrt_z2(t0 + b0, t1 + b1)
+        if a is None or (t0 - b0) % r or (t1 - b1) % r:
             continue
-        delta = _sqrt_in_q2(
-            (a_u - 2 * bu) / (4 * r), (a_v - 2 * bv) / (4 * r)
-        )  # = c2 + c3*sqrt2
-        if delta is None:
+        b = _sqrt_z2((t0 - b0) // r, (t1 - b1) // r)
+        # a root is an integer of K: its coordinates must pass __post_init__'s parity check
+        if b is None or (a[0] - b[0]) % 2 or (a[1] - b[1]) % 2:
             continue
         for s2 in (1, -1):
-            cand = MultiQuadElt(
-                r,
-                (gamma[0] / 2, gamma[1] / 2, s2 * delta[0], s2 * delta[1]),
-            )
-            if (cand * cand).c == target.c:
+            cand = MultiQuadElt(r, (a[0], a[1], s2 * b[0], s2 * b[1]))
+            if cand * cand == target:
                 return cand
     return None
 
@@ -203,7 +176,7 @@ def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
 def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
     """s with s*s = target exactly, or None when target is not a square.
 
-    Exact and one-stage: the Q(sqrt2) descent of `_sqrt_via_subfield`, whose
+    Exact and one-stage: the Z[sqrt2] descent of `_sqrt_via_subfield`, whose
     first step is the relative-norm filter, either reconstructs a root and
     checks s*s = target, or proves that target is not a square.  Of the two
     roots +-s, the one with a positive principal embedding is returned.

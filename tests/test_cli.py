@@ -105,6 +105,26 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
     assert "fixture error" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"version": "fixtures_v1"}, "no 'tables' object"),
+    ({"version": "fixtures_v1", "tables": []}, "no 'tables' object"),
+    ([], "not a JSON object"),
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"p1": 5, "p2": 13}]}}},
+     "table '4', row 0: KeyError: 'd'"),
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2, "x"]]}]}}},
+     "table '4', row 0: TypeError"),
+])
+def test_verify_fixtures_malformed_file(capsys, tmp_path, monkeypatch, doc, message):
+    # a malformed document is an input error: exit 2 and one line naming the table and row
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setenv("CLASSTOWER_FIXTURES", str(bad))
+    code, out, err = run(capsys, "verify-fixtures")
+    assert code == 2 and out == ""
+    assert err.startswith("fixture error:") and err.count("\n") == 1 and message in err
+
+
 def test_group_command(capsys):
     code, out, _ = run(capsys, "group", "--m", "3", "--n", "1", "--q", "1",
                        "--psi", "tau-sigma")
@@ -467,6 +487,28 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_src_is_exact_and_stdlib_only():
+    # every computation is exact: no fractions, decimal or floats, and no third-party import
+    package = Path(classtower.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            found += [f"{path.name}:{node.lineno} import {name}" for name in modules
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      or name.split(".")[0] in ("fractions", "decimal")]
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno} float literal")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                found.append(f"{path.name}:{node.lineno} float call")
+    assert found == []
+
+
 def test_no_private_imports_across_modules():
     # a module reaches another module only through its public names
     package = Path(classtower.__file__).resolve().parent
@@ -566,6 +608,54 @@ def test_principal_cycle_checks_under_python_O(forgery, message):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+_FORGED_CONJUGATE = """
+import sys
+from classtower import unitindex
+from classtower.cli import main
+unitindex.MultiQuadElt.conj_sqrt_r = lambda self: self  # sqrt(r) -> sqrt(r): t*t^sigma = t^2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_unit_index_self_check_under_python_O():
+    # t*t^sigma must lie in Z[sqrt2]; the descent checks it with an explicit UnitIndexError
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_CONJUGATE, "classify", "--p1",
+                           "5", "--p2", "13"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
+    assert "is not in Z[sqrt2]" in proc.stderr
+
+
+_FORGED_SQRT_MOD = """
+import sys
+from classtower import gaussian
+from classtower.cli import main
+sqrt_mod = gaussian.sqrt_mod
+gaussian.sqrt_mod = lambda a, p: (sqrt_mod(a, p) + 1) % p  # not a square root of a
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_split_self_check_under_python_O(monkeypatch):
+    # a wrong square root of -1 mod p gives no sum of two squares: split_prime raises
+    # CornacchiaError, an AssertionError, also under -O
+    from classtower import gaussian
+
+    sqrt_mod = gaussian.sqrt_mod
+    monkeypatch.setattr(gaussian, "sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p)
+    with pytest.raises(gaussian.CornacchiaError):
+        gaussian.split_prime(13)
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_SQRT_MOD, "classify", "--p1",
+                           "5", "--p2", "13"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
+    assert "p=13" in proc.stderr
 
 
 def test_out_of_range_exponent_exits_3(capsys, monkeypatch):
