@@ -629,8 +629,26 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _fmt_vectors(vs) -> str:
+@lru_cache(maxsize=None)
+def _fmt_vectors(vs: frozenset[ClassVector]) -> str:
     return "{" + ",".join(sorted(vector_name(v) for v in vs)) + "}"
+
+
+@lru_cache(maxsize=None)
+def _group_facts(pres: GPresentation):
+    """(G, G', G' = <sigma^2, tau^2>, G/G', type of G', length of the lower central series)."""
+    G = Subgroup.whole_group(pres)
+    Gp = G.derived_subgroup()
+    return (G, Gp, Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")]),
+            abelian_invariants(G, Gp), abelian_invariants(Gp, Subgroup.trivial(pres)),
+            len(lower_central_series(pres)))
+
+
+@lru_cache(maxsize=None)
+def _subgroup_facts(H: Subgroup) -> tuple[int, AbelianType, frozenset[ClassVector]]:
+    """([G : H], H/H', transfer kernel).  Equal subgroups are equal values, so the 14
+    subgroups over G' of a presentation are computed once, whichever profile labels them."""
+    return H.index_in(_group_facts(H.pres)[0]), H.abelianization(), transfer_kernel(H.pres, H)
 
 
 def engine_subgroups(profile: Profile):
@@ -641,8 +659,7 @@ def engine_subgroups(profile: Profile):
     """
     _, _, _, q, m, n, psi = profile
     pres = GPresentation(m, n, q, psi)
-    G = Subgroup.whole_group(pres)
-    Gp = G.derived_subgroup()
+    G, Gp = _group_facts(pres)[:2]
     norms = {j: kf.norm_group for j, kf in predict(profile).k_fields.items()}
     subgroups = {
         f"K{j}": Subgroup.generated(pres, [*(class_to_group(pres, v) for v in norms[j]), *Gp.generators])
@@ -656,40 +673,39 @@ def engine_subgroups(profile: Profile):
 @lru_cache(maxsize=None)
 def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     report = predict(profile)
-    pres, G, Gp, subgroups = engine_subgroups(profile)
+    pres, G, _, subgroups = engine_subgroups(profile)
+    _, _, derived_squares, abelianization, derived, series_length = _group_facts(pres)
     checks: list[Check] = []
 
     def add(name, expected, got):
         checks.append(Check(name, expected == got, str(expected), str(got)))
 
     add("G:order", report.group_order, G.order)
-    add("G:derived-generators", True, Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")]))
-    add("G:abelianization", AbelianType((2, 2, 2)), abelian_invariants(G, Gp))
-    add("G:derived-type", report.derived, abelian_invariants(Gp, Subgroup.trivial(pres)))
-    series = lower_central_series(pres)
-    add("G:nilpotency-class", report.nilpotency_class, len(series) - 1)
-    add("G:coclass", report.coclass, G.order.bit_length() - 1 - (len(series) - 1))
+    add("G:derived-generators", True, derived_squares)
+    add("G:abelianization", AbelianType((2, 2, 2)), abelianization)
+    add("G:derived-type", report.derived, derived)
+    add("G:nilpotency-class", report.nilpotency_class, series_length - 1)
+    add("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1))
 
     k_types = {}
     for j, kf in report.k_fields.items():
         Gj = subgroups[f"K{j}"]
-        add(f"K{j}:index", 2, Gj.index_in(G))
+        index, k_types[j], kern = _subgroup_facts(Gj)
+        add(f"K{j}:index", 2, index)
         words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
         add(f"K{j}:subgroup-words", True, Gj == Subgroup.generated(pres, [pres.word(w) for w in words]))
-        k_types[j] = Gj.abelianization()
         add(f"K{j}:type", kf.cl2, k_types[j])
-        kern = transfer_kernel(pres, Gj)
         add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & kf.norm_group) > 1)
     add("K3:class-group", report.cl2_k3, k_types[3])
 
     for j, lf in report.l_fields.items():
         Hj = subgroups[f"L{j}"]
-        add(f"L{j}:index", 4, Hj.index_in(G))
+        index, l_type_j, kern = _subgroup_facts(Hj)
+        add(f"L{j}:index", 4, index)
         words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
         add(f"L{j}:subgroup-words", True, Hj == Subgroup.generated(pres, [pres.word(w) for w in words]))
-        add(f"L{j}:type", lf.cl2, Hj.abelianization())
-        kern = transfer_kernel(pres, Hj)
+        add(f"L{j}:type", lf.cl2, l_type_j)
         add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(kern))
     return tuple(checks)
 

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import sys
+from functools import cache
 
 from .abelian import AbelianType
 from .classify import (
@@ -409,6 +410,7 @@ def _jobs(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
+@cache  # built at the first main call, then reused by every call in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classtower",

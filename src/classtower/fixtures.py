@@ -43,13 +43,15 @@ class FixtureRow:
     def __post_init__(self) -> None:
         if self.d != 2 * self.p1 * self.p2:
             raise ValueError(f"fixture row {self.table}/{self.d}: d != 2*p1*p2")
-        for part in (self.cl_k0, self.cl_k0bar, self.cl_kk):
-            if part is not None:
-                AbelianType.from_factors(part)
-        for group in (self.cl_K, self.cl_L):
-            if group is not None:
-                for tup in group:
-                    AbelianType.from_factors(tup)
+        tuples = [t for t in (self.cl_k0, self.cl_k0bar, self.cl_kk) if t is not None]
+        tuples += [t for group in (self.cl_K, self.cl_L) if group is not None for t in group]
+        for tup in tuples:
+            AbelianType.from_factors(tup)
+        # from_factors drops a factor 2.5 or True, and scalar columns are compared as text
+        bad = [x for x in (*self.values.values(), *(x for t in tuples for x in t)) if type(x) is not int]
+        if bad:
+            raise ValueError(f"fixture row {self.table}/{self.d}: printed value {bad[0]!r} "
+                             "is not an integer")
 
 
 def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:

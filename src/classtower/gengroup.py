@@ -500,7 +500,11 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
-    """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'."""
+    """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'.
+
+    The transfer G/G' -> H/H' is a homomorphism: its values on tau, rho, rho sigma give the rest.
+    """
     steps, derived = _index2_steps(pres, H), H.derived_subgroup()
-    return frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements)
-                     if _transfer_along(pres, steps, g) in derived)
+    basis = [_transfer_along(pres, steps, pres.class_elements[i]) for i in (4, 2, 1)]
+    return frozenset(v for v in CLASS_VECTORS
+                     if reduce(pres.mul, (g for g, x in zip(basis, v) if x), pres.identity()) in derived)

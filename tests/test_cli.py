@@ -114,6 +114,16 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
     ({"version": "fixtures_v1",
       "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2, "x"]]}]}}},
      "table '4', row 0: TypeError"),
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2.5]]}]}}},
+     "printed value 2.5 is not an integer"),
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_L": [[2, True]]}]}}},
+     "printed value True is not an integer"),
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "q": "2"}]}}},
+     "printed value '2' is not an integer"),
+    ({"version": "fixtures_v1", "tables": {"4": {"m": 2.0, "rows": [{"d": 130, "p1": 5, "p2": 13}]}}},
+     "printed value 2.0 is not an integer"),
 ])
 def test_verify_fixtures_malformed_file(capsys, tmp_path, monkeypatch, doc, message):
     # a malformed document is an input error: exit 2 and one line naming the table and row
@@ -436,6 +446,62 @@ def test_predict_runs_once_per_profile(capsys, monkeypatch):
     assert code == 0
     assert misses == len(profiles)
     assert len(calls) == len(profiles) and set(calls) == profiles
+
+
+def _clear_engine_caches():
+    from classtower import classify
+
+    for cached in (classify.predict, classify._engine_checks, classify._group_facts,
+                   classify._subgroup_facts, classify._fmt_vectors):
+        cached.cache_clear()
+
+
+def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
+    # the engine caches are keyed by presentation and by subgroup, not by profile: each
+    # profile's checks recomputed from empty caches equal what the warm scan left
+    from classtower import classify
+
+    engine_checks, profiles = classify._engine_checks, set()
+
+    def recorded(profile):
+        profiles.add(profile)
+        return engine_checks(profile)
+
+    monkeypatch.setattr(classify, "_engine_checks", recorded)
+    code, _, _ = run(capsys, "scan", "--max", "1000")
+    monkeypatch.undo()
+    assert code == 0
+    warm = {profile: engine_checks(profile) for profile in profiles}
+    assert len({(p.m, p.n, p.q, p.psi) for p in profiles}) < len(profiles)
+    for profile in profiles:
+        _clear_engine_caches()
+        assert engine_checks(profile) == warm[profile], profile
+
+
+def test_subgroup_facts_once_per_subgroup(capsys):
+    # the 7 K_j and the 7 L_j of a presentation are the same subgroups for all its profiles
+    from classtower import classify
+
+    _clear_engine_caches()
+    code, _, _ = run(capsys, "scan", "--max", "250")
+    assert code == 0
+    assert classify._group_facts.cache_info().misses == 14
+    assert classify._subgroup_facts.cache_info().misses == 14 * 14
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max", "13", "--jobs", "0"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "scan", "--max", "13", "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+    # built by the first main call, not at import
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from classtower import cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -303,6 +303,26 @@ def test_transfer_kernel_examples():
     assert transfer_kernel(pres2, H2) == frozenset(CLASS_VECTORS)
 
 
+def _subgroups_over_derived(pres):
+    """The 16 subgroups over G', one for each subgroup of G/G' = (2, 2, 2)."""
+    derived = Subgroup.whole_group(pres).derived_subgroup()
+    spans = {span(vs) for k in range(4) for vs in itertools.combinations(CLASS_VECTORS[1:], k)}
+    return [Subgroup.generated(pres, [*(class_to_group(pres, v) for v in vs), *derived.generators])
+            for vs in spans]
+
+
+def test_transfer_kernel_from_three_transfers_matches_all_eight():
+    # transfer_kernel transfers tau, rho, rho sigma only; here every class is transferred
+    for pres in dict.fromkeys(SMALL + admissible_presentations(5, 5)):
+        subgroups = _subgroups_over_derived(pres)
+        assert len(set(subgroups)) == 16
+        for H in subgroups:
+            Hp = H.derived_subgroup()
+            direct = frozenset(v for v in CLASS_VECTORS
+                               if transfer(pres, H, class_to_group(pres, v)) in Hp)
+            assert transfer_kernel(pres, H) == direct, (pres, H)
+
+
 def test_class_to_group_dictionary():
     for pres in SMALL:
         derived = Subgroup.whole_group(pres).derived_subgroup()
