@@ -651,22 +651,41 @@ def _subgroup_facts(H: Subgroup) -> tuple[int, AbelianType, frozenset[ClassVecto
     return H.index_in(_group_facts(H.pres)[0]), H.abelianization(), transfer_kernel(H.pres, H)
 
 
+@lru_cache(maxsize=None)
+def _over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
+    """<G', representatives of the classes>: K_j for the norm group N_j.  A presentation has
+    seven such subgroups of index 2, built once whichever profile labels them."""
+    Gp = _group_facts(pres)[1]
+    return Subgroup.generated(pres, [*(class_to_group(pres, v) for v in classes), *Gp.generators])
+
+
+@lru_cache(maxsize=None)
+def _meet(factors: frozenset[Subgroup]) -> Subgroup:
+    """The intersection of the factors, L_j from its three K factors.  Keyed by the set:
+    subgroups are canonical values, so the order of the intersections does not matter."""
+    return reduce(Subgroup.intersection, factors)
+
+
+@lru_cache(maxsize=None)
+def _word_subgroup(pres: GPresentation, words: tuple[str, ...]) -> Subgroup:
+    """The subgroup generated by the words of a table entry."""
+    return Subgroup.generated(pres, [pres.word(w) for w in words])
+
+
 def engine_subgroups(profile: Profile):
     """(presentation, G, G', {"K1": .., "K7": .., "L1": .., "L7": ..}).
 
     K_j is generated by G' and the classes of N_j; L_j is the intersection of
-    its three K factors.  Raises KeyError outside the tabulated symbol tuples.
+    its three K factors.  Both are cached by value, so the profile only picks
+    the labels.  Raises KeyError outside the tabulated symbol tuples.
     """
     _, _, _, q, m, n, psi = profile
     pres = GPresentation(m, n, q, psi)
     G, Gp = _group_facts(pres)[:2]
-    norms = {j: kf.norm_group for j, kf in predict(profile).k_fields.items()}
-    subgroups = {
-        f"K{j}": Subgroup.generated(pres, [*(class_to_group(pres, v) for v in norms[j]), *Gp.generators])
-        for j in range(1, 8)
-    }
+    subgroups = {f"K{j}": _over_derived(pres, kf.norm_group)
+                 for j, kf in predict(profile).k_fields.items()}
     for j in range(1, 8):
-        subgroups[f"L{j}"] = reduce(Subgroup.intersection, (subgroups[f"K{i}"] for i in L_FACTORS[j]))
+        subgroups[f"L{j}"] = _meet(frozenset(subgroups[f"K{i}"] for i in L_FACTORS[j]))
     return pres, G, Gp, subgroups
 
 
@@ -693,7 +712,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, k_types[j], kern = _subgroup_facts(Gj)
         add(f"K{j}:index", 2, index)
         words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
-        add(f"K{j}:subgroup-words", True, Gj == Subgroup.generated(pres, [pres.word(w) for w in words]))
+        add(f"K{j}:subgroup-words", True, Gj == _word_subgroup(pres, words))
         add(f"K{j}:type", kf.cl2, k_types[j])
         add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(kern))
         add(f"K{j}:taussky-A", True, len(kern & kf.norm_group) > 1)
@@ -704,7 +723,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, l_type_j, kern = _subgroup_facts(Hj)
         add(f"L{j}:index", 4, index)
         words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
-        add(f"L{j}:subgroup-words", True, Hj == Subgroup.generated(pres, [pres.word(w) for w in words]))
+        add(f"L{j}:subgroup-words", True, Hj == _word_subgroup(pres, words))
         add(f"L{j}:type", lf.cl2, l_type_j)
         add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(kern))
     return tuple(checks)
@@ -739,7 +758,7 @@ def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi), a Profile or a plain tuple;
     raises KeyError when the symbol tuple falls outside the tabulated cases.
     """
-    return {name: H.abelianization() for name, H in engine_subgroups(profile)[3].items()}
+    return {name: _subgroup_facts(H)[1] for name, H in engine_subgroups(profile)[3].items()}
 
 
 def classify_pair(p1: int, p2: int, conj_swap: bool = False):

@@ -313,8 +313,8 @@ def _scan_pair(pair_tuple) -> dict:
     props = dict.fromkeys(applicable_rules(record), True)
     props["unit-norm-minus-one"] = norm_eps(pair.d) == -1
     props["genus-2-2"] = (
-        str(two_part_of_class_group(field_discriminant(pair.d))) == "(2, 2)"
-        and str(two_part_of_class_group(field_discriminant(-pair.d))) == "(2, 2)"
+        two_part_of_class_group(field_discriminant(pair.d)).divisors == (2, 2)
+        and two_part_of_class_group(field_discriminant(-pair.d)).divisors == (2, 2)
     )
     minus = two_part_of_class_group(field_discriminant(-pair.r))
     plus = two_part_of_class_group(field_discriminant(pair.r))

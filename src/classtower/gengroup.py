@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, prod
 
 from .abelian import AbelianType, GroupCheckError
@@ -433,20 +433,23 @@ def lower_central_series(pres: GPresentation) -> list[Subgroup]:
 # ---------------------------------------------------------------------------
 
 
-def _index2_steps(pres: GPresentation, H: Subgroup) -> list[tuple[Subgroup, GElement]]:
+@lru_cache(maxsize=None)
+def _index2_steps(pres: GPresentation, H: Subgroup) -> tuple[tuple[Subgroup, GElement], ...]:
     """The steps (K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first: z_i is the first
-    generator letter outside K_i and K_(i-1) = <K_i, z_i>, of index 2 as H contains G'."""
+    generator letter outside K_i and K_(i-1) = <K_i, z_i>, of index 2 as H contains G'.
+
+    Cached by value and built from the chain of <H, z>, so the chains of the subgroups over G'
+    of a presentation share their upper steps: each subgroup's step is built once.
+    """
     if pres.word("ss") not in H or pres.word("tt") not in H:
         raise ValueError("the transfer needs a subgroup containing G' = <sigma^2, tau^2>")
-    steps, K = [], H
-    while K.order < pres.order:
-        z = next(g for g in _LETTERS.values() if g not in K)
-        above = Subgroup.generated(pres, [*K.generators, z])
-        if above.order != 2 * K.order:
-            raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.order // K.order} over K")
-        steps.append((K, z))
-        K = above
-    return steps[::-1]
+    if H.order == pres.order:
+        return ()
+    z = next(g for g in _LETTERS.values() if g not in H)
+    above = Subgroup.generated(pres, [*H.generators, z])
+    if above.order != 2 * H.order:
+        raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.order // H.order} over K")
+    return (*_index2_steps(pres, above), (H, z))
 
 
 def _transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:

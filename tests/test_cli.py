@@ -449,11 +449,27 @@ def test_predict_runs_once_per_profile(capsys, monkeypatch):
 
 
 def _clear_engine_caches():
-    from classtower import classify
+    from classtower import classify, gengroup
 
     for cached in (classify.predict, classify._engine_checks, classify._group_facts,
-                   classify._subgroup_facts, classify._fmt_vectors):
+                   classify._subgroup_facts, classify._fmt_vectors, classify._over_derived,
+                   classify._meet, classify._word_subgroup, gengroup._index2_steps):
         cached.cache_clear()
+
+
+def test_clear_engine_caches_clears_every_cache(monkeypatch):
+    # a cache of classify or gengroup left out of the helper would carry one test's values
+    # (or a forgery's) into the next
+    from classtower import classify, gengroup
+
+    caches = [f for module in (classify, gengroup) for f in vars(module).values()
+              if hasattr(f, "cache_clear") and f.__module__ == module.__name__]
+    cleared = []
+    for cached in caches:
+        monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
+    _clear_engine_caches()
+    assert len(caches) >= 9
+    assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
 def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
@@ -487,6 +503,38 @@ def test_subgroup_facts_once_per_subgroup(capsys):
     assert code == 0
     assert classify._group_facts.cache_info().misses == 14
     assert classify._subgroup_facts.cache_info().misses == 14 * 14
+
+
+def test_engine_subgroups_built_once_per_presentation(capsys):
+    # each presentation builds its 7 K_j, its 7 L_j and their index-2 chains once, whichever
+    # profiles label them; chains are top first, so an L_j's chain is the chain of the K above
+    # it and one step more
+    from classtower import classify, gengroup
+
+    _clear_engine_caches()
+    code, _, _ = run(capsys, "scan", "--max", "250")
+    assert code == 0
+    steps = gengroup._index2_steps
+    built = (classify._over_derived.cache_info().misses, classify._meet.cache_info().misses,
+             steps.cache_info().misses)
+    assert built[0] <= 7 * 14 and built[1] <= 7 * 14
+    assert built[2] == 15 * 14  # G, the 7 K_j and the 7 L_j of each of the 14 presentations
+    ps = primes_5_mod_8(250)
+    profiles = {classify.invariants(validate_pair(a, b)).profile()
+                for i, a in enumerate(ps) for b in ps[i + 1 :]}
+    for profile in profiles:
+        pres, G, _, subgroups = classify.engine_subgroups(profile)
+        ks = {subgroups[f"K{j}"] for j in range(1, 8)}
+        assert steps(pres, G) == ()
+        for K in ks:
+            assert len(steps(pres, K)) == 1 and steps(pres, K)[0][0] == K
+        for j in range(1, 8):
+            L = subgroups[f"L{j}"]
+            chain = steps(pres, L)
+            assert len(chain) == 2 and chain[-1][0] == L and chain[0][0] in ks, (profile, j)
+            assert chain[:-1] == steps(pres, chain[0][0]), (profile, j)
+    assert (classify._over_derived.cache_info().misses, classify._meet.cache_info().misses,
+            steps.cache_info().misses) == built
 
 
 def test_parser_is_built_once_per_process(capsys):
