@@ -45,10 +45,10 @@ from .gengroup import (
     PsiVariant,
     Subgroup,
     abelian_invariants,
-    class_to_group,
+    abelianization_and_kernel,
     lower_central_series,
+    over_derived,
     span,
-    transfer_kernel,
     vadd,
 )
 from .quadratic import exponents_mn, norm_eps
@@ -545,31 +545,12 @@ class PredictionReport:
 def predict(profile: Profile) -> PredictionReport:
     profile = Profile(*profile)  # a TypeError for anything that is not a 7-tuple
     m, n, q = profile.m, profile.n, profile.q
-    norms = norm_groups(profile)
-    kerns = kernels(profile)
-    k_fields = {}
-    for j in range(1, 8):
-        kern = kerns[j]
-        norm = norms[j]
-        k_fields[j] = KPrediction(
-            j,
-            _K_RADICANDS[j],
-            norm,
-            kern,
-            k_type(profile, j),
-            len(kern & norm) > 1,
-        )
-    l_fields = {}
-    full = frozenset(CLASS_VECTORS)
-    for j in range(1, 8):
-        a, b, c = L_FACTORS[j]
-        l_fields[j] = LPrediction(
-            j,
-            L_FACTORS[j],
-            norms[a] & norms[b] & norms[c],
-            full,
-            l_type(profile, j),
-        )
+    norms, kerns = norm_groups(profile), kernels(profile)
+    k_fields = {j: KPrediction(j, _K_RADICANDS[j], norms[j], kerns[j], k_type(profile, j),
+                               len(kerns[j] & norms[j]) > 1) for j in range(1, 8)}
+    full = frozenset(CLASS_VECTORS)  # each L_j's norm group is the line of its three K factors
+    l_fields = {j: LPrediction(j, (a, b, c), norms[a] & norms[b] & norms[c], full,
+                               l_type(profile, j)) for j, (a, b, c) in L_FACTORS.items()}
     order_bits = m + n + (2 if q == 1 else 3)
     report = PredictionReport(
         1 << order_bits,
@@ -634,6 +615,9 @@ def _fmt_vectors(vs: frozenset[ClassVector]) -> str:
     return "{" + ",".join(sorted(vector_name(v) for v in vs)) + "}"
 
 
+_text = lru_cache(maxsize=None, typed=True)(str)  # check values recur; typed: True and 1 differ
+
+
 @lru_cache(maxsize=None)
 def _group_facts(pres: GPresentation):
     """(G, G', G' = <sigma^2, tau^2>, G/G', type of G', length of the lower central series)."""
@@ -646,24 +630,9 @@ def _group_facts(pres: GPresentation):
 
 @lru_cache(maxsize=None)
 def _subgroup_facts(H: Subgroup) -> tuple[int, AbelianType, frozenset[ClassVector]]:
-    """([G : H], H/H', transfer kernel).  Equal subgroups are equal values, so the 14
-    subgroups over G' of a presentation are computed once, whichever profile labels them."""
-    return H.index_in(_group_facts(H.pres)[0]), H.abelianization(), transfer_kernel(H.pres, H)
-
-
-@lru_cache(maxsize=None)
-def _over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
-    """<G', representatives of the classes>: K_j for the norm group N_j.  A presentation has
-    seven such subgroups of index 2, built once whichever profile labels them."""
-    Gp = _group_facts(pres)[1]
-    return Subgroup.generated(pres, [*(class_to_group(pres, v) for v in classes), *Gp.generators])
-
-
-@lru_cache(maxsize=None)
-def _meet(factors: frozenset[Subgroup]) -> Subgroup:
-    """The intersection of the factors, L_j from its three K factors.  Keyed by the set:
-    subgroups are canonical values, so the order of the intersections does not matter."""
-    return reduce(Subgroup.intersection, factors)
+    """([G : H], H/H', transfer kernel), from one H'.  Equal subgroups are equal values, so the
+    14 subgroups over G' of a presentation are computed once, whichever profile labels them."""
+    return H.index_in(_group_facts(H.pres)[0]), *abelianization_and_kernel(H.pres, H)
 
 
 @lru_cache(maxsize=None)
@@ -675,18 +644,17 @@ def _word_subgroup(pres: GPresentation, words: tuple[str, ...]) -> Subgroup:
 def engine_subgroups(profile: Profile):
     """(presentation, G, G', {"K1": .., "K7": .., "L1": .., "L7": ..}).
 
-    K_j is generated by G' and the classes of N_j; L_j is the intersection of
-    its three K factors.  Both are cached by value, so the profile only picks
-    the labels.  Raises KeyError outside the tabulated symbol tuples.
+    K_j is the subgroup over G' of the plane N_j of G/G' = F_2^3, L_j that of the
+    line N_a & N_b & N_c of its three K factors.  Both are cached by value, so the
+    profile only picks the labels.  Raises KeyError outside the tabulated symbol tuples.
     """
     _, _, _, q, m, n, psi = profile
     pres = GPresentation(m, n, q, psi)
     G, Gp = _group_facts(pres)[:2]
-    subgroups = {f"K{j}": _over_derived(pres, kf.norm_group)
-                 for j, kf in predict(profile).k_fields.items()}
-    for j in range(1, 8):
-        subgroups[f"L{j}"] = _meet(frozenset(subgroups[f"K{i}"] for i in L_FACTORS[j]))
-    return pres, G, Gp, subgroups
+    report = predict(profile)
+    return pres, G, Gp, {f"{kind}{j}": over_derived(pres, field.norm_group)
+                         for kind, fields in (("K", report.k_fields), ("L", report.l_fields))
+                         for j, field in fields.items()}
 
 
 @lru_cache(maxsize=None)
@@ -697,7 +665,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     checks: list[Check] = []
 
     def add(name, expected, got):
-        checks.append(Check(name, expected == got, str(expected), str(got)))
+        checks.append(Check(name, expected == got, _text(expected), _text(got)))
 
     add("G:order", report.group_order, G.order)
     add("G:derived-generators", True, derived_squares)

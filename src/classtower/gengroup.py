@@ -23,9 +23,10 @@ Z^2 (a lattice containing Lambda) and a canonical r.  Membership, derived
 subgroups, the lower central series and quotients (Smith normal form) are then
 integer arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
-Algebraic Number Theory, sec. 2.4).  By transitivity, a transfer into a subgroup
-over G' is a chain of index-2 transfers, each a two-case formula (Huppert,
-Endliche Gruppen I, IV.1).
+Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
+G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivity,
+a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a two-case
+formula (Huppert, Endliche Gruppen I, IV.1).
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ __all__ = [
     "ClassVector",
     "CLASS_VECTORS",
     "span",
+    "over_derived",
     "transfer",
     "transfer_kernel",
+    "abelianization_and_kernel",
     "abelian_invariants",
     "lower_central_series",
 ]
@@ -394,7 +397,8 @@ def abelian_invariants(H: Subgroup, N: Subgroup) -> AbelianType:
     """Elementary divisors of the (abelian) quotient H/N; N must be normal in H."""
     if not N <= H:
         raise ValueError("modulus subgroup is not contained in H")
-    if not H.derived_subgroup() <= N:  # the same as: N normal in H with H/N abelian
+    # H' = (T - I)M + Lambda <= N, the same as N normal in H with H/N abelian (Lambda <= N)
+    if H.r is not None and any((0, a, b) not in N for a, b in _conj(H.pres, _rows(H.lattice), 1)):
         raise ValueError("modulus subgroup is not normal in H, or H/N is not abelian")
     return _quotient_type(H, N)
 
@@ -435,18 +439,21 @@ def lower_central_series(pres: GPresentation) -> list[Subgroup]:
 
 @lru_cache(maxsize=None)
 def _index2_steps(pres: GPresentation, H: Subgroup) -> tuple[tuple[Subgroup, GElement], ...]:
-    """The steps (K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first: z_i is the first
-    generator letter outside K_i and K_(i-1) = <K_i, z_i>, of index 2 as H contains G'.
+    """The steps (K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first: a flag of subspaces
+    of F_2^3 from H's classes V up, K_(i-1) = <K_i, z_i> over span(V_i, class of z_i).
 
-    Cached by value and built from the chain of <H, z>, so the chains of the subgroups over G'
-    of a presentation share their upper steps: each subgroup's step is built once.
+    Cached by value, so the chains of the subgroups over G' of a presentation share their
+    upper steps: each subgroup's step is built once.  H must be over_derived(pres, V).
     """
-    if pres.word("ss") not in H or pres.word("tt") not in H:
+    if (0, 2, 0) not in H or (0, 0, 2) not in H:  # sigma^2 and tau^2, for every m >= 2, n >= 1
         raise ValueError("the transfer needs a subgroup containing G' = <sigma^2, tau^2>")
-    if H.order == pres.order:
+    classes = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
+    if over_derived(pres, classes) != H:
+        raise GroupCheckError(f"{H.generators} is not the subgroup over G' of its classes")
+    if len(classes) == len(CLASS_VECTORS):
         return ()
-    z = next(g for g in _LETTERS.values() if g not in H)
-    above = Subgroup.generated(pres, [*H.generators, z])
+    zbar, z = next((v, g) for v, g in zip(CLASS_VECTORS, pres.class_elements) if v not in classes)
+    above = over_derived(pres, classes | {vadd(v, zbar) for v in classes})
     if above.order != 2 * H.order:
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.order // H.order} over K")
     return (*_index2_steps(pres, above), (H, z))
@@ -502,12 +509,33 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
     return pres.word("t" * x0 + "r" * x1 + "rs" * x2)
 
 
-def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
-    """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'.
-
-    The transfer G/G' -> H/H' is a homomorphism: its values on tau, rho, rho sigma give the rest.
+@lru_cache(maxsize=None)
+def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
+    """The subgroup over G' whose image in G/G' = F_2^3 is the subspace classes: K_j over the
+    plane N_j, L_j over the line N_a & N_b & N_c.  One Hermite basis spans its H & A: G' & A =
+    (T - I)Z^2 + Lambda and the representatives inside A; r is the first one outside A.  For a
+    further one g outside A, r^-1 g lies in A in the class of r g, whose representative is there.
     """
-    steps, derived = _index2_steps(pres, H), H.derived_subgroup()
-    basis = [_transfer_along(pres, steps, pres.class_elements[i]) for i in (4, 2, 1)]
-    return frozenset(v for v in CLASS_VECTORS
-                     if reduce(pres.mul, (g for g, x in zip(basis, v) if x), pres.identity()) in derived)
+    if not classes <= set(CLASS_VECTORS) or span(classes) != classes:
+        raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
+    reps = [g for v, g in zip(CLASS_VECTORS, pres.class_elements) if v in classes]
+    vectors = [*_conj(pres, ((1, 0), (0, 1)), 1), *(g[1:] for g in reps if not g[0])]
+    return Subgroup._from_vectors(pres, vectors, next((g for g in reps if g[0]), None))
+
+
+def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
+    """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'."""
+    return abelianization_and_kernel(pres, H)[1]
+
+
+def abelianization_and_kernel(pres: GPresentation,
+                              H: Subgroup) -> tuple[AbelianType, frozenset[ClassVector]]:
+    """(H/H', transfer kernel) for H over G', from one H'.  The transfer G/G' -> H/H' is a
+    homomorphism: its values on rho sigma, rho and tau give the images of the eight class
+    vectors, in the order of CLASS_VECTORS, by doubling."""
+    steps, derived, images = _index2_steps(pres, H), H.derived_subgroup(), [pres.identity()]
+    for i in (1, 2, 4):
+        g = _transfer_along(pres, steps, pres.class_elements[i])
+        images += [pres.mul(x, g) for x in images]
+    return (_quotient_type(H, derived),
+            frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))

@@ -13,7 +13,6 @@ from group_oracle import ElementSubgroup, power
 
 from classtower.abelian import AbelianType
 from classtower.classify import (
-    class_to_group,
     classify_pair,
     norm_groups,
 )
@@ -22,6 +21,7 @@ from classtower.gengroup import (
     GPresentation,
     PsiVariant,
     Subgroup,
+    class_to_group,
     lower_central_series,
     transfer_kernel,
 )
@@ -171,6 +171,25 @@ def test_criterion_5_symbol_identities(sweep):
         f"ACCEPTANCE 5: PASS ({n_quartic} quartic identities, "
         f"{n_equiv} q-equivalences, {elapsed:.2f}s)"
     )
+
+
+def test_dirichlet_and_scholz_clauses(sweep):
+    """The sign of N(eps_r) from the symbols, on every pair with p2 <= 500: (p1/p2) = -1 gives
+    -1 (Dirichlet); for (p1/p2) = +1, mixed quartic symbols give +1 and both -1 give -1 (Scholz,
+    Math. Z. 39 (1934); Lemmermeyer, Reciprocity Laws, ch. 5).  Both +1 leave the sign open."""
+    results, _ = sweep
+    seen = {"dirichlet": 0, "mixed": 0, "both -1": 0}
+    for (p1, p2), (record, _, _) in results.items():
+        if record.legendre == -1:
+            case, sign = "dirichlet", -1
+        else:  # the quartic symbols need (p1/p2) = +1
+            quartic = {quartic_symbol(p1, p2), quartic_symbol(p2, p1)}
+            if quartic == {1}:
+                continue
+            case, sign = ("mixed", 1) if len(quartic) == 2 else ("both -1", -1)
+        assert record.norm_eps_r == sign, (p1, p2, case)
+        seen[case] += 1
+    assert all(seen.values()), seen
 
 
 def test_criterion_6_oracle_sanity(sweep):

@@ -354,14 +354,16 @@ _MERGED_COSETS = """
 import sys
 from classtower import gengroup
 from classtower.cli import main
-steps, generated = gengroup._index2_steps, gengroup.Subgroup.generated
+steps, over_derived = gengroup._index2_steps, gengroup.over_derived
 def merged_steps(pres, H):
-    # while the steps are built, <K, z> drops z and comes out as K: both cosets of K merge
-    gengroup.Subgroup.generated = classmethod(lambda cls, pres, gens: generated(pres, gens[:-1]))
+    # while the steps are built, <K, z> drops the class of z and comes out as K: both cosets
+    # of K merge
+    own = frozenset(v for v, g in zip(gengroup.CLASS_VECTORS, pres.class_elements) if g in H)
+    gengroup.over_derived = lambda pres, classes: over_derived(pres, classes & own)
     try:
         return steps(pres, H)
     finally:
-        gengroup.Subgroup.generated = generated
+        gengroup.over_derived = over_derived
 gengroup._index2_steps = merged_steps
 sys.exit(main(sys.argv[1:]))
 """
@@ -451,9 +453,9 @@ def test_predict_runs_once_per_profile(capsys, monkeypatch):
 def _clear_engine_caches():
     from classtower import classify, gengroup
 
-    for cached in (classify.predict, classify._engine_checks, classify._group_facts,
-                   classify._subgroup_facts, classify._fmt_vectors, classify._over_derived,
-                   classify._meet, classify._word_subgroup, gengroup._index2_steps):
+    for cached in (classify.predict, classify._engine_checks, classify._text,
+                   classify._group_facts, classify._subgroup_facts, classify._fmt_vectors,
+                   classify._word_subgroup, gengroup.over_derived, gengroup._index2_steps):
         cached.cache_clear()
 
 
@@ -462,12 +464,15 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     # (or a forgery's) into the next
     from classtower import classify, gengroup
 
+    # classify._text is lru_cache over the builtin str, so its __module__ is "builtins"
     caches = [f for module in (classify, gengroup) for f in vars(module).values()
-              if hasattr(f, "cache_clear") and f.__module__ == module.__name__]
+              if hasattr(f, "cache_clear") and f.__module__ in (module.__name__, "builtins")]
     cleared = []
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
+    # the nine of the helper: seven in classify (predict, _engine_checks, _text, _group_facts,
+    # _subgroup_facts, _fmt_vectors, _word_subgroup) and over_derived, _index2_steps in gengroup
     assert len(caches) >= 9
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
@@ -506,7 +511,7 @@ def test_subgroup_facts_once_per_subgroup(capsys):
 
 
 def test_engine_subgroups_built_once_per_presentation(capsys):
-    # each presentation builds its 7 K_j, its 7 L_j and their index-2 chains once, whichever
+    # each presentation builds G, its 7 K_j, its 7 L_j and their index-2 chains once, whichever
     # profiles label them; chains are top first, so an L_j's chain is the chain of the K above
     # it and one step more
     from classtower import classify, gengroup
@@ -515,10 +520,9 @@ def test_engine_subgroups_built_once_per_presentation(capsys):
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
     steps = gengroup._index2_steps
-    built = (classify._over_derived.cache_info().misses, classify._meet.cache_info().misses,
-             steps.cache_info().misses)
-    assert built[0] <= 7 * 14 and built[1] <= 7 * 14
-    assert built[2] == 15 * 14  # G, the 7 K_j and the 7 L_j of each of the 14 presentations
+    built = (gengroup.over_derived.cache_info().misses, steps.cache_info().misses)
+    assert built[0] <= 15 * 14  # G, the 7 K_j and the 7 L_j of each of the 14 presentations
+    assert built[1] == 15 * 14
     ps = primes_5_mod_8(250)
     profiles = {classify.invariants(validate_pair(a, b)).profile()
                 for i, a in enumerate(ps) for b in ps[i + 1 :]}
@@ -533,8 +537,44 @@ def test_engine_subgroups_built_once_per_presentation(capsys):
             chain = steps(pres, L)
             assert len(chain) == 2 and chain[-1][0] == L and chain[0][0] in ks, (profile, j)
             assert chain[:-1] == steps(pres, chain[0][0]), (profile, j)
-    assert (classify._over_derived.cache_info().misses, classify._meet.cache_info().misses,
-            steps.cache_info().misses) == built
+    assert (gengroup.over_derived.cache_info().misses, steps.cache_info().misses) == built
+
+
+def test_engine_builds_subgroups_over_derived_from_subspaces(capsys, monkeypatch):
+    # the subgroups over G' come from subspaces of G/G': no intersection, Subgroup.generated only
+    # for the table words and G' = <sigma^2, tau^2>, and each H' once
+    from collections import Counter
+
+    from classtower import classify
+    from classtower.gengroup import Subgroup
+
+    calls, derived = Counter(), Counter()
+    intersection, generated, derived_subgroup = (Subgroup.intersection, Subgroup.generated,
+                                                 Subgroup.derived_subgroup)
+
+    def counted_intersection(self, other):
+        calls["intersection"] += 1
+        return intersection(self, other)
+
+    def counted_generated(cls, pres, gens):
+        calls["generated"] += 1
+        return generated(pres, gens)
+
+    def counted_derived(self):
+        derived[self] += 1
+        return derived_subgroup(self)
+
+    monkeypatch.setattr(Subgroup, "intersection", counted_intersection)
+    monkeypatch.setattr(Subgroup, "generated", classmethod(counted_generated))
+    monkeypatch.setattr(Subgroup, "derived_subgroup", counted_derived)
+    _clear_engine_caches()
+    code, _, _ = run(capsys, "scan", "--max", "250")
+    assert code == 0
+    assert calls["intersection"] == 0
+    words, presentations = classify._word_subgroup.cache_info(), classify._group_facts.cache_info()
+    assert presentations.misses == 14
+    assert calls["generated"] == words.misses + presentations.misses
+    assert len(derived) == 14 * 15 and set(derived.values()) == {1}  # G and its 14 subgroups
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from classtower.gengroup import (
     abelian_invariants,
     class_to_group,
     lower_central_series,
+    over_derived,
     span,
     transfer,
     transfer_kernel,
@@ -532,7 +534,7 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
     # each self-check of the index-2 steps fires on the forgery it guards against
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    steps, generated = gengroup._index2_steps, Subgroup.generated
+    steps = gengroup._index2_steps
 
     def identity_steps(pres, H):
         return [(K, pres.identity()) for K, _ in steps(pres, H)]
@@ -546,10 +548,16 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
         with pytest.raises(GroupCheckError, match="index-2 step: the value .* leaves K"):
             transfer(pres, H, pres.sigma())
     gengroup._index2_steps.cache_clear()  # else the chain the first block built hides the forgery
-    with monkeypatch.context() as patch:  # a builder that drops z makes a step of index 1
-        patch.setattr(Subgroup, "generated", classmethod(lambda cls, pres, gens: generated(pres, gens[:-1])))
+    own = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
+    with monkeypatch.context() as patch:  # a builder that drops the class of z: a step of index 1
+        patch.setattr(gengroup, "over_derived", lambda pres, classes: over_derived(pres, classes & own))
         with pytest.raises(GroupCheckError, match="index-2 step: .* has index 1 over K"):
             transfer_kernel(pres, H)
+    gengroup._index2_steps.cache_clear()
+    with monkeypatch.context() as patch:  # a builder that does not give H back from its classes
+        patch.setattr(gengroup, "over_derived", lambda pres, classes: Subgroup.whole_group(pres))
+        with pytest.raises(GroupCheckError, match="is not the subgroup over G' of its classes"):
+            transfer(pres, H, pres.tau())
 
 
 _UNCLOSED = """
@@ -642,6 +650,70 @@ def test_transfers_over_the_derived_subgroup_match_element_oracle():
                 transfer(pres, H, pres.tau())
             with pytest.raises(ValueError, match="containing G'"):
                 transfer_kernel(pres, H)
+
+
+def _accepted_presentations(max_m, max_n):
+    """Every presentation GPresentation accepts with m <= max_m, n <= max_n, admissible or not."""
+    out = []
+    for m, n, q, psi in itertools.product(range(2, max_m + 1), range(1, max_n + 1), (1, 2), (SIGMA, TAU_SIGMA)):
+        try:
+            out.append(GPresentation(m, n, q, psi))
+        except PresentationError:
+            pass
+    return out
+
+
+def test_over_derived_matches_generated_oracle_and_intersections():
+    # the 7 planes (K_j) and 7 lines (L_j) of F_2^3 against the closure of <G', class reps>, the
+    # element oracle, and for a line the intersection of the three planes through it
+    nonzero = [v for v in CLASS_VECTORS if v != (0, 0, 0)]
+    planes = {span(vs) for vs in itertools.combinations(nonzero, 2)}
+    lines = {span([v]) for v in nonzero}
+    assert len(planes) == len(lines) == 7
+    presentations = _accepted_presentations(4, 4)
+    assert len(presentations) == 28
+    for pres in presentations:
+        derived = Subgroup.whole_group(pres).derived_subgroup()
+        assert over_derived(pres, frozenset(CLASS_VECTORS)) == Subgroup.whole_group(pres)
+        built = {}
+        for classes in planes | lines:
+            H = built[classes] = over_derived(pres, classes)
+            gens = [class_to_group(pres, v) for v in sorted(classes)] + list(derived.generators)
+            assert H == Subgroup.generated(pres, gens), (pres, sorted(classes))
+            assert ElementSubgroup.of(H).elements == ElementSubgroup.generated(pres, gens).elements
+            assert H.index_in(Subgroup.whole_group(pres)) == 8 // len(classes)
+        for line in lines:
+            above = [built[plane] for plane in planes if line < plane]
+            assert len(above) == 3
+            assert reduce(Subgroup.intersection, above) == built[line], (pres, sorted(line))
+
+
+def test_over_derived_rejects_a_non_subspace():
+    pres = GPresentation(3, 1, 1, TAU_SIGMA)
+    for classes in (frozenset(), frozenset({(1, 0, 0)}), frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0)}),
+                    frozenset({(0, 0, 0), (2, 0, 0)})):
+        with pytest.raises(ValueError, match="not a subspace of F_2"):
+            over_derived(pres, classes)
+
+
+_NOT_T_STABLE = """
+from classtower import gengroup
+from classtower.abelian import GroupCheckError
+pres = gengroup.GPresentation(2, 2, 2)
+gengroup._hermite = lambda vectors: (1, 1, 8)  # T = diag(3, -1) takes (1, 1) to (3, -1), outside
+try:
+    gengroup.over_derived(pres, gengroup.span([(0, 1, 0), (1, 0, 0)]))
+except GroupCheckError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_over_derived_rejects_a_forged_basis_under_python_O():
+    # the T-stability check of a subgroup outside A is an explicit raise, so it survives -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _NOT_T_STABLE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout == "False lattice (1, 1, 8) of a subgroup outside A is not T-stable\n"
 
 
 def test_hermite_rejects_rank_deficient_input():
