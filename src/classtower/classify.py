@@ -13,13 +13,19 @@ invariants() checks the forced relations in RULES; a failed rule raises
 ConsistencyError naming it, and scan reports each rule as a row property.
 
   rule                  applies to     holds when
-  quartic-product-rule  (p1/p2) = +1   (p1/p2)_4 (p2/p1)_4 = pi
+  quartic-product-rule  (p1/p2) = +1   (p1/p2)_4 (p2/p1)_4 = pi, and N(eps_r) = +1 if the
+                                       quartic symbols differ, -1 if both are -1 (Scholz)
   q-agreement           (p1/p2) = -1   N(eps_r) = -1, q = q_from_symbols(pair),
                                        and (q = 1) <=> (pi = B)
   exponent-coupling     every pair     N(eps_r) = +1 => q = 1;  q = 2 => m = 2;
                                        (p1/p2) = -1 => n = 1, and m >= 3 if q = 1;
                                        (p1/p2) = +1, pi = -1 => q = 1, n = 1, m >= 3;
                                        (p1/p2) = +1, pi = +1 => m = 2, n >= 2
+
+admissible(profile) states the same rules on a Profile, where the sign of N(eps_r) shows
+only through psi: (p1/p2) = -1 forces psi = tau-sigma (Dirichlet), pi = -1 with
+(p1/p2) = +1 forces psi = sigma (Scholz), and psi = sigma forces q = 1.  A. Scholz,
+Math. Z. 39 (1934); F. Lemmermeyer, Reciprocity Laws (2000), ch. 5.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ __all__ = [
     "PredictionReport",
     "Check",
     "ValidationReport",
+    "admissible",
     "invariants",
     "field_layout",
     "norm_groups",
@@ -156,15 +163,9 @@ class InvariantRecord:
         return Profile(self.legendre, self.pi, self.B, self.q, self.m, self.n, self.psi)
 
 
-def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
-    """All classification symbols and exponents for a pair, consistency-checked.
-
-    conj_swap exchanges pi_3 with its conjugate; the documented symmetry that
-    permutes the K4/K5 and K6/K7 (and matching L) predictions.
-    """
+def invariants(pair: PrimePair) -> InvariantRecord:
+    """All classification symbols and exponents for a pair, consistency-checked."""
     s1, s2 = split_prime(pair.p1), split_prime(pair.p2)
-    if conj_swap:
-        s2 = s2.conjugate_choice()
     legendre = pair.legendre
     pi = symbol_pi(s1, s2)
     b = symbol_B(s1, s2)
@@ -182,8 +183,9 @@ def invariants(pair: PrimePair, conj_swap: bool = False) -> InvariantRecord:
 
 
 def _quartic_product_holds(rec: InvariantRecord) -> bool:
-    p1, p2 = rec.pair.p1, rec.pair.p2
-    return quartic_symbol(p1, p2) * quartic_symbol(p2, p1) == rec.pi
+    a, b = quartic_symbol(rec.pair.p1, rec.pair.p2), quartic_symbol(rec.pair.p2, rec.pair.p1)
+    # Scholz: a + b = 0 forces N(eps_r) = +1, a + b = -2 forces -1, a + b = 2 leaves it open
+    return a * b == rec.pi and (a + b == 2 or rec.norm_eps_r == -a * b)
 
 
 def q_matches_pi_b(profile: Profile) -> bool:
@@ -204,6 +206,17 @@ def exponents_coupled(profile: Profile) -> bool:
     if profile.pi == -1:
         return profile.q == 1 and profile.n == 1 and profile.m >= 3
     return profile.m == 2 and profile.n >= 2
+
+
+def admissible(profile: Profile) -> bool:
+    """Some pair has this profile: its exponents couple, (q = 1) <=> (pi = B) when
+    (p1/p2) = -1, and psi agrees with the sign of N(eps_r) that the symbols force."""
+    sigma = profile.psi is PsiVariant.SIGMA_ONLY
+    if profile.legendre == -1:  # Dirichlet: N(eps_r) = -1
+        symbols_fit = q_matches_pi_b(profile) and not sigma
+    else:  # Scholz: pi = -1 gives N(eps_r) = +1
+        symbols_fit = profile.pi == 1 or sigma
+    return exponents_coupled(profile) and symbols_fit and (profile.q == 1 or not sigma)
 
 
 # name -> (applies to the record, holds for the record)
@@ -729,10 +742,10 @@ def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     return {name: _subgroup_facts(H)[1] for name, H in engine_subgroups(profile)[3].items()}
 
 
-def classify_pair(p1: int, p2: int, conj_swap: bool = False):
+def classify_pair(p1: int, p2: int):
     """Full pipeline: validate, compute invariants, predict, cross-validate."""
     pair = validate_pair(p1, p2)
-    record = invariants(pair, conj_swap=conj_swap)
+    record = invariants(pair)
     report = predict(record.profile())
     validation = cross_validate(record)
     return record, report, validation

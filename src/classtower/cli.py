@@ -15,6 +15,7 @@ import os
 import signal
 import sys
 from functools import cache
+from itertools import product
 
 from .abelian import AbelianType
 from .classify import (
@@ -22,11 +23,10 @@ from .classify import (
     PredictionReport,
     Profile,
     ValidationReport,
+    admissible,
     applicable_rules,
     classify_pair,
     engine_abelianizations,
-    exponents_coupled,
-    q_matches_pi_b,
     vector_name,
 )
 from .gengroup import (
@@ -227,15 +227,6 @@ def cmd_verify_fixtures(args) -> int:
     return EXIT_OK if n_pass == n_rows else EXIT_FIXTURE
 
 
-def _admissible(m: int, n: int, q: int, psi: PsiVariant) -> bool:
-    """Some (legendre, pi) couples with the exponents (m, n, q)."""
-    return any(
-        exponents_coupled(Profile(legendre, pi, 1, q, m, n, psi))
-        for legendre in (1, -1)
-        for pi in (1, -1)
-    )
-
-
 def cmd_group(args) -> int:
     psi = PsiVariant.SIGMA_ONLY if args.psi == "sigma" else PsiVariant.TAU_SIGMA
     try:
@@ -243,8 +234,9 @@ def cmd_group(args) -> int:
     except PresentationError as exc:
         print(f"invalid presentation: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    admissible = _admissible(args.m, args.n, args.q, psi)
-    if not admissible and not args.force:
+    realized = any(admissible(Profile(*symbols, args.q, args.m, args.n, psi))
+                   for symbols in product((1, -1), repeat=3))
+    if not realized and not args.force:
         print(
             f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent "
             "pattern; pass --force to inspect it anyway",
@@ -266,24 +258,19 @@ def cmd_group(args) -> int:
         "lower_central_orders": shape,
         "nilpotency_class": len(series) - 1,
         "coclass": pres.order.bit_length() - len(series),
-        "admissible": admissible,
+        "admissible": realized,
     }
     if args.legendre is not None:
         profile = Profile(args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
-        if not exponents_coupled(profile) or (args.legendre == -1 and not q_matches_pi_b(profile)):
+        if not admissible(profile):
             print(
                 "symbol tuple inconsistent: no pair has these symbols with "
-                f"(m, n, q) = ({args.m}, {args.n}, {args.q}) (see the exponent-coupling "
-                "and q-agreement rules)",
+                f"(m, n, q, psi) = ({args.m}, {args.n}, {args.q}, {psi.value}) (see the "
+                "exponent-coupling, q-agreement and quartic-product-rule rules)",
                 file=sys.stderr,
             )
             return EXIT_INPUT
-        try:
-            fields = engine_abelianizations(profile)
-        except KeyError:
-            print("symbol tuple outside the tabulated cases", file=sys.stderr)
-            return EXIT_INPUT
-        info["fields"] = {name: _type_list(t) for name, t in fields.items()}
+        info["fields"] = {name: _type_list(t) for name, t in engine_abelianizations(profile).items()}
     if args.json:
         print(dumps(info))
     else:

@@ -160,9 +160,6 @@ class PrimePair:
         """The Legendre symbol (p1/p2) (= (p2/p1), both primes are 1 mod 4)."""
         return jacobi(self.p1, self.p2)
 
-    def swapped(self) -> "PrimePair":
-        return PrimePair(self.p2, self.p1)
-
 
 def validate_pair(p1: int, p2: int) -> PrimePair:
     """Check p1, p2 are distinct primes with p1 = p2 = 5 (mod 8)."""

@@ -6,6 +6,7 @@ classification sweep over all valid pairs up to 500.
 """
 
 import time
+from itertools import product
 
 import group_oracle as oracle
 import pytest
@@ -13,7 +14,10 @@ from group_oracle import ElementSubgroup, power
 
 from classtower.abelian import AbelianType
 from classtower.classify import (
+    Profile,
+    admissible,
     classify_pair,
+    invariants,
     norm_groups,
 )
 from classtower.fixtures import verify_fixtures
@@ -87,6 +91,17 @@ def _admissible_presentations(max_m, max_n):
     for n in range(1, max_n + 1):
         out.append(GPresentation(2, n, 2, PsiVariant.TAU_SIGMA))
     return out
+
+
+def test_admissible_presentations_match_the_predicate():
+    # the list above states the exponent patterns independently of classify.admissible
+    listed = [(p.m, p.n, p.q, p.psi) for p in _admissible_presentations(5, 5)]
+    from_predicate = {(m, n, q, psi)
+                      for legendre, pi, b, q, psi in product((1, -1), (1, -1), (1, -1), (1, 2),
+                                                              PsiVariant)
+                      for m in range(2, 6) for n in range(1, 6)
+                      if admissible(Profile(legendre, pi, b, q, m, n, psi))}
+    assert len(listed) == len(set(listed)) and set(listed) == from_predicate
 
 
 def test_criterion_3_engine_vs_structure_theorems():
@@ -190,6 +205,13 @@ def test_dirichlet_and_scholz_clauses(sweep):
         assert record.norm_eps_r == sign, (p1, p2, case)
         seen[case] += 1
     assert all(seen.values()), seen
+
+
+def test_every_scanned_profile_is_admissible():
+    """The profiles of the pairs that scan --max 1000 covers all satisfy classify.admissible."""
+    profiles = {invariants(pair).profile() for pair in _pairs(1000)}
+    assert len(profiles) == 45
+    assert [p for p in profiles if not admissible(p)] == []
 
 
 def test_criterion_6_oracle_sanity(sweep):

@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -6,19 +8,24 @@ from classtower import classify, gaussian
 from classtower.abelian import AbelianType
 from classtower.classify import (
     ConsistencyError,
+    Profile,
+    _engine_checks,
+    admissible,
     classify_pair,
     cross_validate,
     engine_abelianizations,
+    exponents_coupled,
     field_layout,
     invariants,
     kernels,
     norm_groups,
     norm_groups_from_symbols,
     predict,
+    q_matches_pi_b,
     subgroup_span,
 )
 from classtower.gaussian import split_prime
-from classtower.gengroup import PsiVariant
+from classtower.gengroup import PresentationError, PsiVariant
 from classtower.symbols import primes_5_mod_8, validate_pair
 
 
@@ -102,11 +109,19 @@ CONJ_K_MAP = {1: 1, 2: 2, 3: 3, 4: 5, 5: 4, 6: 7, 7: 6}
 CONJ_L_MAP = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 7, 7: 6}
 
 
-def test_conjugate_swap_symmetry():
+def _conjugate_split_of(monkeypatch, p2):
+    """Make classify split p2 as the conjugate of its usual pi_3."""
+    monkeypatch.setattr(classify, "split_prime",
+                        lambda p: split_prime(p).conjugate_choice() if p == p2 else split_prime(p))
+
+
+def test_conjugate_swap_symmetry(monkeypatch):
     """Swapping pi_3 with its conjugate relabels K4/K5, K6/K7 and L2/L3, L6/L7."""
     for pair in pairs_upto(200):
         rec = invariants(pair)
-        swapped = invariants(pair, conj_swap=True)
+        with monkeypatch.context() as patch:
+            _conjugate_split_of(patch, pair.p2)
+            swapped = invariants(pair)
         assert swapped.splits[1] == split_prime(pair.p2).conjugate_choice()
         assert swapped.B == -rec.B
         assert swapped.pi == (-rec.pi if rec.legendre == -1 else rec.pi)
@@ -125,9 +140,10 @@ def test_conjugate_swap_symmetry():
             )
 
 
-def test_conjugate_swap_cross_validates():
+def test_conjugate_swap_cross_validates(monkeypatch):
     for p1, p2 in [(5, 13), (5, 37), (5, 29), (13, 29)]:
-        _, _, val = classify_pair(p1, p2, conj_swap=True)
+        _conjugate_split_of(monkeypatch, p2)
+        _, _, val = classify_pair(p1, p2)
         assert val.passed, (p1, p2, [c.name for c in val.failures()])
 
 
@@ -166,7 +182,7 @@ def test_pair_order_swap_invariance():
     """
     for pair in pairs_upto(200):
         rec = invariants(pair)
-        rec_swapped = invariants(pair.swapped())
+        rec_swapped = invariants(validate_pair(pair.p2, pair.p1))
         assert rec.legendre == rec_swapped.legendre
         assert rec.pi == rec_swapped.pi
         assert rec.B == rec_swapped.B
@@ -210,6 +226,34 @@ def test_engine_abelianizations_helper():
         engine_abelianizations((1, 0, 1, 1, 3, 1, PsiVariant.TAU_SIGMA))
 
 
+def test_admissible_is_what_the_engine_accepts():
+    """Over every profile with m + n <= 13, admissible holds exactly when every engine check
+    passes, save (p1/p2) = +1, pi = +1, q = 1, (m, n) = (2, 1), psi = sigma (B either sign):
+    the engine accepts these two, and only exponent coupling (n >= 2 when pi = +1) excludes
+    them.  The profiles that only a psi clause excludes fail 12 checks or more, or have no
+    presentation."""
+    seen = Counter()
+    for m in range(2, 13):
+        for n in range(1, 14 - m):
+            for legendre, pi, b, q, psi in product((1, -1), (1, -1), (1, -1), (1, 2), PsiVariant):
+                profile = Profile(legendre, pi, b, q, m, n, psi)
+                try:
+                    failed = sum(not c.ok for c in _engine_checks(profile))
+                except PresentationError:
+                    failed = None
+                if admissible(profile):
+                    assert failed == 0, profile
+                    assert len(engine_abelianizations(profile)) == 14, profile
+                    seen["admissible"] += 1
+                elif failed == 0:
+                    assert (legendre, pi, q, m, n, psi) == (1, 1, 1, 2, 1, PsiVariant.SIGMA_ONLY)
+                    seen["engine only"] += 1
+                elif exponents_coupled(profile) and (legendre == 1 or q_matches_pi_b(profile)):
+                    assert failed is None or failed >= 12, profile
+                    seen["psi clause"] += 1
+    assert seen == {"admissible": 102, "engine only": 2, "psi clause": 62}
+
+
 def test_detached_consistency_errors():
     # a record with a wrong q must be rejected by the consistency layer
     rec = invariants(validate_pair(5, 13))
@@ -237,6 +281,9 @@ def test_detached_consistency_errors():
         ("exponent-coupling", (5, 13), {"m": 3}),
         # N(eps_r) = +1 needs q = 1
         ("exponent-coupling", (5, 461), {"norm_eps_r": 1}),
+        # Scholz: mixed quartic symbols (13, 29) need N(eps_r) = +1, both -1 (5, 29) need -1
+        ("quartic-product-rule", (13, 29), {"norm_eps_r": -1}),
+        ("quartic-product-rule", (5, 29), {"norm_eps_r": 1}),
     ],
 )
 def test_each_rule_names_its_failure(rule, base, forge):

@@ -180,6 +180,20 @@ def test_group_with_symbols(capsys):
     assert code == 2 and "inconsistent" in err
 
 
+def test_group_rejects_symbols_against_psi(capsys):
+    # Scholz: (p1/p2) = +1 with pi = -1 forces psi = sigma; Dirichlet: (p1/p2) = -1 forces
+    # psi = tau-sigma.  Both presentations exist, so only the symbols are refused.
+    for argv in (("--legendre", "1", "--pi", "-1"),
+                 ("--legendre", "-1", "--pi", "1", "--b", "1", "--psi", "sigma")):
+        for force in ((), ("--force",)):
+            code, out, err = run(capsys, "group", "--m", "3", "--n", "1", "--q", "1", *argv, *force)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "inconsistent" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "group", "--m", "3", "--n", "1", "--q", "1", "--legendre", "1",
+                       "--pi", "-1", "--psi", "sigma", "--json")
+    assert code == 0 and json.loads(out)["fields"]["K1"] == [2, 2, 2]
+
+
 def test_scan_bounds(capsys):
     code, _, err = run(capsys, "scan", "--max", "12")
     assert code == 2
@@ -316,6 +330,36 @@ def test_rule_failure_under_python_O():
         {"p1": a, "p2": b, "failed": ["quartic-product-rule"]} for a, b in plus
     ]
     assert proc.stderr.count("\n") == len(plus)
+
+
+_FORGED_NORM = """
+import sys
+from classtower import classify
+from classtower.cli import main
+norm_eps = classify.norm_eps
+# the wrong sign for (5, 29), both quartic symbols -1, and (13, 29), mixed quartic symbols
+classify.norm_eps = lambda r: -norm_eps(r) if r in (145, 377) else norm_eps(r)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_forged_unit_norm_breaks_scholz_under_python_O():
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _FORGED_NORM, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    for p1 in ("5", "13"):
+        proc = run_O("classify", "--p1", p1, "--p2", "29")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "quartic-product-rule" in proc.stderr
+    proc = run_O("scan", "--max", "40", "--json")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["failing_pairs"] == [
+        {"p1": p1, "p2": 29, "failed": ["quartic-product-rule"]} for p1 in (5, 13)
+    ]
 
 
 _IDENTITY_STEPS = """
@@ -671,6 +715,17 @@ def test_no_private_imports_across_modules():
              if isinstance(node, ast.ImportFrom)
              and (node.level > 0 or (node.module or "").split(".")[0] == "classtower")
              for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_profile_rules_live_in_classify():
+    # the symbol and exponent rules are stated once: other modules ask classify.admissible
+    package = Path(classtower.__file__).resolve().parent
+    rules = {"exponents_coupled", "q_matches_pi_b"}
+    found = [f"{path.name}:{node.lineno} {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "classify.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in {getattr(node, field, None) for field in ("id", "attr", "name")} & rules]
     assert found == []
 
 
