@@ -47,13 +47,11 @@ from .gaussian import (
 from .gengroup import (
     CLASS_VECTORS,
     ClassVector,
+    EngineTable,
     GPresentation,
     PsiVariant,
     Subgroup,
-    abelian_invariants,
-    abelianization_and_kernel,
-    lower_central_series,
-    over_derived,
+    engine_table,
     span,
     vadd,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "norm_groups_from_symbols",
     "predict",
     "cross_validate",
-    "engine_subgroups",
     "classify_pair",
 ]
 
@@ -632,81 +629,53 @@ _text = lru_cache(maxsize=None, typed=True)(str)  # check values recur; typed: T
 
 
 @lru_cache(maxsize=None)
-def _group_facts(pres: GPresentation):
-    """(G, G', G' = <sigma^2, tau^2>, G/G', type of G', length of the lower central series)."""
-    G = Subgroup.whole_group(pres)
-    Gp = G.derived_subgroup()
-    return (G, Gp, Gp == Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")]),
-            abelian_invariants(G, Gp), abelian_invariants(Gp, Subgroup.trivial(pres)),
-            len(lower_central_series(pres)))
-
-
-@lru_cache(maxsize=None)
-def _subgroup_facts(H: Subgroup) -> tuple[int, AbelianType, frozenset[ClassVector]]:
-    """([G : H], H/H', transfer kernel), from one H'.  Equal subgroups are equal values, so the
-    14 subgroups over G' of a presentation are computed once, whichever profile labels them."""
-    return H.index_in(_group_facts(H.pres)[0]), *abelianization_and_kernel(H.pres, H)
-
-
-@lru_cache(maxsize=None)
 def _word_subgroup(pres: GPresentation, words: tuple[str, ...]) -> Subgroup:
     """The subgroup generated by the words of a table entry."""
     return Subgroup.generated(pres, [pres.word(w) for w in words])
 
 
-def engine_subgroups(profile: Profile):
-    """(presentation, G, G', {"K1": .., "K7": .., "L1": .., "L7": ..}).
-
-    K_j is the subgroup over G' of the plane N_j of G/G' = F_2^3, L_j that of the
-    line N_a & N_b & N_c of its three K factors.  Both are cached by value, so the
-    profile only picks the labels.  Raises KeyError outside the tabulated symbol tuples.
-    """
+def _engine_table(profile: Profile) -> tuple[GPresentation, EngineTable]:
     _, _, _, q, m, n, psi = profile
     pres = GPresentation(m, n, q, psi)
-    G, Gp = _group_facts(pres)[:2]
-    report = predict(profile)
-    return pres, G, Gp, {f"{kind}{j}": over_derived(pres, field.norm_group)
-                         for kind, fields in (("K", report.k_fields), ("L", report.l_fields))
-                         for j, field in fields.items()}
+    return pres, engine_table(pres)
 
 
 @lru_cache(maxsize=None)
 def _engine_checks(profile: Profile) -> tuple[Check, ...]:
+    """The predictions against the engine table: K_j is the subgroup over G' of the plane N_j,
+    L_j that of the line of its three K factors, so the profile only picks the labels."""
     report = predict(profile)
-    pres, G, _, subgroups = engine_subgroups(profile)
-    _, _, derived_squares, abelianization, derived, series_length = _group_facts(pres)
+    pres, table = _engine_table(profile)
+    G, series_length = table.G.H, len(table.series)
     checks: list[Check] = []
 
     def add(name, expected, got):
         checks.append(Check(name, expected == got, _text(expected), _text(got)))
 
     add("G:order", report.group_order, G.order)
-    add("G:derived-generators", True, derived_squares)
-    add("G:abelianization", AbelianType((2, 2, 2)), abelianization)
-    add("G:derived-type", report.derived, derived)
+    add("G:derived-generators", True, table.derived_squares)
+    add("G:abelianization", AbelianType((2, 2, 2)), table.G.abelianization)
+    add("G:derived-type", report.derived, table.G_derived.abelianization)
     add("G:nilpotency-class", report.nilpotency_class, series_length - 1)
     add("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1))
 
-    k_types = {}
     for j, kf in report.k_fields.items():
-        Gj = subgroups[f"K{j}"]
-        index, k_types[j], kern = _subgroup_facts(Gj)
-        add(f"K{j}:index", 2, index)
+        K = table.over[kf.norm_group]
+        add(f"K{j}:index", 2, K.H.index_in(G))
         words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
-        add(f"K{j}:subgroup-words", True, Gj == _word_subgroup(pres, words))
-        add(f"K{j}:type", kf.cl2, k_types[j])
-        add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(kern))
-        add(f"K{j}:taussky-A", True, len(kern & kf.norm_group) > 1)
-    add("K3:class-group", report.cl2_k3, k_types[3])
+        add(f"K{j}:subgroup-words", True, K.H == _word_subgroup(pres, words))
+        add(f"K{j}:type", kf.cl2, K.abelianization)
+        add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel))
+        add(f"K{j}:taussky-A", True, len(K.kernel & kf.norm_group) > 1)
+    add("K3:class-group", report.cl2_k3, table.over[report.k_fields[3].norm_group].abelianization)
 
     for j, lf in report.l_fields.items():
-        Hj = subgroups[f"L{j}"]
-        index, l_type_j, kern = _subgroup_facts(Hj)
-        add(f"L{j}:index", 4, index)
+        L = table.over[lf.norm_group]
+        add(f"L{j}:index", 4, L.H.index_in(G))
         words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
-        add(f"L{j}:subgroup-words", True, Hj == _word_subgroup(pres, words))
-        add(f"L{j}:type", lf.cl2, l_type_j)
-        add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(kern))
+        add(f"L{j}:subgroup-words", True, L.H == _word_subgroup(pres, words))
+        add(f"L{j}:type", lf.cl2, L.abelianization)
+        add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel))
     return tuple(checks)
 
 
@@ -739,7 +708,10 @@ def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi), a Profile or a plain tuple;
     raises KeyError when the symbol tuple falls outside the tabulated cases.
     """
-    return {name: _subgroup_facts(H)[1] for name, H in engine_subgroups(profile)[3].items()}
+    report, table = predict(profile), _engine_table(profile)[1]
+    return {f"{kind}{j}": table.over[field.norm_group].abelianization
+            for kind, fields in (("K", report.k_fields), ("L", report.l_fields))
+            for j, field in fields.items()}
 
 
 def classify_pair(p1: int, p2: int):

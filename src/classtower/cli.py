@@ -29,14 +29,7 @@ from .classify import (
     engine_abelianizations,
     vector_name,
 )
-from .gengroup import (
-    GPresentation,
-    PresentationError,
-    PsiVariant,
-    Subgroup,
-    abelian_invariants,
-    lower_central_series,
-)
+from .gengroup import GPresentation, PresentationError, PsiVariant, engine_table
 from .quadratic import DISCRIMINANT_BOUND, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
 from .symbols import InvalidPairError, is_prime, primes_5_mod_8
@@ -228,6 +221,9 @@ def cmd_verify_fixtures(args) -> int:
 
 
 def cmd_group(args) -> int:
+    if args.legendre is None and (args.pi, args.b) != (None, None):
+        print("--pi and --b need --legendre", file=sys.stderr)
+        return EXIT_INPUT
     psi = PsiVariant.SIGMA_ONLY if args.psi == "sigma" else PsiVariant.TAU_SIGMA
     try:
         pres = GPresentation(args.m, args.n, args.q, psi)
@@ -237,48 +233,37 @@ def cmd_group(args) -> int:
     realized = any(admissible(Profile(*symbols, args.q, args.m, args.n, psi))
                    for symbols in product((1, -1), repeat=3))
     if not realized and not args.force:
-        print(
-            f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent "
-            "pattern; pass --force to inspect it anyway",
-            file=sys.stderr,
-        )
+        print(f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent pattern; "
+              "pass --force to inspect it anyway", file=sys.stderr)
         return EXIT_INPUT
-    G = Subgroup.whole_group(pres)
-    Gp = G.derived_subgroup()
-    series = lower_central_series(pres)
-    shape = [s.order for s in series]
+    table = engine_table(pres)
+    shape = [s.order for s in table.series]
     info = {
         "m": args.m,
         "n": args.n,
         "q": args.q,
         "psi": psi.value,
         "order": pres.order,
-        "derived_type": _type_list(abelian_invariants(Gp, Subgroup.trivial(pres))),
-        "abelianization": _type_list(abelian_invariants(G, Gp)),
+        "derived_type": _type_list(table.G_derived.abelianization),
+        "abelianization": _type_list(table.G.abelianization),
         "lower_central_orders": shape,
-        "nilpotency_class": len(series) - 1,
-        "coclass": pres.order.bit_length() - len(series),
+        "nilpotency_class": len(shape) - 1,
+        "coclass": pres.order.bit_length() - len(shape),
         "admissible": realized,
     }
     if args.legendre is not None:
-        profile = Profile(args.legendre, args.pi, args.b, args.q, args.m, args.n, psi)
+        profile = Profile(args.legendre, args.pi or 1, args.b or 1, args.q, args.m, args.n, psi)
         if not admissible(profile):
-            print(
-                "symbol tuple inconsistent: no pair has these symbols with "
-                f"(m, n, q, psi) = ({args.m}, {args.n}, {args.q}, {psi.value}) (see the "
-                "exponent-coupling, q-agreement and quartic-product-rule rules)",
-                file=sys.stderr,
-            )
+            print("symbol tuple inconsistent: no pair has these symbols with (m, n, q, psi) = "
+                  f"({args.m}, {args.n}, {args.q}, {psi.value}) (see the exponent-coupling, "
+                  "q-agreement and quartic-product-rule rules)", file=sys.stderr)
             return EXIT_INPUT
         info["fields"] = {name: _type_list(t) for name, t in engine_abelianizations(profile).items()}
     if args.json:
         print(dumps(info))
     else:
-        print(
-            f"G(m={args.m}, n={args.n}, q={args.q}, psi={psi.value}): order {info['order']}, "
-            f"G/G' = {AbelianType.from_factors(info['abelianization'])}, "
-            f"G' = {AbelianType.from_factors(info['derived_type'])}"
-        )
+        print(f"G(m={args.m}, n={args.n}, q={args.q}, psi={psi.value}): order {pres.order}, "
+              f"G/G' = {table.G.abelianization}, G' = {table.G_derived.abelianization}")
         print(f"lower central series orders: {shape}")
         print(f"nilpotency class {info['nilpotency_class']}, coclass {info['coclass']}")
         if "fields" in info:
@@ -431,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--psi", choices=("sigma", "tau-sigma"), default="tau-sigma")
     p_group.add_argument("--force", action="store_true", help="allow inadmissible exponents")
     p_group.add_argument("--legendre", type=int, choices=(1, -1), default=None)
-    p_group.add_argument("--pi", type=int, choices=(1, -1), default=1)
-    p_group.add_argument("--b", type=int, choices=(1, -1), default=1)
+    p_group.add_argument("--pi", type=int, choices=(1, -1), help="needs --legendre; default 1")
+    p_group.add_argument("--b", type=int, choices=(1, -1), help="needs --legendre; default 1")
     p_group.add_argument("--json", action="store_true")
     p_group.set_defaults(func=cmd_group)
 

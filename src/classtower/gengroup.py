@@ -26,7 +26,9 @@ Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
 G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivity,
 a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a two-case
-formula (Huppert, Endliche Gruppen I, IV.1).
+formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 with their
+chains, H/H' and transfer kernels once per presentation; transfer and transfer_kernel
+read it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
 from math import gcd, prod
+from typing import NamedTuple
 
 from .abelian import AbelianType, GroupCheckError
 
@@ -47,6 +51,8 @@ __all__ = [
     "CLASS_VECTORS",
     "span",
     "over_derived",
+    "EngineTable",
+    "engine_table",
     "transfer",
     "transfer_kernel",
     "abelianization_and_kernel",
@@ -433,51 +439,6 @@ def lower_central_series(pres: GPresentation) -> list[Subgroup]:
 
 
 # ---------------------------------------------------------------------------
-# Transfer (Verlagerung)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _index2_steps(pres: GPresentation, H: Subgroup) -> tuple[tuple[Subgroup, GElement], ...]:
-    """The steps (K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first: a flag of subspaces
-    of F_2^3 from H's classes V up, K_(i-1) = <K_i, z_i> over span(V_i, class of z_i).
-
-    Cached by value, so the chains of the subgroups over G' of a presentation share their
-    upper steps: each subgroup's step is built once.  H must be over_derived(pres, V).
-    """
-    if (0, 2, 0) not in H or (0, 0, 2) not in H:  # sigma^2 and tau^2, for every m >= 2, n >= 1
-        raise ValueError("the transfer needs a subgroup containing G' = <sigma^2, tau^2>")
-    classes = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
-    if over_derived(pres, classes) != H:
-        raise GroupCheckError(f"{H.generators} is not the subgroup over G' of its classes")
-    if len(classes) == len(CLASS_VECTORS):
-        return ()
-    zbar, z = next((v, g) for v, g in zip(CLASS_VECTORS, pres.class_elements) if v not in classes)
-    above = over_derived(pres, classes | {vadd(v, zbar) for v in classes})
-    if above.order != 2 * H.order:
-        raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.order // H.order} over K")
-    return (*_index2_steps(pres, above), (H, z))
-
-
-def _transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
-    """The index-2 transfers K_(i-1) -> K_i in turn: g z g z^-1 for g in K_i, else g^2."""
-    mul = pres.mul
-    for K, z in steps:
-        if z in K:
-            raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
-        if g not in K:
-            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
-    return g
-
-
-def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
-    """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
-    ValueError): by transitivity, the composite of the index-2 transfers of _index2_steps."""
-    return H.derived_subgroup().coset_rep(_transfer_along(pres, _index2_steps(pres, H), g))
-
-
-# ---------------------------------------------------------------------------
 # The class group (Z/2)^3 of the base field and its dictionary with G/G'
 # ---------------------------------------------------------------------------
 
@@ -509,7 +470,6 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
     return pres.word("t" * x0 + "r" * x1 + "rs" * x2)
 
 
-@lru_cache(maxsize=None)
 def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
     """The subgroup over G' whose image in G/G' = F_2^3 is the subspace classes: K_j over the
     plane N_j, L_j over the line N_a & N_b & N_c.  One Hermite basis spans its H & A: G' & A =
@@ -523,19 +483,100 @@ def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgro
     return Subgroup._from_vectors(pres, vectors, next((g for g in reps if g[0]), None))
 
 
+
+
+# ---------------------------------------------------------------------------
+# The engine table: the 16 subgroups over G' and their transfers (Verlagerung)
+# ---------------------------------------------------------------------------
+
+# the subspaces of F_2^3 top down: the whole space, the 7 planes, the 7 lines, {0}
+SUBSPACES = tuple(sorted({span(vs) for k in range(4) for vs in combinations(CLASS_VECTORS[1:], k)},
+                         key=lambda V: (-len(V), sorted(V))))
+
+
+class OverDerived(NamedTuple):
+    """The subgroup H over G' of a subspace V of G/G', with what the transfer into it needs."""
+
+    H: Subgroup
+    steps: tuple[tuple[Subgroup, GElement], ...]  # (K_i, z_i) of G = K_0 > ... > K_k = H, top first
+    derived: Subgroup  # H'
+    abelianization: AbelianType  # H/H'
+    kernel: frozenset[ClassVector]  # the classes whose transfer to H lies in H'
+
+
+class EngineTable(NamedTuple):
+    """Everything the checks read of one presentation."""
+
+    over: dict[frozenset[ClassVector], OverDerived]  # keyed by the subspaces V, in SUBSPACES order
+    series: tuple[Subgroup, ...]  # the lower central series
+    derived_squares: bool  # G' == <sigma^2, tau^2>
+    G = property(lambda self: self.over[SUBSPACES[0]])  # H/H' is G/G'
+    G_derived = property(lambda self: self.over[SUBSPACES[-1]])  # H/H' is the type of G'
+
+
+@lru_cache(maxsize=None)
+def engine_table(pres: GPresentation) -> EngineTable:
+    """The 16 subgroups over G', top down: the chain of H = over_derived(V) is that of <H, z>, the
+    subgroup over V + <z> for z the representative of the first class outside V, plus (H, z).
+    The transfer G/G' -> H/H' is a homomorphism: its values on rho sigma, rho and tau give the
+    images of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
+    over: dict[frozenset[ClassVector], OverDerived] = {}
+    for V in SUBSPACES:
+        H, steps = over_derived(pres, V), ()
+        if len(V) < len(CLASS_VECTORS):
+            zbar, z = next((v, g) for v, g in zip(CLASS_VECTORS, pres.class_elements) if v not in V)
+            above = over[V | {vadd(v, zbar) for v in V}]
+            if above.H.order != 2 * H.order:
+                raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.H.order // H.order} "
+                                      "over K")
+            steps = (*above.steps, (H, z))
+        derived, images = H.derived_subgroup(), [pres.identity()]
+        for i in (1, 2, 4):
+            g = _transfer_along(pres, steps, pres.class_elements[i])
+            images += [pres.mul(x, g) for x in images]
+        over[V] = OverDerived(H, steps, derived, _quotient_type(H, derived),
+                              frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))
+    squares = Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
+    return EngineTable(over, tuple(lower_central_series(pres)), over[SUBSPACES[0]].derived == squares)
+
+
+def _transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
+    """The index-2 transfers K_(i-1) -> K_i in turn: g z g z^-1 for g in K_i, else g^2."""
+    mul = pres.mul
+    for K, z in steps:
+        if z in K:
+            raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        if g not in K:
+            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
+    return g
+
+
+def _table_entry(pres: GPresentation, H: Subgroup) -> OverDerived:
+    """H's entry in the engine table, for H over G' (else ValueError)."""
+    if (0, 2, 0) not in H or (0, 0, 2) not in H:  # sigma^2 and tau^2, for every m >= 2, n >= 1
+        raise ValueError("the transfer needs a subgroup containing G' = <sigma^2, tau^2>")
+    classes = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
+    entry = engine_table(pres).over.get(classes)
+    if entry is None or entry.H != H:
+        raise GroupCheckError(f"{H.generators} is not the subgroup over G' of its classes")
+    return entry
+
+
+def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
+    """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
+    ValueError): by transitivity, the composite of the index-2 transfers along H's chain."""
+    entry = _table_entry(pres, H)
+    return entry.derived.coset_rep(_transfer_along(pres, entry.steps, g))
+
+
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
     """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'."""
-    return abelianization_and_kernel(pres, H)[1]
+    return _table_entry(pres, H).kernel
 
 
 def abelianization_and_kernel(pres: GPresentation,
                               H: Subgroup) -> tuple[AbelianType, frozenset[ClassVector]]:
-    """(H/H', transfer kernel) for H over G', from one H'.  The transfer G/G' -> H/H' is a
-    homomorphism: its values on rho sigma, rho and tau give the images of the eight class
-    vectors, in the order of CLASS_VECTORS, by doubling."""
-    steps, derived, images = _index2_steps(pres, H), H.derived_subgroup(), [pres.identity()]
-    for i in (1, 2, 4):
-        g = _transfer_along(pres, steps, pres.class_elements[i])
-        images += [pres.mul(x, g) for x in images]
-    return (_quotient_type(H, derived),
-            frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))
+    """(H/H', transfer kernel) for H over G'."""
+    entry = _table_entry(pres, H)
+    return entry.abelianization, entry.kernel

@@ -180,6 +180,19 @@ def test_group_with_symbols(capsys):
     assert code == 2 and "inconsistent" in err
 
 
+def test_group_rejects_pi_and_b_without_legendre(capsys):
+    # the symbols only count with --legendre; alone they are refused, not ignored
+    base = ("group", "--m", "2", "--n", "2", "--q", "1", "--json")
+    for argv in (("--pi", "-1"), ("--b", "1"), ("--pi", "1", "--b", "-1")):
+        code, out, err = run(capsys, *base, *argv)
+        assert code == 2 and out == ""
+        assert err == "--pi and --b need --legendre\n"
+    # --legendre alone takes pi = B = 1
+    code, out, _ = run(capsys, *base, "--legendre", "1")
+    assert code == 0 and "fields" in json.loads(out)
+    assert run(capsys, *base, "--legendre", "1", "--pi", "1", "--b", "1") == (0, out, "")
+
+
 def test_group_rejects_symbols_against_psi(capsys):
     # Scholz: (p1/p2) = +1 with pi = -1 forces psi = sigma; Dirichlet: (p1/p2) = -1 forces
     # psi = tau-sigma.  Both presentations exist, so only the symbols are refused.
@@ -366,10 +379,10 @@ _IDENTITY_STEPS = """
 import sys
 from classtower import gengroup
 from classtower.cli import main
-steps = gengroup._index2_steps
-def identity_steps(pres, H):
-    return [(K, (0, 0, 0)) for K, _ in steps(pres, H)]  # every z replaced by the identity
-gengroup._index2_steps = identity_steps
+transfer_along = gengroup._transfer_along
+def identity_steps(pres, steps, g):
+    return transfer_along(pres, [(K, (0, 0, 0)) for K, _ in steps], g)  # every z the identity
+gengroup._transfer_along = identity_steps
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -398,17 +411,12 @@ _MERGED_COSETS = """
 import sys
 from classtower import gengroup
 from classtower.cli import main
-steps, over_derived = gengroup._index2_steps, gengroup.over_derived
-def merged_steps(pres, H):
-    # while the steps are built, <K, z> drops the class of z and comes out as K: both cosets
-    # of K merge
-    own = frozenset(v for v, g in zip(gengroup.CLASS_VECTORS, pres.class_elements) if g in H)
-    gengroup.over_derived = lambda pres, classes: over_derived(pres, classes & own)
-    try:
-        return steps(pres, H)
-    finally:
-        gengroup.over_derived = over_derived
-gengroup._index2_steps = merged_steps
+over_derived, plane = gengroup.over_derived, gengroup.span([(0, 0, 1), (0, 1, 0)])
+def merged(pres, classes):
+    # G comes out as the subgroup over a plane, so for each plane K, <K, z> = G drops the
+    # class of z and comes out the size of K: both cosets of K merge
+    return over_derived(pres, plane if len(classes) == 8 else classes)
+gengroup.over_derived = merged
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -498,8 +506,7 @@ def _clear_engine_caches():
     from classtower import classify, gengroup
 
     for cached in (classify.predict, classify._engine_checks, classify._text,
-                   classify._group_facts, classify._subgroup_facts, classify._fmt_vectors,
-                   classify._word_subgroup, gengroup.over_derived, gengroup._index2_steps):
+                   classify._fmt_vectors, classify._word_subgroup, gengroup.engine_table):
         cached.cache_clear()
 
 
@@ -515,9 +522,9 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the nine of the helper: seven in classify (predict, _engine_checks, _text, _group_facts,
-    # _subgroup_facts, _fmt_vectors, _word_subgroup) and over_derived, _index2_steps in gengroup
-    assert len(caches) >= 9
+    # the six of the helper: five in classify (predict, _engine_checks, _text, _fmt_vectors,
+    # _word_subgroup) and engine_table in gengroup
+    assert len(caches) >= 6
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
@@ -543,53 +550,66 @@ def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
         assert engine_checks(profile) == warm[profile], profile
 
 
-def test_subgroup_facts_once_per_subgroup(capsys):
-    # the 7 K_j and the 7 L_j of a presentation are the same subgroups for all its profiles
-    from classtower import classify
+def test_subgroup_facts_once_per_subgroup(capsys, monkeypatch):
+    # the 7 K_j and the 7 L_j of a presentation are the same subgroups for all its profiles:
+    # one engine table per presentation, each of its 16 subgroups over G' built once
+    from collections import Counter
 
+    from classtower import gengroup
+
+    over_derived, built = gengroup.over_derived, Counter()
+
+    def counted(pres, classes):
+        built[pres, classes] += 1
+        return over_derived(pres, classes)
+
+    monkeypatch.setattr(gengroup, "over_derived", counted)
     _clear_engine_caches()
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
-    assert classify._group_facts.cache_info().misses == 14
-    assert classify._subgroup_facts.cache_info().misses == 14 * 14
+    assert gengroup.engine_table.cache_info().misses == 14
+    assert len(built) == 14 * 16 and set(built.values()) == {1}
 
 
 def test_engine_subgroups_built_once_per_presentation(capsys):
-    # each presentation builds G, its 7 K_j, its 7 L_j and their index-2 chains once, whichever
-    # profiles label them; chains are top first, so an L_j's chain is the chain of the K above
-    # it and one step more
+    # each presentation builds G, its 7 K_j, its 7 L_j, G' and their index-2 chains once,
+    # whichever profiles label them; chains are top first, so an L_j's chain is the chain of a
+    # K above it and one step more
     from classtower import classify, gengroup
 
     _clear_engine_caches()
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
-    steps = gengroup._index2_steps
-    built = (gengroup.over_derived.cache_info().misses, steps.cache_info().misses)
-    assert built[0] <= 15 * 14  # G, the 7 K_j and the 7 L_j of each of the 14 presentations
-    assert built[1] == 15 * 14
+    built = gengroup.engine_table.cache_info().misses
+    assert built == 14
     ps = primes_5_mod_8(250)
     profiles = {classify.invariants(validate_pair(a, b)).profile()
                 for i, a in enumerate(ps) for b in ps[i + 1 :]}
     for profile in profiles:
-        pres, G, _, subgroups = classify.engine_subgroups(profile)
-        ks = {subgroups[f"K{j}"] for j in range(1, 8)}
-        assert steps(pres, G) == ()
+        _, _, _, q, m, n, psi = profile
+        pres, report = gengroup.GPresentation(m, n, q, psi), classify.predict(profile)
+        table = gengroup.engine_table(pres)
+        assert list(table.over) == list(gengroup.SUBSPACES) and table.G.steps == ()
+        ks = {table.over[kf.norm_group].H for kf in report.k_fields.values()}
+        assert len(ks) == 7
         for K in ks:
-            assert len(steps(pres, K)) == 1 and steps(pres, K)[0][0] == K
-        for j in range(1, 8):
-            L = subgroups[f"L{j}"]
-            chain = steps(pres, L)
-            assert len(chain) == 2 and chain[-1][0] == L and chain[0][0] in ks, (profile, j)
-            assert chain[:-1] == steps(pres, chain[0][0]), (profile, j)
-    assert (gengroup.over_derived.cache_info().misses, steps.cache_info().misses) == built
+            steps = gengroup._table_entry(pres, K).steps
+            assert len(steps) == 1 and steps[0][0] == K
+        for j, lf in report.l_fields.items():
+            L = table.over[lf.norm_group]
+            chain = L.steps
+            assert len(chain) == 2 and chain[-1][0] == L.H and chain[0][0] in ks, (profile, j)
+            assert chain[:-1] == gengroup._table_entry(pres, chain[0][0]).steps, (profile, j)
+        assert len(table.G_derived.steps) == 3
+    assert gengroup.engine_table.cache_info().misses == built
 
 
 def test_engine_builds_subgroups_over_derived_from_subspaces(capsys, monkeypatch):
     # the subgroups over G' come from subspaces of G/G': no intersection, Subgroup.generated only
-    # for the table words and G' = <sigma^2, tau^2>, and each H' once
+    # for the table words and G' = <sigma^2, tau^2>, and each of the 16 H' of a table once
     from collections import Counter
 
-    from classtower import classify
+    from classtower import classify, gengroup
     from classtower.gengroup import Subgroup
 
     calls, derived = Counter(), Counter()
@@ -615,10 +635,10 @@ def test_engine_builds_subgroups_over_derived_from_subspaces(capsys, monkeypatch
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
     assert calls["intersection"] == 0
-    words, presentations = classify._word_subgroup.cache_info(), classify._group_facts.cache_info()
+    words, presentations = classify._word_subgroup.cache_info(), gengroup.engine_table.cache_info()
     assert presentations.misses == 14
     assert calls["generated"] == words.misses + presentations.misses
-    assert len(derived) == 14 * 15 and set(derived.values()) == {1}  # G and its 14 subgroups
+    assert len(derived) == 14 * 16 and set(derived.values()) == {1}  # the 16 subgroups over G'
 
 
 def test_parser_is_built_once_per_process(capsys):

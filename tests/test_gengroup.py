@@ -531,33 +531,46 @@ def test_abelian_structure_self_checks():
 
 
 def test_transfer_rejects_a_forged_step(monkeypatch):
-    # each self-check of the index-2 steps fires on the forgery it guards against
+    # each self-check of the engine table fires on the forgery it guards against; the table is
+    # cleared first, since a table built before the forgery hides it
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    steps = gengroup._index2_steps
+    transfer_along = gengroup._transfer_along
 
-    def identity_steps(pres, H):
-        return [(K, pres.identity()) for K, _ in steps(pres, H)]
+    def identity_steps(pres, steps, g):
+        return transfer_along(pres, [(K, pres.identity()) for K, _ in steps], g)
 
+    gengroup.engine_table.cache_clear()
     with monkeypatch.context() as patch:  # z inside K: the formula assumes z outside
-        patch.setattr(gengroup, "_index2_steps", identity_steps)
+        patch.setattr(gengroup, "_transfer_along", identity_steps)
         with pytest.raises(GroupCheckError, match="index-2 step: z = .* lies inside K"):
             transfer(pres, H, pres.tau())
     with monkeypatch.context() as patch:  # a step below G', where g^2 leaves K
-        patch.setattr(gengroup, "_index2_steps", lambda pres, H: [(Subgroup.trivial(pres), pres.rho())])
+        patch.setattr(gengroup, "_transfer_along", lambda pres, steps, g: transfer_along(
+            pres, [(Subgroup.trivial(pres), pres.rho())], g))
         with pytest.raises(GroupCheckError, match="index-2 step: the value .* leaves K"):
             transfer(pres, H, pres.sigma())
-    gengroup._index2_steps.cache_clear()  # else the chain the first block built hides the forgery
-    own = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
-    with monkeypatch.context() as patch:  # a builder that drops the class of z: a step of index 1
-        patch.setattr(gengroup, "over_derived", lambda pres, classes: over_derived(pres, classes & own))
+    plane = span([(0, 0, 1), (0, 1, 0)])
+    with monkeypatch.context() as patch:  # G built over a plane: each plane's <K, z> has index 1
+        patch.setattr(gengroup, "over_derived", lambda pres, classes: over_derived(
+            pres, plane if len(classes) == 8 else classes))
         with pytest.raises(GroupCheckError, match="index-2 step: .* has index 1 over K"):
             transfer_kernel(pres, H)
-    gengroup._index2_steps.cache_clear()
-    with monkeypatch.context() as patch:  # a builder that does not give H back from its classes
-        patch.setattr(gengroup, "over_derived", lambda pres, classes: Subgroup.whole_group(pres))
+    table = gengroup.engine_table(pres)
+    forged = table._replace(over=dict.fromkeys(table.over, table.G))
+    with monkeypatch.context() as patch:  # a table that does not give H back from its classes
+        patch.setattr(gengroup, "engine_table", lambda pres: forged)
         with pytest.raises(GroupCheckError, match="is not the subgroup over G' of its classes"):
             transfer(pres, H, pres.tau())
+
+
+def test_warm_transfer_kernel_only_reads_the_table(monkeypatch):
+    # H/H' and the kernel are computed when the table is built; a later call computes no quotient
+    pres = GPresentation(3, 1, 1, TAU_SIGMA)
+    H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
+    cold, calls = transfer_kernel(pres, H), []
+    monkeypatch.setattr(gengroup, "_quotient_type", lambda H, N: calls.append((H, N)))
+    assert transfer_kernel(pres, H) == cold and calls == []
 
 
 _UNCLOSED = """
@@ -602,12 +615,12 @@ def test_lattice_engine_matches_element_oracle():
             assert ElementSubgroup.of(H).elements == EH.elements, (pres, H)
             assert H.abelianization() == EH.abelianization(), (pres, H)
             assert transfer_kernel(pres, H) == oracle.transfer_kernel(pres, EH), (pres, H)
-            # the steps and H' built once, as transfer_kernel does; the public transfer,
-            # which builds them per call, is compared at every element of SMALL below
+            # the steps and H' read once from the table; the public transfer, which looks them
+            # up per call, is compared at every element of SMALL below
             ectx = oracle.transfer_context(pres, EH)
-            steps, Hp = gengroup._index2_steps(pres, H), H.derived_subgroup()
+            entry = gengroup._table_entry(pres, H)
             for g in elements(pres):
-                got = Hp.coset_rep(gengroup._transfer_along(pres, steps, g))
+                got = entry.derived.coset_rep(gengroup._transfer_along(pres, entry.steps, g))
                 assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
 
 
