@@ -26,9 +26,10 @@ Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
 G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivity,
 a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a two-case
-formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 with their
-chains, H/H' and transfer kernels once per presentation; transfer and transfer_kernel
-read it.
+formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 once per
+presentation, top down the flag: the transfers of rho sigma, rho and tau into each are
+carried one step on from the subgroup above, and each stores its chain, H/H' and
+transfer kernel; transfer and transfer_kernel read it.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def _smith_diagonal(rows, width: int) -> list[int]:
 
     Row and column echelon forms alternate until the matrix is diagonal: each
     round either shrinks the leading entry or clears its row and column.  The
-    diagonal need not be a divisor chain (AbelianType.from_factors realigns it).
+    diagonal need not be a divisor chain (_quotient_type sorts it).
     """
     while True:
         rows = _echelon(rows, width)
@@ -413,17 +414,18 @@ def _quotient_type(H: Subgroup, N: Subgroup) -> AbelianType:
     """H/N for H' <= N <= H by the Smith normal form of its relation matrix.
 
     Generators: the Hermite basis of M = H & A, and r when N lies in A.
-    Relations: the basis of N & A in M's coordinates, and 2[r] = [r^2].
+    Relations: the basis of N & A in M's coordinates, and 2[r] = [r^2].  H/N is
+    a 2-group, so the sorted Smith diagonal, powers of 2 (checked), is its type.
     """
     rows = [_coords(H.lattice, *v) for v in _rows(N.lattice)]
     if H.r is not None and N.r is None:
         _, a, b = H.pres.mul(H.r, H.r)
         rows = [(*c, 0) for c in rows] + [(*_coords(H.lattice, a, b), -2)]
     diagonal = _smith_diagonal(rows, len(rows))
-    if prod(diagonal) != H.order // N.order:
-        raise GroupCheckError(f"Smith invariants {diagonal} do not multiply to "
+    if prod(diagonal) != H.order // N.order or any(d & (d - 1) for d in diagonal):
+        raise GroupCheckError(f"Smith invariants {diagonal} are not powers of 2 multiplying to "
                               f"[H : N] = {H.order // N.order}")
-    return AbelianType.from_factors(diagonal)
+    return AbelianType(tuple(sorted(d for d in diagonal if d > 1)))
 
 
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
@@ -476,13 +478,11 @@ def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgro
     (T - I)Z^2 + Lambda and the representatives inside A; r is the first one outside A.  For a
     further one g outside A, r^-1 g lies in A in the class of r g, whose representative is there.
     """
-    if not classes <= set(CLASS_VECTORS) or span(classes) != classes:
+    if classes not in _FLAG:
         raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
-    reps = [g for v, g in zip(CLASS_VECTORS, pres.class_elements) if v in classes]
+    reps = [pres.class_elements[k] for k in _FLAG[classes][0]]
     vectors = [*_conj(pres, ((1, 0), (0, 1)), 1), *(g[1:] for g in reps if not g[0])]
     return Subgroup._from_vectors(pres, vectors, next((g for g in reps if g[0]), None))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +492,12 @@ def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgro
 # the subspaces of F_2^3 top down: the whole space, the 7 planes, the 7 lines, {0}
 SUBSPACES = tuple(sorted({span(vs) for k in range(4) for vs in combinations(CLASS_VECTORS[1:], k)},
                          key=lambda V: (-len(V), sorted(V))))
+# the flag: V -> (the indices of V's classes, the index k of the first class z outside V and the
+# subspace V + <z> above V), with k and V + <z> None for V = F_2^3
+_FLAG = {V: (tuple(i for i, v in enumerate(CLASS_VECTORS) if v in V), k,
+             None if k is None else V | {vadd(v, CLASS_VECTORS[k]) for v in V})
+         for V in SUBSPACES
+         for k in [next((i for i, v in enumerate(CLASS_VECTORS) if v not in V), None)]}
 
 
 class OverDerived(NamedTuple):
@@ -516,23 +522,25 @@ class EngineTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def engine_table(pres: GPresentation) -> EngineTable:
-    """The 16 subgroups over G', top down: the chain of H = over_derived(V) is that of <H, z>, the
-    subgroup over V + <z> for z the representative of the first class outside V, plus (H, z).
-    The transfer G/G' -> H/H' is a homomorphism: its values on rho sigma, rho and tau give the
-    images of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
+    """The 16 subgroups over G', top down the flag of F_2^3: the chain of H = over_derived(V) is
+    that of <H, z>, the subgroup over V + <z> for z the representative of the first class outside
+    V, plus (H, z).  By transitivity, H's transfers of rho sigma, rho and tau are those of <H, z>
+    carried over the one step (H, z).  The transfer G/G' -> H/H' is a homomorphism: these three
+    give the images of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
     over: dict[frozenset[ClassVector], OverDerived] = {}
+    transfers = {}  # V -> the transfers to H of rho sigma, rho and tau, as elements of H
     for V in SUBSPACES:
-        H, steps = over_derived(pres, V), ()
-        if len(V) < len(CLASS_VECTORS):
-            zbar, z = next((v, g) for v, g in zip(CLASS_VECTORS, pres.class_elements) if v not in V)
-            above = over[V | {vadd(v, zbar) for v in V}]
-            if above.H.order != 2 * H.order:
-                raise GroupCheckError(f"index-2 step: <K, {z}> has index {above.H.order // H.order} "
-                                      "over K")
-            steps = (*above.steps, (H, z))
-        derived, images = H.derived_subgroup(), [pres.identity()]
-        for i in (1, 2, 4):
-            g = _transfer_along(pres, steps, pres.class_elements[i])
+        H, (_, k, above) = over_derived(pres, V), _FLAG[V]
+        steps, values = (), tuple(pres.class_elements[i] for i in (1, 2, 4))  # G: the identity
+        if above is not None:
+            z, parent = pres.class_elements[k], over[above]
+            if parent.H.order != 2 * H.order:
+                raise GroupCheckError(f"index-2 step: <K, {z}> has index "
+                                      f"{parent.H.order // H.order} over K")
+            steps = (*parent.steps, (H, z))
+            values = tuple(_transfer_along(pres, ((H, z),), g) for g in transfers[above])
+        derived, images, transfers[V] = H.derived_subgroup(), [pres.identity()], values
+        for g in values:
             images += [pres.mul(x, g) for x in images]
         over[V] = OverDerived(H, steps, derived, _quotient_type(H, derived),
                               frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))

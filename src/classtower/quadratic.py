@@ -1,10 +1,11 @@
 """Independent oracles for quadratic fields: fundamental units and class groups.
 
-Units come from one walk of the principal rho cycle of D = field_discriminant(m),
-which is the period of the continued fraction of sqrt(m) (or (1+sqrt(m))/2 when
-m = 1 mod 4): it gives the fundamental unit of the maximal order together with
-its norm, which must match the period parity (-1)^l, and the ambiguous forms of
-the principal cycle that class groups of D > 0 need.
+Units come from half a walk of the principal rho cycle of D = field_discriminant(m),
+whose period is that of the continued fraction of sqrt(m) (or (1+sqrt(m))/2 when
+m = 1 mod 4): the cycle is a signed palindrome, and the half products at its
+symmetric point give the fundamental unit of the maximal order together with its
+norm, which must match the period parity (-1)^l, and the ambiguous forms of the
+principal cycle that class groups of D > 0 need.
 
 Class groups are binary quadratic form groups under Dirichlet composition
 (narrow for D > 0, then the wide quotient by the class of the negated
@@ -80,7 +81,7 @@ class QuadUnit:
 
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:
-    """Fundamental unit of O_{Q(sqrt(m))}, from one walk of the principal cycle of its D."""
+    """Fundamental unit of O_{Q(sqrt(m))}, from half a walk of the principal cycle of its D."""
     if m <= 1 or max(factorize(m).values()) > 1:
         raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
     return _principal_cycle(m)[0]
@@ -88,39 +89,53 @@ def fundamental_unit(m: int) -> QuadUnit:
 
 @lru_cache(maxsize=None)
 def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
-    """(eps, l, ambiguous) from one walk of the principal rho cycle of D = field_discriminant(m).
+    """(eps, l, ambiguous) from half a walk of the principal rho cycle of D = field_discriminant(m).
 
-    The l rho steps from the reduced principal form (1, b_0, c_0) to the first
-    form with |a| = 1 are the period of the continued fraction of omega
-    (Cohen, A Course in Computational Algebraic Number Theory, 5.7; Buchmann
-    and Vollmer, Binary Quadratic Forms, 2007).  Starting from (q, q') = (1, 0),
-    every step (a, b, c) -> (c, b', c') but the last sets (q, q') to
-    (t q + q', q) with t = (b + b')/(2|c|); then eps = (q b_0 + 2q' + q sqrt(D))/2
-    is the fundamental unit and N(eps) = (-1)^l, which is checked.  ambiguous
-    holds the signed a of the ambiguous forms (a | b) among the l forms before
-    the last; for odd l the rest of the signed cycle is these forms negated.
+    The l rho steps from the reduced principal form f_0 = (1, b_0, c_0) back to
+    |a| = 1 are the period of the continued fraction of omega (Cohen, A Course
+    in Computational Algebraic Number Theory, 5.7).  With f_i = (a_i, b_i, c_i),
+    Phi_i = prod_(j<i) (b_j + sqrt(D))/(2 a_j) = (X_i + Y_i sqrt(D))/2 is an
+    integer of norm a_i: Y_0 = 0, Y_1 = 1, Y_(i+1) = t_i Y_i - Y_(i-1) with
+    t_i = (b_(i-1) + b_i)/(2 a_i), and X_i = sign(Y_i) isqrt(D Y_i^2 + 4 a_i).
+    The cycle is a signed palindrome, so the walk stops at its symmetric point,
+    whichever comes first: the first i >= 1 with a_i | b_i gives l = 2i,
+    eps = +-Phi_i^2 / a_i and the ambiguous forms (1, a_i); the first i >= 0
+    with |a_(i+1)| = |a_i| gives l = 2i + 1, eps = +-Phi_(i+1) Phi_i / a_i and
+    (1,), the rest of the signed cycle being these forms negated.  A start
+    with a != 1, a non-square, an inexact division or N(eps) != (-1)^l raises
+    ClassGroupError (norm/period mismatch).
     """
     D = field_discriminant(m)
     s = math.isqrt(D)
-    a, b0, c = reduce_indefinite(principal_form(D)).key()
-    b, q, q_prev, steps, ambiguous = b0, 1, 0, 0, []
-    while True:
-        if b % a == 0:
-            ambiguous.append(a)
-        b_next, c_next = _rho(b, c, D, s)
-        steps += 1
-        if abs(c) == 1:
+    a, b, c = reduce_indefinite(principal_form(D)).key()
+    if a != 1:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: the walk starts at a = {a}")
+    t, y_prev, y, i = 0, -1, 0, 0  # t_0 = 0 and Y_(-1) = -1 give Y_1 = 1
+    while True:  # eps = +-Phi_j Phi_i / a_i with j = i for even l, j = i + 1 for odd l
+        if i and b % a == 0:
+            steps, ambiguous, (y_j, a_j, y_i) = 2 * i, (1, a), (y, a, y)
             break
-        q, q_prev = (b + b_next) // (2 * abs(c)) * q + q_prev, q
-        a, b, c = c, b_next, c_next
+        y_prev, y = y, t * y - y_prev
+        if c == -a or c == a:
+            steps, ambiguous, (y_j, a_j, y_i) = 2 * i + 1, (1,), (y, c, y_prev)
+            break
+        # _rho of a reduced form, |c| <= s: b' = s - (s + b) mod 2|c| and t = (b + b')/(2c)
+        t, r = divmod(s + b, 2 * abs(c))
+        b, t = s - r, t if c > 0 else -t
+        a, c, i = c, (b * b - D) // (4 * c), i + 1
+    # +-Phi_k = (X_k + |Y_k| sqrt(D))/2 with X_k = isqrt(D Y_k^2 + 4 a_k)
+    n_j, n_i, y_j, y_i = D * y_j * y_j + 4 * a_j, D * y_i * y_i + 4 * a, abs(y_j), abs(y_i)
+    x_j, x_i = math.isqrt(max(n_j, 0)), math.isqrt(max(n_i, 0))
+    (u, ru), (v, rv) = (divmod(x_j * x_i + D * y_j * y_i, 2 * abs(a)),
+                        divmod(x_j * y_i + x_i * y_j, 2 * abs(a)))
     # eps = (u + v sqrt(m))/w, as sqrt(D) = sqrt(m) or 2 sqrt(m); w = 1 when u, v are even
-    u, v, w = q * b0 + 2 * q_prev, q if D == m else 2 * q, 2
+    v, w, norm = v if D == m else 2 * v, 2, 1 if steps % 2 == 0 else -1
     if u % 2 == v % 2 == 0:
         u, v, w = u // 2, v // 2, 1
-    norm = (u * u - m * v * v) // (w * w)
-    if norm != (1 if steps % 2 == 0 else -1):
-        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={steps}")
-    return QuadUnit(u, v, w, m, norm), steps, tuple(ambiguous)
+    if x_j * x_j != n_j or x_i * x_i != n_i or ru or rv or not v or u * u - m * v * v != norm * w * w:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: the half products give no "
+                              f"unit of norm {norm} for l={steps}")
+    return QuadUnit(u, v, w, m, norm), steps, ambiguous
 
 
 def norm_eps(m: int) -> int:

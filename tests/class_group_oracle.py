@@ -10,6 +10,9 @@ generated by u-th powers (h = 2^e * u, u odd) and the full structure.
 continued_fraction_unit is the (P, Q) continued-fraction expansion that
 classtower.quadratic used for fundamental units before it read them off the
 walk of the principal cycle; it is kept to check that walk against.
+full_principal_cycle is the whole walk of the principal cycle that
+classtower.quadratic used before it stopped at the cycle's symmetric point; it
+is kept to check the half walk against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     QuadUnit,
+    _rho,
     compose,
+    field_discriminant,
     principal_form,
     reduce_definite,
     reduce_indefinite,
@@ -226,3 +231,36 @@ def continued_fraction_unit(m: int) -> QuadUnit:
     if norm != parity_norm:
         raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={period}")
     return QuadUnit(u, v, w, m, norm)
+
+
+def full_principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
+    """(eps, l, ambiguous) from the whole walk of the principal rho cycle of D = field_discriminant(m).
+
+    The l rho steps from the reduced principal form (1, b_0, c_0) to the first
+    form with |a| = 1 are the period.  Starting from (q, q') = (1, 0), every
+    step (a, b, c) -> (c, b', c') but the last sets (q, q') to (t q + q', q)
+    with t = (b + b')/(2|c|); then eps = (q b_0 + 2q' + q sqrt(D))/2 and
+    N(eps) = (-1)^l, which is checked.  ambiguous holds the signed a of the
+    ambiguous forms (a | b) among the l forms before the last.
+    """
+    D = field_discriminant(m)
+    s = math.isqrt(D)
+    a, b0, c = reduce_indefinite(principal_form(D)).key()
+    b, q, q_prev, steps, ambiguous = b0, 1, 0, 0, []
+    while True:
+        if b % a == 0:
+            ambiguous.append(a)
+        b_next, c_next = _rho(b, c, D, s)
+        steps += 1
+        if abs(c) == 1:
+            break
+        q, q_prev = (b + b_next) // (2 * abs(c)) * q + q_prev, q
+        a, b, c = c, b_next, c_next
+    # eps = (u + v sqrt(m))/w, as sqrt(D) = sqrt(m) or 2 sqrt(m); w = 1 when u, v are even
+    u, v, w = q * b0 + 2 * q_prev, q if D == m else 2 * q, 2
+    if u % 2 == v % 2 == 0:
+        u, v, w = u // 2, v // 2, 1
+    norm = (u * u - m * v * v) // (w * w)
+    if norm != (1 if steps % 2 == 0 else -1):
+        raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={steps}")
+    return QuadUnit(u, v, w, m, norm), steps, tuple(ambiguous)

@@ -314,8 +314,12 @@ def _subgroups_over_derived(pres):
 
 
 def test_transfer_kernel_from_three_transfers_matches_all_eight():
-    # transfer_kernel transfers tau, rho, rho sigma only; here every class is transferred
-    for pres in dict.fromkeys(SMALL + admissible_presentations(5, 5)):
+    # the table carries the transfers of tau, rho, rho sigma down the flag of F_2^3, one
+    # index-2 step per subgroup; here every class is transferred along H's whole chain, for
+    # every presentation with m + n <= 11
+    presentations = [pres for pres in _accepted_presentations(10, 9) if pres.m + pres.n <= 11]
+    assert len(presentations) == 99
+    for pres in presentations:
         subgroups = _subgroups_over_derived(pres)
         assert len(set(subgroups)) == 16
         for H in subgroups:
@@ -562,6 +566,17 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
         patch.setattr(gengroup, "engine_table", lambda pres: forged)
         with pytest.raises(GroupCheckError, match="is not the subgroup over G' of its classes"):
             transfer(pres, H, pres.tau())
+
+
+def test_quotient_type_needs_a_power_of_2_diagonal(monkeypatch):
+    # H/N is a 2-group, so its type is the sorted Smith diagonal; a diagonal with the right
+    # product but entries that are not powers of 2 (two of them negated) is an explicit raise
+    G = Subgroup.whole_group(GPresentation(3, 1, 1, TAU_SIGMA))
+    smith = gengroup._smith_diagonal
+    monkeypatch.setattr(gengroup, "_smith_diagonal", lambda rows, width: [
+        -d if i < 2 else d for i, d in enumerate(smith(rows, width))])
+    with pytest.raises(GroupCheckError, match="Smith invariants .* are not powers of 2"):
+        G.abelianization()
 
 
 def test_warm_transfer_kernel_only_reads_the_table(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from class_group_oracle import (
     continued_fraction_unit,
     counting_class_group,
+    full_principal_cycle,
     full_structure,
     group_law,
     reduced_definite_forms,
@@ -18,6 +19,7 @@ from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     QuadUnit,
+    _principal_cycle,
     class_group,
     compose,
     exponents_mn,
@@ -88,6 +90,17 @@ def test_fundamental_unit_matches_continued_fraction():
             for m in (r, 2 * r):
                 assert fundamental_unit(m) == continued_fraction_unit(m), m
             assert fundamental_unit(r).w == 1, r
+
+
+def test_half_walk_matches_the_full_walk():
+    # the walk stops at the symmetric point of the principal cycle; the whole walk is the oracle
+    assert _principal_cycle(290) == (QuadUnit(17, 1, 1, 290, -1), 1, (1,))
+    assert _principal_cycle(377) == (QuadUnit(233, 12, 1, 377, 1), 4, (1, 13))
+    ps = primes_5_mod_8(500)
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            for m in (p1 * p2, 2 * p1 * p2):
+                assert _principal_cycle(m) == full_principal_cycle(m), m
 
 
 def test_fundamental_unit_rejects():
