@@ -20,8 +20,9 @@ conjugation by any element outside A acts on it by T = diag(sigma_twist, -1).
 A subgroup H is (H & A) u r(H & A) for at most one coset representative r
 outside A, so it is stored as the Hermite basis of the preimage of H & A in
 Z^2 (a lattice containing Lambda) and a canonical r.  Membership, derived
-subgroups, the lower central series and quotients (Smith normal form) are then
-integer arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
+subgroups, the lower central series and quotients (Smith invariants as ratios of
+the gcds of the minors of an at most 3 x 3 relation matrix) are then integer
+arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
 G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivity,
@@ -56,7 +57,6 @@ __all__ = [
     "engine_table",
     "transfer",
     "transfer_kernel",
-    "abelianization_and_kernel",
     "abelian_invariants",
     "lower_central_series",
 ]
@@ -197,32 +197,6 @@ _LETTERS = {"r": (1, 0, 0), "s": (0, 1, 0), "t": (0, 0, 1)}  # normal forms for 
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows, width: int) -> list[tuple[int, ...]]:
-    """Echelon basis of the span of integer rows in Z^width: one row per pivot column.
-
-    Column by column, Euclid's algorithm on that entry merges the rows into one
-    pivot row (a unimodular row operation); the rest have a zero there.
-    """
-    basis = []
-    for col in range(width):
-        pivot, rest = None, []
-        for row in rows:
-            if pivot is None and row[col]:
-                pivot = row
-                continue
-            while row[col]:  # a pivot dividing the entry stays put, as the Smith form needs
-                k = row[col] // pivot[col]
-                row = tuple(x - k * p for x, p in zip(row, pivot))
-                if row[col]:
-                    pivot, row = row, pivot
-            if any(row):
-                rest.append(row)
-        if pivot is not None:
-            basis.append(tuple(pivot) if pivot[col] > 0 else tuple(-x for x in pivot))
-        rows = rest
-    return basis
-
-
 def _hermite(vectors) -> Lattice:
     """Hermite basis of a full-rank lattice of Z^2 given by spanning vectors: Euclid's
     algorithm on the first column leaves the row (h11, h12), and h22 the gcd of the rest."""
@@ -265,19 +239,19 @@ def _conj(pres: GPresentation, vectors, shift: int = 0) -> list[tuple[int, int]]
     return [((s - shift) * a, (t - shift) * b) for a, b in vectors]
 
 
-def _smith_diagonal(rows, width: int) -> list[int]:
-    """Diagonal of the Smith normal form of a full-rank square relation matrix.
+def _smith_diagonal(x: int, y: int, z: int, r2: tuple[int, int] | None = None) -> tuple[int, ...]:
+    """Smith invariants of [[x, y], [0, z]], or for r2 = (a, b) of [[x, y, 0], [0, z, 0], [a, b, -2]].
 
-    Row and column echelon forms alternate until the matrix is diagonal: each
-    round either shrinks the leading entry or clears its row and column.  The
-    diagonal need not be a divisor chain (_quotient_type sorts it).
+    They are the ratios D_k / D_(k-1) of the determinantal divisors, D_k the gcd of the
+    k x k minors: gcd(x, y, z) and |xz|, or gcd(x, y, z, a, b, 2), gcd(xz, xb - ya, 2x, 2y,
+    za, 2z) and 2|xz|.
     """
-    while True:
-        rows = _echelon(rows, width)
-        cols = _echelon(list(zip(*rows)), len(rows))
-        if not any(x for i, col in enumerate(cols) for x in col[i + 1:]):
-            return [col[i] for i, col in enumerate(cols)]
-        rows = list(zip(*cols))
+    if r2 is None:
+        d1 = gcd(x, y, z)
+        return d1, abs(x * z) // d1
+    a, b = r2
+    d1, d2 = gcd(x, y, z, a, b, 2), gcd(x * z, x * b - y * a, 2 * x, 2 * y, z * a, 2 * z)
+    return d1, d2 // d1, 2 * abs(x * z) // d2
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +335,6 @@ class Subgroup:
         return (0, h11, h12) in other and (0, 0, h22) in other and (
             self.r is None or self.r in other)
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        """H & K by Zassenhaus' echelon of the rows (u, u), (v, 0) over the bases u of M_H, v of M_K.
-
-        Its rows (0, 0, w) span M_H & M_K; its two pivot rows carry M_H's share of
-        M_H + M_K, which splits r_K - r_H when the rho-cosets meet.
-        """
-        pres = self.pres
-        rows = [(*u, *u) for u in _rows(self.lattice)] + [(*v, 0, 0) for v in _rows(other.lattice)]
-        p0, p1, *meet = _echelon(rows, 4)
-        r = None
-        if self.r is not None and other.r is not None:
-            k0, rem0 = divmod(other.r[1] - self.r[1], p0[0])
-            k1, rem1 = divmod(other.r[2] - self.r[2] - k0 * p0[1], p1[1])
-            if not rem0 and not rem1:  # r_H + (M_H part) lies in both rho-cosets
-                r = pres.element(1, self.r[1] + k0 * p0[2] + k1 * p1[2],
-                                 self.r[2] + k0 * p0[3] + k1 * p1[3])
-        return Subgroup._from_vectors(pres, [w[2:] for w in meet], r)
-
     def derived_subgroup(self) -> "Subgroup":
         """H' = (T - I)M + Lambda, since [r, x] = (T - I)x on A; H' = 1 when H lies in A."""
         if self.r is None:
@@ -411,21 +367,20 @@ def abelian_invariants(H: Subgroup, N: Subgroup) -> AbelianType:
 
 
 def _quotient_type(H: Subgroup, N: Subgroup) -> AbelianType:
-    """H/N for H' <= N <= H by the Smith normal form of its relation matrix.
+    """H/N for H' <= N <= H by the Smith invariants of its relation matrix.
 
     Generators: the Hermite basis of M = H & A, and r when N lies in A.
-    Relations: the basis of N & A in M's coordinates, and 2[r] = [r^2].  H/N is
-    a 2-group, so the sorted Smith diagonal, powers of 2 (checked), is its type.
+    Relations: the Hermite rows (x, y), (0, z) of N & A in M's coordinates, and
+    2[r] = [r^2] with r2 = (a, b) the coordinates of r^2 in M.  H/N is a 2-group,
+    so the invariants, powers of 2 (checked), are its type.
     """
-    rows = [_coords(H.lattice, *v) for v in _rows(N.lattice)]
-    if H.r is not None and N.r is None:
-        _, a, b = H.pres.mul(H.r, H.r)
-        rows = [(*c, 0) for c in rows] + [(*_coords(H.lattice, a, b), -2)]
-    diagonal = _smith_diagonal(rows, len(rows))
+    (x, y), (_, z) = (_coords(H.lattice, *v) for v in _rows(N.lattice))
+    r2 = _coords(H.lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
+    diagonal = _smith_diagonal(x, y, z, r2)
     if prod(diagonal) != H.order // N.order or any(d & (d - 1) for d in diagonal):
         raise GroupCheckError(f"Smith invariants {diagonal} are not powers of 2 multiplying to "
                               f"[H : N] = {H.order // N.order}")
-    return AbelianType(tuple(sorted(d for d in diagonal if d > 1)))
+    return AbelianType(tuple(d for d in diagonal if d > 1))
 
 
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
@@ -581,10 +536,3 @@ def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:
     """Class vectors whose transfer to H lies in H' (the capitulation kernel), for H over G'."""
     return _table_entry(pres, H).kernel
-
-
-def abelianization_and_kernel(pres: GPresentation,
-                              H: Subgroup) -> tuple[AbelianType, frozenset[ClassVector]]:
-    """(H/H', transfer kernel) for H over G'."""
-    entry = _table_entry(pres, H)
-    return entry.abelianization, entry.kernel

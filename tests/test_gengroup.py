@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -31,8 +33,8 @@ from classtower.gengroup import (
     transfer,
     transfer_kernel,
     vadd,
-    _echelon,
     _hermite,
+    _reduce,
     _rows,
 )
 
@@ -569,12 +571,12 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
 
 
 def test_quotient_type_needs_a_power_of_2_diagonal(monkeypatch):
-    # H/N is a 2-group, so its type is the sorted Smith diagonal; a diagonal with the right
-    # product but entries that are not powers of 2 (two of them negated) is an explicit raise
+    # H/N is a 2-group, so its type is its Smith invariants; invariants with the right
+    # product but entries that are not powers of 2 (two of them negated) are an explicit raise
     G = Subgroup.whole_group(GPresentation(3, 1, 1, TAU_SIGMA))
     smith = gengroup._smith_diagonal
-    monkeypatch.setattr(gengroup, "_smith_diagonal", lambda rows, width: [
-        -d if i < 2 else d for i, d in enumerate(smith(rows, width))])
+    monkeypatch.setattr(gengroup, "_smith_diagonal", lambda x, y, z, r2=None: [
+        -d if i < 2 else d for i, d in enumerate(smith(x, y, z, r2))])
     with pytest.raises(GroupCheckError, match="Smith invariants .* are not powers of 2"):
         G.abelianization()
 
@@ -640,8 +642,8 @@ def test_lattice_engine_matches_element_oracle():
 
 
 def test_random_subgroups_match_element_oracle():
-    # arbitrary subgroups, not only those over G': closure, order, membership, <=, ==,
-    # intersection (with and without a common point outside A) and derived subgroups
+    # arbitrary subgroups, not only those over G': closure, order, membership, <=, == and
+    # derived subgroups
     rng = random.Random(17)
     for pres in SMALL:
         elems = elements(pres)
@@ -654,10 +656,28 @@ def test_random_subgroups_match_element_oracle():
             assert H.order == EH.order
             assert (H <= K) == (EH.elements <= EK.elements)
             assert (H == K) == (EH.elements == EK.elements)
-            assert ElementSubgroup.of(H.intersection(K)).elements == EH.intersection(EK).elements
             assert ElementSubgroup.of(H.derived_subgroup()).elements == EH.derived_subgroup().elements
             assert H.abelianization() == EH.abelianization(), (pres, gens_h)
             assert Subgroup.generated(pres, H.generators) == H
+
+
+def test_quotient_types_of_the_three_relation_shapes_match_element_oracle():
+    # H/N is read off [[x, y], [0, z]] when H lies in A or H and N both leave it, and off
+    # [[x, y, 0], [0, z, 0], [a, b, -2]] when H leaves A and N lies in it; each shape occurs
+    rng, shapes = random.Random(20), Counter()
+    for pres in SMALL:
+        elems = elements(pres)
+        for _ in range(25):
+            H = Subgroup.generated(pres, rng.sample(elems, rng.randint(1, 3)))
+            EH, Hp = ElementSubgroup.of(H), H.derived_subgroup()
+            inside = rng.choices(sorted(EH.elements), k=rng.randint(0, 2))
+            N = Subgroup.generated(pres, [*Hp.generators, *inside])
+            for M in (Hp, N):
+                shapes[H.r is None, M.r is None] += 1
+            assert H.abelianization() == EH.abelianization(), (pres, H)
+            EN = ElementSubgroup.of(N)
+            assert abelian_invariants(H, N) == oracle.abelian_invariants(EH, EN), (pres, H, N)
+    assert set(shapes) == {(True, True), (False, False), (False, True)}, shapes  # each occurs
 
 
 def test_transfers_over_the_derived_subgroup_match_element_oracle():
@@ -713,7 +733,8 @@ def test_over_derived_matches_generated_oracle_and_intersections():
         for line in lines:
             above = [built[plane] for plane in planes if line < plane]
             assert len(above) == 3
-            assert reduce(Subgroup.intersection, above) == built[line], (pres, sorted(line))
+            meet = reduce(ElementSubgroup.intersection, map(ElementSubgroup.of, above))
+            assert meet.elements == ElementSubgroup.of(built[line]).elements, (pres, sorted(line))
 
 
 def test_over_derived_rejects_a_non_subspace():
@@ -757,11 +778,16 @@ _VECTORS = st.lists(st.one_of(st.tuples(st.integers(-50, 50), st.integers(-50, 5
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(pres=st.sampled_from(SMALL), vectors=_VECTORS, sign=st.sampled_from([1, -1]), data=st.data())
 def test_hermite_matches_echelon(pres, vectors, sign, data):
-    # spanning sets with negative entries, zero rows and duplicates around a full-rank Lambda
+    # spanning sets with negative entries, zero rows and duplicates around a full-rank Lambda;
+    # the basis is pinned by h11 (the gcd of the first coordinates), h11 h22 (the gcd of the
+    # 2 x 2 minors, the index of the lattice) and every spanning vector lying in the lattice
     lam = [(sign * a, sign * b) for a, b in _rows(pres.relations)]
     spanning = data.draw(st.permutations(vectors + vectors[:data.draw(st.integers(0, 2))] + lam))
-    (h11, h12), (_, h22) = _echelon(spanning, 2)
-    assert _hermite(spanning) == (h11, h12 % h22, h22)
+    h11, h12, h22 = lattice = _hermite(spanning)
+    assert 0 <= h12 < h22
+    assert h11 == gcd(*(a for a, _ in spanning))
+    assert h11 * h22 == gcd(*(a * d - b * c for (a, b), (c, d) in itertools.combinations(spanning, 2)))
+    assert all(_reduce(lattice, a, b) == (0, 0) for a, b in spanning)
 
 
 _ADMISSIBLE_UP_TO_GUARD = st.one_of(  # every admissible pattern with |G| <= 2^20
