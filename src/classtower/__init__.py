@@ -16,14 +16,13 @@ from .classify import (
     ValidationReport,
     classify_pair,
     cross_validate,
-    field_layout,
     invariants,
     norm_groups,
     norm_groups_from_symbols,
     predict,
 )
 from .gaussian import GaussianInt, PrimeSplit, gauss_symbol, split_prime, symbol_B, symbol_pi
-from .gengroup import GPresentation, PsiVariant, Subgroup, transfer, transfer_kernel
+from .gengroup import GPresentation, PsiVariant, Subgroup, transfer_kernel
 from .quadratic import (
     BQForm,
     ClassGroup,
@@ -68,7 +67,6 @@ __all__ = [
     "cross_validate",
     "exact_square_root",
     "exponents_mn",
-    "field_layout",
     "fundamental_unit",
     "gauss_symbol",
     "invariants",
@@ -83,7 +81,6 @@ __all__ = [
     "split_prime",
     "symbol_B",
     "symbol_pi",
-    "transfer",
     "transfer_kernel",
     "unit_index_q",
     "validate_pair",

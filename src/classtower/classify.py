@@ -64,7 +64,6 @@ __all__ = [
     "RULES",
     "Profile",
     "InvariantRecord",
-    "FieldLabel",
     "KPrediction",
     "LPrediction",
     "PredictionReport",
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationReport",
     "admissible",
     "invariants",
-    "field_layout",
     "norm_groups",
     "norm_groups_from_symbols",
     "predict",
@@ -259,50 +257,6 @@ _K_RADICANDS = {
     6: "pi2*pi3",
     7: "pi2*pi4",
 }
-
-
-@dataclass(frozen=True)
-class FieldLabel:
-    kind: str  # "K" or "L"
-    index: int
-    radicand: str | None  # K fields
-    factors: tuple[int, ...]  # K indices composing an L field
-    normal_over_Q: bool
-    note: str
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.index}"
-
-
-def field_layout(record: InvariantRecord) -> list[FieldLabel]:
-    """The 7 + 7 unramified extensions with their composition structure."""
-    out = []
-    notes_k = {
-        1: "abelian over Q (inside the genus field)",
-        2: "abelian over Q (inside the genus field)",
-        3: "abelian over Q (inside the genus field)",
-        4: "conjugate to K7",
-        5: "conjugate to K6",
-        6: "conjugate to K5",
-        7: "conjugate to K4",
-    }
-    for j in range(1, 8):
-        out.append(
-            FieldLabel("K", j, _K_RADICANDS[j], (), j <= 3, notes_k[j])
-        )
-    notes_l = {
-        1: "genus field",
-        2: "conjugate to L3",
-        3: "conjugate to L2",
-        4: "conjugate to L5",
-        5: "conjugate to L4",
-        6: "Galois over Q",
-        7: "Galois over Q",
-    }
-    for j in range(1, 8):
-        out.append(FieldLabel("L", j, None, L_FACTORS[j], j in (1, 6, 7), notes_l[j]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,14 @@ def cmd_group(args) -> int:
 
 
 def _scan_pair(pair_tuple) -> dict:
-    """One scan row; a failed self-check is a failing row carrying its message."""
+    """One scan row; a failed self-check or a group past the order bound is a failing row
+    carrying its message."""
     p1, p2 = pair_tuple
     try:
         record, report, validation = classify_pair(p1, p2)
+    except PresentationError as exc:
+        return {"p1": p1, "p2": p2, "properties": {"group-size": False},
+                "error": f"group too large at ({p1}, {p2}): {exc}"}
     except AssertionError as exc:
         failed = getattr(exc, "rules", ()) or ("self-check",)
         return {"p1": p1, "p2": p2, "properties": dict.fromkeys(failed, False),

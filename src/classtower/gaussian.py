@@ -33,26 +33,14 @@ class GaussianInt:
     re: int
     im: int
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
@@ -73,14 +61,6 @@ class PrimeSplit:
     p: int
     pi: GaussianInt
     i_residue: int
-
-    @property
-    def e(self) -> int:
-        return self.pi.re
-
-    @property
-    def f(self) -> int:
-        return self.pi.im // 2
 
     def conjugate_choice(self) -> "PrimeSplit":
         return PrimeSplit(self.p, self.pi.conjugate(), self.p - self.i_residue)

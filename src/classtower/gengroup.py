@@ -29,8 +29,8 @@ G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivi
 a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a two-case
 formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 once per
 presentation, top down the flag: the transfers of rho sigma, rho and tau into each are
-carried one step on from the subgroup above, and each stores its chain, H/H' and
-transfer kernel; transfer and transfer_kernel read it.
+carried one step on from the subgroup above, and each stores H', H/H' and its
+transfer kernel; transfer_kernel reads it.
 """
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ __all__ = [
     "over_derived",
     "EngineTable",
     "engine_table",
-    "transfer",
     "transfer_kernel",
     "abelian_invariants",
     "lower_central_series",
 ]
 
-# Bounds the exponents a presentation may ask for (|G| <= 2^20), so that no
-# input builds huge powers of 2; the lattice engine never enumerates G.
-ENUMERATION_GUARD = 1 << 20
+# log2 of the largest order a presentation may have, so that no input builds huge powers
+# of 2; the lattice engine never enumerates G.
+MAX_ORDER_BITS = 20
 
 GElement = tuple[int, int, int]  # (eps, a, b) in normal form
 Lattice = tuple[int, int, int]  # Hermite basis (h11, h12), (0, h22) with 0 <= h12 < h22
@@ -93,9 +92,9 @@ class GPresentation:
         if self.q == 2 and self.psi is not PsiVariant.TAU_SIGMA:
             raise PresentationError("q = 2 forces rho^2 = tau^(2^n) sigma^(2^(m-1))")
         log_order = self.m + self.n + 1 + self.q
-        if log_order > ENUMERATION_GUARD.bit_length() - 1:  # before any 2^m is formed
-            raise PresentationError(f"group order 2^{log_order} exceeds the enumeration "
-                                    f"guard {ENUMERATION_GUARD}")
+        if log_order > MAX_ORDER_BITS:  # before any 2^m is formed
+            raise PresentationError(f"group order 2^{log_order} exceeds 2^{MAX_ORDER_BITS}, "
+                                    "the largest order a presentation may have")
         # Fixed here, so that mul and inv are plain integer arithmetic: rho^-1 sigma rho =
         # sigma^sigma_twist, rho^2 = sigma^pa tau^pb, and for q = 2 b is reduced mod b_wrap
         # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.  The relation lattice
@@ -304,13 +303,6 @@ class Subgroup:
         return cls(pres, pres.relations)
 
     @property
-    def generators(self) -> tuple[GElement, ...]:
-        """The Hermite basis as elements of A (identities dropped), then r."""
-        pres = self.pres
-        gens = [x for x in (pres.element(0, *v) for v in _rows(self.lattice)) if any(x)]
-        return (*gens, self.r) if self.r is not None else tuple(gens)
-
-    @property
     def order(self) -> int:
         h11, _, h22 = self.lattice  # |M / Lambda| = |A| / (h11 h22) and |A| = |G| / 2
         return self.pres.order // (h11 * h22) // (1 if self.r is not None else 2)
@@ -344,11 +336,6 @@ class Subgroup:
     def abelianization(self) -> AbelianType:
         """Type of H/H'."""
         return _quotient_type(self, self.derived_subgroup())
-
-    def coset_rep(self, x: GElement) -> GElement:
-        """Canonical representative of x(H & A); for H inside A, of the coset xH."""
-        e, a, b = x
-        return self.pres.element(e, *_reduce(self.lattice, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +446,6 @@ class OverDerived(NamedTuple):
     """The subgroup H over G' of a subspace V of G/G', with what the transfer into it needs."""
 
     H: Subgroup
-    steps: tuple[tuple[Subgroup, GElement], ...]  # (K_i, z_i) of G = K_0 > ... > K_k = H, top first
     derived: Subgroup  # H'
     abelianization: AbelianType  # H/H'
     kernel: frozenset[ClassVector]  # the classes whose transfer to H lies in H'
@@ -477,27 +463,26 @@ class EngineTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def engine_table(pres: GPresentation) -> EngineTable:
-    """The 16 subgroups over G', top down the flag of F_2^3: the chain of H = over_derived(V) is
-    that of <H, z>, the subgroup over V + <z> for z the representative of the first class outside
-    V, plus (H, z).  By transitivity, H's transfers of rho sigma, rho and tau are those of <H, z>
-    carried over the one step (H, z).  The transfer G/G' -> H/H' is a homomorphism: these three
-    give the images of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
+    """The 16 subgroups over G', top down the flag of F_2^3: above H = over_derived(V) is <H, z>,
+    the subgroup over V + <z> for z the representative of the first class outside V.  By
+    transitivity, H's transfers of rho sigma, rho and tau are those of <H, z> carried over the
+    one step (H, z).  The transfer G/G' -> H/H' is a homomorphism: these three give the images
+    of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
     over: dict[frozenset[ClassVector], OverDerived] = {}
     transfers = {}  # V -> the transfers to H of rho sigma, rho and tau, as elements of H
     for V in SUBSPACES:
         H, (_, k, above) = over_derived(pres, V), _FLAG[V]
-        steps, values = (), tuple(pres.class_elements[i] for i in (1, 2, 4))  # G: the identity
+        values = tuple(pres.class_elements[i] for i in (1, 2, 4))  # G: the identity
         if above is not None:
-            z, parent = pres.class_elements[k], over[above]
-            if parent.H.order != 2 * H.order:
+            z, parent = pres.class_elements[k], over[above].H
+            if parent.order != 2 * H.order:
                 raise GroupCheckError(f"index-2 step: <K, {z}> has index "
-                                      f"{parent.H.order // H.order} over K")
-            steps = (*parent.steps, (H, z))
+                                      f"{parent.order // H.order} over K")
             values = tuple(_transfer_along(pres, ((H, z),), g) for g in transfers[above])
         derived, images, transfers[V] = H.derived_subgroup(), [pres.identity()], values
         for g in values:
             images += [pres.mul(x, g) for x in images]
-        over[V] = OverDerived(H, steps, derived, _quotient_type(H, derived),
+        over[V] = OverDerived(H, derived, _quotient_type(H, derived),
                               frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))
     squares = Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
     return EngineTable(over, tuple(lower_central_series(pres)), over[SUBSPACES[0]].derived == squares)
@@ -522,15 +507,9 @@ def _table_entry(pres: GPresentation, H: Subgroup) -> OverDerived:
     classes = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
     entry = engine_table(pres).over.get(classes)
     if entry is None or entry.H != H:
-        raise GroupCheckError(f"{H.generators} is not the subgroup over G' of its classes")
+        raise GroupCheckError(f"the subgroup with lattice {H.lattice} and r = {H.r} is not the "
+                              "subgroup over G' of its classes")
     return entry
-
-
-def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
-    """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
-    ValueError): by transitivity, the composite of the index-2 transfers along H's chain."""
-    entry = _table_entry(pres, H)
-    return entry.derived.coset_rep(_transfer_along(pres, entry.steps, g))
 
 
 def transfer_kernel(pres: GPresentation, H: Subgroup) -> frozenset[ClassVector]:

@@ -74,10 +74,6 @@ class QuadUnit:
         return (f"unit of Q(sqrt({self.m})) with {self.u.bit_length()}-bit u, "
                 f"{self.v.bit_length()}-bit v")
 
-    def __str__(self) -> str:
-        body = f"{self.u} + {self.v}*sqrt({self.m})"
-        return body if self.w == 1 else f"({body})/2"
-
 
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:

@@ -6,9 +6,8 @@ integer of K: the three units, their product and any square root of it.  So
 twice its coordinates on the basis (1, sqrt2, sqrt r, sqrt 2r) are integers,
 and they are all that is stored.  The square test is exact and has one stage:
 a relative-norm filter (the norm to Q(sqrt2) of a square is a square there),
-then a complete descent through Z[sqrt2] that either reconstructs the root or
-proves that none exists.  The root is normalised to a positive principal
-embedding by an integer-only sign test.  Only integers are involved anywhere.
+then a complete descent through Z[sqrt2] that either reconstructs a root or
+proves that none exists.  Only integers are involved anywhere.
 """
 
 from __future__ import annotations
@@ -82,34 +81,6 @@ class MultiQuadElt:
         c0, c1, c2, c3 = self.c
         return MultiQuadElt(self.r, (c0, c1, -c2, -c3))
 
-    def __neg__(self) -> "MultiQuadElt":
-        return MultiQuadElt(self.r, tuple(-x for x in self.c))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
-
-    def principal_sign(self) -> int:
-        """The sign of c0 + c1*sqrt2 + c2*sqrt r + c3*sqrt 2r, exactly.
-
-        Each term a*sqrt(m)*scale lies within 1 of +-isqrt(a^2*m*scale^2);
-        the scale doubles until the summed interval leaves 0.
-        """
-        if self.is_zero():
-            raise ValueError("the zero element has no sign")
-        terms = list(zip(self.c, (1, 2, self.r, 2 * self.r)))
-        scale = 1
-        while True:
-            lo = hi = 0
-            for a, m in terms:
-                t = math.isqrt(a * a * m * scale * scale)
-                lo += t if a >= 0 else -t - 1
-                hi += t + 1 if a >= 0 else -t
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            scale *= 2
-
 
 # ---------------------------------------------------------------------------
 # Exact square roots in Z[sqrt 2] and K
@@ -137,17 +108,18 @@ def _sqrt_z2(u: int, v: int) -> tuple[int, int] | None:
     return None
 
 
-def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
-    """Exact and complete square root by descent through Z[sqrt 2].
+def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
+    """s with s*s = target exactly, or None when target is not a square; either root +-s.
 
-    Write t = target and s = a + b*sqrt r with a, b in Q(sqrt2).  If t = s^2
-    then, with T = 2t on the stored coordinates:
+    Exact and complete, by descent through Z[sqrt 2].  Write t = target and
+    s = a + b*sqrt r with a, b in Q(sqrt2).  If t = s^2 then, with T = 2t on the
+    stored coordinates:
       t + t^sigma = T0 + T1*sqrt2,   beta = +-sqrt(t*t^sigma) = +-(a^2 - r*b^2),
       (2a)^2 = t + t^sigma + 2*beta,   r*(2b)^2 = t + t^sigma - 2*beta,
     all in Z[sqrt2], and 2a, 2b are the stored coordinates of s.  Solving the
     three square roots exactly reconstructs s or proves no root exists.  The
     first of them is the relative-norm filter: t*t^sigma must be a square in
-    Z[sqrt2].
+    Z[sqrt2].  The zero target has beta = 0 and a = b = 0, so its root is zero.
     """
     r = target.r
     t0, t1 = target.c[0], target.c[1]
@@ -171,22 +143,6 @@ def _sqrt_via_subfield(target: MultiQuadElt) -> MultiQuadElt | None:
             if cand * cand == target:
                 return cand
     return None
-
-
-def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
-    """s with s*s = target exactly, or None when target is not a square.
-
-    Exact and one-stage: the Z[sqrt2] descent of `_sqrt_via_subfield`, whose
-    first step is the relative-norm filter, either reconstructs a root and
-    checks s*s = target, or proves that target is not a square.  Of the two
-    roots +-s, the one with a positive principal embedding is returned.
-    """
-    if target.is_zero():
-        return target
-    root = _sqrt_via_subfield(target)
-    if root is None or root.principal_sign() > 0:
-        return root
-    return -root
 
 
 # ---------------------------------------------------------------------------

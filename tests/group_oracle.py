@@ -7,6 +7,10 @@ along a right transversal found by membership tests.  Its cost grows with |G|,
 so the tests run it for m, n <= 4 or so and compare the lattice engine with it.
 Only GPresentation's multiplication is shared with the engine under test;
 power, conj and commutator are built on it here.
+
+The last section holds what the tests read of lattice subgroups and the library
+does not: coset representatives, lattice generators, and the transfer into a
+subgroup over G' along its whole index-2 chain.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from classtower import gengroup
 from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
 from classtower.gengroup import CLASS_VECTORS, GElement, GPresentation, Subgroup, class_to_group
 
@@ -214,7 +219,7 @@ def transfer_context(pres: GPresentation, H: ElementSubgroup) -> dict:
     return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep}
 
 
-def transfer(pres: GPresentation, H: ElementSubgroup, g: GElement, ctx: dict) -> GElement:
+def element_transfer(pres: GPresentation, H: ElementSubgroup, g: GElement, ctx: dict) -> GElement:
     """V_{G/H}(g G') as the smallest element of its coset of H'."""
     mul = pres.mul
     val = pres.identity()
@@ -231,7 +236,7 @@ def transfer_kernel(pres: GPresentation, H: ElementSubgroup) -> frozenset:
     ctx = transfer_context(pres, H)
     triv = ctx["hprime_rep"][pres.identity()]
     return frozenset(
-        v for v in CLASS_VECTORS if transfer(pres, H, class_to_group(pres, v), ctx) == triv
+        v for v in CLASS_VECTORS if element_transfer(pres, H, class_to_group(pres, v), ctx) == triv
     )
 
 
@@ -248,3 +253,44 @@ def transfer_index2(pres: GPresentation, H: ElementSubgroup, g: GElement, z: GEl
     else:
         val = pres.mul(g, g)
     return hprime_rep[val]
+
+
+# ---------------------------------------------------------------------------
+# Lattice subgroups: coset representatives, generators, whole-chain transfers
+# ---------------------------------------------------------------------------
+
+
+def coset_rep(H: Subgroup, x: GElement) -> GElement:
+    """Canonical representative of x(H & A); for H inside A, of the coset xH."""
+    e, a, b = x
+    return H.pres.element(e, *gengroup._reduce(H.lattice, a, b))
+
+
+def generators(H: Subgroup) -> tuple[GElement, ...]:
+    """H's Hermite basis as elements of A (identities dropped), then r."""
+    pres = H.pres
+    gens = [x for x in (pres.element(0, *v) for v in gengroup._rows(H.lattice)) if any(x)]
+    return (*gens, H.r) if H.r is not None else tuple(gens)
+
+
+def chain(pres: GPresentation, H: Subgroup) -> tuple[tuple[Subgroup, GElement], ...]:
+    """(K_i, z_i) of the chain G = K_0 > ... > K_k = H, top first, for H over G' (else
+    ValueError): up the flag of F_2^3 from H's subspace V_k, z_i is the representative of
+    the first class outside V_i and K_(i-1) the engine table's subgroup over V_i + <z_i>."""
+    gengroup._table_entry(pres, H)
+    over = gengroup.engine_table(pres).over
+    V = frozenset(v for v, g in zip(CLASS_VECTORS, pres.class_elements) if g in H)
+    steps = []
+    _, k, above = gengroup._FLAG[V]
+    while above is not None:
+        steps.append((over[V].H, pres.class_elements[k]))
+        V = above
+        _, k, above = gengroup._FLAG[V]
+    return tuple(reversed(steps))
+
+
+def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
+    """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
+    ValueError): by transitivity, the composite of the index-2 transfers along H's chain."""
+    steps = chain(pres, H)
+    return coset_rep(gengroup._table_entry(pres, H).derived, gengroup._transfer_along(pres, steps, g))

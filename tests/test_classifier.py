@@ -15,7 +15,6 @@ from classtower.classify import (
     cross_validate,
     engine_abelianizations,
     exponents_coupled,
-    field_layout,
     invariants,
     kernels,
     norm_groups,
@@ -37,6 +36,7 @@ def pairs_upto(limit):
 def test_invariants_fixture_rows():
     rec = invariants(validate_pair(5, 13))
     assert (rec.legendre, rec.m, rec.n, rec.q, rec.pi) == (-1, 2, 1, 2, -1)
+    assert rec.disc == 1081600
     rec = invariants(validate_pair(5, 37))
     assert (rec.legendre, rec.m, rec.n, rec.q, rec.pi) == (-1, 3, 1, 1, -1)
     rec = invariants(validate_pair(5, 29))
@@ -44,17 +44,6 @@ def test_invariants_fixture_rows():
     assert rec.psi is PsiVariant.TAU_SIGMA  # N(eps_145) = -1
     rec = invariants(validate_pair(13, 29))
     assert rec.psi is PsiVariant.SIGMA_ONLY  # N(eps_377) = +1
-
-
-def test_field_layout():
-    rec = invariants(validate_pair(5, 13))
-    labels = {f.name: f for f in field_layout(rec)}
-    assert labels["K3"].radicand == "2"
-    assert labels["L6"].factors == (3, 4, 7)
-    assert labels["L1"].note == "genus field"
-    assert labels["K4"].normal_over_Q is False
-    assert labels["K1"].normal_over_Q is True
-    assert rec.disc == 1081600
 
 
 def test_norm_groups_table_entries():

@@ -574,8 +574,9 @@ def test_subgroup_facts_once_per_subgroup(capsys, monkeypatch):
 def test_engine_subgroups_built_once_per_presentation(capsys):
     # each presentation builds G, its 7 K_j, its 7 L_j, G' and their index-2 chains once,
     # whichever profiles label them; chains are top first, so an L_j's chain is the chain of a
-    # K above it and one step more
+    # K above it and one step more; the chains are read up the flag by the test oracle
     from classtower import classify, gengroup
+    from group_oracle import chain
 
     _clear_engine_caches()
     code, _, _ = run(capsys, "scan", "--max", "250")
@@ -589,18 +590,18 @@ def test_engine_subgroups_built_once_per_presentation(capsys):
         _, _, _, q, m, n, psi = profile
         pres, report = gengroup.GPresentation(m, n, q, psi), classify.predict(profile)
         table = gengroup.engine_table(pres)
-        assert list(table.over) == list(gengroup.SUBSPACES) and table.G.steps == ()
+        assert list(table.over) == list(gengroup.SUBSPACES) and chain(pres, table.G.H) == ()
         ks = {table.over[kf.norm_group].H for kf in report.k_fields.values()}
         assert len(ks) == 7
         for K in ks:
-            steps = gengroup._table_entry(pres, K).steps
+            steps = chain(pres, K)
             assert len(steps) == 1 and steps[0][0] == K
         for j, lf in report.l_fields.items():
             L = table.over[lf.norm_group]
-            chain = L.steps
-            assert len(chain) == 2 and chain[-1][0] == L.H and chain[0][0] in ks, (profile, j)
-            assert chain[:-1] == gengroup._table_entry(pres, chain[0][0]).steps, (profile, j)
-        assert len(table.G_derived.steps) == 3
+            steps = chain(pres, L.H)
+            assert len(steps) == 2 and steps[-1][0] == L.H and steps[0][0] in ks, (profile, j)
+            assert steps[:-1] == chain(pres, steps[0][0]), (profile, j)
+        assert len(chain(pres, table.G_derived.H)) == 3
     assert gengroup.engine_table.cache_info().misses == built
 
 
@@ -924,16 +925,36 @@ def test_forged_square_root_exits_3(capsys, monkeypatch):
 def test_classify_rejects_group_beyond_enumeration_guard(capsys, monkeypatch):
     from classtower import classify, gengroup
 
-    monkeypatch.setattr(gengroup, "ENUMERATION_GUARD", 1 << 5)  # (5, 13) has |G| = 2^6
+    monkeypatch.setattr(gengroup, "MAX_ORDER_BITS", 5)  # (5, 13) has |G| = 2^6
     classify._engine_checks.cache_clear()
     try:
         code, out, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
     finally:
         classify._engine_checks.cache_clear()
     assert code == 2 and out == ""
-    assert err.startswith("invalid input:") and "enumeration guard" in err
+    assert err.startswith("invalid input:") and "exceeds 2^5, the largest order a presentation" in err
     code, _, err = run(capsys, "group", "--m", "30", "--n", "1", "--q", "1", "--force")
-    assert code == 2 and "enumeration guard" in err
+    assert code == 2 and "exceeds 2^5, the largest order a presentation" in err
+
+
+def test_scan_reports_group_beyond_the_order_bound_as_failing_rows(capsys, monkeypatch):
+    # every group up to 40 has order at least 2^6; past the bound each pair is a failing row
+    # with one stderr line naming the pair and the bound, and scan still prints its summary
+    from classtower import classify, gengroup
+
+    monkeypatch.setattr(gengroup, "MAX_ORDER_BITS", 5)
+    classify._engine_checks.cache_clear()
+    try:
+        code, out, err = run(capsys, "scan", "--max", "40", "--json")
+    finally:
+        classify._engine_checks.cache_clear()
+    payload = json.loads(out)
+    assert code == 3 and payload["pairs"] == 6 and not payload["ok"]
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["group-size"]] * 6
+    assert payload["property_failures"] == {"group-size": 6}
+    lines = err.splitlines()
+    assert len(lines) == 6 and "Traceback" not in err
+    assert all(line.startswith("group too large at (") and "exceeds 2^5" in line for line in lines)
 
 
 # --- fuzzing the argument vectors ---------------------------------------------

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import group_oracle as oracle
-from group_oracle import ElementSubgroup, commutator, conj, elements, power
+from group_oracle import (
+    ElementSubgroup,
+    commutator,
+    conj,
+    coset_rep,
+    elements,
+    generators,
+    power,
+    transfer,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +39,6 @@ from classtower.gengroup import (
     lower_central_series,
     over_derived,
     span,
-    transfer,
     transfer_kernel,
     vadd,
     _hermite,
@@ -233,12 +241,12 @@ def test_transfer_known_values():
     # V_{G/G1}(rho G') = G1', V(tau G') = tau^2 G1' != G1' when (p1/p2) = -1
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     G1 = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    triv = G1.derived_subgroup().coset_rep(pres.identity())
+    triv = coset_rep(G1.derived_subgroup(), pres.identity())
     assert triv == pres.identity()
     assert transfer(pres, G1, pres.rho()) == triv
     assert transfer(pres, G1, pres.sigma()) == triv
     tau_val = transfer(pres, G1, pres.tau())
-    assert tau_val == G1.derived_subgroup().coset_rep(power(pres, pres.tau(), 2))
+    assert tau_val == coset_rep(G1.derived_subgroup(), power(pres, pres.tau(), 2))
     assert tau_val != triv
 
 
@@ -259,7 +267,7 @@ def test_transfer_closed_form_agrees_with_generic():
             z = next(x for x in elements(pres) if x not in H)
             for g in elements(pres):
                 closed = oracle.transfer_index2(pres, EH, g, z)
-                assert transfer(pres, H, g) == Hp.coset_rep(closed)
+                assert transfer(pres, H, g) == coset_rep(Hp, closed)
 
 
 def _index2_subgroups(pres, derived):
@@ -269,7 +277,7 @@ def _index2_subgroups(pres, derived):
         vs = span(kernel_vectors)
         if len(vs) != 4:
             continue
-        gens = [class_to_group(pres, v) for v in vs] + list(derived.generators)
+        gens = [class_to_group(pres, v) for v in vs] + list(generators(derived))
         out.append(Subgroup.generated(pres, gens))
     uniq = list(dict.fromkeys(out))  # equal subgroups have equal lattices and r
     assert len(uniq) == 7
@@ -311,7 +319,7 @@ def _subgroups_over_derived(pres):
     """The 16 subgroups over G', one for each subgroup of G/G' = (2, 2, 2)."""
     derived = Subgroup.whole_group(pres).derived_subgroup()
     spans = {span(vs) for k in range(4) for vs in itertools.combinations(CLASS_VECTORS[1:], k)}
-    return [Subgroup.generated(pres, [*(class_to_group(pres, v) for v in vs), *derived.generators])
+    return [Subgroup.generated(pres, [*(class_to_group(pres, v) for v in vs), *generators(derived)])
             for vs in spans]
 
 
@@ -486,10 +494,11 @@ def _engine_subgroups(pres, engine=Subgroup):
     """
     G = engine.whole_group(pres)
     derived = G.derived_subgroup()
+    derived_gens = derived.generators if engine is ElementSubgroup else generators(derived)
     nonzero = [v for v in CLASS_VECTORS if v != (0, 0, 0)]
     spans = {span(vs) for k in (1, 2) for vs in itertools.combinations(nonzero, k)}
     out = [
-        engine.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived.generators))
+        engine.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived_gens))
         for vs in sorted(spans, key=sorted)
     ]
     assert sorted(H.index_in(G) for H in out) == [2] * 7 + [4] * 7
@@ -508,9 +517,9 @@ def test_transfer_matches_locate_table_reference():
             ref = _ref_transfer_values(pres, EH)
             for v, val in ref.items():
                 got = transfer(pres, H, class_to_group(pres, v))
-                assert got == Hp.coset_rep(val), (pres, H, v)
+                assert got == coset_rep(Hp, val), (pres, H, v)
             ref_kernel = frozenset(v for v, val in ref.items() if val in hprime)
-            assert transfer_kernel(pres, H) == ref_kernel, (pres, H.generators)
+            assert transfer_kernel(pres, H) == ref_kernel, (pres, H)
 
 
 def test_lower_central_series_matches_element_seeded_reference():
@@ -537,8 +546,9 @@ def test_abelian_structure_self_checks():
 
 
 def test_transfer_rejects_a_forged_step(monkeypatch):
-    # each self-check of the engine table fires on the forgery it guards against; the table is
-    # cleared first, since a table built before the forgery hides it
+    # each self-check of the engine table fires on the forgery it guards against, through
+    # transfer_kernel; the table is cleared first, since a table built before the forgery hides
+    # it, and a build that raises is not cached
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
     transfer_along = gengroup._transfer_along
@@ -550,12 +560,12 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
     with monkeypatch.context() as patch:  # z inside K: the formula assumes z outside
         patch.setattr(gengroup, "_transfer_along", identity_steps)
         with pytest.raises(GroupCheckError, match="index-2 step: z = .* lies inside K"):
-            transfer(pres, H, pres.tau())
+            transfer_kernel(pres, H)
     with monkeypatch.context() as patch:  # a step below G', where g^2 leaves K
         patch.setattr(gengroup, "_transfer_along", lambda pres, steps, g: transfer_along(
             pres, [(Subgroup.trivial(pres), pres.rho())], g))
         with pytest.raises(GroupCheckError, match="index-2 step: the value .* leaves K"):
-            transfer(pres, H, pres.sigma())
+            transfer_kernel(pres, H)
     plane = span([(0, 0, 1), (0, 1, 0)])
     with monkeypatch.context() as patch:  # G built over a plane: each plane's <K, z> has index 1
         patch.setattr(gengroup, "over_derived", lambda pres, classes: over_derived(
@@ -567,7 +577,7 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
     with monkeypatch.context() as patch:  # a table that does not give H back from its classes
         patch.setattr(gengroup, "engine_table", lambda pres: forged)
         with pytest.raises(GroupCheckError, match="is not the subgroup over G' of its classes"):
-            transfer(pres, H, pres.tau())
+            transfer_kernel(pres, H)
 
 
 def test_quotient_type_needs_a_power_of_2_diagonal(monkeypatch):
@@ -632,13 +642,13 @@ def test_lattice_engine_matches_element_oracle():
             assert ElementSubgroup.of(H).elements == EH.elements, (pres, H)
             assert H.abelianization() == EH.abelianization(), (pres, H)
             assert transfer_kernel(pres, H) == oracle.transfer_kernel(pres, EH), (pres, H)
-            # the steps and H' read once from the table; the public transfer, which looks them
-            # up per call, is compared at every element of SMALL below
+            # the chain and H' read once; transfer, which looks them up per call, is compared
+            # at every element of SMALL below
             ectx = oracle.transfer_context(pres, EH)
-            entry = gengroup._table_entry(pres, H)
+            steps, Hp = oracle.chain(pres, H), gengroup._table_entry(pres, H).derived
             for g in elements(pres):
-                got = entry.derived.coset_rep(gengroup._transfer_along(pres, entry.steps, g))
-                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
+                got = coset_rep(Hp, gengroup._transfer_along(pres, steps, g))
+                assert ectx["hprime_rep"][got] == oracle.element_transfer(pres, EH, g, ectx), (pres, H, g)
 
 
 def test_random_subgroups_match_element_oracle():
@@ -658,7 +668,7 @@ def test_random_subgroups_match_element_oracle():
             assert (H == K) == (EH.elements == EK.elements)
             assert ElementSubgroup.of(H.derived_subgroup()).elements == EH.derived_subgroup().elements
             assert H.abelianization() == EH.abelianization(), (pres, gens_h)
-            assert Subgroup.generated(pres, H.generators) == H
+            assert Subgroup.generated(pres, generators(H)) == H
 
 
 def test_quotient_types_of_the_three_relation_shapes_match_element_oracle():
@@ -671,7 +681,7 @@ def test_quotient_types_of_the_three_relation_shapes_match_element_oracle():
             H = Subgroup.generated(pres, rng.sample(elems, rng.randint(1, 3)))
             EH, Hp = ElementSubgroup.of(H), H.derived_subgroup()
             inside = rng.choices(sorted(EH.elements), k=rng.randint(0, 2))
-            N = Subgroup.generated(pres, [*Hp.generators, *inside])
+            N = Subgroup.generated(pres, [*generators(Hp), *inside])
             for M in (Hp, N):
                 shapes[H.r is None, M.r is None] += 1
             assert H.abelianization() == EH.abelianization(), (pres, H)
@@ -690,7 +700,7 @@ def test_transfers_over_the_derived_subgroup_match_element_oracle():
             ectx = oracle.transfer_context(pres, EH)
             for g in elements(pres):
                 got = transfer(pres, H, g)
-                assert ectx["hprime_rep"][got] == oracle.transfer(pres, EH, g, ectx), (pres, H, g)
+                assert ectx["hprime_rep"][got] == oracle.element_transfer(pres, EH, g, ectx), (pres, H, g)
         # below G' the quotient G/H is not elementary abelian: no chain of index-2 steps
         for H in (Subgroup.generated(pres, [pres.rho()]), Subgroup.generated(pres, [pres.sigma()]),
                   Subgroup.trivial(pres)):
@@ -726,7 +736,7 @@ def test_over_derived_matches_generated_oracle_and_intersections():
         built = {}
         for classes in planes | lines:
             H = built[classes] = over_derived(pres, classes)
-            gens = [class_to_group(pres, v) for v in sorted(classes)] + list(derived.generators)
+            gens = [class_to_group(pres, v) for v in sorted(classes)] + list(generators(derived))
             assert H == Subgroup.generated(pres, gens), (pres, sorted(classes))
             assert ElementSubgroup.of(H).elements == ElementSubgroup.generated(pres, gens).elements
             assert H.index_in(Subgroup.whole_group(pres)) == 8 // len(classes)
@@ -819,7 +829,7 @@ def test_structure_theorems_beyond_the_oracle(pres, data):
         Hp = H.derived_subgroup()
         assert transfer(pres, H, pres.mul(g, d)) == transfer(pres, H, g)
         # the transfer is a homomorphism into H/H', and its kernel a subgroup of (Z/2)^3
-        assert transfer(pres, H, pres.mul(x, y)) == Hp.coset_rep(
-            pres.mul(transfer(pres, H, x), transfer(pres, H, y)))
+        assert transfer(pres, H, pres.mul(x, y)) == coset_rep(
+            Hp, pres.mul(transfer(pres, H, x), transfer(pres, H, y)))
         kern = transfer_kernel(pres, H)
         assert {vadd(u, v) for u in kern for v in kern} == kern

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +41,10 @@ def test_non_integers_are_rejected():
             MultiQuadElt(65, c)
 
 
+def _negated(c):
+    return tuple(-x for x in c)
+
+
 def _conj_sqrt2(x: MultiQuadElt) -> MultiQuadElt:
     """The conjugate fixing Q(sqrt r): sqrt(2) -> -sqrt(2)."""
     c0, c1, c2, c3 = x.c
@@ -62,14 +64,21 @@ def test_exact_square_root_constructed_squares():
     eps2 = _elt(r, 2, 2, 0, 0)
     root = exact_square_root(eps2 * eps2)
     assert root is not None and (root * root).c == (eps2 * eps2).c
-    assert root.c == eps2.c  # principal-embedding-positive representative
+    assert root.c in (eps2.c, _negated(eps2.c))
     one = _elt(r, 2)
-    assert exact_square_root(one).c == one.c
+    assert exact_square_root(one).c in (one.c, _negated(one.c))
     # a half-integral root: (1 + 3*sqrt2 + sqrt r + 3*sqrt 2r)/2
     half = _elt(r, 1, 3, 1, 3)
     sq = half * half
     root = exact_square_root(sq)
     assert root is not None and (root * root).c == sq.c
+    assert root.c in (half.c, _negated(half.c))
+
+
+def test_exact_square_root_of_zero_is_zero():
+    for r in (65, 377):
+        zero = _elt(r)
+        assert exact_square_root(zero) == zero
 
 
 def test_exact_square_root_negative_cases():
@@ -91,31 +100,9 @@ def test_exact_square_root_property(r, coeffs):
     s = MultiQuadElt(r, coeffs)
     target = s * s
     root = exact_square_root(target)
-    assert root is not None and root.c in (s.c, (-s).c)
-    assert root.principal_sign() == 1
-    terms = [float(c) * math.sqrt(m) for c, m in zip(root.c, (1, 2, r, 2 * r))]
-    if abs(sum(terms)) > 1e-9 * sum(map(abs, terms)):  # float sign unambiguous
-        assert sum(terms) > 0
+    assert root is not None and root * root == target and root.c in (s.c, _negated(s.c))
     for t in (_elt(r, 6), _elt(r, 0, 2), _elt(r, 2, 2)):
         assert exact_square_root(target * t) is None
-
-
-def test_principal_sign_under_cancellation():
-    # (sqrt2 - 1)^k * (sqrt65 - 8)^j is tiny and positive, with huge coefficients
-    # on all four basis elements that nearly cancel: the sign test must refine
-    # its scale and bound every term from both sides
-    r = 65
-    u, v = _elt(r, -2, 2, 0, 0), _elt(r, -16, 0, 2, 0)
-    x = _elt(r, 2)
-    for _ in range(12):
-        y = x
-        for _ in range(12):
-            assert y.principal_sign() == 1
-            assert (-y).principal_sign() == -1
-            y = y * v
-        x = x * u
-    with pytest.raises(ValueError):
-        _elt(r).principal_sign()
 
 
 def test_unit_product_is_exactly_representable():
