@@ -1,10 +1,14 @@
 """Command line surface: classify, verify-fixtures, group, scan.
 
 Exit codes: 0 success, 1 stdout closed by its reader (broken pipe), 2 invalid
-input/usage, 3 internal consistency failure, 4 fixture mismatch, 130 interrupted
-(SIGINT; one stderr line, no traceback).  All JSON output is canonical (sorted
-keys, compact separators, integers only) so that parse + re-serialize is
-byte-identical.
+input/usage, 3 internal consistency failure (a failed self-check, or a failed
+scan worker), 4 fixture mismatch, 130 interrupted (SIGINT; one stderr line, no
+traceback).  All JSON output is canonical (sorted keys, compact separators,
+integers only) so that parse + re-serialize is byte-identical.
+
+``scan --jobs N`` runs N processes, the parent included: N - 1 forked children
+ignore SIGINT and send their shares of the rows back through pipes as JSON, and
+the parent reaps them on every exit path.  Without ``os.fork``, one process.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import signal
 import sys
 from functools import cache
 from itertools import product
+from typing import NoReturn
 
 from .abelian import AbelianType
 from .classify import (
@@ -305,9 +310,76 @@ def _scan_pair(pair_tuple) -> dict:
     return {"p1": p1, "p2": p2, "properties": props}
 
 
-def _ignore_interrupts() -> None:
-    """Pool worker initializer: an interrupt is the parent's to handle."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+class _WorkerFailure(Exception):
+    """A forked scan child that raised, died or sent the wrong rows."""
+
+
+def _scan_child(pairs, write_end) -> NoReturn:
+    """A forked child's whole life: its rows, or the error that stopped it, as one JSON
+    document on the pipe.  It never returns into the parent's code."""
+    code = 1
+    try:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+            doc, code = [_scan_pair(p) for p in pairs], 0
+        except BaseException as exc:
+            doc = f"{type(exc).__name__}: {exc}"
+        with open(write_end, "wb") as pipe:
+            pipe.write(dumps(doc).encode())
+    finally:
+        os._exit(code)
+
+
+def _child_rows(pid: int, data: bytes, status: int, expected: int) -> list:
+    """The rows an exited child sent, given its wait status; raise _WorkerFailure unless
+    it exited 0 with ``expected`` rows."""
+    code = os.waitstatus_to_exitcode(status)
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        doc = None
+    if code == 0 and isinstance(doc, list) and len(doc) == expected:
+        return doc
+    if code < 0:
+        reason = f"killed by signal {-code}"
+    elif isinstance(doc, str):
+        reason = doc
+    elif code:
+        reason = f"exit status {code}"
+    else:
+        reason = f"sent {len(doc) if isinstance(doc, list) else 'no'} rows for {expected} pairs"
+    raise _WorkerFailure(f"scan worker {pid} failed: {reason}")
+
+
+def _scan_rows(pairs: list, jobs: int) -> list[dict]:
+    """The scan rows of ``pairs`` in order, from ``jobs`` processes: share ``i`` is
+    ``pairs[i::jobs]``, the parent computes share 0 and forked children the others."""
+    jobs = min(jobs, len(pairs)) if hasattr(os, "fork") else 1
+    children = {}  # pid -> read end of its pipe, for every child not yet reaped
+    try:
+        for i in range(1, jobs):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _scan_child(pairs[i::jobs], write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        shares = [[_scan_pair(p) for p in pairs[::jobs]]]
+        for i, (pid, read_end) in enumerate(list(children.items()), 1):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            shares.append(_child_rows(pid, data, status, len(pairs[i::jobs])))
+    finally:
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows = [None] * len(pairs)
+    for i, share in enumerate(shares):
+        rows[i::jobs] = share
+    return rows
 
 
 def _largest_pair_product(limit: int) -> int:
@@ -332,17 +404,11 @@ def cmd_scan(args) -> int:
         return EXIT_INPUT
     ps = primes_5_mod_8(args.max)
     pairs = [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_ignore_interrupts)
-        try:
-            rows = list(pool.map(_scan_pair, pairs, chunksize=8))
-        finally:
-            # after an interrupt only the chunks already running are waited for
-            pool.shutdown(cancel_futures=True)
-    else:
-        rows = [_scan_pair(p) for p in pairs]
+    try:
+        rows = _scan_rows(pairs, args.jobs)
+    except _WorkerFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONSISTENCY
     prop_counts: dict[str, int] = {}
     for r in rows:
         for name, ok in r["properties"].items():
@@ -428,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="run the property suites over all pairs up to a bound")
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--jobs", type=_jobs, default=1,
-                        help="worker processes, at least 1, capped at the number of CPUs")
+                        help="processes, the parent included; at least 1, capped at the "
+                             "number of CPUs and at the number of pairs")
     p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
     return parser

@@ -248,11 +248,76 @@ def test_scan_small(capsys):
     assert all(v == 0 for v in payload["property_failures"].values())
 
 
-def test_scan_jobs_deterministic(capsys):
+def test_scan_jobs_deterministic(capsys, monkeypatch):
+    # with --jobs 3 two children's pipes are read in turn and the shares interleave back
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code1, out1, _ = run(capsys, "scan", "--max", "80", "--json")
     code2, out2, _ = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
+    code3, out3, err3 = run(capsys, "scan", "--max", "80", "--jobs", "3", "--json")
+    assert code1 == code2 == code3 == 0
+    assert out1 == out2 == out3 and err3 == ""
+
+
+def test_scan_single_pair_forks_nothing(capsys, monkeypatch):
+    # --jobs is capped at the number of pairs: one pair runs in the parent alone
+    def no_fork():
+        raise AssertionError("forked for a single pair")
+
+    code1, out1, _ = run(capsys, "scan", "--max", "13", "--json")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code2, out2, err2 = run(capsys, "scan", "--max", "13", "--jobs", "2", "--json")
     assert code1 == code2 == 0
-    assert out1 == out2
+    assert out1 == out2 and err2 == "" and json.loads(out2)["pairs"] == 1
+
+
+def test_scan_without_fork_runs_in_one_process(capsys, monkeypatch):
+    code1, out1, err1 = run(capsys, "scan", "--max", "40", "--json")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    code2, out2, err2 = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
+    assert code1 == code2 == 0
+    assert out1 == out2 and err1 == err2 == ""
+
+
+def _forge_in_child(monkeypatch, name, forged):
+    """Replace cli.<name> by ``forged`` in forked children only."""
+    from classtower import cli
+
+    parent, original = os.getpid(), getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda arg: original(arg) if os.getpid() == parent
+                        else forged(original, arg))
+
+
+def _raise(original, pair):
+    raise RuntimeError("forged worker failure")
+
+
+def _die(original, pair):
+    os._exit(7)
+
+
+def _drop_a_row(original, obj):
+    return original(obj[:-1] if isinstance(obj, list) else obj)
+
+
+@pytest.mark.parametrize("name, forged, reason", [
+    ("_scan_pair", _raise, "RuntimeError: forged worker failure"),
+    ("_scan_pair", _die, "exit status 7"),
+    ("dumps", _drop_a_row, "sent 2 rows for 3 pairs"),
+])
+def test_scan_worker_failure_exits_3(capsys, monkeypatch, name, forged, reason):
+    # a child that raises outside its rows, dies or sends the wrong rows: one
+    # stderr line naming it, exit 3, no traceback, and the child is reaped
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _forge_in_child(monkeypatch, name, forged)
+    code, out, err = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
+    assert code == 3 and out == ""
+    assert err.startswith("scan worker ") and err.count("\n") == 1
+    assert err.endswith(f" failed: {reason}\n") and "Traceback" not in err
+    pid = int(err.split()[2])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def test_class_group_self_check_exits_3(capsys, monkeypatch):
@@ -297,8 +362,8 @@ def test_oracle_assertion_exits_3(capsys, monkeypatch):
 
 def test_scan_failing_row_independent_of_jobs(capsys, monkeypatch):
     # a self-check failing on one pair is one row named self-check; the other
-    # rows still run, and worker processes (forked, so they inherit the
-    # patch) give the same bytes
+    # rows still run, and the forked child (which inherits the patch) and the
+    # parent, each computing its share, give the same bytes
     _fail_pair_13_29(monkeypatch)
     code1, out1, err1 = run(capsys, "scan", "--max", "40", "--json")
     code2, out2, err2 = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
@@ -663,9 +728,41 @@ def test_closed_stdout_exits_1_without_traceback():
     assert proc.returncode == 1 and err == b""
 
 
+def test_scan_jobs2_matches_golden_and_leaves_no_process():
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "scan-250.json"
+    proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "250",
+                             "--jobs", "2", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert proc.returncode == 0
+    assert out == golden.read_bytes() and err == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_scan_jobs2_imports_no_process_pool():
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from classtower.cli import main\n"
+            "main(['scan', '--max', '40', '--jobs', '2', '--json'])\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules),"
+            " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["pairs"] == 6
+    assert proc.stderr == "[]\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_interrupted_scan_exits_130_without_traceback(jobs):
-    # Ctrl-C reaches the whole process group, pool workers included
+    # Ctrl-C reaches the whole process group; forked children ignore it and the
+    # parent kills and reaps them before it exits
     src = str(Path(classtower.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "1500",
                              "--jobs", jobs],
@@ -680,6 +777,8 @@ def test_interrupted_scan_exits_130_without_traceback(jobs):
         raise
     assert proc.returncode == EXIT_INTERRUPTED == 130
     assert out == "" and err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of the session survives
 
 
 def test_every_exported_name_resolves():
@@ -1010,7 +1109,7 @@ _VERIFY = st.builds(
 @given(st.one_of(_CLASSIFY, _SCAN, _GROUP, _VERIFY), _JUNK)
 def test_cli_fuzz_exit_codes(capsys, argv, junk):
     # any argument vector ends in a documented exit code, never in an
-    # exception (a traceback on stderr); no process pool is started
+    # exception (a traceback on stderr); no child process is forked
     argv = argv + junk  # no --jobs value above 1 can occur
     if argv[0] == "verify-fixtures" and "--filter" not in argv:
         argv += ["--filter", "130"]  # keep each example short
