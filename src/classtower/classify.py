@@ -70,6 +70,7 @@ __all__ = [
     "Check",
     "ValidationReport",
     "admissible",
+    "presentation_class",
     "invariants",
     "norm_groups",
     "norm_groups_from_symbols",
@@ -212,6 +213,20 @@ def admissible(profile: Profile) -> bool:
     else:  # Scholz: pi = -1 gives N(eps_r) = +1
         symbols_fit = profile.pi == 1 or sigma
     return exponents_coupled(profile) and symbols_fit and (profile.q == 1 or not sigma)
+
+
+def presentation_class(legendre: int, pi: int, B: int) -> tuple[int, int]:
+    """The class of the presentations (m, n, q, psi) a pair with these symbols can have:
+    (-1, pi*B) when (p1/p2) = -1, (+1, pi) when (p1/p2) = +1.
+
+    By the rules of admissible the four classes share no presentation:
+      (-1, +1)  n = 1, q = 1, m >= 3, psi = tau-sigma
+      (-1, -1)  n = 1, q = 2, m = 2,  psi = tau-sigma
+      (+1, -1)  n = 1, q = 1, m >= 3, psi = sigma
+      (+1, +1)  n >= 2, m = 2
+    so pairs of different classes never meet the same engine table.
+    """
+    return (-1, pi * B) if legendre == -1 else (1, pi)
 
 
 # name -> (applies to the record, holds for the record)

@@ -1,14 +1,19 @@
 """Command line surface: classify, verify-fixtures, group, scan.
 
-Exit codes: 0 success, 1 stdout closed by its reader (broken pipe), 2 invalid
-input/usage, 3 internal consistency failure (a failed self-check, or a failed
-scan worker), 4 fixture mismatch, 130 interrupted (SIGINT; one stderr line, no
-traceback).  All JSON output is canonical (sorted keys, compact separators,
-integers only) so that parse + re-serialize is byte-identical.
+Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe is silent,
+any other write error one stderr line), 2 invalid input/usage, 3 internal
+consistency failure (a failed self-check, or a failed scan worker), 4 fixture
+mismatch, 130 interrupted (SIGINT; one stderr line, no traceback).  All JSON
+output is canonical (sorted keys, compact separators, integers only) so that
+parse + re-serialize is byte-identical.
 
-``scan --jobs N`` runs N processes, the parent included: N - 1 forked children
-ignore SIGINT and send their shares of the rows back through pipes as JSON, and
-the parent reaps them on every exit path.  Without ``os.fork``, one process.
+``scan --jobs N`` runs N processes, the parent included.  The pairs are sharded
+by presentation class (``classify.presentation_class``, from the Gaussian
+symbols), so each engine table is built in one process; a class too large for
+one share is dealt round-robin over several.  N - 1 forked children ignore
+SIGINT and send their shares of the rows back through pipes as JSON, and the
+parent reaps them on every exit path.  A share that cannot get a pipe or a
+process is computed by the parent; without ``os.fork``, one process.
 """
 
 from __future__ import annotations
@@ -32,15 +37,17 @@ from .classify import (
     applicable_rules,
     classify_pair,
     engine_abelianizations,
+    presentation_class,
     vector_name,
 )
+from .gaussian import split_prime, symbol_B, symbol_pi
 from .gengroup import GPresentation, PresentationError, PsiVariant, engine_table
 from .quadratic import DISCRIMINANT_BOUND, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
-from .symbols import InvalidPairError, is_prime, primes_5_mod_8
+from .symbols import InvalidPairError, is_prime, jacobi, primes_5_mod_8
 
 EXIT_OK = 0
-EXIT_BROKEN_PIPE = 1
+EXIT_STDOUT = 1
 EXIT_INPUT = 2
 EXIT_CONSISTENCY = 3
 EXIT_FIXTURE = 4
@@ -351,34 +358,82 @@ def _child_rows(pid: int, data: bytes, status: int, expected: int) -> list:
     raise _WorkerFailure(f"scan worker {pid} failed: {reason}")
 
 
-def _scan_rows(pairs: list, jobs: int) -> list[dict]:
-    """The scan rows of ``pairs`` in order, from ``jobs`` processes: share ``i`` is
-    ``pairs[i::jobs]``, the parent computes share 0 and forked children the others."""
-    jobs = min(jobs, len(pairs)) if hasattr(os, "fork") else 1
-    children = {}  # pid -> read end of its pipe, for every child not yet reaped
+def _shares(pairs: list, jobs: int) -> list[list[int]]:
+    """The indices of ``pairs`` for each of ``jobs`` processes, none empty.
+
+    Pairs of different presentation classes never share an engine table, so each class
+    goes whole to one share: largest first, each to the share with the fewest pairs (LPT
+    scheduling; R. L. Graham, SIAM J. Appl. Math. 17 (1969)).  A class with more than
+    len(pairs)/jobs pairs is first dealt round-robin into the fewest pieces that fit; so
+    there are at least ``jobs`` pieces and every share gets one.
+    """
+    if jobs == 1:
+        return [list(range(len(pairs)))]
+    splits = {p: split_prime(p) for p in set().union(*pairs)}
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, (p1, p2) in enumerate(pairs):
+        s1, s2 = splits[p1], splits[p2]
+        key = presentation_class(jacobi(p1, p2), symbol_pi(s1, s2), symbol_B(s1, s2))
+        classes.setdefault(key, []).append(i)
+    fits = len(pairs) // jobs
+    pieces = []
+    for members in classes.values():
+        cuts = -(-len(members) // fits)  # the fewest pieces of at most `fits` pairs
+        pieces += [members[j::cuts] for j in range(cuts)]
+    shares: list[list[int]] = [[] for _ in range(jobs)]
+    for piece in sorted(pieces, key=len, reverse=True):
+        min(shares, key=len).extend(piece)
+    return shares
+
+
+def _start_child(pairs: list) -> tuple[int, int] | None:
+    """Fork a child that scans ``pairs``: its pid and the read end of its pipe, or None
+    when no pipe or process can be made (``OSError``: at the process limit, say)."""
     try:
-        for i in range(1, jobs):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _scan_child(pairs[i::jobs], write_end)
-            os.close(write_end)
-            children[pid] = read_end
-        shares = [[_scan_pair(p) for p in pairs[::jobs]]]
-        for i, (pid, read_end) in enumerate(list(children.items()), 1):
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        _scan_child(pairs, write_end)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _scan_rows(pairs: list, jobs: int) -> list[dict]:
+    """The scan rows of ``pairs`` in order, from ``jobs`` processes: the parent computes
+    the first of the ``_shares`` and forked children the others; a share that gets no
+    child is the parent's too."""
+    jobs = min(jobs, len(pairs)) if hasattr(os, "fork") else 1
+    mine, *others = _shares(pairs, jobs)
+    children = {}  # pid -> (its share, the read end of its pipe), for every child not yet reaped
+    rows = [None] * len(pairs)
+    try:
+        for share in others:
+            child = _start_child([pairs[i] for i in share])
+            if child is None:
+                mine += share
+            else:
+                children[child[0]] = share, child[1]
+        for i in mine:
+            rows[i] = _scan_pair(pairs[i])
+        for pid, (share, read_end) in list(children.items()):
             with open(read_end, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
-            os.close(children.pop(pid))
-            shares.append(_child_rows(pid, data, status, len(pairs[i::jobs])))
+            os.close(children.pop(pid)[1])
+            for i, row in zip(share, _child_rows(pid, data, status, len(share))):
+                rows[i] = row
     finally:
-        for pid, read_end in children.items():
+        for pid, (_, read_end) in children.items():
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    rows = [None] * len(pairs)
-    for i, share in enumerate(shares):
-        rows[i::jobs] = share
     return rows
 
 
@@ -506,10 +561,14 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
-    except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the final flush stays silent
+    except OSError as exc:
+        # the commands handle their other OSErrors (fixture files, pipes, forks), so this one
+        # is stdout's: a reader that is gone (silent) or a device that takes nothing more;
+        # point stdout at devnull so that the final flush stays silent
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        return EXIT_STDOUT
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

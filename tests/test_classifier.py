@@ -20,6 +20,7 @@ from classtower.classify import (
     norm_groups,
     norm_groups_from_symbols,
     predict,
+    presentation_class,
     q_matches_pi_b,
     subgroup_span,
 )
@@ -241,6 +242,20 @@ def test_admissible_is_what_the_engine_accepts():
                     assert failed is None or failed >= 12, profile
                     seen["psi clause"] += 1
     assert seen == {"admissible": 102, "engine only": 2, "psi clause": 62}
+
+
+def test_presentation_classes_share_no_presentation():
+    """Over every admissible profile with m + n <= 11, each presentation (m, n, q, psi) lies in
+    one presentation class, and all four classes occur."""
+    classes = {}
+    for m in range(1, 11):
+        for n in range(1, 12 - m):
+            for legendre, pi, b, q, psi in product((1, -1), (1, -1), (1, -1), (1, 2), PsiVariant):
+                if admissible(Profile(legendre, pi, b, q, m, n, psi)):
+                    classes.setdefault((m, n, q, psi), set()).add(presentation_class(legendre, pi, b))
+    assert [pres for pres, found in classes.items() if len(found) > 1] == []
+    assert set().union(*classes.values()) == {(-1, 1), (-1, -1), (1, 1), (1, -1)}
+    assert len(classes) == 41
 
 
 def test_detached_consistency_errors():

@@ -1,4 +1,5 @@
 import ast
+import errno
 import importlib
 import json
 import os
@@ -17,6 +18,8 @@ from unittest import mock
 import classtower
 from classtower.abelian import AbelianType
 from classtower.cli import EXIT_INTERRUPTED, _largest_pair_product, build_parser, main
+from classtower.classify import invariants, presentation_class
+from classtower.gaussian import split_prime
 from classtower.symbols import primes_5_mod_8, validate_pair
 
 
@@ -248,14 +251,114 @@ def test_scan_small(capsys):
     assert all(v == 0 for v in payload["property_failures"].values())
 
 
+def _pairs(limit):
+    ps = primes_5_mod_8(limit)
+    return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]]
+
+
+def _class_of(pair):
+    record = invariants(validate_pair(*pair))
+    return presentation_class(record.legendre, record.pi, record.B)
+
+
 def test_scan_jobs_deterministic(capsys, monkeypatch):
-    # with --jobs 3 two children's pipes are read in turn and the shares interleave back
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # with --jobs 3 two children's pipes are read in turn and the shares go back by index;
+    # with --jobs 5 the 15 pairs leave 3 to a share, so a class of 4 or 5 pairs is cut
+    from classtower import cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    pairs = _pairs(80)
+    holders = [c for share in cli._shares(pairs, 5) for c in {_class_of(pairs[i]) for i in share}]
+    assert len(holders) > len(set(holders)) == 4  # some class is in two shares
     code1, out1, _ = run(capsys, "scan", "--max", "80", "--json")
     code2, out2, _ = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
     code3, out3, err3 = run(capsys, "scan", "--max", "80", "--jobs", "3", "--json")
+    code5, out5, err5 = run(capsys, "scan", "--max", "80", "--jobs", "5", "--json")
+    assert code1 == code2 == code3 == code5 == 0
+    assert out1 == out2 == out3 == out5 and err3 == err5 == ""
+
+
+@pytest.mark.parametrize("limit", [40, 250, 1000])
+def test_scan_shares_keep_classes_whole_unless_cut(monkeypatch, limit):
+    # every pair in one share, no share empty; a class is split over several shares only
+    # when it has more than len(pairs)/jobs pairs, and then into the fewest pieces that fit
+    # (two pieces may still land in one share); each prime is split once, --jobs 1 splits none
+    from classtower import cli
+
+    pairs, split = _pairs(limit), []
+    monkeypatch.setattr(cli, "split_prime", lambda p: split.append(p) or split_prime(p))
+    assert cli._shares(pairs, 1) == [list(range(len(pairs)))] and split == []
+    cli._shares(pairs, 2)
+    assert sorted(split) == primes_5_mod_8(limit)
+    classes = {}
+    for i, pair in enumerate(pairs):
+        classes.setdefault(_class_of(pair), set()).add(i)
+    for jobs in range(1, min(8, len(pairs)) + 1):  # scan caps --jobs at the number of pairs
+        shares = cli._shares(pairs, jobs)
+        assert len(shares) == jobs and all(shares)
+        assert sorted(i for share in shares for i in share) == list(range(len(pairs)))
+        for members in classes.values():
+            holders = sum(1 for share in shares if members & set(share))
+            assert 1 <= holders <= -(-len(members) // (len(pairs) // jobs)), (limit, jobs)
+
+
+def test_class_shards_build_each_engine_table_in_one_process(capsys):
+    # at --max 250 the two shares of --jobs 2, each from empty caches, build each of the 14
+    # engine tables and each of the 24 profiles' checks once between them
+    from classtower import classify, cli, gengroup
+
+    pairs, tables, profiles = _pairs(250), 0, 0
+    for share in cli._shares(pairs, 2):
+        _clear_engine_caches()
+        for i in share:
+            cli._scan_pair(pairs[i])
+        tables += gengroup.engine_table.cache_info().misses
+        profiles += classify._engine_checks.cache_info().misses
+    assert len({_class_of(pair) for pair in pairs}) == 4
+    assert (tables, profiles) == (14, 24)
+
+
+def _no_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+def _no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("name, failure", [("pipe", _no_pipe), ("fork", _no_fork)])
+def test_scan_without_pipe_or_process_computes_the_share(capsys, monkeypatch, name, failure):
+    # at the process or file limit the parent computes the shares that got no child: with
+    # --jobs 2 the only child fails; with --jobs 3 the first child is forked, the second
+    # fails, and the first is still reaped
+    code1, out1, err1 = run(capsys, "scan", "--max", "40", "--json")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    fork, forked = os.fork, []
+
+    def recorded_fork():
+        pid = fork()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    original, calls = getattr(os, name), []
+
+    def forged():
+        calls.append(name)
+        return original() if len(calls) <= allowed else failure()
+
+    monkeypatch.setattr(os, name, forged)
+    allowed = 0
+    code2, out2, err2 = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
+    assert calls == [name] and forked == []
+    calls.clear()
+    allowed = 1
+    code3, out3, err3 = run(capsys, "scan", "--max", "40", "--jobs", "3", "--json")
+    assert calls == [name, name] and len(forked) == 1
     assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3 and err3 == ""
+    assert out1 == out2 == out3 and err1 == err2 == err3 == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
 
 
 def test_scan_single_pair_forks_nothing(capsys, monkeypatch):
@@ -304,11 +407,16 @@ def _drop_a_row(original, obj):
 @pytest.mark.parametrize("name, forged, reason", [
     ("_scan_pair", _raise, "RuntimeError: forged worker failure"),
     ("_scan_pair", _die, "exit status 7"),
-    ("dumps", _drop_a_row, "sent 2 rows for 3 pairs"),
+    pytest.param("dumps", _drop_a_row, "sent {short} rows for {share} pairs",
+                 id="dumps-_drop_a_row-one row short"),
 ])
 def test_scan_worker_failure_exits_3(capsys, monkeypatch, name, forged, reason):
     # a child that raises outside its rows, dies or sends the wrong rows: one
     # stderr line naming it, exit 3, no traceback, and the child is reaped
+    from classtower import cli
+
+    share = len(cli._shares(_pairs(40), 2)[1])
+    reason = reason.format(short=share - 1, share=share)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _forge_in_child(monkeypatch, name, forged)
     code, out, err = run(capsys, "scan", "--max", "40", "--jobs", "2", "--json")
@@ -726,6 +834,19 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_1_without_traceback():
+    # a write error on stdout (a full device) is one stderr line and exit 1
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "classtower.cli", "scan", "--max", "40",
+                               "--json"], stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("cannot write to stdout: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_scan_jobs2_matches_golden_and_leaves_no_process():
