@@ -65,8 +65,17 @@ class AbelianType:
         """Canonical type of a direct sum of cyclic groups of the given orders.
 
         Accepts any cyclic decomposition (e.g. a printed tuple like (30, 10, 2)
-        or (2, 3)); per-prime exponents are realigned into a divisor chain.
+        or (2, 3)); per-prime exponents are realigned into a divisor chain.  Orders that
+        are all powers of 2 are already the chain, sorted.
         """
+        factors = tuple(factors)
+        if all(isinstance(f, int) and f >= 1 and not f & (f - 1) for f in factors):
+            return cls(tuple(sorted(f for f in factors if f > 1)))
+        return cls._realigned(factors)
+
+    @classmethod
+    def _realigned(cls, factors: tuple) -> "AbelianType":
+        """from_factors for any orders, by factorizing each and realigning the prime powers."""
         per_prime: dict[int, list[int]] = {}
         for f in factors:
             if f < 1:

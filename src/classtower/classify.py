@@ -5,9 +5,12 @@ cross_validate().  The norm class groups and capitulation kernels are
 transcribed decision tables keyed by the symbols (legendre, pi, B, q);
 norm_groups_from_symbols() recomputes the same
 subgroups from first principles (one quadratic symbol per generator class and
-radicand representation) to keep the transcription honest, and
-cross_validate() rebuilds everything inside the concrete group model, where
-abelianizations and transfer kernels are computed rather than looked up.
+radicand representation, each a product of 12 basic Gaussian symbols) to keep
+the transcription honest, and cross_validate() rebuilds everything inside the
+concrete group model, where abelianizations and transfer kernels are computed
+rather than looked up.  The engine side is cached at three levels: one
+presentation and engine table per (m, n, q, psi), one subgroup per table word
+tuple, and one tuple of checks per profile, made of shared Check values.
 
 invariants() checks the forced relations in RULES; a failed rule raises
 ConsistencyError naming it, and scan reports each rule as a row property.
@@ -31,7 +34,9 @@ Math. Z. 39 (1934); F. Lemmermeyer, Reciprocity Laws (2000), ch. 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import starmap
+from math import prod
 from typing import NamedTuple
 
 from .abelian import AbelianType
@@ -106,7 +111,9 @@ def class_vector(name: str) -> ClassVector:
     return v
 
 
-def subgroup_span(names) -> frozenset[ClassVector]:
+@lru_cache(maxsize=None)
+def subgroup_span(names: tuple[str, ...]) -> frozenset[ClassVector]:
+    """The span of the named classes; the tables hold a few dozen name tuples, each parsed once."""
     return span([class_vector(t) for t in names])
 
 
@@ -336,24 +343,24 @@ def norm_groups_from_symbols(
     Membership of [H] in N_j is (delta/H) = 1 for a representation delta of
     the radicand coprime to H.  For H1, H2 that is a single quadratic symbol
     mod pi_1 or pi_2; for H0 (the prime over 1+i) it is the product of
-    (1+i/pi) over the Gaussian prime factors of the odd representation.
+    (1+i/pi) over the Gaussian prime factors of the odd representation.  The
+    symbols are multiplicative, so each is a product of at most 12 basic ones:
+    (1+i/pi_k) for k = 1..4, and (x/pi_1), (x/pi_2) for the other factors x of
+    the radicands, 2 and the pi_k.
     """
     s1, s2 = record.splits
     moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
     gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
+    one_plus_i = {f: gauss_symbol(ONE_PLUS_I, s) for f, s in moduli.items()}
+    residues = {avoid: {f: gauss_symbol(alpha, moduli[avoid])
+                        for f, alpha in gauss.items() if f != avoid} for avoid in ("pi1", "pi2")}
     out = {}
     for j in range(1, 8):
         reps = _RADICAND_FACTORS[j]
-        chi = {}
         odd_rep = next(rep for rep in reps if "2" not in rep)
-        chi["H0"] = 1
-        for f in odd_rep:
-            chi["H0"] *= gauss_symbol(ONE_PLUS_I, moduli[f])
-        for name, avoid in (("H1", "pi1"), ("H2", "pi2")):
-            rep = next(rep for rep in reps if avoid not in rep)
-            alpha = reduce(GaussianInt.__mul__, (gauss[f] for f in rep))
-            chi[name] = gauss_symbol(alpha, moduli[avoid])
-        signs = (chi["H0"], chi["H1"], chi["H2"])
+        signs = (prod(one_plus_i[f] for f in odd_rep),
+                 *(prod(residues[avoid][f] for f in next(rep for rep in reps if avoid not in rep))
+                   for avoid in ("pi1", "pi2")))
         if signs == (1, 1, 1):
             raise ConsistencyError(f"norm group of K{j} came out with index 1")
         out[j] = frozenset(
@@ -388,10 +395,14 @@ def kernels(profile: Profile) -> dict[int, frozenset[ClassVector]]:
     return out
 
 
+# the fixed types of the tables, built once: predict returns 16 types per profile
+_T222, _T24, _T28, _T44 = (AbelianType(t) for t in ((2, 2, 2), (2, 4), (2, 8), (4, 4)))
+
+
 def k_type(profile: Profile, j: int) -> AbelianType:
     m, n, q = profile.m, profile.n, profile.q
     if j in (1, 2):
-        return AbelianType((2, 2, 2)) if profile.legendre == 1 else AbelianType((2, 4))
+        return _T222 if profile.legendre == 1 else _T24
     if j == 3:
         if q == 1:
             return AbelianType.from_factors((1 << m, 1 << (n + 1)))
@@ -399,10 +410,10 @@ def k_type(profile: Profile, j: int) -> AbelianType:
             (1 << min(m, n + 1), 1 << max(m + 1, n + 2))
         )
     if profile.legendre == 1:
-        return AbelianType((2, 2, 2)) if profile.pi == -1 else AbelianType((2, 4))
+        return _T222 if profile.pi == -1 else _T24
     # legendre = -1: K4/K7 and K5/K6 pair up, exchanged by the sign of pi
     two_four = {4, 7} if profile.pi == -1 else {5, 6}
-    return AbelianType((2, 4)) if j in two_four else AbelianType((2, 2, 2))
+    return _T24 if j in two_four else _T222
 
 
 def l_type(profile: Profile, j: int) -> AbelianType:
@@ -413,14 +424,14 @@ def l_type(profile: Profile, j: int) -> AbelianType:
         return AbelianType.from_factors((1 << min(m, n), 1 << max(m + 1, n + 1)))
     if j in (2, 3, 4, 5):
         if profile.legendre == 1 and profile.pi == -1:
-            return AbelianType((2, 2, 2))
-        return AbelianType((2, 4))
+            return _T222
+        return _T24
     # L6 / L7
     if q == 2:
         if profile.legendre == 1:
             return AbelianType.from_factors((2, 1 << (n + 2)))
         flip = (profile.pi == -1) == (j == 6)
-        return AbelianType((2, 8)) if flip else AbelianType((4, 4))
+        return _T28 if flip else _T44
     b_here = profile.B if j == 6 else -profile.B
     if b_here == 1:
         return AbelianType.from_factors((1 << (m - 1), 1 << (n + 1)))
@@ -490,8 +501,7 @@ _GL_MINUS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KPrediction:
+class KPrediction(NamedTuple):
     index: int
     radicand: str
     norm_group: frozenset[ClassVector]
@@ -500,8 +510,7 @@ class KPrediction:
     taussky_A: bool
 
 
-@dataclass(frozen=True)
-class LPrediction:
+class LPrediction(NamedTuple):
     index: int
     factors: tuple[int, ...]
     norm_group: frozenset[ClassVector]
@@ -569,8 +578,7 @@ def _check_report(profile: Profile, report: PredictionReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     expected: str
@@ -594,7 +602,10 @@ def _fmt_vectors(vs: frozenset[ClassVector]) -> str:
     return "{" + ",".join(sorted(vector_name(v) for v in vs)) + "}"
 
 
-_text = lru_cache(maxsize=None, typed=True)(str)  # check values recur; typed: True and 1 differ
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1 differ
+def _check(name: str, expected, got) -> Check:
+    """One check, shared: the 38 classify-deep profiles have 131 distinct checks among 2660."""
+    return Check(name, expected == got, str(expected), str(got))
 
 
 @lru_cache(maxsize=None)
@@ -603,8 +614,9 @@ def _word_subgroup(pres: GPresentation, words: tuple[str, ...]) -> Subgroup:
     return Subgroup.generated(pres, [pres.word(w) for w in words])
 
 
-def _engine_table(profile: Profile) -> tuple[GPresentation, EngineTable]:
-    _, _, _, q, m, n, psi = profile
+@lru_cache(maxsize=None)
+def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentation, EngineTable]:
+    """The presentation (m, n, q, psi), built and validated once, with its engine table."""
     pres = GPresentation(m, n, q, psi)
     return pres, engine_table(pres)
 
@@ -614,38 +626,38 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     """The predictions against the engine table: K_j is the subgroup over G' of the plane N_j,
     L_j that of the line of its three K factors, so the profile only picks the labels."""
     report = predict(profile)
-    pres, table = _engine_table(profile)
+    pres, table = _engine_table(profile.m, profile.n, profile.q, profile.psi)
     G, series_length = table.G.H, len(table.series)
-    checks: list[Check] = []
-
-    def add(name, expected, got):
-        checks.append(Check(name, expected == got, _text(expected), _text(got)))
-
-    add("G:order", report.group_order, G.order)
-    add("G:derived-generators", True, table.derived_squares)
-    add("G:abelianization", AbelianType((2, 2, 2)), table.G.abelianization)
-    add("G:derived-type", report.derived, table.G_derived.abelianization)
-    add("G:nilpotency-class", report.nilpotency_class, series_length - 1)
-    add("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1))
-
+    rows = [  # (name, expected, got)
+        ("G:order", report.group_order, G.order),
+        ("G:derived-generators", True, table.derived_squares),
+        ("G:abelianization", _T222, table.G.abelianization),
+        ("G:derived-type", report.derived, table.G_derived.abelianization),
+        ("G:nilpotency-class", report.nilpotency_class, series_length - 1),
+        ("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1)),
+    ]
     for j, kf in report.k_fields.items():
         K = table.over[kf.norm_group]
-        add(f"K{j}:index", 2, K.H.index_in(G))
         words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
-        add(f"K{j}:subgroup-words", True, K.H == _word_subgroup(pres, words))
-        add(f"K{j}:type", kf.cl2, K.abelianization)
-        add(f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel))
-        add(f"K{j}:taussky-A", True, len(K.kernel & kf.norm_group) > 1)
-    add("K3:class-group", report.cl2_k3, table.over[report.k_fields[3].norm_group].abelianization)
-
+        rows += [
+            (f"K{j}:index", 2, K.index),
+            (f"K{j}:subgroup-words", True, K.H == _word_subgroup(pres, words)),
+            (f"K{j}:type", kf.cl2, K.abelianization),
+            (f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel)),
+            (f"K{j}:taussky-A", True, len(K.kernel & kf.norm_group) > 1),
+        ]
+    rows.append(("K3:class-group", report.cl2_k3,
+                 table.over[report.k_fields[3].norm_group].abelianization))
     for j, lf in report.l_fields.items():
         L = table.over[lf.norm_group]
-        add(f"L{j}:index", 4, L.H.index_in(G))
         words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
-        add(f"L{j}:subgroup-words", True, L.H == _word_subgroup(pres, words))
-        add(f"L{j}:type", lf.cl2, L.abelianization)
-        add(f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel))
-    return tuple(checks)
+        rows += [
+            (f"L{j}:index", 4, L.index),
+            (f"L{j}:subgroup-words", True, L.H == _word_subgroup(pres, words)),
+            (f"L{j}:type", lf.cl2, L.abelianization),
+            (f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel)),
+        ]
+    return tuple(starmap(_check, rows))
 
 
 def cross_validate(record: InvariantRecord) -> ValidationReport:
@@ -677,7 +689,9 @@ def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     profile = (legendre, pi, B, q, m, n, psi), a Profile or a plain tuple;
     raises KeyError when the symbol tuple falls outside the tabulated cases.
     """
-    report, table = predict(profile), _engine_table(profile)[1]
+    report = predict(profile)
+    _, _, _, q, m, n, psi = profile
+    table = _engine_table(m, n, q, psi)[1]
     return {f"{kind}{j}": table.over[field.norm_group].abelianization
             for kind, fields in (("K", report.k_fields), ("L", report.l_fields))
             for j, field in fields.items()}

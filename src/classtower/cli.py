@@ -58,8 +58,11 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _vectors(vs) -> list[str]:
-    return sorted(vector_name(v) for v in vs)
+@cache
+def _vectors(vs: frozenset) -> tuple[str, ...]:
+    """The sorted class names of vs, a subspace of F_2^3; only its 16 subspaces occur, so each
+    is named once (JSON writes the tuple as a list)."""
+    return tuple(sorted(vector_name(v) for v in vs))
 
 
 def _type_list(t: AbelianType) -> list[int]:

@@ -25,19 +25,22 @@ the gcds of the minors of an at most 3 x 3 relation matrix) are then integer
 arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
-G/G' = Cl_2(k) = F_2^3 (over_derived), and a transfer into one is, by transitivity,
-a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a two-case
-formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 once per
-presentation, top down the flag: the transfers of rho sigma, rho and tau into each are
-carried one step on from the subgroup above, and each stores H', H/H' and its
-transfer kernel; transfer_kernel reads it.
+G/G' = Cl_2(k) = F_2^3 (over_derived, from the presentation's one G' lattice), and a
+transfer into one is, by transitivity, a chain of index-2 transfers along a flag of
+subspaces up to F_2^3, each a two-case formula (Huppert, Endliche Gruppen I, IV.1).
+engine_table builds all 16 once per presentation, top down the flag: the transfers of
+rho sigma, rho and tau into each are carried one index-2 step on from the subgroup
+above (_step_down), and each stores H', H/H', its index and its transfer kernel, read
+off sums of the three transfers in A (_kernel); the transfer into G' must be trivial
+(the principal ideal theorem).  transfer_kernel reads the table.  A presentation forms
+each word of generators once (word).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, prod
 from typing import NamedTuple
@@ -71,6 +74,10 @@ Lattice = tuple[int, int, int]  # Hermite basis (h11, h12), (0, h22) with 0 <= h
 class PsiVariant(Enum):
     SIGMA_ONLY = "sigma"
     TAU_SIGMA = "tau-sigma"
+
+    # members are singletons, so the identity hash is a value hash; Enum's own __hash__ runs in
+    # Python on every cache lookup keyed by a presentation or a profile
+    __hash__ = object.__hash__
 
 
 class PresentationError(ValueError):
@@ -183,9 +190,22 @@ class GPresentation:
     def class_elements(self) -> tuple[GElement, ...]:  # class_to_group over CLASS_VECTORS
         return tuple(class_to_group(self, v) for v in CLASS_VECTORS)
 
+    @cached_property
+    def derived_lattice(self) -> Lattice:
+        """G' & A = (T - I)Z^2 + Lambda, the lattice every subgroup over G' contains."""
+        return _hermite([*_conj(self, ((1, 0), (0, 1)), 1), *_rows(self.relations)])
+
+    @cached_property
+    def _words(self) -> dict[str, GElement]:
+        return {"": self.identity()}
+
     def word(self, letters: str) -> GElement:
-        """Product of generators named by letters: 's', 't', 'r' (e.g. 'str' or 'ss')."""
-        return reduce(self.mul, (_LETTERS[ch] for ch in letters), self.identity())
+        """Product of generators named by letters: 's', 't', 'r' (e.g. 'str' or 'ss'); each
+        product is formed once per presentation, from the product of its prefix."""
+        words = self._words
+        if letters not in words:
+            words[letters] = self.mul(self.word(letters[:-1]), _LETTERS[letters[-1]])
+        return words[letters]
 
 
 _LETTERS = {"r": (1, 0, 0), "s": (0, 1, 0), "t": (0, 0, 1)}  # normal forms for every m, n
@@ -287,10 +307,16 @@ class Subgroup:
 
     @classmethod
     def _from_vectors(cls, pres: GPresentation, vectors, r: GElement | None = None) -> "Subgroup":
-        lattice = _hermite([*vectors, *_rows(pres.relations)])
+        return cls._from_lattice(pres, _hermite([*vectors, *_rows(pres.relations)]), r)
+
+    @classmethod
+    def _from_lattice(cls, pres: GPresentation, lattice: Lattice, r: GElement | None) -> "Subgroup":
+        """M u rM for M the lattice over Lambda, which must be T-stable when r is given: T
+        fixes (0, h22) up to sign and takes (h11, h12) to s (h11, h12) - (0, (1 + s) h12)."""
         if r is None:
             return cls(pres, lattice)
-        if any(_reduce(lattice, *v) != (0, 0) for v in _conj(pres, _rows(lattice))):
+        h11, h12, h22 = lattice
+        if (1 + pres.sigma_twist) * h12 % h22:
             raise GroupCheckError(f"lattice {lattice} of a subgroup outside A is not T-stable")
         return cls(pres, lattice, pres.element(1, *_reduce(lattice, r[1], r[2])))
 
@@ -361,8 +387,9 @@ def _quotient_type(H: Subgroup, N: Subgroup) -> AbelianType:
     2[r] = [r^2] with r2 = (a, b) the coordinates of r^2 in M.  H/N is a 2-group,
     so the invariants, powers of 2 (checked), are its type.
     """
-    (x, y), (_, z) = (_coords(H.lattice, *v) for v in _rows(N.lattice))
-    r2 = _coords(H.lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
+    lattice, (n11, n12, n22) = H.lattice, N.lattice
+    (x, y), (_, z) = _coords(lattice, n11, n12), _coords(lattice, 0, n22)
+    r2 = _coords(lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
     diagonal = _smith_diagonal(x, y, z, r2)
     if prod(diagonal) != H.order // N.order or any(d & (d - 1) for d in diagonal):
         raise GroupCheckError(f"Smith invariants {diagonal} are not powers of 2 multiplying to "
@@ -416,15 +443,20 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
     """The subgroup over G' whose image in G/G' = F_2^3 is the subspace classes: K_j over the
-    plane N_j, L_j over the line N_a & N_b & N_c.  One Hermite basis spans its H & A: G' & A =
-    (T - I)Z^2 + Lambda and the representatives inside A; r is the first one outside A.  For a
-    further one g outside A, r^-1 g lies in A in the class of r g, whose representative is there.
+    plane N_j, L_j over the line N_a & N_b & N_c.  One Hermite basis spans its H & A: G' & A
+    (pres.derived_lattice) and the representatives inside A; r is the first one outside A.  For
+    a further one g outside A, r^-1 g lies in A in the class of r g, whose representative is there.
     """
     if classes not in _FLAG:
         raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
-    reps = [pres.class_elements[k] for k in _FLAG[classes][0]]
-    vectors = [*_conj(pres, ((1, 0), (0, 1)), 1), *(g[1:] for g in reps if not g[0])]
-    return Subgroup._from_vectors(pres, vectors, next((g for g in reps if g[0]), None))
+    vectors, r = list(_rows(pres.derived_lattice)), None
+    for k in _FLAG[classes][0]:
+        g = pres.class_elements[k]
+        if not g[0]:
+            vectors.append(g[1:])
+        elif r is None:
+            r = g
+    return Subgroup._from_lattice(pres, _hermite(vectors), r)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +481,8 @@ class OverDerived(NamedTuple):
     derived: Subgroup  # H'
     abelianization: AbelianType  # H/H'
     kernel: frozenset[ClassVector]  # the classes whose transfer to H lies in H'
+    index: int  # [G : H]
+    transfers: tuple[GElement, GElement, GElement]  # the transfers of rho sigma, rho, tau to H
 
 
 class EngineTable(NamedTuple):
@@ -466,38 +500,58 @@ def engine_table(pres: GPresentation) -> EngineTable:
     """The 16 subgroups over G', top down the flag of F_2^3: above H = over_derived(V) is <H, z>,
     the subgroup over V + <z> for z the representative of the first class outside V.  By
     transitivity, H's transfers of rho sigma, rho and tau are those of <H, z> carried over the
-    one step (H, z).  The transfer G/G' -> H/H' is a homomorphism: these three give the images
-    of the eight class vectors, in the order of CLASS_VECTORS, by doubling."""
+    one step (H, z) by _step_down.  The transfer G/G' -> H/H' is a homomorphism, so these three
+    give the kernel (_kernel).  By the principal ideal theorem the transfer into G' is trivial."""
     over: dict[frozenset[ClassVector], OverDerived] = {}
-    transfers = {}  # V -> the transfers to H of rho sigma, rho and tau, as elements of H
+    classes, G = pres.class_elements, Subgroup.whole_group(pres)
     for V in SUBSPACES:
         H, (_, k, above) = over_derived(pres, V), _FLAG[V]
-        values = tuple(pres.class_elements[i] for i in (1, 2, 4))  # G: the identity
-        if above is not None:
-            z, parent = pres.class_elements[k], over[above].H
-            if parent.order != 2 * H.order:
-                raise GroupCheckError(f"index-2 step: <K, {z}> has index "
-                                      f"{parent.order // H.order} over K")
-            values = tuple(_transfer_along(pres, ((H, z),), g) for g in transfers[above])
-        derived, images, transfers[V] = H.derived_subgroup(), [pres.identity()], values
-        for g in values:
-            images += [pres.mul(x, g) for x in images]
-        over[V] = OverDerived(H, derived, _quotient_type(H, derived),
-                              frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived))
+        derived = H.derived_subgroup()
+        if above is None:  # H = G: the transfer is the identity of G/G'
+            values = classes[1], classes[2], classes[4]
+            kernel = frozenset(v for v, g in zip(CLASS_VECTORS, classes) if g in derived)
+        else:
+            values = _step_down(pres, H, over[above].H, classes[k], over[above].transfers)
+            kernel = _kernel(values, derived.lattice)
+        over[V] = OverDerived(H, derived, _quotient_type(H, derived), kernel, H.index_in(G), values)
+    if len(over[SUBSPACES[-1]].kernel) != len(CLASS_VECTORS):
+        raise GroupCheckError("kernel: the transfer into G' is not trivial "
+                              "(principal ideal theorem)")
     squares = Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
     return EngineTable(over, tuple(lower_central_series(pres)), over[SUBSPACES[0]].derived == squares)
 
 
-def _transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
-    """The index-2 transfers K_(i-1) -> K_i in turn: g z g z^-1 for g in K_i, else g^2."""
-    mul = pres.mul
-    for K, z in steps:
-        if z in K:
-            raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, values):
+    """The transfers into K of the transfers values into parent = <K, z>, which must have index 2
+    over K: g z g z^-1 for g in K, else g^2."""
+    if parent.order != 2 * K.order:
+        raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
+    if z in K:
+        raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+    mul, z_inv, out = pres.mul, pres.inv(z), []
+    for g in values:
+        g = mul(g, mul(mul(z, g), z_inv)) if g in K else mul(g, g)
         if g not in K:
             raise GroupCheckError(f"index-2 step: the value {g} leaves K")
-    return g
+        out.append(g)
+    return tuple(out)
+
+
+def _kernel(values, derived: Lattice) -> frozenset[ClassVector]:
+    """The classes whose transfer lies in H' <= A, from the transfers values of rho sigma, rho
+    and tau into a proper subgroup H.  These lie in A (each index-2 step forms g^2 or g z g z^-1),
+    where the law is addition, so a class's transfer is the sum of theirs, and lies in H' when it
+    reduces to 0 modulo H''s lattice."""
+    for g in values:
+        if g[0]:
+            raise GroupCheckError(f"kernel: the transfer value {g} lies outside A")
+    h11, h12, h22 = derived
+    (_, a1, b1), (_, a2, b2), (_, a3, b3) = values
+    a12, b12 = a1 + a2, b1 + b2
+    sums = ((0, 0), (a1, b1), (a2, b2), (a12, b12),  # in the order of CLASS_VECTORS
+            (a3, b3), (a1 + a3, b1 + b3), (a2 + a3, b2 + b3), (a12 + a3, b12 + b3))
+    return frozenset(v for v, (a, b) in zip(CLASS_VECTORS, sums)
+                     if not a % h11 and not (b - a // h11 * h12) % h22)
 
 
 def _table_entry(pres: GPresentation, H: Subgroup) -> OverDerived:

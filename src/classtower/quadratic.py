@@ -103,7 +103,7 @@ def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     """
     D = field_discriminant(m)
     s = math.isqrt(D)
-    a, b, c = reduce_indefinite(principal_form(D)).key()
+    a, b, c = _reduced_principal(D, s)
     if a != 1:
         raise ClassGroupError(f"norm/period mismatch for m={m}: the walk starts at a = {a}")
     t, y_prev, y, i = 0, -1, 0, 0  # t_0 = 0 and Y_(-1) = -1 give Y_1 = 1
@@ -132,6 +132,13 @@ def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
         raise ClassGroupError(f"norm/period mismatch for m={m}: the half products give no "
                               f"unit of norm {norm} for l={steps}")
     return QuadUnit(u, v, w, m, norm), steps, ambiguous
+
+
+def _reduced_principal(D: int, s: int) -> tuple[int, int, int]:
+    """The reduced principal form (1, b_0, (b_0^2 - D)/4) of D > 0, s = isqrt(D): b_0 is the
+    largest b <= s with b = D (mod 2), so 1 <= b_0 <= s and 2 - b_0 <= s < 2 + b_0."""
+    b = s - (s - D) % 2
+    return 1, b, (b * b - D) // 4
 
 
 def norm_eps(m: int) -> int:

@@ -8,9 +8,11 @@ so the tests run it for m, n <= 4 or so and compare the lattice engine with it.
 Only GPresentation's multiplication is shared with the engine under test;
 power, conj and commutator are built on it here.
 
-The last section holds what the tests read of lattice subgroups and the library
+The last sections hold what the tests read of lattice subgroups and the library
 does not: coset representatives, lattice generators, and the transfer into a
-subgroup over G' along its whole index-2 chain.
+subgroup over G' along its whole index-2 chain; and the engine table as it was
+built before its one-step transfers, lattice kernels and shared G' lattice
+(reference_engine_table), which the tests compare the table with.
 """
 
 from __future__ import annotations
@@ -289,8 +291,55 @@ def chain(pres: GPresentation, H: Subgroup) -> tuple[tuple[Subgroup, GElement], 
     return tuple(reversed(steps))
 
 
+def transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
+    """The index-2 transfers K_(i-1) -> K_i in turn: g z g z^-1 for g in K_i, else g^2."""
+    mul = pres.mul
+    for K, z in steps:
+        if z in K:
+            raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        if g not in K:
+            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
+    return g
+
+
 def transfer(pres: GPresentation, H: Subgroup, g: GElement) -> GElement:
     """V_{G/H}(g G') as the canonical representative of its coset of H', for H over G' (else
     ValueError): by transitivity, the composite of the index-2 transfers along H's chain."""
     steps = chain(pres, H)
-    return coset_rep(gengroup._table_entry(pres, H).derived, gengroup._transfer_along(pres, steps, g))
+    return coset_rep(gengroup._table_entry(pres, H).derived, transfer_along(pres, steps, g))
+
+
+# ---------------------------------------------------------------------------
+# The engine table before its fast paths
+# ---------------------------------------------------------------------------
+
+
+def reference_over_derived(pres: GPresentation, classes) -> Subgroup:
+    """over_derived as it was: (T - I)Z^2 formed anew for each subspace, next to Lambda and the
+    class representatives inside A."""
+    reps = [pres.class_elements[k] for k in gengroup._FLAG[classes][0]]
+    vectors = [*gengroup._conj(pres, ((1, 0), (0, 1)), 1), *(g[1:] for g in reps if not g[0])]
+    return Subgroup._from_vectors(pres, vectors, next((g for g in reps if g[0]), None))
+
+
+def reference_engine_table(pres: GPresentation) -> dict:
+    """V -> (H, H', H/H', kernel, transfers of rho sigma, rho and tau) for the 16 subspaces V,
+    as engine_table built them before: each subgroup's transfers by transfer_along over its one
+    step, and its kernel from the images of all eight classes, by doubling, tested in H'."""
+    over: dict = {}
+    for V in gengroup.SUBSPACES:
+        H, (_, k, above) = reference_over_derived(pres, V), gengroup._FLAG[V]
+        values = tuple(pres.class_elements[i] for i in (1, 2, 4))
+        if above is not None:
+            z, parent = pres.class_elements[k], over[above][0]
+            if parent.order != 2 * H.order:
+                raise GroupCheckError(f"index-2 step: <K, {z}> has index "
+                                      f"{parent.order // H.order} over K")
+            values = tuple(transfer_along(pres, ((H, z),), g) for g in over[above][4])
+        derived, images = H.derived_subgroup(), [pres.identity()]
+        for g in values:
+            images += [pres.mul(x, g) for x in images]
+        kernel = frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived)
+        over[V] = (H, derived, gengroup._quotient_type(H, derived), kernel, values)
+    return over

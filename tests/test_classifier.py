@@ -64,6 +64,44 @@ def test_norm_groups_match_first_principles():
         assert norm_groups(rec) == norm_groups_from_symbols(rec), pair
 
 
+def _norm_groups_from_21_symbols(record):
+    """norm_groups_from_symbols as it was: each symbol of a radicand representation evaluated
+    whole, 21 Gaussian symbols per pair."""
+    from functools import reduce
+
+    from classtower.gaussian import ONE_PLUS_I, GaussianInt, gauss_symbol
+
+    s1, s2 = record.splits
+    moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
+    gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
+    out = {}
+    for j in range(1, 8):
+        reps = classify._RADICAND_FACTORS[j]
+        chi = {"H0": 1}
+        for f in next(rep for rep in reps if "2" not in rep):
+            chi["H0"] *= gauss_symbol(ONE_PLUS_I, moduli[f])
+        for name, avoid in (("H1", "pi1"), ("H2", "pi2")):
+            rep = next(rep for rep in reps if avoid not in rep)
+            alpha = reduce(GaussianInt.__mul__, (gauss[f] for f in rep))
+            chi[name] = gauss_symbol(alpha, moduli[avoid])
+        signs = (chi["H0"], chi["H1"], chi["H2"])
+        out[j] = frozenset(v for v in classify.CLASS_VECTORS
+                           if signs[0] ** v[0] * signs[1] ** v[1] * signs[2] ** v[2] == 1)
+    return out
+
+
+def test_twelve_basic_symbols_match_the_21_symbols():
+    # the products of the 12 basic symbols against the 21 symbols evaluated whole, for every
+    # pair up to 500 and every choice of the conjugates pi_1, pi_3
+    from types import SimpleNamespace
+
+    for pair in pairs_upto(500):
+        s1, s2 = split_prime(pair.p1), split_prime(pair.p2)
+        for splits in product((s1, s1.conjugate_choice()), (s2, s2.conjugate_choice())):
+            record = SimpleNamespace(splits=splits)
+            assert norm_groups_from_symbols(record) == _norm_groups_from_21_symbols(record), pair
+
+
 def test_predict_fixture_examples():
     rec, rep, _ = classify_pair(5, 13)
     assert rep.k_fields[4].cl2 == AbelianType((2, 4))

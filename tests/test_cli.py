@@ -548,36 +548,49 @@ def test_forged_unit_norm_breaks_scholz_under_python_O():
     ]
 
 
-_IDENTITY_STEPS = """
+_FORGED_STEPS = """
 import sys
 from classtower import gengroup
 from classtower.cli import main
-transfer_along = gengroup._transfer_along
-def identity_steps(pres, steps, g):
-    return transfer_along(pres, [(K, (0, 0, 0)) for K, _ in steps], g)  # every z the identity
-gengroup._transfer_along = identity_steps
-sys.exit(main(sys.argv[1:]))
+step_down, kernel, Subgroup = gengroup._step_down, gengroup._kernel, gengroup.Subgroup
+forgery, argv = sys.argv[1], sys.argv[2:]
+if forgery == "identity":  # every z the identity
+    gengroup._step_down = lambda pres, K, parent, z, values: step_down(pres, K, parent, (0, 0, 0), values)
+elif forgery == "below":  # a step from <rho^2> down to 1, below G', where g^2 leaves K
+    gengroup._step_down = lambda pres, K, parent, z, values: step_down(
+        pres, Subgroup.trivial(pres), Subgroup.generated(pres, [pres.word("rr")]), z, values)
+elif forgery == "outside":  # the transfer values moved outside A
+    gengroup._step_down = lambda *args: tuple((1, a, b) for _, a, b in step_down(*args))
+else:  # the class (1, 1, 1) does not capitulate in G'
+    gengroup._kernel = lambda values, derived: kernel(values, derived) - {(1, 1, 1)}
+sys.exit(main(argv))
 """
 
 
 def test_engine_self_check_under_python_O():
     # the transfer's check that z lies outside K raises GroupCheckError, an AssertionError,
-    # also under -O
+    # also under -O; so do the step's check that its values stay in K and the kernel's checks
+    # that the values lie in A and that every class capitulates in G'
     src = str(Path(classtower.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
-    def run_O(*argv):
-        return subprocess.run([sys.executable, "-O", "-c", _IDENTITY_STEPS, *argv],
+    def run_O(forgery, *argv):
+        return subprocess.run([sys.executable, "-O", "-c", _FORGED_STEPS, forgery, *argv],
                               capture_output=True, text=True, env=env, timeout=120)
 
-    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    proc = run_O("identity", "classify", "--p1", "5", "--p2", "13")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "index-2 step" in proc.stderr
-    proc = run_O("scan", "--max", "40", "--json")
+    proc = run_O("identity", "scan", "--max", "40", "--json")
     assert proc.returncode == 3
     payload = json.loads(proc.stdout)
     assert payload["pairs"] == 6
     assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 6
+    for forgery, message in (("below", "index-2 step: the value"), ("outside", "lies outside A"),
+                             ("kernel", "the transfer into G' is not trivial")):
+        proc = run_O(forgery, "classify", "--p1", "5", "--p2", "13")
+        assert proc.returncode == 3 and proc.stdout == "", forgery
+        assert proc.stderr.count("\n") == 1 and message in proc.stderr, (forgery, proc.stderr)
 
 
 _MERGED_COSETS = """
@@ -678,8 +691,9 @@ def test_predict_runs_once_per_profile(capsys, monkeypatch):
 def _clear_engine_caches():
     from classtower import classify, gengroup
 
-    for cached in (classify.predict, classify._engine_checks, classify._text,
-                   classify._fmt_vectors, classify._word_subgroup, gengroup.engine_table):
+    for cached in (classify.predict, classify._engine_checks, classify._check,
+                   classify._fmt_vectors, classify._word_subgroup, classify._engine_table,
+                   classify.subgroup_span, gengroup.engine_table):
         cached.cache_clear()
 
 
@@ -1025,8 +1039,8 @@ from classtower import quadratic
 from classtower.cli import main
 forgery, argv = sys.argv[1], sys.argv[2:]
 if forgery == "start":  # the walk starts one rho step into the principal cycle
-    reduce = quadratic.reduce_indefinite
-    quadratic.reduce_indefinite = lambda f: quadratic.rho_step(reduce(f), quadratic.math.isqrt(f.disc()))
+    start = quadratic._reduced_principal
+    quadratic._reduced_principal = lambda D, s: quadratic.rho_step(quadratic.BQForm(*start(D, s)), s).key()
 elif forgery == "ambiguous":  # the walk reports an ambiguous form (5, b, c) it never met
     walk = quadratic._principal_cycle
     quadratic._principal_cycle = lambda m: (lambda u, l, a: (u, l, a + (5,)))(*walk(m))
@@ -1143,14 +1157,14 @@ def test_forged_square_root_exits_3(capsys, monkeypatch):
 
 
 def test_classify_rejects_group_beyond_enumeration_guard(capsys, monkeypatch):
-    from classtower import classify, gengroup
+    from classtower import gengroup
 
     monkeypatch.setattr(gengroup, "MAX_ORDER_BITS", 5)  # (5, 13) has |G| = 2^6
-    classify._engine_checks.cache_clear()
+    _clear_engine_caches()  # classify builds each presentation once and caches it
     try:
         code, out, err = run(capsys, "classify", "--p1", "5", "--p2", "13")
     finally:
-        classify._engine_checks.cache_clear()
+        _clear_engine_caches()
     assert code == 2 and out == ""
     assert err.startswith("invalid input:") and "exceeds 2^5, the largest order a presentation" in err
     code, _, err = run(capsys, "group", "--m", "30", "--n", "1", "--q", "1", "--force")
@@ -1160,14 +1174,14 @@ def test_classify_rejects_group_beyond_enumeration_guard(capsys, monkeypatch):
 def test_scan_reports_group_beyond_the_order_bound_as_failing_rows(capsys, monkeypatch):
     # every group up to 40 has order at least 2^6; past the bound each pair is a failing row
     # with one stderr line naming the pair and the bound, and scan still prints its summary
-    from classtower import classify, gengroup
+    from classtower import gengroup
 
     monkeypatch.setattr(gengroup, "MAX_ORDER_BITS", 5)
-    classify._engine_checks.cache_clear()
+    _clear_engine_caches()  # classify builds each presentation once and caches it
     try:
         code, out, err = run(capsys, "scan", "--max", "40", "--json")
     finally:
-        classify._engine_checks.cache_clear()
+        _clear_engine_caches()
     payload = json.loads(out)
     assert code == 3 and payload["pairs"] == 6 and not payload["ok"]
     assert [row["failed"] for row in payload["failing_pairs"]] == [["group-size"]] * 6

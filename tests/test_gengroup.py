@@ -339,6 +339,50 @@ def test_transfer_kernel_from_three_transfers_matches_all_eight():
             assert transfer_kernel(pres, H) == direct, (pres, H)
 
 
+def test_engine_table_matches_the_reference_table():
+    # the one-step transfers, the lattice kernels, the shared G' lattice and the stored indices
+    # against the table as it was built before them, for every presentation with m + n <= 11
+    presentations = [pres for pres in _accepted_presentations(10, 9) if pres.m + pres.n <= 11]
+    assert len(presentations) == 99
+    for pres in presentations:
+        table, reference = gengroup.engine_table(pres), oracle.reference_engine_table(pres)
+        assert list(table.over) == list(reference), pres
+        G = Subgroup.whole_group(pres)
+        for V, entry in table.over.items():
+            H, derived, abelianization, kernel, transfers = reference[V]
+            assert (entry.H, entry.derived, entry.abelianization) == (H, derived, abelianization)
+            assert (entry.kernel, entry.transfers) == (kernel, transfers), (pres, sorted(V))
+            assert entry.index == G.order // H.order == 8 // len(V), (pres, sorted(V))
+        assert table.G_derived.kernel == frozenset(CLASS_VECTORS)  # principal ideal theorem
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pres=st.sampled_from(SMALL + [GPresentation(2, 5, 2), GPresentation(6, 1, 1, SIGMA)]),
+       h11=st.integers(1, 16), h12=st.integers(0, 15), h22=st.integers(1, 16))
+def test_t_stability_closed_form_matches_the_lattice_test(pres, h11, h12, h22):
+    # _from_lattice tests only (1 + s) h12 = 0 mod h22; the old test reduced both T-images
+    lattice = (h11, h12 % h22, h22)
+    stable = all(_reduce(lattice, *v) == (0, 0) for v in gengroup._conj(pres, _rows(lattice)))
+    try:
+        Subgroup._from_lattice(pres, lattice, pres.rho())
+    except GroupCheckError:
+        assert not stable, lattice
+    else:
+        assert stable, lattice
+
+
+def test_two_group_factors_match_the_realigning_path():
+    # from_factors reads a 2-group's type off its sorted factors; _realigned factorizes them
+    for factors in itertools.chain.from_iterable(
+            itertools.product((1, 2, 4, 8, 16, 1 << 20), repeat=k) for k in range(5)):
+        assert AbelianType.from_factors(factors) == AbelianType._realigned(factors), factors
+    assert AbelianType.from_factors(iter((4, 2))) == AbelianType((2, 4))
+    for factors in ((6, 2), (2, 3), (30, 10, 2), (2.0, 4)):
+        assert AbelianType.from_factors(factors) == AbelianType._realigned(factors), factors
+    with pytest.raises(ValueError, match="cyclic orders must be >= 1"):
+        AbelianType.from_factors((2, 0))
+
+
 def test_class_to_group_dictionary():
     for pres in SMALL:
         derived = Subgroup.whole_group(pres).derived_subgroup()
@@ -359,6 +403,13 @@ def test_word_helper():
     assert pres.word("st") == pres.mul(pres.sigma(), pres.tau())
     assert pres.word("ss") == power(pres, pres.sigma(), 2)
     assert pres.word("") == pres.identity()
+    # each product is formed once per presentation, from its prefix's: against a left fold
+    for pres in SMALL:
+        letters = {"r": pres.rho(), "s": pres.sigma(), "t": pres.tau()}
+        for k in range(5):
+            for word in map("".join, itertools.product("rst", repeat=k)):
+                expected = reduce(pres.mul, (letters[ch] for ch in word), pres.identity())
+                assert pres.word(word) == expected and pres.word(word) is pres.word(word), word
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +602,29 @@ def test_transfer_rejects_a_forged_step(monkeypatch):
     # it, and a build that raises is not cached
     pres = GPresentation(3, 1, 1, TAU_SIGMA)
     H = Subgroup.generated(pres, [pres.sigma(), pres.rho()])
-    transfer_along = gengroup._transfer_along
-
-    def identity_steps(pres, steps, g):
-        return transfer_along(pres, [(K, pres.identity()) for K, _ in steps], g)
+    step_down = gengroup._step_down
 
     gengroup.engine_table.cache_clear()
     with monkeypatch.context() as patch:  # z inside K: the formula assumes z outside
-        patch.setattr(gengroup, "_transfer_along", identity_steps)
+        patch.setattr(gengroup, "_step_down", lambda pres, K, parent, z, values: step_down(
+            pres, K, parent, pres.identity(), values))
         with pytest.raises(GroupCheckError, match="index-2 step: z = .* lies inside K"):
             transfer_kernel(pres, H)
-    with monkeypatch.context() as patch:  # a step below G', where g^2 leaves K
-        patch.setattr(gengroup, "_transfer_along", lambda pres, steps, g: transfer_along(
-            pres, [(Subgroup.trivial(pres), pres.rho())], g))
+    with monkeypatch.context() as patch:  # a step from <rho^2> below G', where g^2 leaves K
+        patch.setattr(gengroup, "_step_down", lambda pres, K, parent, z, values: step_down(
+            pres, Subgroup.trivial(pres), Subgroup.generated(pres, [pres.word("rr")]), pres.rho(),
+            values))
         with pytest.raises(GroupCheckError, match="index-2 step: the value .* leaves K"):
+            transfer_kernel(pres, H)
+    with monkeypatch.context() as patch:  # transfer values outside A, where H' is no lattice
+        patch.setattr(gengroup, "_step_down", lambda *args: tuple(
+            (1, a, b) for _, a, b in step_down(*args)))
+        with pytest.raises(GroupCheckError, match="kernel: the transfer value .* lies outside A"):
+            transfer_kernel(pres, H)
+    kernel = gengroup._kernel
+    with monkeypatch.context() as patch:  # a class that does not capitulate in G'
+        patch.setattr(gengroup, "_kernel", lambda values, derived: kernel(values, derived) - {(1, 1, 1)})
+        with pytest.raises(GroupCheckError, match="kernel: the transfer into G' is not trivial"):
             transfer_kernel(pres, H)
     plane = span([(0, 0, 1), (0, 1, 0)])
     with monkeypatch.context() as patch:  # G built over a plane: each plane's <K, z> has index 1
@@ -647,7 +707,7 @@ def test_lattice_engine_matches_element_oracle():
             ectx = oracle.transfer_context(pres, EH)
             steps, Hp = oracle.chain(pres, H), gengroup._table_entry(pres, H).derived
             for g in elements(pres):
-                got = coset_rep(Hp, gengroup._transfer_along(pres, steps, g))
+                got = coset_rep(Hp, oracle.transfer_along(pres, steps, g))
                 assert ectx["hprime_rep"][got] == oracle.element_transfer(pres, EH, g, ectx), (pres, H, g)
 
 

@@ -297,6 +297,23 @@ def test_reduce_indefinite_reaches_reduced():
         assert g.disc() == D
 
 
+def test_reduced_principal_form_is_the_reduced_principal_start():
+    # the closed form against reducing the principal form, for the D of every walk that
+    # scan --max 1000 takes (m = p1 p2 and 2 p1 p2) and every small fundamental D > 0
+    from classtower.quadratic import _is_reduced_indefinite, _reduced_principal
+
+    ps = primes_5_mod_8(1000)
+    ms = {k * a * b for i, a in enumerate(ps) for b in ps[i + 1 :] for k in (1, 2)}
+    squarefree = [m for m in range(2, 400) if all(m % (d * d) for d in range(2, 20))]
+    discs = {field_discriminant(m) for m in ms | set(squarefree)}
+    assert len(discs) > 2 * 900
+    for D in discs:
+        s = math.isqrt(D)
+        start = _reduced_principal(D, s)
+        assert start == reduce_indefinite(principal_form(D)).key(), D
+        assert _is_reduced_indefinite(start[0], start[1], s) and BQForm(*start).disc() == D
+
+
 # --- the descent against the counting oracle ---------------------------------
 
 # 2-Sylow subgroups with two cyclic factors of order >= 4 (square roots taken
