@@ -251,7 +251,20 @@ def cmd_group(args) -> int:
         print(f"(m={args.m}, n={args.n}, q={args.q}) is not an admissible exponent pattern; "
               "pass --force to inspect it anyway", file=sys.stderr)
         return EXIT_INPUT
-    table = engine_table(pres)
+    profile = None
+    if args.legendre is not None:
+        profile = Profile(args.legendre, args.pi or 1, args.b or 1, args.q, args.m, args.n, psi)
+        if not admissible(profile):
+            print("symbol tuple inconsistent: no pair has these symbols with (m, n, q, psi) = "
+                  f"({args.m}, {args.n}, {args.q}, {psi.value}) (see the exponent-coupling, "
+                  "q-agreement and quartic-product-rule rules)", file=sys.stderr)
+            return EXIT_INPUT
+    try:
+        table = engine_table(pres)
+        fields = engine_abelianizations(profile) if profile is not None else None
+    except AssertionError as exc:
+        print(f"consistency failure: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     shape = [s.order for s in table.series]
     info = {
         "m": args.m,
@@ -266,14 +279,8 @@ def cmd_group(args) -> int:
         "coclass": pres.order.bit_length() - len(shape),
         "admissible": realized,
     }
-    if args.legendre is not None:
-        profile = Profile(args.legendre, args.pi or 1, args.b or 1, args.q, args.m, args.n, psi)
-        if not admissible(profile):
-            print("symbol tuple inconsistent: no pair has these symbols with (m, n, q, psi) = "
-                  f"({args.m}, {args.n}, {args.q}, {psi.value}) (see the exponent-coupling, "
-                  "q-agreement and quartic-product-rule rules)", file=sys.stderr)
-            return EXIT_INPUT
-        info["fields"] = {name: _type_list(t) for name, t in engine_abelianizations(profile).items()}
+    if fields is not None:
+        info["fields"] = {name: _type_list(t) for name, t in fields.items()}
     if args.json:
         print(dumps(info))
     else:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
+from typing import NamedTuple
 
 from .abelian import AbelianType, factorize
 from .symbols import PrimePair, is_prime, jacobi, sqrt_mod
@@ -151,20 +153,21 @@ def norm_eps(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BQForm:
+class BQForm(NamedTuple):
     a: int
     b: int
     c: int
 
     def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c = self
+        return b * b - 4 * a * c
 
     def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
+        a, b, c = self
+        return a * x * x + b * x * y + c * y * y
 
     def key(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -193,12 +196,12 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     coefficient is coprime to a1; then the composite is (a1*a2, B, *) with
     B = b1 (mod 2|a1|) and B = b2 (mod 2|a2|) (united-forms construction).
     """
-    D = f1.disc()
+    a1, b1, c1 = f1
+    D = b1 * b1 - 4 * a1 * c1
     if f2.disc() != D:
         raise ClassGroupError(f"cannot compose {f1} and {f2}: discriminants differ")
-    f2 = _coprime_representative(f2, f1.a)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
+    f2 = _coprime_representative(f2, a1)
+    a2, b2, _ = f2
     n1, n2 = 2 * abs(a1), 2 * abs(a2)
     B = _crt(b1 % n1, n1, b2 % n2, n2)
     A = a1 * a2
@@ -219,15 +222,29 @@ def _small_vectors():
     raise ClassGroupError("no suitable value among the small vectors; form not primitive?")
 
 
+# The first vectors of _small_vectors(), built once.  For the discriminants -4r, r, -8r,
+# 8r of the pairs with p2 <= 1000 the deepest search stops at index 177, and up to
+# p2 <= 1500 none reaches the generator's tail.
+_SMALL_VECTORS = tuple(islice(_small_vectors(), 256))
+
+
+def _search_vectors():
+    """_small_vectors(): the table, then the generator's tail."""
+    return chain(_SMALL_VECTORS, islice(_small_vectors(), len(_SMALL_VECTORS), None))
+
+
 def _coprime_representative(f: BQForm, n: int) -> BQForm:
     """A form properly equivalent to f whose leading coefficient is coprime to n.
 
     Primitive forms represent values coprime to any modulus, so a small search
     over primitive (x, y) always succeeds.
     """
-    if math.gcd(f.a, n) == 1:
+    a, b, c = f
+    if math.gcd(a, n) == 1:
         return f
-    return _transform(f, *next(xy for xy in _small_vectors() if math.gcd(f.value(*xy), n) == 1))
+    for x, y in _search_vectors():
+        if math.gcd(a * x * x + b * x * y + c * y * y, n) == 1:
+            return _transform(f, x, y)
 
 
 def _transform(f: BQForm, x: int, y: int) -> BQForm:
@@ -236,13 +253,13 @@ def _transform(f: BQForm, x: int, y: int) -> BQForm:
     if g != 1:
         raise ClassGroupError(f"({x}, {y}) is not primitive")
     u, v = -v0, u0  # det [[x, u], [y, v]] = 1
-    a = f.value(x, y)
-    b = 2 * (f.a * x * u + f.c * y * v) + f.b * (x * v + y * u)
-    c = f.value(u, v)
-    out = BQForm(a, b, c)
-    if out.disc() != f.disc():
+    fa, fb, fc = f
+    a = fa * x * x + fb * x * y + fc * y * y
+    b = 2 * (fa * x * u + fc * y * v) + fb * (x * v + y * u)
+    c = fa * u * u + fb * u * v + fc * v * v
+    if b * b - 4 * a * c != fb * fb - 4 * fa * fc:
         raise ClassGroupError(f"substitution changed the discriminant of {f}")
-    return out
+    return BQForm(a, b, c)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -263,8 +280,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def reduce_definite(f: BQForm) -> BQForm:
-    a, b, c = f.a, f.b, f.c
-    if a <= 0 or f.disc() >= 0:
+    a, b, c = f
+    if a <= 0 or b * b - 4 * a * c >= 0:
         raise ClassGroupError(f"{f} is not positive definite")
     while True:
         if not (-a < b <= a):
@@ -364,7 +381,11 @@ def _genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) ->
     The characters are evaluated on a value n of f coprime to D; their product
     is the Kronecker symbol (D/n) = 1, which is checked.
     """
-    n = next(v for v in (f.value(x, y) for x, y in _small_vectors()) if math.gcd(v, D) == 1)
+    a, b, c = f
+    for x, y in _search_vectors():
+        n = a * x * x + b * x * y + c * y * y
+        if math.gcd(n, D) == 1:
+            break
     vec = 0
     for i, q in enumerate(primes):
         if (n % 8 in two) if q == 2 else jacobi(n, q) == -1:
@@ -423,9 +444,13 @@ def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
     dividing out gcd(x, y), and z is prime to D because a primitive ideal has no
     square ramified factor.  Then f ~ (z^2, B, C) and (z, B, zC) squares to it.
     """
-    D = f.disc()
-    g = _transform(f, *next(xy for xy in _small_vectors() if _odd_prime_prime_to(f.value(*xy), D)))
-    p, b = g.a, g.b
+    a, b, c = f
+    D = b * b - 4 * a * c
+    for x, y in _search_vectors():
+        if _odd_prime_prime_to(a * x * x + b * x * y + c * y * y, D):
+            break
+    g = _transform(f, x, y)
+    p, b, _ = g
     w, u, v = _legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2
     X, Y, Z = 2 * w, u if D % 4 == 0 else 2 * u, v  # X^2 - D Y^2 = 4p Z^2
     if not Y:  # then X^2 = 4p Z^2 with p prime: only the zero point

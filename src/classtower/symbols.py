@@ -26,15 +26,38 @@ class InvalidPairError(ValueError):
     """A prime pair failed validation (not prime, wrong congruence, or equal)."""
 
 
-# Deterministic Miller-Rabin witnesses for n < 2^64 (Sinclair's set); the same
-# panel is reused as a fixed strong-probable-prime test above that bound.
+# Miller-Rabin witnesses: the first twelve primes.  _MR_BOUNDS[k - 1] is psi_k (OEIS
+# A014233), the least odd composite that is a strong pseudoprime to the first k of them,
+# so k witnesses decide every n < psi_k.  psi_12 > 2^64; above it the panel is a fixed
+# strong-probable-prime test.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 2**64."""
+    """Miller-Rabin primality test, deterministic for n < psi_12 (> 2**64).
+
+    After trial division by the primes up to 47 the witnesses 2, 3, 5, ... run
+    in turn, and the test stops with True as soon as the k witnesses passed
+    decide n: n < psi_k, the least strong pseudoprime to the first k prime bases
+    (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86
+    (2017); OEIS A014233).  Two witnesses decide n < 1 373 653.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -44,16 +67,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
 
 

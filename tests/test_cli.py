@@ -715,6 +715,31 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
+@pytest.mark.parametrize("module, argv", [
+    ("cli", ()),
+    ("classify", ("--legendre", "-1", "--pi", "-1", "--b", "1")),
+])
+def test_group_self_check_exits_3(capsys, monkeypatch, module, argv):
+    # a failed engine self-check in `group` is one consistency-failure line and exit 3, as in
+    # classify: cli's own table, and the tables classify builds for the fields of --legendre
+    from classtower import classify, cli
+    from classtower.abelian import GroupCheckError
+
+    def forged(pres):
+        raise GroupCheckError("forged engine failure")
+
+    monkeypatch.setattr({"cli": cli, "classify": classify}[module], "engine_table", forged)
+    _clear_engine_caches()
+    try:
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "group", "--m", "2", "--n", "1", "--q", "2", *argv,
+                                 *json_flag)
+            assert code == 3 and out == ""
+            assert err == "consistency failure: forged engine failure\n"
+    finally:
+        _clear_engine_caches()
+
+
 def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
     # the engine caches are keyed by presentation and by subgroup, not by profile: each
     # profile's checks recomputed from empty caches equal what the warm scan left

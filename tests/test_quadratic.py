@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +359,57 @@ def test_descent_on_deepest_pool_pairs():
         assert class_group(-4 * p1 * p2).two_part == AbelianType((2, 512))
         for D in (-4 * p1 * p2, p1 * p2):
             assert class_group(D).two_part == counting_class_group(D)[2], D
+
+
+# --- the form API and the small-vector table ----------------------------------
+
+
+def test_bqform_api_serves_the_counting_oracle():
+    f = BQForm(2, 1, 3)
+    assert (f.a, f.b, f.c) == (2, 1, 3) and f.key() == (2, 1, 3) and type(f.key()) is tuple
+    assert f.disc() == -23 and f.value(1, 0) == 2 and f.value(-1, 2) == 12
+    assert str(f) == f"{f}" == "(2, 1, 3)"
+    assert f == BQForm(2, 1, 3) and f != BQForm(2, -1, 3)
+    assert hash(f) == hash(BQForm(2, 1, 3)) and len({f, BQForm(2, 1, 3), BQForm(2, -1, 3)}) == 2
+    with pytest.raises(AttributeError):
+        f.a = 5
+    forms = reduced_definite_forms(-23)
+    assert sorted(forms, key=BQForm.key) == [BQForm(1, 1, 6), BQForm(2, -1, 3), f]
+    # the oracle's groups keep forms in sets and dicts and compare reduced ones
+    assert counting_class_group(-23)[:2] == (3, 3)
+    assert counting_class_group(316)[:2] == (3, 6)
+
+
+def test_small_vector_table_then_tail_is_the_generator():
+    from classtower.quadratic import _SMALL_VECTORS, _search_vectors, _small_vectors
+
+    assert len(_SMALL_VECTORS) == 256
+    assert list(islice(_search_vectors(), 2000)) == list(islice(_small_vectors(), 2000))
+
+
+def test_class_groups_with_a_one_entry_table(monkeypatch):
+    # cut to its first vector, the table leaves every search but the first step to the
+    # generator's tail, and the class groups stay the same
+    from classtower import quadratic
+
+    ps = primes_5_mod_8(150)
+    discs = [field_discriminant(s * k * a * b) for i, a in enumerate(ps) for b in ps[i + 1 :]
+             for s in (-1, 1) for k in (1, 2)]
+    expected = {D: class_group(D) for D in discs}
+    tail, small_vectors = [], quadratic._small_vectors
+
+    def counted_small_vectors():  # records the vectors read past the one-entry table
+        vectors = small_vectors()
+        yield next(vectors)
+        for xy in vectors:
+            tail.append(xy)
+            yield xy
+
+    monkeypatch.setattr(quadratic, "_SMALL_VECTORS", quadratic._SMALL_VECTORS[:1])
+    monkeypatch.setattr(quadratic, "_small_vectors", counted_small_vectors)
+    quadratic.class_group.cache_clear()
+    try:
+        assert {D: class_group(D) for D in discs} == expected
+    finally:
+        quadratic.class_group.cache_clear()
+    assert len(tail) > len(discs)

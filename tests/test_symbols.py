@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from classtower.symbols import (
+    _MR_BOUNDS,
+    _MR_WITNESSES,
     InvalidPairError,
     is_prime,
     jacobi,
     primes_5_mod_8,
     quartic_symbol,
     quartic_symbol_mod2,
+    sqrt_mod,
     validate_pair,
 )
 
@@ -21,12 +26,17 @@ def legendre_naive(a, p):
     return 1 if r == 1 else -1
 
 
-def primes_upto(n):
+def primes_upto_flags(n):
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, int(n**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return sieve
+
+
+def primes_upto(n):
+    sieve = primes_upto_flags(n)
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
@@ -43,6 +53,81 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
     assert is_prime(1_000_000_007)
+
+
+def strong_probable_prime(n, a):
+    """n passes the Miller-Rabin round of base a (odd n > a)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def full_panel_is_prime(n):
+    """is_prime as it was before the witness bounds: trial division, then all twelve bases."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in _MR_WITNESSES)
+
+
+def test_witness_bounds_are_strong_pseudoprimes():
+    # each psi_k is composite and passes the first k bases, so no tabled bound is above the
+    # least such pseudoprime; that none is below it rests on the cited values (Jaeschke 1993,
+    # Sorenson and Webster 2017, OEIS A014233), and the sieve test settles k = 1 exhaustively.
+    # psi_12 is past 2^64, where the panel stops being a proof
+    assert _MR_WITNESSES == tuple(primes_upto(37))
+    assert len(_MR_BOUNDS) == len(_MR_WITNESSES) and list(_MR_BOUNDS) == sorted(_MR_BOUNDS)
+    assert _MR_BOUNDS[-2] < 2**64 < _MR_BOUNDS[-1]
+    for k, psi in enumerate(_MR_BOUNDS[:-1], start=1):
+        assert all(strong_probable_prime(psi, a) for a in _MR_WITNESSES[:k]), k
+        assert not is_prime(psi), k
+        assert not full_panel_is_prime(psi), k
+
+
+def test_is_prime_against_sieve_to_2e5():
+    sieve = primes_upto_flags(200_000)
+    assert all(is_prime(n) == bool(sieve[n]) for n in range(200_000))
+
+
+def test_is_prime_matches_the_full_panel():
+    # odd n of every bit length up to 64, so each bound's range is hit, plus the primes
+    # next to them (where the early exit returns True) and the neighbours of each bound
+    rng = random.Random(2015)
+    cases = [rng.getrandbits(bits) | 1 << (bits - 1) | 1
+             for bits in range(3, 65) for _ in range(40)]
+    for n in cases[::10]:
+        while not full_panel_is_prime(n):
+            n += 2
+        cases.append(n)
+    cases += [psi + d for psi in _MR_BOUNDS[:-1] for d in (-2, 2)]
+    primes = 0
+    for n in cases:
+        assert is_prime(n) == full_panel_is_prime(n), n
+        primes += full_panel_is_prime(n)
+    assert primes >= len(cases) // 10
+
+
+def test_sqrt_mod_every_residue():
+    # p = 3 (mod 4) takes the one-exponentiation shortcut, other primes the Tonelli-Shanks loop
+    for p in primes_upto(400):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, 2 * p):
+            if a % p in squares:
+                assert sqrt_mod(a, p) ** 2 % p == a % p, (a, p)
+            else:
+                with pytest.raises(ValueError, match="not a square"):
+                    sqrt_mod(a, p)
 
 
 def test_jacobi_matches_legendre_on_primes():
