@@ -103,15 +103,7 @@ class AbelianType:
 
     def two_part(self) -> "AbelianType":
         """Each divisor replaced by its largest power-of-2 factor, 1s dropped."""
-        parts = []
-        for d in self.divisors:
-            t = 1
-            while d % 2 == 0:
-                t *= 2
-                d //= 2
-            if t > 1:
-                parts.append(t)
-        return AbelianType(tuple(sorted(parts)))
+        return AbelianType.from_factors(d & -d for d in self.divisors)
 
     def rank(self) -> int:
         return len(self.divisors)
@@ -130,21 +122,11 @@ def abelian_structure(
 ) -> AbelianType:
     """Elementary divisors of a finite abelian group given by its elements and law."""
     n = len(elements)
-    if n == 1:
-        return AbelianType(())
-    per_prime_exponents = {
-        p: sorted(p_part_exponents(elements, op, identity, p, p**e_max), reverse=True)
+    result = AbelianType.from_factors(
+        p**e
         for p, e_max in factorize(n).items()
-    }
-    width = max((len(v) for v in per_prime_exponents.values()), default=0)
-    chain = []
-    for j in range(width):
-        d = 1
-        for p, exps in per_prime_exponents.items():
-            if j < len(exps):
-                d *= p ** exps[j]
-        chain.append(d)
-    result = AbelianType(tuple(sorted(chain)))
+        for e in p_part_exponents(elements, op, identity, p, p**e_max)
+    )
     if result.order() != n:
         raise GroupCheckError(f"structure {result} does not fill order {n}")
     return result

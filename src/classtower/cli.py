@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe is silent,
 any other write error one stderr line), 2 invalid input/usage, 3 internal
 consistency failure (a failed self-check, or a failed scan worker), 4 fixture
-mismatch, 130 interrupted (SIGINT; one stderr line, no traceback).  All JSON
+mismatch, 130 interrupted (SIGINT; one stderr line, no traceback).  main maps
+every failed self-check to exit 3, also one raised while ``scan --jobs`` shards
+its pairs or while ``group`` builds its presentation.  All JSON
 output is canonical (sorted keys, compact separators, integers only) so that
 parse + re-serialize is byte-identical.
 
@@ -38,7 +40,7 @@ from .classify import (
     classify_pair,
     engine_abelianizations,
     presentation_class,
-    vector_name,
+    subspace_names,
 )
 from .gaussian import split_prime, symbol_B, symbol_pi
 from .gengroup import GPresentation, PresentationError, PsiVariant, engine_table
@@ -58,13 +60,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@cache
-def _vectors(vs: frozenset) -> tuple[str, ...]:
-    """The sorted class names of vs, a subspace of F_2^3; only its 16 subspaces occur, so each
-    is named once (JSON writes the tuple as a list)."""
-    return tuple(sorted(vector_name(v) for v in vs))
-
-
 def _type_list(t: AbelianType) -> list[int]:
     return list(t.divisors)
 
@@ -76,8 +71,8 @@ def report_to_dict(
     for j, kf in report.k_fields.items():
         k[f"K{j}"] = {
             "radicand": kf.radicand,
-            "norm_group": _vectors(kf.norm_group),
-            "kernel": _vectors(kf.kernel),
+            "norm_group": subspace_names(kf.norm_group),
+            "kernel": subspace_names(kf.kernel),
             "kernel_size": len(kf.kernel),
             "cl2": _type_list(kf.cl2),
             "taussky_A": kf.taussky_A,
@@ -86,7 +81,7 @@ def report_to_dict(
     for j, lf in report.l_fields.items():
         l[f"L{j}"] = {
             "factors": [f"K{i}" for i in lf.factors],
-            "norm_group": _vectors(lf.norm_group),
+            "norm_group": subspace_names(lf.norm_group),
             "kernel_size": len(lf.kernel),
             "cl2": _type_list(lf.cl2),
         }
@@ -142,14 +137,14 @@ def _print_classify_text(record, report, validation):
     for j in range(1, 8):
         kf = report.k_fields[j]
         print(
-            f"K{j:<4} {str(kf.cl2):<12} {','.join(_vectors(kf.kernel)):<22} "
-            f"{','.join(_vectors(kf.norm_group)):<22} {'yes' if kf.taussky_A else 'NO'}"
+            f"K{j:<4} {str(kf.cl2):<12} {','.join(subspace_names(kf.kernel)):<22} "
+            f"{','.join(subspace_names(kf.norm_group)):<22} {'yes' if kf.taussky_A else 'NO'}"
         )
     for j in range(1, 8):
         lf = report.l_fields[j]
         print(
             f"L{j:<4} {str(lf.cl2):<12} {'all 8 classes':<22} "
-            f"{','.join(_vectors(lf.norm_group)):<22} yes"
+            f"{','.join(subspace_names(lf.norm_group)):<22} yes"
         )
     status = "passed" if validation.passed else "FAILED"
     print(f"cross-validation: {len(validation.checks)} checks {status}")
@@ -170,9 +165,6 @@ def cmd_classify(args) -> int:
     except PresentationError as exc:
         print(f"invalid input: the pair's group is too large: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
     if args.json:
         print(dumps(report_to_dict(record, report, validation)))
     else:
@@ -188,9 +180,6 @@ def cmd_verify_fixtures(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
     n_rows = len(results)
     n_pass = sum(1 for r in results if r.passed)
     if args.json:
@@ -259,12 +248,8 @@ def cmd_group(args) -> int:
                   f"({args.m}, {args.n}, {args.q}, {psi.value}) (see the exponent-coupling, "
                   "q-agreement and quartic-product-rule rules)", file=sys.stderr)
             return EXIT_INPUT
-    try:
-        table = engine_table(pres)
-        fields = engine_abelianizations(profile) if profile is not None else None
-    except AssertionError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+    table = engine_table(pres)
+    fields = engine_abelianizations(profile) if profile is not None else None
     shape = [s.order for s in table.series]
     info = {
         "m": args.m,
@@ -579,6 +564,9 @@ def main(argv=None) -> int:
             print(f"cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_STDOUT
+    except AssertionError as exc:  # every failed self-check, whichever command raised it
+        print(f"consistency failure: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

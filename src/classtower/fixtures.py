@@ -34,21 +34,16 @@ class FixtureRow:
     p1: int
     p2: int
     values: dict  # printed scalar columns: q, legendre, pi, b, m, n, disc, coclass
-    cl_k0: tuple | None
-    cl_k0bar: tuple | None
-    cl_kk: tuple | None
-    cl_K: tuple | None  # 7 printed tuples
-    cl_L: tuple | None
+    class_groups: dict  # printed tuples by column: cl_k0, cl_k0bar, cl_kk, cl_K1..7, cl_L1..7
 
     def __post_init__(self) -> None:
         if self.d != 2 * self.p1 * self.p2:
             raise ValueError(f"fixture row {self.table}/{self.d}: d != 2*p1*p2")
-        tuples = [t for t in (self.cl_k0, self.cl_k0bar, self.cl_kk) if t is not None]
-        tuples += [t for group in (self.cl_K, self.cl_L) if group is not None for t in group]
-        for tup in tuples:
+        for tup in self.class_groups.values():
             AbelianType.from_factors(tup)
         # from_factors drops a factor 2.5 or True, and scalar columns are compared as text
-        bad = [x for x in (*self.values.values(), *(x for t in tuples for x in t)) if type(x) is not int]
+        bad = [x for x in (*self.values.values(), *(x for t in self.class_groups.values() for x in t))
+               if type(x) is not int]
         if bad:
             raise ValueError(f"fixture row {self.table}/{self.d}: printed value {bad[0]!r} "
                              "is not an integer")
@@ -58,17 +53,17 @@ def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:
     values = {k: v for k, v in raw.items() if k in ("q", "legendre", "pi", "b", "m", "n", "disc", "coclass")}
     for key, val in caption.items():
         values.setdefault(key, val)
+    class_groups = {key: tuple(raw[key]) for key in ("cl_k0", "cl_k0bar", "cl_kk") if key in raw}
+    for key in ("cl_K", "cl_L"):  # the file holds the 7 fields' tuples as one array
+        for j, tup in enumerate(raw.get(key, ()), start=1):
+            class_groups[f"{key}{j}"] = tuple(tup)
     return FixtureRow(
         table=table,
         d=raw["d"],
         p1=raw["p1"],
         p2=raw["p2"],
         values=values,
-        cl_k0=tuple(raw["cl_k0"]) if "cl_k0" in raw else None,
-        cl_k0bar=tuple(raw["cl_k0bar"]) if "cl_k0bar" in raw else None,
-        cl_kk=tuple(raw["cl_kk"]) if "cl_kk" in raw else None,
-        cl_K=tuple(map(tuple, raw["cl_K"])) if "cl_K" in raw else None,
-        cl_L=tuple(map(tuple, raw["cl_L"])) if "cl_L" in raw else None,
+        class_groups=class_groups,
     )
 
 
@@ -158,20 +153,16 @@ def verify_row(row: FixtureRow) -> RowResult:
     }
     for key, printed in sorted(row.values.items()):
         add(key, printed, computed_scalars[key])
-    if row.cl_k0 is not None:
-        oracle = two_part_of_class_group(field_discriminant(row.d))
-        add("cl_k0", _two_part_str(row.cl_k0), str(oracle), row.cl_k0)
-    if row.cl_k0bar is not None:
-        oracle = two_part_of_class_group(field_discriminant(-row.d))
-        add("cl_k0bar", _two_part_str(row.cl_k0bar), str(oracle), row.cl_k0bar)
-    if row.cl_kk is not None:
-        add("cl_kk", _two_part_str(row.cl_kk), "(2, 2, 2)", row.cl_kk)
-    if row.cl_K is not None:
-        for j, tup in enumerate(row.cl_K, start=1):
-            add(f"cl_K{j}", _two_part_str(tup), str(report.k_fields[j].cl2), tup)
-    if row.cl_L is not None:
-        for j, tup in enumerate(row.cl_L, start=1):
-            add(f"cl_L{j}", _two_part_str(tup), str(report.l_fields[j].cl2), tup)
+    computed_cl2 = {"cl_kk": "(2, 2, 2)"}
+    for kind, fields in (("K", report.k_fields), ("L", report.l_fields)):
+        computed_cl2.update((f"cl_{kind}{j}", field.cl2) for j, field in fields.items())
+    for column, printed in row.class_groups.items():
+        if column in ("cl_k0", "cl_k0bar"):  # the oracle, for Q(sqrt(d)) and Q(sqrt(-d))
+            d = -row.d if column == "cl_k0bar" else row.d
+            got = two_part_of_class_group(field_discriminant(d))
+        else:
+            got = computed_cl2[column]
+        add(column, _two_part_str(printed), got, printed)
     add("cross_validation", True, validation.passed)
     return RowResult(row.table, row.d, row.p1, row.p2, tuple(cols))
 

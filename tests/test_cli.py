@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import importlib
 import json
 import os
@@ -692,8 +693,8 @@ def _clear_engine_caches():
     from classtower import classify, gengroup
 
     for cached in (classify.predict, classify._engine_checks, classify._check,
-                   classify._fmt_vectors, classify._word_subgroup, classify._engine_table,
-                   classify.subgroup_span, gengroup.engine_table):
+                   classify._fmt_vectors, classify.subspace_names, classify._word_subgroup,
+                   classify._engine_table, classify.subgroup_span, gengroup.engine_table):
         cached.cache_clear()
 
 
@@ -702,16 +703,16 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     # (or a forgery's) into the next
     from classtower import classify, gengroup
 
-    # classify._text is lru_cache over the builtin str, so its __module__ is "builtins"
+    # an lru_cache over a builtin such as str has the __module__ "builtins"
     caches = [f for module in (classify, gengroup) for f in vars(module).values()
               if hasattr(f, "cache_clear") and f.__module__ in (module.__name__, "builtins")]
     cleared = []
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the six of the helper: five in classify (predict, _engine_checks, _text, _fmt_vectors,
-    # _word_subgroup) and engine_table in gengroup
-    assert len(caches) >= 6
+    # the nine of the helper: eight in classify (predict, _engine_checks, _check, _fmt_vectors,
+    # subspace_names, _word_subgroup, _engine_table, subgroup_span) and engine_table in gengroup
+    assert len(caches) >= 9
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
@@ -738,6 +739,78 @@ def test_group_self_check_exits_3(capsys, monkeypatch, module, argv):
             assert err == "consistency failure: forged engine failure\n"
     finally:
         _clear_engine_caches()
+
+
+def _forged_split(p):
+    from classtower.gaussian import CornacchiaError
+
+    raise CornacchiaError("forged split")
+
+
+def _forged_hermite(vectors):
+    from classtower.abelian import GroupCheckError
+
+    raise GroupCheckError("forged Hermite form")
+
+
+@pytest.mark.parametrize("module, name, forged, argv, message", [
+    ("cli", "split_prime", _forged_split, ("scan", "--max", "50", "--jobs", "2"),
+     "forged split"),
+    ("gengroup", "_hermite", _forged_hermite,
+     ("group", "--m", "2", "--n", "1", "--q", "1", "--force"), "forged Hermite form"),
+])
+def test_self_check_outside_the_commands_exits_3(capsys, monkeypatch, module, name, forged,
+                                                 argv, message):
+    # main maps every failed self-check to exit 3: also one raised while scan --jobs shards
+    # its pairs (the parent splits every prime) or while group builds its presentation
+    from classtower import cli, gengroup
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork, forked = os.fork, []
+
+    def recorded_fork():
+        pid = fork()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr({"cli": cli, "gengroup": gengroup}[module], name, forged)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"consistency failure: {message}\n"
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+_FORGED_SPLIT = """
+import os
+import sys
+from classtower import cli
+from classtower.gaussian import CornacchiaError
+def forged(p):
+    raise CornacchiaError("forged split")
+os.cpu_count = lambda: 2
+cli.split_prime = forged
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_self_check_while_sharding_exits_3_under_python_O():
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-O", "-c", _FORGED_SPLIT, "scan", "--max", "50",
+                             "--jobs", "2", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert proc.returncode == 3 and out == ""
+    assert err == "consistency failure: forged split\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of the session survives
 
 
 def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
@@ -888,11 +961,12 @@ def test_unwritable_stdout_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
-def test_scan_jobs2_matches_golden_and_leaves_no_process():
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_matches_golden_and_leaves_no_process(jobs):
     src = str(Path(classtower.__file__).resolve().parents[1])
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "scan-250.json"
     proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "250",
-                             "--jobs", "2", "--json"],
+                             "--jobs", jobs, "--json"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
     try:
@@ -904,6 +978,20 @@ def test_scan_jobs2_matches_golden_and_leaves_no_process():
     assert out == golden.read_bytes() and err == b""
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_classify_json_matches_goldens(capsys):
+    # the benchmark's committed digests of classify --json: the first pair of each of the 38
+    # symbol profiles, and every 24th pair of the class-group-bound pool
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    deep = [profile["pairs"][0] for profile in json.loads((data / "deep_profiles.json").read_text())]
+    pool = json.loads((data / "large_pool.json").read_text())[::24]
+    assert (len(deep), len(pool)) == (38, 10)
+    for entry in deep + pool:
+        code, out, _ = run(capsys, "classify", "--p1", str(entry["p1"]), "--p2", str(entry["p2"]),
+                           "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], entry
 
 
 def test_scan_jobs2_imports_no_process_pool():

@@ -26,10 +26,10 @@ def test_caption_values_merged():
 
 def test_row_invariant_validation():
     with pytest.raises(ValueError, match="2\\*p1\\*p2"):
-        FixtureRow("4", 100, 5, 13, {}, None, None, None, None, None)
+        FixtureRow("4", 100, 5, 13, {}, {})
     with pytest.raises(ValueError):
         FixtureRow(
-            "5", 130, 5, 13, {}, None, None, None, ((0, 2),) * 7, None
+            "5", 130, 5, 13, {}, {f"cl_K{j}": (0, 2) for j in range(1, 8)}
         )  # 0 is not a cyclic order
 
 
