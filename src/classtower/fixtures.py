@@ -55,6 +55,8 @@ def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:
         values.setdefault(key, val)
     class_groups = {key: tuple(raw[key]) for key in ("cl_k0", "cl_k0bar", "cl_kk") if key in raw}
     for key in ("cl_K", "cl_L"):  # the file holds the 7 fields' tuples as one array
+        if len(raw.get(key, ())) > 7:
+            raise ValueError(f"{key} holds {len(raw[key])} tuples, more than the 7 fields")
         for j, tup in enumerate(raw.get(key, ()), start=1):
             class_groups[f"{key}{j}"] = tuple(tup)
     return FixtureRow(

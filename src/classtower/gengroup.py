@@ -30,10 +30,11 @@ transfer into one is, by transitivity, a chain of index-2 transfers along a flag
 subspaces up to F_2^3, each a two-case formula (Huppert, Endliche Gruppen I, IV.1).
 engine_table builds all 16 once per presentation, top down the flag: the transfers of
 rho sigma, rho and tau into each are carried one index-2 step on from the subgroup
-above (_step_down), and each stores H', H/H', its index and its transfer kernel, read
-off sums of the three transfers in A (_kernel); the transfer into G' must be trivial
-(the principal ideal theorem).  transfer_kernel reads the table.  A presentation forms
-each word of generators once (word).
+above (_step_down, in closed form for values in A), and each stores H', H/H' (once per
+lattice H & A and r^2), its index and its transfer kernel, read off sums of the three
+transfers in A (_kernel); the transfer into G' must be trivial (the principal ideal
+theorem).  transfer_kernel reads the table, generated_by tests generating sets by
+Burnside's basis theorem.  A presentation forms each word of generators once (word).
 """
 
 from __future__ import annotations
@@ -333,11 +334,6 @@ class Subgroup:
         h11, _, h22 = self.lattice  # |M / Lambda| = |A| / (h11 h22) and |A| = |G| / 2
         return self.pres.order // (h11 * h22) // (1 if self.r is not None else 2)
 
-    def index_in(self, other: "Subgroup") -> int:
-        if not self <= other:
-            raise GroupCheckError("index_in: not a subgroup of the other group")
-        return other.order // self.order
-
     def __contains__(self, x: GElement) -> bool:
         e, a, b = x
         if e:
@@ -379,22 +375,24 @@ def abelian_invariants(H: Subgroup, N: Subgroup) -> AbelianType:
     return _quotient_type(H, N)
 
 
-def _quotient_type(H: Subgroup, N: Subgroup) -> AbelianType:
-    """H/N for H' <= N <= H by the Smith invariants of its relation matrix.
-
-    Generators: the Hermite basis of M = H & A, and r when N lies in A.
-    Relations: the Hermite rows (x, y), (0, z) of N & A in M's coordinates, and
-    2[r] = [r^2] with r2 = (a, b) the coordinates of r^2 in M.  H/N is a 2-group,
-    so the invariants, powers of 2 (checked), are its type.
-    """
-    lattice, (n11, n12, n22) = H.lattice, N.lattice
-    (x, y), (_, z) = _coords(lattice, n11, n12), _coords(lattice, 0, n22)
-    r2 = _coords(lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
-    diagonal = _smith_diagonal(x, y, z, r2)
+def _quotient_type(H: Subgroup, N: Subgroup, relations=None) -> AbelianType:
+    """H/N for H' <= N <= H by the Smith invariants of its relation matrix (_relations, unless
+    given).  H/N is a 2-group, so the invariants, powers of 2 (checked), are its type."""
+    diagonal = _smith_diagonal(*(relations or _relations(H, N)))
     if prod(diagonal) != H.order // N.order or any(d & (d - 1) for d in diagonal):
         raise GroupCheckError(f"Smith invariants {diagonal} are not powers of 2 multiplying to "
                               f"[H : N] = {H.order // N.order}")
     return AbelianType(tuple(d for d in diagonal if d > 1))
+
+
+def _relations(H: Subgroup, N: Subgroup) -> tuple[int, int, int, tuple[int, int] | None]:
+    """The relation matrix (x, y, z, r2) of H/N, H' <= N <= H, on the Hermite basis of M = H & A
+    and r when N lies in A: the Hermite rows (x, y), (0, z) of N & A in M's coordinates, and
+    2[r] = [r^2] for r2 the coordinates of r^2 in M (else None)."""
+    lattice, (n11, n12, n22) = H.lattice, N.lattice
+    (x, y), (_, z) = _coords(lattice, n11, n12), _coords(lattice, 0, n22)
+    r2 = _coords(lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
+    return x, y, z, r2
 
 
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
@@ -483,6 +481,32 @@ class OverDerived(NamedTuple):
     kernel: frozenset[ClassVector]  # the classes whose transfer to H lies in H'
     index: int  # [G : H]
     transfers: tuple[GElement, GElement, GElement]  # the transfers of rho sigma, rho, tau to H
+    relations: tuple[int, int, int, tuple[int, int] | None]  # H/H''s relation matrix (_relations)
+
+    def generated_by(self, gens) -> bool:
+        """H == <gens>, by Burnside's basis theorem (Huppert, Endliche Gruppen I, III.3.15): the
+        gens lie in H and span H/Phi(H), Phi(H) = H^2 H', which is H/H' mod 2: bits for M's
+        Hermite basis and r, the relation rows mod 2, and g outside A as r^-1 g in M plus r's bit."""
+        (h11, h12, h22), r, (x, y, z, r2) = self.H.lattice, self.H.r, self.relations
+        a2, b2 = r2 or (0, 0)  # no relation row for r when H lies in A
+        images = [x & 1 | (y & 1) << 1, (z & 1) << 1, a2 & 1 | (b2 & 1) << 1]
+        for e, a, b in gens:
+            if e:
+                if r is None:
+                    return False
+                a, b = a - r[1], b - r[2]
+            c1, a = divmod(a, h11)
+            c2, b = divmod(b - c1 * h12, h22)
+            if a or b:  # g is not in H
+                return False
+            images.append(c1 & 1 | (c2 & 1) << 1 | e << 2)
+        basis = []  # of the span over F_2, each vector with its own top bit
+        for v in images:
+            for u in basis:
+                v = min(v, v ^ u)  # clears u's top bit
+            if v:
+                basis.append(v)
+        return len(basis) == (2 if r is None else 3)
 
 
 class EngineTable(NamedTuple):
@@ -501,19 +525,31 @@ def engine_table(pres: GPresentation) -> EngineTable:
     the subgroup over V + <z> for z the representative of the first class outside V.  By
     transitivity, H's transfers of rho sigma, rho and tau are those of <H, z> carried over the
     one step (H, z) by _step_down.  The transfer G/G' -> H/H' is a homomorphism, so these three
-    give the kernel (_kernel).  By the principal ideal theorem the transfer into G' is trivial."""
+    give the kernel (_kernel).  By the principal ideal theorem the transfer into G' is trivial.
+    G' & A = diag(s - 1, -2)Z^2 + Lambda is 2Z^2 (checked), so H & A is one of five lattices
+    (2Z^2, the three of index 2 over it, Z^2); H', the relations of H/H' and its type depend
+    only on H & A and r^2, and are formed once for each (lattices)."""
+    if pres.derived_lattice != (2, 0, 2):
+        raise GroupCheckError(f"G' & A is the lattice {pres.derived_lattice}, not 2Z^2")
     over: dict[frozenset[ClassVector], OverDerived] = {}
-    classes, G = pres.class_elements, Subgroup.whole_group(pres)
+    lattices: dict = {}  # (H & A, r^2 in its coordinates) -> H', the type and relations of H/H'
+    classes = pres.class_elements
     for V in SUBSPACES:
         H, (_, k, above) = over_derived(pres, V), _FLAG[V]
-        derived = H.derived_subgroup()
+        key = H.lattice, None if H.r is None else _coords(H.lattice, *pres.mul(H.r, H.r)[1:])
+        if key not in lattices:
+            derived = H.derived_subgroup()
+            relations = _relations(H, derived)
+            lattices[key] = derived, _quotient_type(H, derived, relations), relations
+        derived, abelianization, relations = lattices[key]
         if above is None:  # H = G: the transfer is the identity of G/G'
             values = classes[1], classes[2], classes[4]
             kernel = frozenset(v for v, g in zip(CLASS_VECTORS, classes) if g in derived)
         else:
             values = _step_down(pres, H, over[above].H, classes[k], over[above].transfers)
             kernel = _kernel(values, derived.lattice)
-        over[V] = OverDerived(H, derived, _quotient_type(H, derived), kernel, H.index_in(G), values)
+        over[V] = OverDerived(H, derived, abelianization, kernel, pres.order // H.order, values,
+                              relations)
     if len(over[SUBSPACES[-1]].kernel) != len(CLASS_VECTORS):
         raise GroupCheckError("kernel: the transfer into G' is not trivial "
                               "(principal ideal theorem)")
@@ -523,14 +559,20 @@ def engine_table(pres: GPresentation) -> EngineTable:
 
 def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, values):
     """The transfers into K of the transfers values into parent = <K, z>, which must have index 2
-    over K: g z g z^-1 for g in K, else g^2."""
+    over K: g z g z^-1 for g in K, else g^2.  For g = (a, b) in A these are g + T(g) =
+    ((1 + s) a, 0) for g in K and z outside A, T = diag(s, -1) its conjugation, else (2a, 2b)."""
     if parent.order != 2 * K.order:
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
     if z in K:
         raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-    mul, z_inv, out = pres.mul, pres.inv(z), []
+    mul, out = pres.mul, []
     for g in values:
-        g = mul(g, mul(mul(z, g), z_inv)) if g in K else mul(g, g)
+        if g[0]:
+            g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        elif z[0] and g in K:
+            g = pres.element(0, (1 + pres.sigma_twist) * g[1], 0)
+        else:  # g^2, which is also g z g z^-1 for z in A
+            g = pres.element(0, 2 * g[1], 2 * g[2])
         if g not in K:
             raise GroupCheckError(f"index-2 step: the value {g} leaves K")
         out.append(g)

@@ -596,7 +596,7 @@ def class_group(D: int) -> ClassGroup:
         exponents.remove(height + 1)
         if height:
             exponents.append(height)
-    return ClassGroup(D, AbelianType(tuple(sorted(2**e for e in exponents))))
+    return ClassGroup(D, AbelianType.from_factors(2**e for e in exponents))
 
 
 def two_part_of_class_group(D: int) -> AbelianType:

@@ -12,7 +12,8 @@ The last sections hold what the tests read of lattice subgroups and the library
 does not: coset representatives, lattice generators, and the transfer into a
 subgroup over G' along its whole index-2 chain; and the engine table as it was
 built before its one-step transfers, lattice kernels and shared G' lattice
-(reference_engine_table), which the tests compare the table with.
+(reference_engine_table), and its index-2 step before the closed form on A
+(generic_step_down), which the tests compare the table with.
 """
 
 from __future__ import annotations
@@ -343,3 +344,19 @@ def reference_engine_table(pres: GPresentation) -> dict:
         kernel = frozenset(v for v, x in zip(CLASS_VECTORS, images) if x in derived)
         over[V] = (H, derived, gengroup._quotient_type(H, derived), kernel, values)
     return over
+
+
+def generic_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, values):
+    """gengroup._step_down before its closed form on A: g z g z^-1 for g in K, else g^2, each by
+    generic multiplications, with the same checks."""
+    if parent.order != 2 * K.order:
+        raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
+    if z in K:
+        raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+    mul, z_inv, out = pres.mul, pres.inv(z), []
+    for g in values:
+        g = mul(g, mul(mul(z, g), z_inv)) if g in K else mul(g, g)
+        if g not in K:
+            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
+        out.append(g)
+    return tuple(out)

@@ -128,6 +128,13 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
      "printed value '2' is not an integer"),
     ({"version": "fixtures_v1", "tables": {"4": {"m": 2.0, "rows": [{"d": 130, "p1": 5, "p2": 13}]}}},
      "printed value 2.0 is not an integer"),
+    # one tuple per field K_1..K_7 (L_1..L_7): an eighth has no computed column
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2]] * 8}]}}},
+     "row 0: ValueError: cl_K holds 8 tuples, more than the 7 fields"),
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_L": [[2]] * 9}]}}},
+     "row 0: ValueError: cl_L holds 9 tuples, more than the 7 fields"),
 ])
 def test_verify_fixtures_malformed_file(capsys, tmp_path, monkeypatch, doc, message):
     # a malformed document is an input error: exit 2 and one line naming the table and row
@@ -594,6 +601,55 @@ def test_engine_self_check_under_python_O():
         assert proc.stderr.count("\n") == 1 and message in proc.stderr, (forgery, proc.stderr)
 
 
+@pytest.mark.parametrize("table, words, p1, p2, name", [
+    ("_GJ_PLUS", ("s", "tt"), 5, 29, "K1:subgroup-words"),  # a proper subgroup of K_1
+    ("_GL_MINUS", ("tt", "s", "r"), 5, 13, "L1:subgroup-words"),  # r lies outside L_1
+])
+def test_forged_table_words_fail_their_check(capsys, monkeypatch, table, words, p1, p2, name):
+    # the word check can fail: words that generate another subgroup than the label's, or that
+    # leave it, fail that one check, and classify exits 3 listing it
+    from classtower import classify
+
+    monkeypatch.setitem(getattr(classify, table), 1, words)
+    _clear_engine_caches()
+    try:
+        code, out, _ = run(capsys, "classify", "--p1", str(p1), "--p2", str(p2), "--json")
+        assert code == 3
+        assert json.loads(out)["cross_validation"]["failures"] == [
+            {"name": name, "expected": "True", "got": "False"}]
+        code, out, _ = run(capsys, "classify", "--p1", str(p1), "--p2", str(p2))
+        assert code == 3 and f"  FAIL {name}: expected True, got False\n" in out
+    finally:
+        _clear_engine_caches()
+
+
+_FORGED_DERIVED = """
+import sys
+from classtower import gengroup
+from classtower.cli import main
+# G' & A forged to the lattice (2, 0, 4), of index 2 in 2Z^2
+gengroup.GPresentation.derived_lattice = property(lambda pres: (2, 0, 4))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_derived_lattice_check_under_python_O():
+    # the table is built on the five lattices over G' & A = 2Z^2, which engine_table checks by
+    # an explicit raise, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _FORGED_DERIVED, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("consistency failure: G' & A is the lattice (2, 0, 4), not 2Z^2\n")
+    proc = run_O("group", "--m", "3", "--n", "1", "--q", "1", "--json")
+    assert proc.returncode == 3 and proc.stdout == "" and "not 2Z^2" in proc.stderr
+
+
 _MERGED_COSETS = """
 import sys
 from classtower import gengroup
@@ -693,8 +749,8 @@ def _clear_engine_caches():
     from classtower import classify, gengroup
 
     for cached in (classify.predict, classify._engine_checks, classify._check,
-                   classify._fmt_vectors, classify.subspace_names, classify._word_subgroup,
-                   classify._engine_table, classify.subgroup_span, gengroup.engine_table):
+                   classify._fmt_vectors, classify.subspace_names, classify._engine_table,
+                   classify.subgroup_span, gengroup.engine_table):
         cached.cache_clear()
 
 
@@ -710,9 +766,9 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the nine of the helper: eight in classify (predict, _engine_checks, _check, _fmt_vectors,
-    # subspace_names, _word_subgroup, _engine_table, subgroup_span) and engine_table in gengroup
-    assert len(caches) >= 9
+    # the eight of the helper: seven in classify (predict, _engine_checks, _check, _fmt_vectors,
+    # subspace_names, _engine_table, subgroup_span) and engine_table in gengroup
+    assert len(caches) >= 8
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
@@ -891,8 +947,9 @@ def test_engine_subgroups_built_once_per_presentation(capsys):
 
 
 def test_engine_builds_subgroups_over_derived_from_subspaces(capsys, monkeypatch):
-    # the subgroups over G' come from subspaces of G/G': Subgroup.generated only for the table
-    # words and G' = <sigma^2, tau^2>, and each of the 16 H' of a table once
+    # the subgroups over G' come from subspaces of G/G': Subgroup.generated only for
+    # G' = <sigma^2, tau^2>, and H' once per lattice H & A and r^2 of a table, for each of the
+    # 10 pairs (H & A, H inside A) of a table and never twice for one H
     from collections import Counter
 
     from classtower import classify, gengroup
@@ -914,10 +971,11 @@ def test_engine_builds_subgroups_over_derived_from_subspaces(capsys, monkeypatch
     _clear_engine_caches()
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
-    words, presentations = classify._word_subgroup.cache_info(), gengroup.engine_table.cache_info()
+    presentations = gengroup.engine_table.cache_info()
     assert presentations.misses == 14
-    assert calls["generated"] == words.misses + presentations.misses
-    assert len(derived) == 14 * 16 and set(derived.values()) == {1}  # the 16 subgroups over G'
+    assert calls["generated"] == presentations.misses
+    assert set(derived.values()) == {1}
+    assert len({(H.pres, H.lattice, H.r is None) for H in derived}) == 14 * 10 <= len(derived) < 14 * 16
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -356,6 +356,43 @@ def test_engine_table_matches_the_reference_table():
         assert table.G_derived.kernel == frozenset(CLASS_VECTORS)  # principal ideal theorem
 
 
+# the 12 words of length 1 and 2 in s, t and r
+_SHORT_WORDS = ["".join(w) for k in (1, 2) for w in itertools.product("str", repeat=k)]
+
+
+def _table_words():
+    """Every word tuple of the K_j and L_j tables of classify."""
+    from classtower import classify
+
+    words = set()
+    for table in (classify._GJ_PLUS, classify._GJ_MINUS, classify._GL_PLUS, classify._GL_MINUS):
+        for entry in table.values():
+            words.update(entry.values() if isinstance(entry, dict) else [entry])
+    return sorted(words)
+
+
+def test_closed_form_steps_and_the_burnside_word_test_match_the_oracles(monkeypatch):
+    # every presentation with m + n <= 7: the table equals the one built with the generic
+    # index-2 step, and generated_by agrees with Subgroup.generated on all 16 subspaces for every
+    # 1- and 2-subset of the 12 short words and for every table word tuple
+    presentations = [pres for pres in _accepted_presentations(6, 5) if pres.m + pres.n <= 7]
+    subsets = [c for k in (1, 2) for c in itertools.combinations(_SHORT_WORDS, k)] + _table_words()
+    assert len(presentations) == 35 and len(subsets) == 78 + 33
+    outcomes = Counter()
+    for pres in presentations:
+        table = gengroup.engine_table(pres)
+        with monkeypatch.context() as patch:
+            patch.setattr(gengroup, "_step_down", oracle.generic_step_down)
+            assert gengroup.engine_table.__wrapped__(pres) == table, pres
+        for entry in table.over.values():
+            for words in subsets:
+                gens = [pres.word(w) for w in words]
+                generated = Subgroup.generated(pres, gens) == entry.H
+                assert entry.generated_by(gens) == generated, (pres, entry.H, words)
+                outcomes[generated] += 1
+    assert outcomes[True] and outcomes[False]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pres=st.sampled_from(SMALL + [GPresentation(2, 5, 2), GPresentation(6, 1, 1, SIGMA)]),
        h11=st.integers(1, 16), h12=st.integers(0, 15), h22=st.integers(1, 16))
@@ -552,7 +589,7 @@ def _engine_subgroups(pres, engine=Subgroup):
         engine.generated(pres, [class_to_group(pres, v) for v in sorted(vs)] + list(derived_gens))
         for vs in sorted(spans, key=sorted)
     ]
-    assert sorted(H.index_in(G) for H in out) == [2] * 7 + [4] * 7
+    assert sorted(G.order // H.order for H in out) == [2] * 7 + [4] * 7
     return out
 
 
@@ -799,7 +836,7 @@ def test_over_derived_matches_generated_oracle_and_intersections():
             gens = [class_to_group(pres, v) for v in sorted(classes)] + list(generators(derived))
             assert H == Subgroup.generated(pres, gens), (pres, sorted(classes))
             assert ElementSubgroup.of(H).elements == ElementSubgroup.generated(pres, gens).elements
-            assert H.index_in(Subgroup.whole_group(pres)) == 8 // len(classes)
+            assert Subgroup.whole_group(pres).order // H.order == 8 // len(classes)
         for line in lines:
             above = [built[plane] for plane in planes if line < plane]
             assert len(above) == 3
