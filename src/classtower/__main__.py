@@ -1,0 +1,5 @@
+"""``python -m classtower``: the command line of ``classtower.cli``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,4 +1,6 @@
-"""Command line surface: classify, verify-fixtures, group, scan.
+"""Command line surface: classify, verify-fixtures, group, scan, their options declared in one
+table, ``_COMMANDS``.  main reads a well-formed argv against it; argparse, built from it only
+for other argv, reads those and writes every help text and usage error.
 
 Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe is silent,
 any other write error one stderr line), 2 invalid input/usage, 3 internal
@@ -60,10 +62,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _type_list(t: AbelianType) -> list[int]:
-    return list(t.divisors)
-
-
 def report_to_dict(
     record: InvariantRecord, report: PredictionReport, validation: ValidationReport
 ) -> dict:
@@ -74,7 +72,7 @@ def report_to_dict(
             "norm_group": subspace_names(kf.norm_group),
             "kernel": subspace_names(kf.kernel),
             "kernel_size": len(kf.kernel),
-            "cl2": _type_list(kf.cl2),
+            "cl2": list(kf.cl2.divisors),
             "taussky_A": kf.taussky_A,
         }
     l = {}
@@ -83,7 +81,7 @@ def report_to_dict(
             "factors": [f"K{i}" for i in lf.factors],
             "norm_group": subspace_names(lf.norm_group),
             "kernel_size": len(lf.kernel),
-            "cl2": _type_list(lf.cl2),
+            "cl2": list(lf.cl2.divisors),
         }
     return {
         "p1": record.pair.p1,
@@ -104,9 +102,9 @@ def report_to_dict(
             "order": report.group_order,
             "coclass": report.coclass,
             "nilpotency_class": report.nilpotency_class,
-            "derived_type": _type_list(report.derived),
-            "cl2_hilbert": _type_list(report.derived),
-            "cl2_K3": _type_list(report.cl2_k3),
+            "derived_type": list(report.derived.divisors),
+            "cl2_hilbert": list(report.derived.divisors),
+            "cl2_K3": list(report.cl2_k3.divisors),
         },
         "K": k,
         "L": l,
@@ -121,8 +119,7 @@ def report_to_dict(
     }
 
 
-def _print_classify_text(record, report, validation):
-    rec = record
+def _print_classify_text(rec, report, validation):
     print(f"pair (p1, p2) = ({rec.pair.p1}, {rec.pair.p2}),  d = {rec.d},  disc = {rec.disc}")
     print(
         f"symbols: (p1/p2) = {rec.legendre:+d}, pi = {rec.pi:+d}, B = {rec.B:+d}, "
@@ -257,15 +254,15 @@ def cmd_group(args) -> int:
         "q": args.q,
         "psi": psi.value,
         "order": pres.order,
-        "derived_type": _type_list(table.G_derived.abelianization),
-        "abelianization": _type_list(table.G.abelianization),
+        "derived_type": list(table.G_derived.abelianization.divisors),
+        "abelianization": list(table.G.abelianization.divisors),
         "lower_central_orders": shape,
         "nilpotency_class": len(shape) - 1,
         "coclass": pres.order.bit_length() - len(shape),
         "admissible": realized,
     }
     if fields is not None:
-        info["fields"] = {name: _type_list(t) for name, t in fields.items()}
+        info["fields"] = {name: list(t.divisors) for name, t in fields.items()}
     if args.json:
         print(dumps(info))
     else:
@@ -502,7 +499,42 @@ def _jobs(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
-@cache  # built at the first main call, then reused by every call in the process
+# The grammar of the four commands, declared once for build_parser and _read_argv: command ->
+# (its function's name, looked up per call; its help; {option: add_argument's keywords}).
+_COMMANDS = {
+    "classify": ("cmd_classify", "full report for one prime pair", {
+        "--p1": {"type": int, "required": True},
+        "--p2": {"type": int, "required": True},
+        "--json": {"action": "store_true"},
+    }),
+    "verify-fixtures": ("cmd_verify_fixtures", "compare embedded table fixtures", {
+        "--table": {"type": str, "help": "fixture table id (4..8, 34, 35)"},
+        "--filter": {"type": int, "help": "restrict to one d value"},
+        "--verbose": {"action": "store_true",
+                      "help": "print every column with the printed tuple and its 2-part"},
+        "--json": {"action": "store_true"},
+    }),
+    "group": ("cmd_group", "inspect the presented group for (m, n, q, psi)", {
+        "--m": {"type": int, "required": True},
+        "--n": {"type": int, "required": True},
+        "--q": {"type": int, "required": True, "choices": (1, 2)},
+        "--psi": {"choices": ("sigma", "tau-sigma"), "default": "tau-sigma"},
+        "--force": {"action": "store_true", "help": "allow inadmissible exponents"},
+        "--legendre": {"type": int, "choices": (1, -1)},
+        "--pi": {"type": int, "choices": (1, -1), "help": "needs --legendre; default 1"},
+        "--b": {"type": int, "choices": (1, -1), "help": "needs --legendre; default 1"},
+        "--json": {"action": "store_true"},
+    }),
+    "scan": ("cmd_scan", "run the property suites over all pairs up to a bound", {
+        "--max": {"type": int, "required": True},
+        "--jobs": {"type": _jobs, "default": 1, "help": "processes, the parent included; at least 1, "
+                   "capped at the number of CPUs and at the number of pairs"},
+        "--json": {"action": "store_true"},
+    }),
+}
+
+
+@cache  # built at the first argv that _read_argv hands over, then reused in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classtower",
@@ -512,47 +544,50 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_classify = sub.add_parser("classify", help="full report for one prime pair")
-    p_classify.add_argument("--p1", type=int, required=True)
-    p_classify.add_argument("--p2", type=int, required=True)
-    p_classify.add_argument("--json", action="store_true")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_verify = sub.add_parser("verify-fixtures", help="compare embedded table fixtures")
-    p_verify.add_argument("--table", type=str, default=None, help="fixture table id (4..8, 34, 35)")
-    p_verify.add_argument("--filter", type=int, default=None, help="restrict to one d value")
-    p_verify.add_argument(
-        "--verbose", action="store_true",
-        help="print every column with the printed tuple and its 2-part",
-    )
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify_fixtures)
-
-    p_group = sub.add_parser("group", help="inspect the presented group for (m, n, q, psi)")
-    p_group.add_argument("--m", type=int, required=True)
-    p_group.add_argument("--n", type=int, required=True)
-    p_group.add_argument("--q", type=int, required=True, choices=(1, 2))
-    p_group.add_argument("--psi", choices=("sigma", "tau-sigma"), default="tau-sigma")
-    p_group.add_argument("--force", action="store_true", help="allow inadmissible exponents")
-    p_group.add_argument("--legendre", type=int, choices=(1, -1), default=None)
-    p_group.add_argument("--pi", type=int, choices=(1, -1), help="needs --legendre; default 1")
-    p_group.add_argument("--b", type=int, choices=(1, -1), help="needs --legendre; default 1")
-    p_group.add_argument("--json", action="store_true")
-    p_group.set_defaults(func=cmd_group)
-
-    p_scan = sub.add_parser("scan", help="run the property suites over all pairs up to a bound")
-    p_scan.add_argument("--max", type=int, required=True)
-    p_scan.add_argument("--jobs", type=_jobs, default=1,
-                        help="processes, the parent included; at least 1, capped at the "
-                             "number of CPUs and at the number of pairs")
-    p_scan.add_argument("--json", action="store_true")
-    p_scan.set_defaults(func=cmd_scan)
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=globals()[func])
     return parser
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for a well-formed ``argv``, else None for build_parser's parser
+    (-h, --opt=value, abbreviations, repeats, '--', values starting with '-', usage errors)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        kwargs = options.get(word)
+        if kwargs is None or word in given:
+            return None
+        if "action" in kwargs:  # store_true
+            given[word] = True
+            continue
+        text = next(words, "-")  # a missing value is handed over like a negative one
+        try:
+            value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's usage errors
+            return None
+        if text.startswith("-") or "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[word] = value
+    args = argparse.Namespace(command=argv[0], func=globals()[func])
+    for option, kwargs in options.items():
+        if option not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if "action" in kwargs else None)
+        if isinstance(default, str):  # argparse passes a string default through the type
+            default = kwargs.get("type", str)(default)
+        setattr(args, option[2:], given.get(option, default))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush

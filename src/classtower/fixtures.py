@@ -37,16 +37,16 @@ class FixtureRow:
     class_groups: dict  # printed tuples by column: cl_k0, cl_k0bar, cl_kk, cl_K1..7, cl_L1..7
 
     def __post_init__(self) -> None:
-        if self.d != 2 * self.p1 * self.p2:
-            raise ValueError(f"fixture row {self.table}/{self.d}: d != 2*p1*p2")
         for tup in self.class_groups.values():
             AbelianType.from_factors(tup)
-        # from_factors drops a factor 2.5 or True, and scalar columns are compared as text
-        bad = [x for x in (*self.values.values(), *(x for t in self.class_groups.values() for x in t))
-               if type(x) is not int]
+        # from_factors drops a 2.5 or True, scalars compare as text, sqrt_mod needs int primes
+        bad = [x for x in (self.d, self.p1, self.p2, *self.values.values(),
+                           *(x for t in self.class_groups.values() for x in t)) if type(x) is not int]
         if bad:
             raise ValueError(f"fixture row {self.table}/{self.d}: printed value {bad[0]!r} "
                              "is not an integer")
+        if self.d != 2 * self.p1 * self.p2:
+            raise ValueError(f"fixture row {self.table}/{self.d}: d != 2*p1*p2")
 
 
 def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:

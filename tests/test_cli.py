@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -18,7 +20,8 @@ from unittest import mock
 
 import classtower
 from classtower.abelian import AbelianType
-from classtower.cli import EXIT_INTERRUPTED, _largest_pair_product, build_parser, main
+from classtower.cli import (EXIT_INTERRUPTED, _largest_pair_product, _read_argv, build_parser,
+                            main)
 from classtower.classify import invariants, presentation_class
 from classtower.gaussian import split_prime
 from classtower.symbols import primes_5_mod_8, validate_pair
@@ -128,6 +131,11 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
      "printed value '2' is not an integer"),
     ({"version": "fixtures_v1", "tables": {"4": {"m": 2.0, "rows": [{"d": 130, "p1": 5, "p2": 13}]}}},
      "printed value 2.0 is not an integer"),
+    # a float prime reached sqrt_mod as a TypeError, and a float d was printed as 130.0
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130, "p1": 5.0, "p2": 13}]}}},
+     "printed value 5.0 is not an integer"),
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130.0, "p1": 5, "p2": 13}]}}},
+     "printed value 130.0 is not an integer"),
     # one tuple per field K_1..K_7 (L_1..L_7): an eighth has no computed column
     ({"version": "fixtures_v1",
       "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2]] * 8}]}}},
@@ -692,6 +700,35 @@ from classtower.cli import main
 classify._KAPPA_B[4][1] = ("H0",)  # the B = +1 kernel of K4 loses a generator
 sys.exit(main(sys.argv[1:]))
 """
+
+
+_TRIVIAL_SYMBOLS = """
+import sys
+from classtower import classify
+from classtower.cli import main
+classify.gauss_symbol = lambda a, s: 1  # symbol_pi and symbol_B keep gaussian's own binding
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_norm_group_self_check_under_python_O():
+    # with every symbol +1, each first-principles norm group would be the whole class group:
+    # norm_groups_from_symbols raises ConsistencyError, also under -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-c", _TRIVIAL_SYMBOLS, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_O("classify", "--p1", "5", "--p2", "13")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "consistency failure: norm group of K1 came out with index 1\n"
+    proc = run_O("scan", "--max", "30", "--json")
+    payload = json.loads(proc.stdout)
+    assert proc.returncode == 3 and payload["pairs"] == 3
+    assert [row["failed"] for row in payload["failing_pairs"]] == [["self-check"]] * 3
+    assert proc.stderr.count("norm group of K1 came out with index 1") == 3
 
 
 def test_prediction_self_check_under_python_O():
@@ -1372,7 +1409,9 @@ _NUMBERS = st.one_of(
 )
 _JUNK = st.one_of(st.just([]), st.lists(
     st.sampled_from(["--bogus", "-x", "--json", "--p1", "--max", "x", "", "1e3", "--", "-1",
-                     "--verbose", "--force", "--jobs", "0x10", "--table"]),
+                     "--verbose", "--force", "--jobs", "0x10", "--table",
+                     # forms that only argparse reads: --opt=value, an abbreviation, help
+                     "--p1=5", "--js", "-h"]),
     min_size=1, max_size=3,
 ))
 
@@ -1434,3 +1473,88 @@ def test_cli_fuzz_jobs_parser_only(jobs, top):
     with mock.patch("os.cpu_count", return_value=4):
         args = build_parser().parse_args(["scan", "--max", str(top), "--jobs", str(jobs)])
     assert args.jobs == min(jobs, 4) and args.max == top
+
+
+# command: (its required options, its optional ones), each option with some well-formed
+# values (None for a flag)
+_FORMS = {
+    "classify": ({"--p1": [5, 13, 29, "07", 10**30], "--p2": [13, 37, 5, 0]}, {"--json": None}),
+    "scan": ({"--max": [13, 29, 3541, 12, 0]}, {"--jobs": [1, 2, 64], "--json": None}),
+    "group": ({"--m": [2, 3, 40, 0], "--n": [1, 4], "--q": [1, 2]},
+              {"--psi": ["sigma", "tau-sigma"], "--force": None, "--legendre": [1], "--pi": [1],
+               "--b": [1], "--json": None}),
+    "verify-fixtures": ({}, {"--table": ["4", "34", "zz", "", " x"], "--filter": [130, 754, 1],
+                             "--verbose": None, "--json": None}),
+}
+
+
+def _forms(loose):
+    """Argv of each command with its options in shuffled order: every required option and
+    some optional ones, with well-formed values; or, when ``loose``, any of the options,
+    with values that may also start with '-'."""
+    def option(name, values, required):
+        if values is None:
+            drawn = st.just((name,))
+        else:
+            dashed = ["-x", "--json", "--", "-1", "-h"] if loose else []
+            drawn = st.sampled_from(values + dashed).map(lambda v: (name, str(v)))
+        return drawn if required and not loose else st.one_of(st.just(()), drawn)
+
+    return st.one_of(*(
+        st.tuples(*(option(name, values, True) for name, values in required.items()),
+                  *(option(name, values, False) for name, values in optional.items()))
+        .flatmap(st.permutations)
+        .map(lambda opts, command=command: [command, *(w for opt in opts for w in opt)])
+        for command, (required, optional) in _FORMS.items()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    _forms(loose=False).map(lambda argv: (argv, True)),
+    _forms(loose=True).map(lambda argv: (argv, False)),
+    st.tuples(st.one_of(_CLASSIFY, _SCAN, _GROUP, _VERIFY), _JUNK).map(
+        lambda drawn: (drawn[0] + drawn[1], False)),
+))
+def test_command_table_reads_argv_as_argparse_does(drawn):
+    # main reads an argv itself only where argparse gives the same namespace; it reads every
+    # well-formed argv, hands every other one to argparse, and never raises
+    argv, well_formed = drawn
+    with mock.patch("os.cpu_count", return_value=2), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        read = _read_argv(argv)
+        try:
+            parsed = vars(build_parser().parse_args(argv))
+        except SystemExit:  # help, or a usage error
+            parsed = None
+    assert read is not None or not well_formed, argv
+    assert read is None or vars(read) == parsed, argv
+
+
+_PARSER_STATE = """
+import contextlib, io, sys
+from classtower import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]
+print(codes, cli.build_parser.cache_info().currsize, "locale" in sys.modules)
+"""
+
+
+def test_well_formed_argv_builds_no_parser():
+    # a well-formed command is read from the command table: argparse builds no parser, so
+    # the import of locale that gettext makes inside ArgumentParser() never happens
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    argvs = ["classify --p1 5 --p2 13 --json", "scan --max 13 --jobs 1",
+             "group --m 3 --n 1 --q 1 --force", "verify-fixtures --filter 130 --verbose"]
+    proc = subprocess.run([sys.executable, "-c", _PARSER_STATE, *argvs], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[0, 0, 0, 0] 0 False\n"
+
+
+def test_python_m_classtower_runs_main(capsys, tmp_path):
+    # a source checkout runs the commands as python -m classtower, without an install
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "classtower", "classify", "--p1", "5", "--p2",
+                           "13", "--json"], capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    code, out, _ = run(capsys, "classify", "--p1", "5", "--p2", "13", "--json")
+    assert proc.returncode == code == 0 and proc.stdout == out and proc.stderr == ""
