@@ -131,11 +131,6 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
      "printed value '2' is not an integer"),
     ({"version": "fixtures_v1", "tables": {"4": {"m": 2.0, "rows": [{"d": 130, "p1": 5, "p2": 13}]}}},
      "printed value 2.0 is not an integer"),
-    # a float prime reached sqrt_mod as a TypeError, and a float d was printed as 130.0
-    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130, "p1": 5.0, "p2": 13}]}}},
-     "printed value 5.0 is not an integer"),
-    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130.0, "p1": 5, "p2": 13}]}}},
-     "printed value 130.0 is not an integer"),
     # one tuple per field K_1..K_7 (L_1..L_7): an eighth has no computed column
     ({"version": "fixtures_v1",
       "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2]] * 8}]}}},
@@ -143,6 +138,11 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
     ({"version": "fixtures_v1",
       "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_L": [[2]] * 9}]}}},
      "row 0: ValueError: cl_L holds 9 tuples, more than the 7 fields"),
+    # a float prime reached sqrt_mod as a TypeError, and a float d was printed as 130.0
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130, "p1": 5.0, "p2": 13}]}}},
+     "printed value 5.0 is not an integer"),
+    ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130.0, "p1": 5, "p2": 13}]}}},
+     "printed value 130.0 is not an integer"),
 ])
 def test_verify_fixtures_malformed_file(capsys, tmp_path, monkeypatch, doc, message):
     # a malformed document is an input error: exit 2 and one line naming the table and row
