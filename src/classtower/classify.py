@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap
+from itertools import product, starmap
 from math import prod
 from typing import NamedTuple
 
@@ -316,19 +316,19 @@ _N_MINUS = {
 }
 
 
-def _keyed_entry(plus: dict, minus: dict, profile: Profile, j: int):
-    """Entry j of the table plus when (p1/p2) = +1, of minus when it is -1; a keyed entry
+def _keyed_entries(plus: dict, minus: dict, profile: Profile) -> dict:
+    """The entries of the table plus when (p1/p2) = +1, of minus when it is -1; a keyed entry
     is looked up by (pi, B) in plus and by (q, pi) in minus."""
     if profile.legendre == 1:
-        entry, key = plus[j], (profile.pi, profile.B)
+        table, key = plus, (profile.pi, profile.B)
     else:
-        entry, key = minus[j], (profile.q, profile.pi)
-    return entry[key] if isinstance(entry, dict) else entry
+        table, key = minus, (profile.q, profile.pi)
+    return {j: entry[key] if isinstance(entry, dict) else entry for j, entry in table.items()}
 
 
 def norm_groups(profile: Profile) -> dict[int, frozenset[ClassVector]]:
     """The norm class groups N_1..N_7 from the transcribed decision table."""
-    return {j: subgroup_span(_keyed_entry(_N_PLUS, _N_MINUS, profile, j)) for j in range(1, 8)}
+    return {j: subgroup_span(t) for j, t in _keyed_entries(_N_PLUS, _N_MINUS, profile).items()}
 
 
 # radicand factorizations: each K_j has the two representations delta, d/delta
@@ -342,6 +342,27 @@ _RADICAND_FACTORS = {
     7: (("pi2", "pi4"), ("2", "pi1", "pi3")),
 }
 
+# (j, the odd representation, the representations that avoid pi1 and pi2) for each K_j
+_SYMBOL_FACTORS = tuple(
+    (j, next(rep for rep in reps if "2" not in rep),
+     *(next(rep for rep in reps if avoid not in rep) for avoid in ("pi1", "pi2")))
+    for j, reps in _RADICAND_FACTORS.items()
+)
+
+# the plane {v : s0^v0 s1^v1 s2^v2 = 1} of each sign triple (s0, s1, s2) but (1, 1, 1)
+_PLANES = {
+    signs: frozenset(v for v in CLASS_VECTORS if prod(s for s, b in zip(signs, v) if b) == 1)
+    for signs in product((1, -1), repeat=3) if signs != (1, 1, 1)
+}
+
+_TWO = GaussianInt(2, 0)
+
+
+@lru_cache(maxsize=None)
+def _conjugate(split: PrimeSplit) -> PrimeSplit:
+    """split.conjugate_choice(), built once: split_prime returns one split per prime."""
+    return split.conjugate_choice()
+
 
 def norm_groups_from_symbols(
     record: InvariantRecord,
@@ -354,28 +375,21 @@ def norm_groups_from_symbols(
     (1+i/pi) over the Gaussian prime factors of the odd representation.  The
     symbols are multiplicative, so each is a product of at most 12 basic ones:
     (1+i/pi_k) for k = 1..4, and (x/pi_1), (x/pi_2) for the other factors x of
-    the radicands, 2 and the pi_k.
+    the radicands, 2 and the pi_k.  Each sign triple picks its plane from _PLANES.
     """
     s1, s2 = record.splits
-    moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
-    gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
+    moduli = {"pi1": s1, "pi2": _conjugate(s1), "pi3": s2, "pi4": _conjugate(s2)}
+    gauss = {"2": _TWO, **{f: s.pi for f, s in moduli.items()}}
     one_plus_i = {f: gauss_symbol(ONE_PLUS_I, s) for f, s in moduli.items()}
-    residues = {avoid: {f: gauss_symbol(alpha, moduli[avoid])
-                        for f, alpha in gauss.items() if f != avoid} for avoid in ("pi1", "pi2")}
+    res1, res2 = ({f: gauss_symbol(alpha, moduli[avoid]) for f, alpha in gauss.items() if f != avoid}
+                  for avoid in ("pi1", "pi2"))
     out = {}
-    for j in range(1, 8):
-        reps = _RADICAND_FACTORS[j]
-        odd_rep = next(rep for rep in reps if "2" not in rep)
-        signs = (prod(one_plus_i[f] for f in odd_rep),
-                 *(prod(residues[avoid][f] for f in next(rep for rep in reps if avoid not in rep))
-                   for avoid in ("pi1", "pi2")))
+    for j, odd_rep, rep1, rep2 in _SYMBOL_FACTORS:
+        signs = (prod(map(one_plus_i.__getitem__, odd_rep)), prod(map(res1.__getitem__, rep1)),
+                 prod(map(res2.__getitem__, rep2)))
         if signs == (1, 1, 1):
             raise ConsistencyError(f"norm group of K{j} came out with index 1")
-        out[j] = frozenset(
-            v
-            for v in CLASS_VECTORS
-            if signs[0] ** v[0] * signs[1] ** v[1] * signs[2] ** v[2] == 1
-        )
+        out[j] = _PLANES[signs]
     return out
 
 
@@ -407,16 +421,19 @@ def kernels(profile: Profile) -> dict[int, frozenset[ClassVector]]:
 _T222, _T24, _T28, _T44 = (AbelianType(t) for t in ((2, 2, 2), (2, 4), (2, 8), (4, 4)))
 
 
+def _two_type(a: int, b: int) -> AbelianType:
+    """The type (2^a, 2^b) for exponents a, b >= 0, sorted, a factor 1 dropped."""
+    return AbelianType(tuple(1 << e for e in ((a, b) if a <= b else (b, a)) if e))
+
+
 def k_type(profile: Profile, j: int) -> AbelianType:
     m, n, q = profile.m, profile.n, profile.q
     if j in (1, 2):
         return _T222 if profile.legendre == 1 else _T24
     if j == 3:
         if q == 1:
-            return AbelianType.from_factors((1 << m, 1 << (n + 1)))
-        return AbelianType.from_factors(
-            (1 << min(m, n + 1), 1 << max(m + 1, n + 2))
-        )
+            return _two_type(m, n + 1)
+        return _two_type(min(m, n + 1), max(m + 1, n + 2))
     if profile.legendre == 1:
         return _T222 if profile.pi == -1 else _T24
     # legendre = -1: K4/K7 and K5/K6 pair up, exchanged by the sign of pi
@@ -428,8 +445,8 @@ def l_type(profile: Profile, j: int) -> AbelianType:
     m, n, q = profile.m, profile.n, profile.q
     if j == 1:
         if q == 1:
-            return AbelianType.from_factors((1 << n, 1 << m))
-        return AbelianType.from_factors((1 << min(m, n), 1 << max(m + 1, n + 1)))
+            return _two_type(n, m)
+        return _two_type(min(m, n), max(m + 1, n + 1))
     if j in (2, 3, 4, 5):
         if profile.legendre == 1 and profile.pi == -1:
             return _T222
@@ -437,20 +454,20 @@ def l_type(profile: Profile, j: int) -> AbelianType:
     # L6 / L7
     if q == 2:
         if profile.legendre == 1:
-            return AbelianType.from_factors((2, 1 << (n + 2)))
+            return _two_type(1, n + 2)
         flip = (profile.pi == -1) == (j == 6)
         return _T28 if flip else _T44
     b_here = profile.B if j == 6 else -profile.B
     if b_here == 1:
-        return AbelianType.from_factors((1 << (m - 1), 1 << (n + 1)))
-    return AbelianType.from_factors((1 << min(m - 1, n), 1 << max(m, n + 1)))
+        return _two_type(m - 1, n + 1)
+    return _two_type(min(m - 1, n), max(m, n + 1))
 
 
 def derived_type(profile: Profile) -> AbelianType:
     m, n, q = profile.m, profile.n, profile.q
     if q == 1:
-        return AbelianType.from_factors((1 << (m - 1), 1 << n))
-    return AbelianType.from_factors((2, 1 << (n + 1)))
+        return _two_type(m - 1, n)
+    return _two_type(1, n + 1)
 
 
 def nilpotency_class_formula(profile: Profile) -> int:
@@ -617,6 +634,14 @@ def _check(name: str, expected, got) -> Check:
     return Check(name, expected == got, str(expected), str(got))
 
 
+# the names of each field's checks, formatted once
+_K_CHECKS = {j: tuple(f"K{j}:{c}" for c in ("index", "subgroup-words", "type", "kernel", "taussky-A"))
+             for j in range(1, 8)}
+_L_CHECKS = {j: tuple(f"L{j}:{c}" for c in ("index", "subgroup-words", "type", "kernel-total"))
+             for j in range(1, 8)}
+_SYMBOL_CHECKS = {j: f"K{j}:norm-group-symbols" for j in range(1, 8)}
+
+
 @lru_cache(maxsize=None)
 def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentation, EngineTable]:
     """The presentation (m, n, q, psi), built and validated once, with its engine table."""
@@ -639,26 +664,28 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         ("G:nilpotency-class", report.nilpotency_class, series_length - 1),
         ("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1)),
     ]
+    k_words = _keyed_entries(_GJ_PLUS, _GJ_MINUS, profile)
     for j, kf in report.k_fields.items():
         K = table.over[kf.norm_group]
-        words = _keyed_entry(_GJ_PLUS, _GJ_MINUS, profile, j)
+        index, words, type_, kernel, taussky = _K_CHECKS[j]
         rows += [
-            (f"K{j}:index", 2, K.index),
-            (f"K{j}:subgroup-words", True, K.generated_by(map(pres.word, words))),
-            (f"K{j}:type", kf.cl2, K.abelianization),
-            (f"K{j}:kernel", _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel)),
-            (f"K{j}:taussky-A", True, len(K.kernel & kf.norm_group) > 1),
+            (index, 2, K.index),
+            (words, True, K.generated_by(map(pres.word, k_words[j]))),
+            (type_, kf.cl2, K.abelianization),
+            (kernel, _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel)),
+            (taussky, True, len(K.kernel & kf.norm_group) > 1),
         ]
     rows.append(("K3:class-group", report.cl2_k3,
                  table.over[report.k_fields[3].norm_group].abelianization))
+    l_words = _keyed_entries(_GL_PLUS, _GL_MINUS, profile)
     for j, lf in report.l_fields.items():
         L = table.over[lf.norm_group]
-        words = _keyed_entry(_GL_PLUS, _GL_MINUS, profile, j)
+        index, words, type_, kernel = _L_CHECKS[j]
         rows += [
-            (f"L{j}:index", 4, L.index),
-            (f"L{j}:subgroup-words", True, L.generated_by(map(pres.word, words))),
-            (f"L{j}:type", lf.cl2, L.abelianization),
-            (f"L{j}:kernel-total", _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel)),
+            (index, 4, L.index),
+            (words, True, L.generated_by(map(pres.word, l_words[j]))),
+            (type_, lf.cl2, L.abelianization),
+            (kernel, _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel)),
         ]
     return tuple(starmap(_check, rows))
 
@@ -671,18 +698,11 @@ def cross_validate(record: InvariantRecord) -> ValidationReport:
     against the transcribed table.
     """
     profile = record.profile()
-    checks = list(_engine_checks(profile))
-    table = predict(profile).k_fields
-    first_principles = norm_groups_from_symbols(record)
-    for j in range(1, 8):
-        checks.append(
-            _check(
-                f"K{j}:norm-group-symbols",
-                _fmt_vectors(table[j].norm_group),
-                _fmt_vectors(first_principles[j]),
-            )
-        )
-    return ValidationReport(tuple(checks))
+    checks = _engine_checks(profile)
+    table, first_principles = predict(profile).k_fields, norm_groups_from_symbols(record)
+    return ValidationReport(checks + tuple(
+        _check(_SYMBOL_CHECKS[j], _fmt_vectors(table[j].norm_group),
+               _fmt_vectors(first_principles[j])) for j in range(1, 8)))
 
 
 def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:

@@ -37,9 +37,11 @@ class FixtureRow:
     class_groups: dict  # printed tuples by column: cl_k0, cl_k0bar, cl_kk, cl_K1..7, cl_L1..7
 
     def __post_init__(self) -> None:
-        for tup in self.class_groups.values():
-            AbelianType.from_factors(tup)
-        # from_factors drops a 2.5 or True, scalars compare as text, sqrt_mod needs int primes
+        # only 2-parts are compared (_two_part_str), so no printed order is factorized
+        for f in (f for tup in self.class_groups.values() for f in tup):
+            if f < 1:
+                raise ValueError(f"cyclic orders must be >= 1, got {f}")
+        # the order check passes a 2.5 or True, scalars compare as text, sqrt_mod needs int primes
         bad = [x for x in (self.d, self.p1, self.p2, *self.values.values(),
                            *(x for t in self.class_groups.values() for x in t)) if type(x) is not int]
         if bad:
@@ -130,7 +132,7 @@ class RowResult:
 
 
 def _two_part_str(tup) -> str:
-    return str(AbelianType.from_factors(tup).two_part())
+    return str(AbelianType.from_factors(f & -f for f in tup))
 
 
 def verify_row(row: FixtureRow) -> RowResult:

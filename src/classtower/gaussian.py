@@ -4,13 +4,15 @@ A prime p = 5 (mod 8) splits as p = pi * conj(pi) with the normalized factor
 pi = e + 2if, e odd > 0, f > 0 (so p = e^2 + 4f^2).  The quadratic residue
 symbol (alpha/pi) is evaluated in the residue field Z[i]/(pi) = F_p via the
 substitution i -> -e * (2f)^(-1) mod p, then one modular exponentiation.  Only
-split_prime builds a PrimeSplit, so the symbols take p as proved prime.
+split_prime builds a PrimeSplit, so the symbols take p as proved prime; it splits
+each prime once per process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .symbols import is_prime, sqrt_mod
 
@@ -70,6 +72,7 @@ class CornacchiaError(AssertionError):
     """The split of a prime came out wrong; raised explicitly, so it survives python -O."""
 
 
+@lru_cache(maxsize=None)
 def split_prime(p: int) -> PrimeSplit:
     """Split p = 5 (mod 8) in Z[i], returning pi = e + 2if with e, f > 0.
 

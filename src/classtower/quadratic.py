@@ -48,6 +48,20 @@ def field_discriminant(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
+@lru_cache(maxsize=None)
+def _odd_part_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The items of factorize(n) for odd n >= 1, cached: found once per radicand."""
+    return tuple(factorize(n).items())
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """factorize(n) for n >= 1 from the cached factorization of its odd part, so that
+    _validate_disc on -4r, r, -8r, 8r and fundamental_unit on r, 2r trial-divide r once."""
+    two = (n & -n).bit_length() - 1
+    odd = _odd_part_factors(n >> two)
+    return {2: two, **dict(odd)} if two else dict(odd)
+
+
 # ---------------------------------------------------------------------------
 # Fundamental units from the principal cycle
 # ---------------------------------------------------------------------------
@@ -80,7 +94,7 @@ class QuadUnit:
 @lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:
     """Fundamental unit of O_{Q(sqrt(m))}, from half a walk of the principal cycle of its D."""
-    if m <= 1 or max(factorize(m).values()) > 1:
+    if m <= 1 or max(_factorize(m).values()) > 1:
         raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
     return _principal_cycle(m)[0]
 
@@ -353,7 +367,7 @@ def _validate_disc(D: int) -> dict[int, int]:
         raise ValueError(f"invalid discriminant {D}: perfect square")
     if abs(D) > DISCRIMINANT_BOUND:
         raise DiscriminantBoundError(f"|D| = {abs(D)} exceeds bound {DISCRIMINANT_BOUND}")
-    factors = factorize(abs(D))
+    factors = _factorize(abs(D))
     two = factors.get(2, 0)
     if any(e > 1 for q, e in factors.items() if q != 2) or two not in (0, 2, 3) or (
         two == 2 and D // 4 % 4 != 3

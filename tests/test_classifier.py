@@ -1,6 +1,9 @@
+import json
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +28,7 @@ from classtower.classify import (
     subgroup_span,
 )
 from classtower.gaussian import split_prime
-from classtower.gengroup import PresentationError, PsiVariant
+from classtower.gengroup import CLASS_VECTORS, PresentationError, PsiVariant, span
 from classtower.symbols import primes_5_mod_8, validate_pair
 
 
@@ -90,11 +93,68 @@ def _norm_groups_from_21_symbols(record):
     return out
 
 
+def _norm_groups_from_12_symbols(record):
+    """norm_groups_from_symbols before its plane table: the 12 basic symbols multiplied per
+    K_j, each plane rebuilt from its sign triple."""
+    from math import prod
+
+    from classtower.gaussian import ONE_PLUS_I, GaussianInt, gauss_symbol
+
+    s1, s2 = record.splits
+    moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
+    gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
+    one_plus_i = {f: gauss_symbol(ONE_PLUS_I, s) for f, s in moduli.items()}
+    residues = {avoid: {f: gauss_symbol(alpha, moduli[avoid])
+                        for f, alpha in gauss.items() if f != avoid} for avoid in ("pi1", "pi2")}
+    out = {}
+    for j in range(1, 8):
+        reps = classify._RADICAND_FACTORS[j]
+        odd_rep = next(rep for rep in reps if "2" not in rep)
+        signs = (prod(one_plus_i[f] for f in odd_rep),
+                 *(prod(residues[avoid][f] for f in next(rep for rep in reps if avoid not in rep))
+                   for avoid in ("pi1", "pi2")))
+        if signs == (1, 1, 1):
+            raise ConsistencyError(f"norm group of K{j} came out with index 1")
+        out[j] = frozenset(v for v in CLASS_VECTORS
+                           if signs[0] ** v[0] * signs[1] ** v[1] * signs[2] ** v[2] == 1)
+    return out
+
+
+def _benchmark_pairs(name):
+    """The (p1, p2) of the benchmark's input file perfbench/data/<name>.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"{name}.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if name == "deep_profiles":
+        rows = [row for entry in rows for row in entry["pairs"]]
+    return [validate_pair(row["p1"], row["p2"]) for row in rows]
+
+
+def test_plane_table_matches_the_twelve_symbol_path():
+    # the sign triples read through _PLANES against the planes rebuilt per pair: every pair
+    # up to 1000, the 240 pool pairs and the 161 deep pairs, with every choice of conjugates
+    pairs = pairs_upto(1000) + _benchmark_pairs("large_pool") + _benchmark_pairs("deep_profiles")
+    assert len(pairs) == 903 + 240 + 161
+    for pair in pairs:
+        s1, s2 = split_prime(pair.p1), split_prime(pair.p2)
+        for splits in product((s1, s1.conjugate_choice()), (s2, s2.conjugate_choice())):
+            record = SimpleNamespace(splits=splits)
+            assert norm_groups_from_symbols(record) == _norm_groups_from_12_symbols(record), pair
+
+
+def test_sign_triples_map_one_to_one_onto_the_planes():
+    # the 7 sign triples other than (1, 1, 1) and the 7 planes (index-2 subspaces) of F_2^3
+    triples = set(product((1, -1), repeat=3)) - {(1, 1, 1)}
+    planes = {plane for plane in map(span, product(CLASS_VECTORS, repeat=2)) if len(plane) == 4}
+    assert set(classify._PLANES) == triples and len(planes) == 7
+    assert set(classify._PLANES.values()) == planes
+    for signs, plane in classify._PLANES.items():
+        assert plane == {v for v in CLASS_VECTORS
+                         if signs[0] ** v[0] * signs[1] ** v[1] * signs[2] ** v[2] == 1}
+
+
 def test_twelve_basic_symbols_match_the_21_symbols():
     # the products of the 12 basic symbols against the 21 symbols evaluated whole, for every
     # pair up to 500 and every choice of the conjugates pi_1, pi_3
-    from types import SimpleNamespace
-
     for pair in pairs_upto(500):
         s1, s2 = split_prime(pair.p1), split_prime(pair.p2)
         for splits in product((s1, s1.conjugate_choice()), (s2, s2.conjugate_choice())):

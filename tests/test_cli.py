@@ -103,6 +103,26 @@ def test_verify_fixtures_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_fixtures_large_printed_factor(capsys, tmp_path, monkeypatch):
+    # only 2-parts are compared, so a printed factor 2^61 - 1 is never factorized: the row
+    # ends at once as a mismatch of cl_K1, whose 2-part is now (2)
+    import importlib.resources as resources
+
+    doc = json.loads(
+        resources.files("classtower").joinpath("data/fixtures_v1.json").read_text()
+    )
+    doc["tables"]["34"]["rows"][0]["cl_K"][0] = [2, 2**61 - 1]
+    bad = tmp_path / "large.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setenv("CLASSTOWER_FIXTURES", str(bad))
+    code, out, _ = run(capsys, "verify-fixtures", "--table", "34", "--json")
+    assert code == 4
+    row = json.loads(out)["results"][0]
+    failing = [c for c in row["columns"] if not c["ok"]]
+    assert [(c["column"], c["expected"]) for c in failing] == [("cl_K1", "(2)")]
+    assert failing[0]["printed"] == f"(2, {2**61 - 1})"
+
+
 def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "corrupt.json"
     bad.write_text("{not json")
@@ -143,6 +163,10 @@ def test_verify_fixtures_corrupt_file(capsys, tmp_path, monkeypatch):
      "printed value 5.0 is not an integer"),
     ({"version": "fixtures_v1", "tables": {"4": {"rows": [{"d": 130.0, "p1": 5, "p2": 13}]}}},
      "printed value 130.0 is not an integer"),
+    # JSON's Infinity in a class-group tuple: no printed order is factorized, so it ends at once
+    ({"version": "fixtures_v1",
+      "tables": {"4": {"rows": [{"d": 130, "p1": 5, "p2": 13, "cl_K": [[2, float("inf")]]}]}}},
+     "printed value inf is not an integer"),
 ])
 def test_verify_fixtures_malformed_file(capsys, tmp_path, monkeypatch, doc, message):
     # a malformed document is an input error: exit 2 and one line naming the table and row
@@ -783,28 +807,32 @@ def test_predict_runs_once_per_profile(capsys, monkeypatch):
 
 
 def _clear_engine_caches():
-    from classtower import classify, gengroup
+    from classtower import classify, gaussian, gengroup, quadratic
 
     for cached in (classify.predict, classify._engine_checks, classify._check,
                    classify._fmt_vectors, classify.subspace_names, classify._engine_table,
-                   classify.subgroup_span, gengroup.engine_table):
+                   classify.subgroup_span, classify._conjugate, gengroup.engine_table,
+                   gaussian.split_prime, quadratic.class_group, quadratic.fundamental_unit,
+                   quadratic._principal_cycle, quadratic._odd_part_factors):
         cached.cache_clear()
 
 
 def test_clear_engine_caches_clears_every_cache(monkeypatch):
-    # a cache of classify or gengroup left out of the helper would carry one test's values
-    # (or a forgery's) into the next
-    from classtower import classify, gengroup
+    # a cache of classify, gengroup, gaussian or quadratic left out of the helper would carry
+    # one test's values (or a forgery's) into the next
+    from classtower import classify, gaussian, gengroup, quadratic
 
     # an lru_cache over a builtin such as str has the __module__ "builtins"
-    caches = [f for module in (classify, gengroup) for f in vars(module).values()
+    caches = [f for module in (classify, gengroup, gaussian, quadratic) for f in vars(module).values()
               if hasattr(f, "cache_clear") and f.__module__ in (module.__name__, "builtins")]
     cleared = []
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the eight of the helper: seven in classify (predict, _engine_checks, _check, _fmt_vectors,
-    # subspace_names, _engine_table, subgroup_span) and engine_table in gengroup
+    # the fourteen of the helper: eight in classify (predict, _engine_checks, _check,
+    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate), engine_table in
+    # gengroup, split_prime in gaussian, and class_group, fundamental_unit, _principal_cycle
+    # and _odd_part_factors in quadratic
     assert len(caches) >= 8
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
@@ -1312,8 +1340,12 @@ def test_split_self_check_under_python_O(monkeypatch):
 
     sqrt_mod = gaussian.sqrt_mod
     monkeypatch.setattr(gaussian, "sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p)
-    with pytest.raises(gaussian.CornacchiaError):
-        gaussian.split_prime(13)
+    gaussian.split_prime.cache_clear()  # an earlier test may have split 13 already
+    try:
+        with pytest.raises(gaussian.CornacchiaError):
+            gaussian.split_prime(13)
+    finally:
+        gaussian.split_prime.cache_clear()
     src = str(Path(classtower.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_SQRT_MOD, "classify", "--p1",
                            "5", "--p2", "13"], capture_output=True, text=True,

@@ -413,3 +413,20 @@ def test_class_groups_with_a_one_entry_table(monkeypatch):
     finally:
         quadratic.class_group.cache_clear()
     assert len(tail) > len(discs)
+
+
+def test_shared_factorization_is_factorize():
+    # _factorize reads the cached factorization of the odd part and adds the power of 2 back:
+    # every n up to 5000, and 2r, 4r, 8r for the radicands r of the benchmark's pool
+    import json
+    from pathlib import Path
+
+    from classtower import quadratic
+    from classtower.abelian import factorize
+
+    pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "large_pool.json"
+    radicands = [row["p1"] * row["p2"] for row in json.loads(pool.read_text(encoding="utf-8"))]
+    assert len(radicands) == 240
+    for n in [*range(1, 5001), *(k * r for r in radicands for k in (2, 4, 8))]:
+        assert quadratic._factorize(n) == factorize(n), n
+        assert list(quadratic._factorize(n)) == list(factorize(n)), n  # the same order
