@@ -101,10 +101,6 @@ class AbelianType:
             n *= d
         return n
 
-    def two_part(self) -> "AbelianType":
-        """Each divisor replaced by its largest power-of-2 factor, 1s dropped."""
-        return AbelianType.from_factors(d & -d for d in self.divisors)
-
     def rank(self) -> int:
         return len(self.divisors)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .abelian import AbelianType, factorize
@@ -109,6 +109,9 @@ def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     Phi_i = prod_(j<i) (b_j + sqrt(D))/(2 a_j) = (X_i + Y_i sqrt(D))/2 is an
     integer of norm a_i: Y_0 = 0, Y_1 = 1, Y_(i+1) = t_i Y_i - Y_(i-1) with
     t_i = (b_(i-1) + b_i)/(2 a_i), and X_i = sign(Y_i) isqrt(D Y_i^2 + 4 a_i).
+    Reduced forms have a c < 0, so a_i = (-1)^i |a_i|, and the walk keeps only
+    |a_i|, |c_i| and |Y_i|: |Y_(i+1)| = |t_i| |Y_i| + |Y_(i-1)|, and b^2 - 4ac =
+    b'^2 - 4cc' gives the next |c| as |a| + |t_(i+1)| (b - b')/2, with no division.
     The cycle is a signed palindrome, so the walk stops at its symmetric point,
     whichever comes first: the first i >= 1 with a_i | b_i gives l = 2i,
     eps = +-Phi_i^2 / a_i and the ambiguous forms (1, a_i); the first i >= 0
@@ -122,29 +125,29 @@ def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     a, b, c = _reduced_principal(D, s)
     if a != 1:
         raise ClassGroupError(f"norm/period mismatch for m={m}: the walk starts at a = {a}")
-    t, y_prev, y, i = 0, -1, 0, 0  # t_0 = 0 and Y_(-1) = -1 give Y_1 = 1
-    while True:  # eps = +-Phi_j Phi_i / a_i with j = i for even l, j = i + 1 for odd l
-        if i and b % a == 0:
-            steps, ambiguous, (y_j, a_j, y_i) = 2 * i, (1, a), (y, a, y)
+    t, y_prev, y, c = 0, 1, 0, -c  # t_0 = 0 and |Y_(-1)| = 1 give |Y_1| = 1
+    for i in count():  # at f_i; eps = +-Phi_j Phi_k / a_k, j = k + 1 for odd l, else j = k
+        y_prev, y = y, t * y + y_prev
+        if c == a:
+            steps, ambiguous, (y_j, a_j, y_k) = 2 * i + 1, (1,), (y, -c, y_prev)
             break
-        y_prev, y = y, t * y - y_prev
-        if c == -a or c == a:
-            steps, ambiguous, (y_j, a_j, y_i) = 2 * i + 1, (1,), (y, c, y_prev)
+        t = (s + b) // (2 * c)  # _rho of a reduced form, |c| <= s: b' = 2|t c| - b
+        tc = t * c
+        a, c, b = c, a + t * (b - tc), tc + tc - b
+        if b % a == 0:
+            steps, ambiguous, (y_j, a_j, y_k) = 2 * i + 2, (1, a if i % 2 else -a), (y, a, y)
             break
-        # _rho of a reduced form, |c| <= s: b' = s - (s + b) mod 2|c| and t = (b + b')/(2c)
-        t, r = divmod(s + b, 2 * abs(c))
-        b, t = s - r, t if c > 0 else -t
-        a, c, i = c, (b * b - D) // (4 * c), i + 1
+    sign = -1 if steps // 2 % 2 else 1  # k = steps // 2, a_k = sign |a_k|, a_j = sign a_j
     # +-Phi_k = (X_k + |Y_k| sqrt(D))/2 with X_k = isqrt(D Y_k^2 + 4 a_k)
-    n_j, n_i, y_j, y_i = D * y_j * y_j + 4 * a_j, D * y_i * y_i + 4 * a, abs(y_j), abs(y_i)
-    x_j, x_i = math.isqrt(max(n_j, 0)), math.isqrt(max(n_i, 0))
-    (u, ru), (v, rv) = (divmod(x_j * x_i + D * y_j * y_i, 2 * abs(a)),
-                        divmod(x_j * y_i + x_i * y_j, 2 * abs(a)))
+    n_j, n_k = D * y_j * y_j + 4 * sign * a_j, D * y_k * y_k + 4 * sign * a
+    x_j, x_k = math.isqrt(max(n_j, 0)), math.isqrt(max(n_k, 0))
+    (u, ru), (v, rv) = (divmod(x_j * x_k + D * y_j * y_k, 2 * a),
+                        divmod(x_j * y_k + x_k * y_j, 2 * a))
     # eps = (u + v sqrt(m))/w, as sqrt(D) = sqrt(m) or 2 sqrt(m); w = 1 when u, v are even
     v, w, norm = v if D == m else 2 * v, 2, 1 if steps % 2 == 0 else -1
     if u % 2 == v % 2 == 0:
         u, v, w = u // 2, v // 2, 1
-    if x_j * x_j != n_j or x_i * x_i != n_i or ru or rv or not v or u * u - m * v * v != norm * w * w:
+    if x_j * x_j != n_j or x_k * x_k != n_k or ru or rv or not v or u * u - m * v * v != norm * w * w:
         raise ClassGroupError(f"norm/period mismatch for m={m}: the half products give no "
                               f"unit of norm {norm} for l={steps}")
     return QuadUnit(u, v, w, m, norm), steps, ambiguous
@@ -437,8 +440,8 @@ def _legendre(a: int, fa: list[int], b: int, fb: list[int]) -> tuple[int, int, i
     n = abs(b)
     try:
         r, mod = 0, 1
-        for q in fb:
-            r, mod = _crt(r, mod, sqrt_mod(a, q), q), mod * q
+        for q in fb:  # the CRT step for the coprime moduli mod and q
+            r, mod = r + mod * ((sqrt_mod(a, q) - r) * pow(mod, -1, q) % q), mod * q
     except ValueError:
         raise ClassGroupError(f"w^2 = {a} x^2 + {b} y^2 has no rational point") from None
     if n == 1:  # a = b = -1

@@ -105,23 +105,29 @@ def jacobi(a: int, n: int) -> int:
 def sqrt_mod(a: int, p: int) -> int:
     """Some x with x^2 = a (mod p) for a prime p, by Tonelli-Shanks.
 
-    Raises ValueError when a is not a square mod p.
+    Raises ValueError when a is not a square mod p.  With p - 1 = 2^s q, q odd, x =
+    a^((q+1)/2) and t = a^q share one power, and Euler's test reads t^(2^(s-1)) = 1.
     """
     a %= p
     if a == 0 or p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+        x = pow(a, (p + 1) // 4, p)
+        if x * x % p != a:
+            raise ValueError(f"{a} is not a square mod {p}")
+        return x
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    w = pow(a, q >> 1, p)
+    x, t = a * w % p, a * w * w % p
+    if pow(t, 1 << (s - 1), p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    if t == 1:
+        return x
+    z = 2  # the least non-square; for p = 5 (mod 8) it is 2
+    while p % 8 != 5 and pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c = pow(z, q, p)
     while t != 1:  # invariant: x^2 = a*t, and t has order 2^i < 2^s
         i, t2 = 0, t
         while t2 != 1:

@@ -4,10 +4,12 @@ r = p1*p2 = 1 (mod 8), so the ring of integers of K = Q(sqrt2, sqrt r) is
 Z[sqrt2, (1 + sqrt r)/2].  Every element the test meets is an algebraic
 integer of K: the three units, their product and any square root of it.  So
 twice its coordinates on the basis (1, sqrt2, sqrt r, sqrt 2r) are integers,
-and they are all that is stored.  The square test is exact and has one stage:
-a relative-norm filter (the norm to Q(sqrt2) of a square is a square there),
-then a complete descent through Z[sqrt2] that either reconstructs a root or
-proves that none exists.  Only integers are involved anywhere.
+and they are all that is stored.  q = 2 exactly when E = eps_2*eps_r*eps_2r is
+a square in K (Kubota, Nagoya Math. J. 10 (1956)).  N(eps_r) = +1 or
+N(eps_2r) = +1 gives q = 1; otherwise E*E^sigma = eps_2^2, and a complete
+descent through Z[sqrt2] from beta = +-(1 + sqrt2) either reconstructs a root,
+certified by the full product, or proves that none exists.  Only integers are
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _sqrt_z2(u: int, v: int) -> tuple[int, int] | None:
     return None
 
 
-def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
+def exact_square_root(target: MultiQuadElt, beta=None) -> MultiQuadElt | None:
     """s with s*s = target exactly, or None when target is not a square; either root +-s.
 
     Exact and complete, by descent through Z[sqrt 2].  Write t = target and
@@ -119,16 +121,20 @@ def exact_square_root(target: MultiQuadElt) -> MultiQuadElt | None:
     all in Z[sqrt2], and 2a, 2b are the stored coordinates of s.  Solving the
     three square roots exactly reconstructs s or proves no root exists.  The
     first of them is the relative-norm filter: t*t^sigma must be a square in
-    Z[sqrt2].  The zero target has beta = 0 and a = b = 0, so its root is zero.
+    Z[sqrt2]; a caller that knows beta = (x, y), x + y*sqrt2, skips it.  The
+    zero target has beta = 0 and a = b = 0, so its root is zero.
     """
-    r = target.r
-    t0, t1 = target.c[0], target.c[1]
-    norm = target * target.conj_sqrt_r()
-    if norm.c[2] or norm.c[3]:
-        raise UnitIndexError(f"t*t^sigma = {norm.c}/2 is not in Z[sqrt2]")
-    beta = _sqrt_z2(norm.c[0] >> 1, norm.c[1] >> 1)
+    r, conj = target.r, target.conj_sqrt_r()
+    t0, t1, t2, t3 = (x + y >> 1 for x, y in zip(target.c, conj.c))
+    if t2 or t3:  # t + t^sigma = T0 + T1*sqrt2
+        raise UnitIndexError("t + t^sigma is not in Z[sqrt2]")
     if beta is None:
-        return None
+        norm = target * conj
+        if norm.c[2] or norm.c[3]:
+            raise UnitIndexError(f"t*t^sigma = {norm.c}/2 is not in Z[sqrt2]")
+        beta = _sqrt_z2(norm.c[0] >> 1, norm.c[1] >> 1)
+        if beta is None:
+            return None
     for sign in (1, -1):
         b0, b1 = 2 * sign * beta[0], 2 * sign * beta[1]
         a = _sqrt_z2(t0 + b0, t1 + b1)
@@ -180,11 +186,12 @@ def q_from_symbols(pair: PrimePair) -> int:
 def unit_index_q(pair: PrimePair) -> int:
     """The unit index q = q(Q(sqrt2, sqrt r)/Q) in {1, 2}, r = p1*p2.
 
-    q = 2 exactly when eps_2*eps_r*eps_2r is a square in the real field.
-    N(eps_r) = +1 settles q = 1 outright; otherwise the exact square test
-    decides.  classify's q-agreement rule compares the result with
-    q_from_symbols when (p1/p2) = -1.
+    q = 2 exactly when E = eps_2*eps_r*eps_2r is a square.  N(eps_r) = +1 settles
+    q = 1, and so does N(eps_2r) = +1: sqrt2 -> -sqrt2 sends E below 0.  Otherwise
+    E*E^sigma = eps_2^2 N(eps_r) N(eps_2r) = eps_2^2, and the square test starts
+    from beta = +-(1 + sqrt2).  classify's q-agreement rule compares the result
+    with q_from_symbols when (p1/p2) = -1.
     """
-    if fundamental_unit(pair.r).norm == 1:
+    if fundamental_unit(pair.r).norm == 1 or fundamental_unit(2 * pair.r).norm == 1:
         return 1
-    return 2 if exact_square_root(unit_product(pair)) is not None else 1
+    return 2 if exact_square_root(unit_product(pair), (1, 1)) is not None else 1

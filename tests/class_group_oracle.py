@@ -12,7 +12,11 @@ classtower.quadratic used for fundamental units before it read them off the
 walk of the principal cycle; it is kept to check that walk against.
 full_principal_cycle is the whole walk of the principal cycle that
 classtower.quadratic used before it stopped at the cycle's symmetric point; it
-is kept to check the half walk against.
+is kept to check the half walk against.  signed_principal_cycle is that half
+walk as it was before it kept only |a|, |c| and |Y|, and tonelli_shanks the
+square root mod p that classtower.symbols.sqrt_mod was before it shared one
+power between x and t; both are verbatim copies, kept to check the leaner
+kernels against.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     QuadUnit,
+    _reduced_principal,
     _rho,
     compose,
     field_discriminant,
@@ -264,3 +269,85 @@ def full_principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     if norm != (1 if steps % 2 == 0 else -1):
         raise ClassGroupError(f"norm/period mismatch for m={m}: {norm} vs l={steps}")
     return QuadUnit(u, v, w, m, norm), steps, tuple(ambiguous)
+
+
+def signed_principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
+    """(eps, l, ambiguous) from half a walk of the principal rho cycle of D = field_discriminant(m).
+
+    The l rho steps from the reduced principal form f_0 = (1, b_0, c_0) back to
+    |a| = 1 are the period of the continued fraction of omega (Cohen, A Course
+    in Computational Algebraic Number Theory, 5.7).  With f_i = (a_i, b_i, c_i),
+    Phi_i = prod_(j<i) (b_j + sqrt(D))/(2 a_j) = (X_i + Y_i sqrt(D))/2 is an
+    integer of norm a_i: Y_0 = 0, Y_1 = 1, Y_(i+1) = t_i Y_i - Y_(i-1) with
+    t_i = (b_(i-1) + b_i)/(2 a_i), and X_i = sign(Y_i) isqrt(D Y_i^2 + 4 a_i).
+    The cycle is a signed palindrome, so the walk stops at its symmetric point,
+    whichever comes first: the first i >= 1 with a_i | b_i gives l = 2i,
+    eps = +-Phi_i^2 / a_i and the ambiguous forms (1, a_i); the first i >= 0
+    with |a_(i+1)| = |a_i| gives l = 2i + 1, eps = +-Phi_(i+1) Phi_i / a_i and
+    (1,), the rest of the signed cycle being these forms negated.  A start
+    with a != 1, a non-square, an inexact division or N(eps) != (-1)^l raises
+    ClassGroupError (norm/period mismatch).
+    """
+    D = field_discriminant(m)
+    s = math.isqrt(D)
+    a, b, c = _reduced_principal(D, s)
+    if a != 1:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: the walk starts at a = {a}")
+    t, y_prev, y, i = 0, -1, 0, 0  # t_0 = 0 and Y_(-1) = -1 give Y_1 = 1
+    while True:  # eps = +-Phi_j Phi_i / a_i with j = i for even l, j = i + 1 for odd l
+        if i and b % a == 0:
+            steps, ambiguous, (y_j, a_j, y_i) = 2 * i, (1, a), (y, a, y)
+            break
+        y_prev, y = y, t * y - y_prev
+        if c == -a or c == a:
+            steps, ambiguous, (y_j, a_j, y_i) = 2 * i + 1, (1,), (y, c, y_prev)
+            break
+        # _rho of a reduced form, |c| <= s: b' = s - (s + b) mod 2|c| and t = (b + b')/(2c)
+        t, r = divmod(s + b, 2 * abs(c))
+        b, t = s - r, t if c > 0 else -t
+        a, c, i = c, (b * b - D) // (4 * c), i + 1
+    # +-Phi_k = (X_k + |Y_k| sqrt(D))/2 with X_k = isqrt(D Y_k^2 + 4 a_k)
+    n_j, n_i, y_j, y_i = D * y_j * y_j + 4 * a_j, D * y_i * y_i + 4 * a, abs(y_j), abs(y_i)
+    x_j, x_i = math.isqrt(max(n_j, 0)), math.isqrt(max(n_i, 0))
+    (u, ru), (v, rv) = (divmod(x_j * x_i + D * y_j * y_i, 2 * abs(a)),
+                        divmod(x_j * y_i + x_i * y_j, 2 * abs(a)))
+    # eps = (u + v sqrt(m))/w, as sqrt(D) = sqrt(m) or 2 sqrt(m); w = 1 when u, v are even
+    v, w, norm = v if D == m else 2 * v, 2, 1 if steps % 2 == 0 else -1
+    if u % 2 == v % 2 == 0:
+        u, v, w = u // 2, v // 2, 1
+    if x_j * x_j != n_j or x_i * x_i != n_i or ru or rv or not v or u * u - m * v * v != norm * w * w:
+        raise ClassGroupError(f"norm/period mismatch for m={m}: the half products give no "
+                              f"unit of norm {norm} for l={steps}")
+    return QuadUnit(u, v, w, m, norm), steps, ambiguous
+
+
+def tonelli_shanks(a: int, p: int) -> int:
+    """Some x with x^2 = a (mod p) for a prime p, by Tonelli-Shanks.
+
+    Raises ValueError when a is not a square mod p.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # invariant: x^2 = a*t, and t has order 2^i < 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:
+                raise ValueError(f"{p} is not prime")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x

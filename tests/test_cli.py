@@ -1130,16 +1130,30 @@ def test_scan_jobs2_imports_no_process_pool():
     assert proc.stderr == "[]\n"
 
 
+def _wait_for_fork(proc: subprocess.Popen) -> None:
+    """Return once ``proc`` has a forked child, polling every 10 ms; fail after 30 s."""
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 30
+    while not children.read_text().split():
+        if proc.poll() is not None or time.monotonic() > deadline:
+            pytest.fail(f"scan forked no child within 30 s (returncode {proc.returncode})")
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_interrupted_scan_exits_130_without_traceback(jobs):
     # Ctrl-C reaches the whole process group; forked children ignore it and the
-    # parent kills and reaps them before it exits
+    # parent kills and reaps them before it exits.  With --jobs 2 the signal goes
+    # out once the child exists, so the scan is still running when it lands.
     src = str(Path(classtower.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "1500",
                              "--jobs", jobs],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
-    time.sleep(1.0)
+    if jobs == "2":
+        _wait_for_fork(proc)
+    else:
+        time.sleep(1.0)
     os.killpg(proc.pid, signal.SIGINT)
     try:
         out, err = proc.communicate(timeout=120)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from class_group_oracle import tonelli_shanks
 from classtower.symbols import (
     _MR_BOUNDS,
     _MR_WITNESSES,
@@ -128,6 +129,32 @@ def test_sqrt_mod_every_residue():
             else:
                 with pytest.raises(ValueError, match="not a square"):
                     sqrt_mod(a, p)
+
+
+def _outcome(f, a, p):
+    """f(a, p), or the message of the ValueError it raises."""
+    try:
+        return f(a, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sqrt_mod_matches_the_old_tonelli_shanks():
+    # the same root, or the same ValueError, for every a mod p, p < 3000 ...
+    mismatches = [(a, p) for p in primes_upto(3000) for a in range(p)
+                  if _outcome(sqrt_mod, a, p) != _outcome(tonelli_shanks, a, p)]
+    assert mismatches == []
+    # ... and on seeded random primes below 2^61, some with a long 2-part of p - 1
+    rng = random.Random(61)
+    primes = []
+    while len(primes) < 60:
+        p = rng.randrange(3, 2**61) | 1 if len(primes) % 2 else rng.randrange(1, 2**20) << 40 | 1
+        if is_prime(p):
+            primes.append(p)
+    assert max(((p - 1) & (1 - p)).bit_length() for p in primes) > 40
+    for p in primes:
+        for a in [rng.randrange(p) for _ in range(40)] + [0, 1, 2, p - 1]:
+            assert _outcome(sqrt_mod, a, p) == _outcome(tonelli_shanks, a, p), (a, p)
 
 
 def test_jacobi_matches_legendre_on_primes():

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from classtower.quadratic import fundamental_unit
-from classtower.symbols import validate_pair
+from classtower.symbols import PrimePair, is_prime, primes_5_mod_8, validate_pair
 from classtower.unitindex import (
     MultiQuadElt,
     exact_square_root,
@@ -139,8 +141,6 @@ def test_q_from_symbols():
 
 
 def test_q_agreement_small_range():
-    from classtower.symbols import primes_5_mod_8
-
     ps = primes_5_mod_8(150)
     for i, p1 in enumerate(ps):
         for p2 in ps[i + 1 :]:
@@ -153,3 +153,33 @@ def test_mixed_fields_are_a_type_error():
     x, y = _elt(65, 2, 2), _elt(377, 2, 2)
     with pytest.raises(TypeError):
         x * y
+
+
+def _full_square_test(pair) -> int:
+    """q from the square test alone, with no shortcut: is eps_2 eps_r eps_2r a square?"""
+    return 2 if exact_square_root(unit_product(pair)) is not None else 1
+
+
+def test_unit_index_q_matches_the_full_square_test():
+    ps = primes_5_mod_8(500)
+    signs = Counter()
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            pair = validate_pair(p1, p2)
+            assert unit_index_q(pair) == _full_square_test(pair), pair
+            signs[pair.legendre] += 1
+    assert signs[1] > 100 and signs[-1] > 100
+
+
+def test_unit_index_shortcuts_hold_beyond_the_pairs():
+    # N(eps_2r) = -1 for every valid pair, so the N(eps_2r) = +1 shortcut is checked on
+    # products r = p1*p2 = 1 (mod 8) of other primes, where all four norm patterns occur
+    ps = [p for p in range(3, 200) if is_prime(p)]
+    branches = Counter()
+    for i, p1 in enumerate(ps):
+        for p2 in ps[i + 1 :]:
+            if p1 * p2 % 8 == 1:
+                pair = PrimePair(p1, p2)
+                assert unit_index_q(pair) == _full_square_test(pair), pair
+                branches[fundamental_unit(pair.r).norm, fundamental_unit(2 * pair.r).norm] += 1
+    assert set(branches) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
