@@ -11,8 +11,7 @@ one prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 __all__ = ["AbelianType", "GroupCheckError", "abelian_structure", "factorize",
            "p_part_exponents", "power"]
@@ -43,22 +42,22 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class AbelianType:
+class AbelianType(NamedTuple("AbelianType", [("divisors", tuple[int, ...])])):
     """Elementary divisor chain d1 | d2 | ... | dk, ascending, all di > 1.
 
     The empty chain is the trivial group.
     """
 
-    divisors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for d in self.divisors:
+    def __new__(cls, divisors: tuple[int, ...]) -> "AbelianType":
+        for d in divisors:
             if d <= 1:
-                raise ValueError(f"divisors must exceed 1, got {self.divisors}")
-        for a, b in zip(self.divisors, self.divisors[1:]):
+                raise ValueError(f"divisors must exceed 1, got {divisors}")
+        for a, b in zip(divisors, divisors[1:]):
             if b % a != 0:
-                raise ValueError(f"not a divisor chain: {self.divisors}")
+                raise ValueError(f"not a divisor chain: {divisors}")
+        return super().__new__(cls, divisors)
 
     @classmethod
     def from_factors(cls, factors: Iterable[int]) -> "AbelianType":

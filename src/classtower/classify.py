@@ -35,7 +35,6 @@ Math. Z. 39 (1934); F. Lemmermeyer, Reciprocity Laws (2000), ch. 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, starmap
 from math import prod
@@ -148,8 +147,7 @@ class Profile(NamedTuple):
     psi: PsiVariant
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     pair: PrimePair
     legendre: int
     pi: int  # (pi_1/pi_3)
@@ -543,8 +541,7 @@ class LPrediction(NamedTuple):
     cl2: AbelianType
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     group_order: int
     derived: AbelianType  # = Cl2 of the first Hilbert field
     cl2_k3: AbelianType
@@ -610,8 +607,7 @@ class Check(NamedTuple):
     got: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

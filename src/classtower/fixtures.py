@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .abelian import AbelianType
 from .classify import classify_pair
@@ -27,28 +27,29 @@ ENV_FIXTURE_PATH = "CLASSTOWER_FIXTURES"
 _CAPTION_KEYS = ("legendre", "pi", "m")
 
 
-@dataclass(frozen=True)
-class FixtureRow:
-    table: str
-    d: int
-    p1: int
-    p2: int
-    values: dict  # printed scalar columns: q, legendre, pi, b, m, n, disc, coclass
-    class_groups: dict  # printed tuples by column: cl_k0, cl_k0bar, cl_kk, cl_K1..7, cl_L1..7
+class FixtureRow(NamedTuple("FixtureRow", [("table", str), ("d", int), ("p1", int), ("p2", int),
+                                             ("values", dict), ("class_groups", dict)])):
+    """One printed row: values holds the scalar columns (q, legendre, pi, b, m, n, disc,
+    coclass), class_groups the printed tuples by column (cl_k0, cl_k0bar, cl_kk, cl_K1..7,
+    cl_L1..7)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, table: str, d: int, p1: int, p2: int, values: dict,
+                class_groups: dict) -> "FixtureRow":
         # only 2-parts are compared (_two_part_str), so no printed order is factorized
-        for f in (f for tup in self.class_groups.values() for f in tup):
+        for f in (f for tup in class_groups.values() for f in tup):
             if f < 1:
                 raise ValueError(f"cyclic orders must be >= 1, got {f}")
         # the order check passes a 2.5 or True, scalars compare as text, sqrt_mod needs int primes
-        bad = [x for x in (self.d, self.p1, self.p2, *self.values.values(),
-                           *(x for t in self.class_groups.values() for x in t)) if type(x) is not int]
+        bad = [x for x in (d, p1, p2, *values.values(),
+                           *(x for t in class_groups.values() for x in t)) if type(x) is not int]
         if bad:
-            raise ValueError(f"fixture row {self.table}/{self.d}: printed value {bad[0]!r} "
+            raise ValueError(f"fixture row {table}/{d}: printed value {bad[0]!r} "
                              "is not an integer")
-        if self.d != 2 * self.p1 * self.p2:
-            raise ValueError(f"fixture row {self.table}/{self.d}: d != 2*p1*p2")
+        if d != 2 * p1 * p2:
+            raise ValueError(f"fixture row {table}/{d}: d != 2*p1*p2")
+        return super().__new__(cls, table, d, p1, p2, values, class_groups)
 
 
 def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:
@@ -106,8 +107,7 @@ def _load_fixtures_cached(path: str | None) -> dict[str, list[FixtureRow]]:
     return out
 
 
-@dataclass(frozen=True)
-class ColumnResult:
+class ColumnResult(NamedTuple):
     column: str
     ok: bool
     expected: str
@@ -115,8 +115,7 @@ class ColumnResult:
     printed: str = ""  # the verbatim printed value, for audit (class-group columns)
 
 
-@dataclass(frozen=True)
-class RowResult:
+class RowResult(NamedTuple):
     table: str
     d: int
     p1: int

@@ -11,8 +11,8 @@ each prime once per process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .symbols import is_prime, sqrt_mod
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class GaussianInt(NamedTuple):
     """An element a + bi of Z[i] with arbitrary-precision coordinates."""
 
     re: int
@@ -51,8 +50,7 @@ class GaussianInt:
 ONE_PLUS_I = GaussianInt(1, 1)
 
 
-@dataclass(frozen=True)
-class PrimeSplit:
+class PrimeSplit(NamedTuple):
     """p = pi * conj(pi); split_prime returns pi = e + 2if normalized (e odd > 0, f > 0).
 
     i_residue is the image of i in Z[i]/(pi) = F_p.  conjugate_choice()

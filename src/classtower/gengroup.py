@@ -39,7 +39,6 @@ Burnside's basis theorem.  A presentation forms each word of generators once (wo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -85,14 +84,18 @@ class PresentationError(ValueError):
     """The (m, n, q, psi) data does not define a consistent group."""
 
 
-@dataclass(frozen=True)
-class GPresentation:
+class _PresentationData(NamedTuple):
     m: int
     n: int
     q: int
     psi: PsiVariant = PsiVariant.TAU_SIGMA
 
-    def __post_init__(self) -> None:
+
+class GPresentation(_PresentationData):
+    """The data (m, n, q, psi) of G, equal and hashed by value.  Once the tuple holds them,
+    __init__ validates them and sets the values derived from them on the instance."""
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.m < 2 or self.n < 1:
             raise PresentationError(f"need m >= 2 and n >= 1, got m={self.m}, n={self.n}")
         if self.q not in (1, 2):
@@ -111,11 +114,10 @@ class GPresentation:
         q2, pb = self.q == 2, 0 if self.psi is PsiVariant.SIGMA_ONLY else 1 << self.n
         a_mod, b_mod, b_wrap = 1 << (self.m + q2), 1 << (self.n + 1), 1 << (self.n + 1 + q2)
         carry, twist = (1 << self.m) * q2, 3 if q2 else -1
-        self.__dict__.update(
-            a_mod=a_mod, b_mod=b_mod, order=1 << (self.m + self.n + 2 + q2),
-            sigma_twist=twist, psi_exponents=(1 << (self.m - 1), pb), b_wrap=b_wrap, carry=carry,
-            relations=_hermite([(a_mod, 0), (carry, -b_mod), (0, b_wrap)]), t_diagonal=(twist, -1),
-        )
+        self.a_mod, self.b_mod, self.b_wrap, self.carry = a_mod, b_mod, b_wrap, carry
+        self.order, self.psi_exponents = 1 << (self.m + self.n + 2 + q2), (1 << (self.m - 1), pb)
+        self.sigma_twist, self.t_diagonal = twist, (twist, -1)
+        self.relations = _hermite([(a_mod, 0), (carry, -b_mod), (0, b_wrap)])
         # conjugation by rho must be an involution of A fixing psi
         for g in (self.sigma(), self.tau()):
             twice = self._conj_a(*self._conj_a(g[1], g[2]))
@@ -279,8 +281,7 @@ def _smith_diagonal(x: int, y: int, z: int, r2: tuple[int, int] | None = None) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """H = M u rM: M = H & A by the Hermite basis of its preimage in Z^2, r outside A or None.
 
     r is reduced modulo M, so two subgroups are equal exactly when their fields are.

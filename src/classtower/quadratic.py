@@ -17,7 +17,6 @@ class number h.  No analytic input anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, islice
 from typing import NamedTuple
@@ -67,28 +66,27 @@ def _factorize(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadUnit:
-    """Fundamental unit (u + v*sqrt(m))/w of the maximal order of Q(sqrt(m))."""
+class QuadUnit(NamedTuple("QuadUnit", [("u", int), ("v", int), ("w", int), ("m", int),
+                                         ("norm", int)])):
+    """Fundamental unit (u + v*sqrt(m))/w of the maximal order of Q(sqrt(m)).
 
-    u: int
-    v: int
-    w: int  # 1, or 2 when m = 1 (mod 4) and u, v are both odd
-    m: int
-    norm: int
+    w is 1, or 2 when m = 1 (mod 4) and u, v are both odd.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.u * self.u - self.m * self.v * self.v) != self.norm * self.w * self.w:
-            raise ClassGroupError(f"{self._label()} does not have norm {self.norm}")
-        if self.norm not in (1, -1):
-            raise ClassGroupError(f"{self._label()} has norm {self.norm}, not a unit")
-        if self.u <= 0 or self.v <= 0:
-            raise ClassGroupError(f"{self._label()} is not the unit > 1 with u, v > 0")
+    __slots__ = ()
 
-    def _label(self) -> str:
+    def __new__(cls, u: int, v: int, w: int, m: int, norm: int) -> "QuadUnit":
+        if u * u - m * v * v != norm * w * w:
+            fault = f"does not have norm {norm}"
+        elif norm not in (1, -1):
+            fault = f"has norm {norm}, not a unit"
+        elif u <= 0 or v <= 0:
+            fault = "is not the unit > 1 with u, v > 0"
+        else:
+            return super().__new__(cls, u, v, w, m, norm)
         # by bit lengths: str() of a unit over 4300 digits raises ValueError
-        return (f"unit of Q(sqrt({self.m})) with {self.u.bit_length()}-bit u, "
-                f"{self.v.bit_length()}-bit v")
+        raise ClassGroupError(f"unit of Q(sqrt({m})) with {u.bit_length()}-bit u, "
+                              f"{v.bit_length()}-bit v {fault}")
 
 
 @lru_cache(maxsize=None)
@@ -346,8 +344,7 @@ def reduce_indefinite(f: BQForm) -> BQForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(NamedTuple):
     """The 2-Sylow subgroup of the form class group of discriminant D (wide for D > 0)."""
 
     D: int
@@ -553,7 +550,8 @@ def _narrow_exponents(D: int, m: int, primes: list[int], relation: int, j: int):
     basis elements already of full order.  x lies in V_(k+1) exactly when
     chi(y) lies in W_k; then y times roots from W_k is a square, whose square
     root is the next root.  Elimination over F2 splits off the others, each a
-    cyclic factor of order 2^k.  No two classes are compared.
+    cyclic factor of order 2^k.  No two classes are compared.  A valid exponent e has
+    2^e <= h < |D|, so a level beyond the bit length of |D| is a self-check failure.
     """
     two = _two_character(D, primes)
     m_primes = [q for q in primes if m % q == 0]
@@ -563,6 +561,9 @@ def _narrow_exponents(D: int, m: int, primes: list[int], relation: int, j: int):
     full: dict[int, tuple[int, int, BQForm]] = {}  # pivot -> (genus vector, coordinates, root)
     exponents, height, k = [], 0, 1
     while level:
+        if k > abs(D).bit_length():
+            raise ClassGroupError(f"D={D}: the 2-Sylow descent reached level {k} > "
+                                  f"{abs(D).bit_length()}, the bit length of |D|")
         pivots = {bit: (vec, 0, root) for bit, (vec, _, root) in full.items()}
         nxt = []
         for coords, root in level:

@@ -8,7 +8,7 @@ p1 = p2 = 5 (mod 8), p1 != p2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "InvalidPairError",
@@ -168,8 +168,7 @@ def quartic_symbol_mod2(x: int) -> int:
     return -1 if ((x - 1) // 8) % 2 else 1
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(NamedTuple):
     """A validated pair of distinct primes p1 = p2 = 5 (mod 8)."""
 
     p1: int

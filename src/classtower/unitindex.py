@@ -15,7 +15,7 @@ involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quadratic import QuadUnit, fundamental_unit
 from .symbols import PrimePair, quartic_symbol, quartic_symbol_mod2
@@ -33,21 +33,20 @@ class UnitIndexError(AssertionError):
     """A unit-index self-check failed; raised explicitly, so it survives python -O."""
 
 
-@dataclass(frozen=True)
-class MultiQuadElt:
+class MultiQuadElt(NamedTuple("MultiQuadElt", [("r", int), ("c", tuple[int, int, int, int])])):
     """(c0 + c1*sqrt(2) + c2*sqrt(r) + c3*sqrt(2r))/2, an algebraic integer of Q(sqrt2, sqrt r).
 
     The ci are the integer doubled coordinates; r = 1 (mod 8) makes c0 = c2 and
     c1 = c3 (mod 2) exactly the condition for the element to be integral.
     """
 
-    r: int
-    c: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c0, c1, c2, c3 = self.c
-        if self.r % 8 != 1 or (c0 - c2) % 2 or (c1 - c3) % 2:
-            raise ValueError(f"{self.c}/2 is not an integer of Q(sqrt2, sqrt{self.r})")
+    def __new__(cls, r: int, c: tuple[int, int, int, int]) -> "MultiQuadElt":
+        c0, c1, c2, c3 = c
+        if r % 8 != 1 or (c0 - c2) % 2 or (c1 - c3) % 2:
+            raise ValueError(f"{c}/2 is not an integer of Q(sqrt2, sqrt{r})")
+        return super().__new__(cls, r, c)
 
     @classmethod
     def from_unit(cls, unit: QuadUnit, r: int) -> "MultiQuadElt":
@@ -141,7 +140,7 @@ def exact_square_root(target: MultiQuadElt, beta=None) -> MultiQuadElt | None:
         if a is None or (t0 - b0) % r or (t1 - b1) % r:
             continue
         b = _sqrt_z2((t0 - b0) // r, (t1 - b1) // r)
-        # a root is an integer of K: its coordinates must pass __post_init__'s parity check
+        # a root is an integer of K: its coordinates must pass MultiQuadElt's parity check
         if b is None or (a[0] - b[0]) % 2 or (a[1] - b[1]) % 2:
             continue
         for s2 in (1, -1):

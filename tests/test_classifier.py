@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -359,7 +358,7 @@ def test_presentation_classes_share_no_presentation():
 def test_detached_consistency_errors():
     # a record with a wrong q must be rejected by the consistency layer
     rec = invariants(validate_pair(5, 13))
-    bad = replace(rec, q=1)
+    bad = rec._replace(q=1)
     from classtower.classify import _check_consistency
 
     with pytest.raises(ConsistencyError):
@@ -391,7 +390,7 @@ def test_detached_consistency_errors():
 def test_each_rule_names_its_failure(rule, base, forge):
     from classtower.classify import _check_consistency
 
-    bad = replace(invariants(validate_pair(*base)), **forge)
+    bad = invariants(validate_pair(*base))._replace(**forge)
     with pytest.raises(ConsistencyError) as exc:
         _check_consistency(bad)
     assert exc.value.rules == (rule,)

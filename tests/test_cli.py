@@ -1317,6 +1317,29 @@ def test_principal_cycle_checks_under_python_O(forgery, message):
     assert message in proc.stderr
 
 
+_FORGED_AMBIGUOUS = """
+import sys
+from classtower import quadratic
+from classtower.cli import main
+walk = quadratic._principal_cycle
+unit, steps, _ = walk(377)  # the walk of 13 * 29 reports an ambiguous form (1, -13)
+quadratic._principal_cycle = lambda m: (unit, steps, (1, -13)) if m == 377 else walk(m)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_unbounded_descent_under_python_O():
+    # the forged relation sends the 2-Sylow descent past the bit length of |D|; its level bound
+    # raises ClassGroupError, an AssertionError, also under -O, instead of running forever
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_AMBIGUOUS, "classify", "--p1",
+                           "13", "--p2", "29"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("consistency failure:") and proc.stderr.count("\n") == 1
+    assert "the bit length of |D|" in proc.stderr
+
+
 _FORGED_CONJUGATE = """
 import sys
 from classtower import unitindex
@@ -1594,6 +1617,25 @@ def test_well_formed_argv_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", _PARSER_STATE, *argvs], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[0, 0, 0, 0] 0 False\n"
+
+
+_IMPORTED = """
+import contextlib, io, sys
+from classtower import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+
+def test_classify_imports_no_dataclasses():
+    # the value classes are NamedTuples, so a one-shot classify never imports dataclasses, nor
+    # the inspect, ast, dis and tokenize that dataclasses pulls in
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED, "classify", "--p1", "5", "--p2", "13",
+                           "--json"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "0 False False\n"
 
 
 def test_python_m_classtower_runs_main(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -420,6 +421,25 @@ def test_class_groups_with_a_one_entry_table(monkeypatch):
     finally:
         quadratic.class_group.cache_clear()
     assert len(tail) > len(discs)
+
+
+def test_descent_levels_are_bounded_by_the_discriminant(monkeypatch):
+    # a walk forged to report the ambiguous form (1, -13) for m = 377 sends the descent past
+    # every valid level; a 2-Sylow exponent e has 2^e <= h < |D|, so it stops at the bit length
+    from classtower import quadratic
+
+    walk = quadratic._principal_cycle
+    unit, steps, _ = walk(377)
+    monkeypatch.setattr(quadratic, "_principal_cycle",
+                        lambda m: (unit, steps, (1, -13)) if m == 377 else walk(m))
+    quadratic.class_group.cache_clear()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ClassGroupError, match="reached level 10 > 9, the bit length of"):
+            quadratic.class_group(377)
+    finally:
+        quadratic.class_group.cache_clear()
+    assert time.perf_counter() - start < 5
 
 
 def test_shared_factorization_is_factorize():
