@@ -49,6 +49,7 @@ class AbelianType(NamedTuple("AbelianType", [("divisors", tuple[int, ...])])):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, divisors: tuple[int, ...]) -> "AbelianType":
         for d in divisors:

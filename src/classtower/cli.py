@@ -23,6 +23,7 @@ process is computed by the parent; without ``os.fork``, one process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -320,6 +321,7 @@ def _scan_child(pairs, write_end) -> NoReturn:
     try:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by the fork
             doc, code = [_scan_pair(p) for p in pairs], 0
         except BaseException as exc:
             doc = f"{type(exc).__name__}: {exc}"
@@ -400,18 +402,27 @@ def _start_child(pairs: list) -> tuple[int, int] | None:
 def _scan_rows(pairs: list, jobs: int) -> list[dict]:
     """The scan rows of ``pairs`` in order, from ``jobs`` processes: the parent computes
     the first of the ``_shares`` and forked children the others; a share that gets no
-    child is the parent's too."""
+    child is the parent's too.  While they run, each runs on a CPU of its own, if it can."""
     jobs = min(jobs, len(pairs)) if hasattr(os, "fork") else 1
     mine, *others = _shares(pairs, jobs)
+    cpus = sorted(os.sched_getaffinity(0)) if others and hasattr(os, "sched_setaffinity") else []
     children = {}  # pid -> (its share, the read end of its pipe), for every child not yet reaped
     rows = [None] * len(pairs)
     try:
         for share in others:
-            child = _start_child([pairs[i] for i in share])
-            if child is None:
-                mine += share
-            else:
-                children[child[0]] = share, child[1]
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:  # a SIGINT lands once the child is in ``children``, to be reaped below
+                child = _start_child([pairs[i] for i in share])
+                if child is None:
+                    mine += share
+                else:
+                    children[child[0]] = share, child[1]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if children and cpus:  # the parent and each child on its own CPU, round-robin
+            with contextlib.suppress(OSError):
+                for k, pid in enumerate([0, *children]):
+                    os.sched_setaffinity(pid, {cpus[k % len(cpus)]})
         for i in mine:
             rows[i] = _scan_pair(pairs[i])
         for pid, (share, read_end) in list(children.items()):
@@ -426,6 +437,9 @@ def _scan_rows(pairs: list, jobs: int) -> list[dict]:
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
     return rows
 
 

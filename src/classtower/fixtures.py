@@ -34,6 +34,7 @@ class FixtureRow(NamedTuple("FixtureRow", [("table", str), ("d", int), ("p1", in
     cl_L1..7)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, table: str, d: int, p1: int, p2: int, values: dict,
                 class_groups: dict) -> "FixtureRow":

@@ -22,7 +22,7 @@ from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .abelian import AbelianType, factorize
-from .symbols import PrimePair, is_prime, jacobi, sqrt_mod
+from .symbols import PrimePair, is_prime, sqrt_mod
 
 __all__ = [
     "QuadUnit",
@@ -74,6 +74,7 @@ class QuadUnit(NamedTuple("QuadUnit", [("u", int), ("v", int), ("w", int), ("m",
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, u: int, v: int, w: int, m: int, norm: int) -> "QuadUnit":
         if u * u - m * v * v != norm * w * w:
@@ -212,11 +213,11 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     B = b1 (mod 2|a1|) and B = b2 (mod 2|a2|) (united-forms construction).
     """
     a1, b1, c1 = f1
+    a2, b2, c2 = f2
     D = b1 * b1 - 4 * a1 * c1
-    if f2.disc() != D:
+    if b2 * b2 - 4 * a2 * c2 != D:
         raise ClassGroupError(f"cannot compose {f1} and {f2}: discriminants differ")
-    f2 = _coprime_representative(f2, a1)
-    a2, b2, _ = f2
+    a2, b2, _ = f2 = _coprime_representative(f2, a1)
     n1, n2 = 2 * abs(a1), 2 * abs(a2)
     B = _crt(b1 % n1, n1, b2 % n2, n2)
     A = a1 * a2
@@ -333,10 +334,11 @@ def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int]:
 
 
 def reduce_indefinite(f: BQForm) -> BQForm:
-    s = math.isqrt(f.disc())
-    while not _is_reduced_indefinite(f.a, f.b, s):
-        f = rho_step(f, s)
-    return f
+    a, b, c = f
+    s = math.isqrt(D := b * b - 4 * a * c)
+    while not _is_reduced_indefinite(a, b, s):
+        a, (b, c) = c, _rho(b, c, D, s)
+    return BQForm(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -376,78 +378,72 @@ def _validate_disc(D: int) -> dict[int, int]:
     return factors
 
 
-def _two_character(D: int, primes: list[int]) -> tuple[int, ...]:
+def _two_character(D: int) -> tuple[int, ...]:
     """Residues n mod 8 where the genus character of the prime 2 is -1 (none for odd D).
 
-    D is the product of the prime discriminants (-1)^((q-1)/2) q of its odd
-    primes and one of 1, -4, 8, -8.
+    D is the product of the prime discriminants (-1)^((q-1)/2) q of its odd primes, which
+    is 1 (mod 4), and of -4 for D = 4 (mod 8), 8 or -8 for D = 8 or 24 (mod 32), else 1.
     """
-    odd = 1
-    for q in primes:
-        if q != 2:
-            odd *= q if q % 4 == 1 else -q
-    return {1: (), -4: (3, 7), 8: (3, 5), -8: (5, 7)}[D // odd]
+    return {8: (3, 5), 24: (5, 7)}.get(D % 32, (3, 7) if D % 8 == 4 else ())
 
 
 def _genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) -> int:
     """Bit i set when the genus character of primes[i] is -1 on f; the last one dropped.
 
     The characters are evaluated on a value n of f coprime to D; their product
-    is the Kronecker symbol (D/n) = 1, which is checked.
+    is the Kronecker symbol (D/n) = 1, which is checked.  At odd q it is n^((q-1)/2) mod q.
     """
     a, b, c = f
-    for x, y in _search_vectors():
+    for x, y in _SMALL_VECTORS:
         n = a * x * x + b * x * y + c * y * y
         if math.gcd(n, D) == 1:
             break
+    else:  # the whole search again, into the generator's tail
+        n = next(n for x, y in _search_vectors() if math.gcd(n := f.value(x, y), D) == 1)
     vec = 0
     for i, q in enumerate(primes):
-        if (n % 8 in two) if q == 2 else jacobi(n, q) == -1:
+        if (n % 8 in two) if q == 2 else pow(n, q >> 1, q) != 1:
             vec |= 1 << i
     if vec.bit_count() % 2:
         raise ClassGroupError(f"genus characters of {f} at n = {n} multiply to -1")
     return vec & ~(1 << (len(primes) - 1))
 
 
-def _squarefree_split(n: int) -> tuple[int, int, list[int]]:
-    """(s, c, primes of c) with n = s^2 * c and c squarefree, sign(c) = sign(n)."""
-    s, c, primes = 1, 1 if n > 0 else -1, []
-    for q, e in factorize(abs(n)).items():
-        s *= q ** (e // 2)
-        if e % 2:
-            c *= q
-            primes.append(q)
-    return s, c, primes
-
-
 def _legendre(a: int, fa: list[int], b: int, fb: list[int]) -> tuple[int, int, int]:
     """Nonzero (w, x, y) with w^2 = a x^2 + b y^2, for squarefree a, b with primes fa, fb.
 
-    Lagrange's descent: with r^2 = a (mod b) and |r| <= |b|/2, r^2 - a = b s^2 c
-    where c is squarefree and |c| < |b|, and a point for (a, c) lifts through the
-    norm of r + sqrt(a).  Raises ClassGroupError when the conic has no point.
+    Lagrange's descent, as one loop: with r^2 = a (mod b) and |r| <= |b|/2, r^2 - a =
+    b s^2 c where c is squarefree and |c| < |b|, and a point for (a, c) lifts through the
+    norm of r + sqrt(a), innermost level first.  Raises ClassGroupError when there is none.
     """
-    if abs(a) > abs(b):
-        w, y, x = _legendre(b, fb, a, fa)
-        return w, x, y
-    if a == 1:
-        return 1, 1, 0
-    if b == 1:
-        return 1, 0, 1
-    n = abs(b)
-    try:
-        r, mod = 0, 1
-        for q in fb:  # the CRT step for the coprime moduli mod and q
-            r, mod = r + mod * ((sqrt_mod(a, q) - r) * pow(mod, -1, q) % q), mod * q
-    except ValueError:
-        raise ClassGroupError(f"w^2 = {a} x^2 + {b} y^2 has no rational point") from None
-    if n == 1:  # a = b = -1
-        raise ClassGroupError("w^2 = -x^2 - y^2 has no rational point")
-    if r > n // 2:
-        r -= n
-    s, c, fc = _squarefree_split((r * r - a) // b)
-    w, x, y = _legendre(a, fa, c, fc)
-    return r * w + a * x, w + r * x, s * c * y
+    lifts = []  # per level (r, a, s c), or None where a and b were swapped
+    while True:
+        if abs(a) > abs(b):
+            a, fa, b, fb = b, fb, a, fa
+            lifts.append(None)
+        if a == 1 or b == 1:
+            w, x, y = (1, 1, 0) if a == 1 else (1, 0, 1)
+            break
+        try:
+            r, mod = 0, 1
+            for q in fb:  # the CRT step for the coprime moduli mod and q
+                r, mod = r + mod * ((sqrt_mod(a, q) - r) * pow(mod, -1, q) % q), mod * q
+        except ValueError:
+            raise ClassGroupError(f"w^2 = {a} x^2 + {b} y^2 has no rational point") from None
+        if b == -1:  # and a = -1
+            raise ClassGroupError("w^2 = -x^2 - y^2 has no rational point")
+        r -= abs(b) if 2 * r > abs(b) else 0
+        n = (r * r - a) // b  # = s^2 c with c squarefree of the sign of n: the next b
+        fb = [q for q, e in factorize(abs(n)).items() if e % 2]
+        b = math.prod(fb) if n > 0 else -math.prod(fb)
+        lifts.append((r, a, math.isqrt(n // b) * b))
+    for lift in reversed(lifts):
+        if lift is None:
+            x, y = y, x
+        else:
+            r, a, sc = lift
+            w, x, y = r * w + a * x, w + r * x, sc * y
+    return w, x, y
 
 
 def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
@@ -460,13 +456,19 @@ def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
     """
     a, b, c = f
     D = b * b - 4 * a * c
-    for x, y in _search_vectors():
-        if _odd_prime_prime_to(a * x * x + b * x * y + c * y * y, D):
+    for x, y in _SMALL_VECTORS:  # an odd prime value p prime to D
+        p = abs(a * x * x + b * x * y + c * y * y)
+        if p > 2 and D % p and is_prime(p):
             break
-    g = _transform(f, x, y)
+    else:  # the whole search again, into the generator's tail
+        x, y = next((x, y) for x, y in _search_vectors()
+                    if (p := abs(f.value(x, y))) > 2 and D % p and is_prime(p))
+    g = _transform(f, x, y) if y else f  # (1, 0) is the one vector with y = 0
     p, b, _ = g
     w, u, v = _legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2
     X, Y, Z = 2 * w, u if D % 4 == 0 else 2 * u, v  # X^2 - D Y^2 = 4p Z^2
+    if X * X - D * Y * Y != 4 * p * Z * Z:
+        raise ClassGroupError(f"({X}, {Y}, {Z}) is not a point of X^2 - {D} Y^2 = 4*{p} Z^2")
     if not Y:  # then X^2 = 4p Z^2 with p prime: only the zero point
         raise ClassGroupError(f"conic point ({X}, {Y}, {Z}) of {g} has Y = 0")
     k = math.gcd(X, Y, Z)
@@ -477,20 +479,16 @@ def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
         raise ClassGroupError(f"conic point ({X}, {Y}) of {g} has p | Y")
     x, y = (X - b * Y) // (2 * p), Y
     k = math.gcd(x, y)
-    sq = _transform(g, x // k, y // k)
-    z = math.isqrt(sq.a) if sq.a > 0 else 0
-    if z * z != sq.a or math.gcd(z, sq.b) != 1:
+    A, B, C = sq = _transform(g, x // k, y // k)
+    z = math.isqrt(A) if A > 0 else 0
+    if z * z != A or math.gcd(z, B) != 1:
         raise ClassGroupError(f"conic point gives {sq}, not (z^2, B, C) with gcd(z, B) = 1")
-    return BQForm(z, sq.b, z * sq.c)
-
-
-def _odd_prime_prime_to(v: int, D: int) -> bool:
-    return abs(v) > 2 and D % v != 0 and is_prime(abs(v))
+    return BQForm(z, B, z * C)
 
 
 def _ambiguous_form(D: int, q: int) -> BQForm:
     """The form (q, b, c) with q | b of the prime q | D (the ramified prime above q)."""
-    b = next(b for b in (0, q) if (b * b - D) % (4 * q) == 0)
+    b = 0 if D % (4 * q) == 0 else q
     return BQForm(q, b, (b * b - D) // (4 * q))
 
 
@@ -510,12 +508,11 @@ def _narrow_relation(D: int, m: int, primes: list[int], s_m: int) -> int:
     """
     if D < 0:
         relation = s_m or 1  # D = -4: (1 + i) is principal
-        one = reduce_definite(principal_form(D))
-        prod = one
-        for i, q in enumerate(primes):
-            if relation >> i & 1:
-                prod = reduce_definite(compose(prod, _ambiguous_form(D, q)))
-        if prod != one:
+        forms = [_ambiguous_form(D, q) for i, q in enumerate(primes) if relation >> i & 1]
+        prod = reduce_definite(forms[0])
+        for form in forms[1:]:
+            prod = reduce_definite(compose(prod, form))
+        if prod != principal_form(D):  # reduced for D < 0
             raise ClassGroupError(f"D={D}: the ambiguous forms of {m} compose to {prod}, not 1")
         return relation
     _, steps, ambiguous = _principal_cycle(m)
@@ -553,7 +550,7 @@ def _narrow_exponents(D: int, m: int, primes: list[int], relation: int, j: int):
     cyclic factor of order 2^k.  No two classes are compared.  A valid exponent e has
     2^e <= h < |D|, so a level beyond the bit length of |D| is a self-check failure.
     """
-    two = _two_character(D, primes)
+    two = _two_character(D)
     m_primes = [q for q in primes if m % q == 0]
     reduce = reduce_definite if D < 0 else reduce_indefinite
     top = relation.bit_length() - 1

@@ -41,6 +41,7 @@ class MultiQuadElt(NamedTuple("MultiQuadElt", [("r", int), ("c", tuple[int, int,
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, r: int, c: tuple[int, int, int, int]) -> "MultiQuadElt":
         c0, c1, c2, c3 = c

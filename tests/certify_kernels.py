@@ -12,7 +12,14 @@ It compares, and prints the number of cases and of mismatches for each:
 - ``quadratic._principal_cycle`` with ``signed_principal_cycle`` on ``m = r, 2r`` for
   every pair with ``p2 <= 1500`` and for the pairs of the benchmark's large pool;
 - ``unitindex.unit_index_q`` with the square test alone, ``exact_square_root`` of
-  ``unit_product``, on the same pairs.
+  ``unit_product``, on the same pairs;
+- the 2-Sylow descent of ``quadratic.class_group`` with the old kernels on ``D`` of
+  ``-r, r, -2r, 2r`` for the same pairs (``descent_report``): every level of Lagrange's
+  descent (``_legendre`` with ``recursive_legendre``), every square root of a form
+  (``_square_root`` with ``search_square_root``), every genus vector (``_genus_vector``
+  with ``jacobi_genus_vector`` and ``odd_part_two_character``), every ``(exponents,
+  height)`` of ``_narrow_exponents`` and every 2-part, the last two recomputed with
+  the old kernels in place of the new.
 
 The exit code is 1 when any case mismatches.  The pool is read from
 ``perfbench/data/large_pool.json``, which is only read.  pytest does not collect this
@@ -21,6 +28,7 @@ file.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import sys
@@ -29,8 +37,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import class_group_oracle as oracle  # noqa: E402
 from class_group_oracle import signed_principal_cycle, tonelli_shanks  # noqa: E402
-from classtower.quadratic import _principal_cycle, fundamental_unit  # noqa: E402
+from classtower import quadratic  # noqa: E402
+from classtower.quadratic import _principal_cycle, field_discriminant, fundamental_unit  # noqa: E402
 from classtower.symbols import is_prime, primes_5_mod_8, sqrt_mod, validate_pair  # noqa: E402
 from classtower.unitindex import exact_square_root, unit_index_q, unit_product  # noqa: E402
 
@@ -73,6 +83,76 @@ def full_q(pair) -> int:
     return 2 if exact_square_root(unit_product(pair)) is not None else 1
 
 
+def _recorded(module, names: list[str], calls: dict):
+    """Wrap ``module``'s functions ``names`` to append (arguments, a copy of the result) to
+    ``calls[name]``; returns a function that puts the originals back.  The copy keeps what
+    was returned: class_group edits the exponent list of _narrow_exponents afterwards."""
+    originals = {name: getattr(module, name) for name in names}
+
+    def recorder(name):
+        def wrapped(*args):
+            result = originals[name](*args)
+            calls.setdefault(name, []).append((args, copy.deepcopy(result)))
+            return result
+        return wrapped
+
+    for name in names:
+        setattr(module, name, recorder(name))
+    return lambda: [setattr(module, name, f) for name, f in originals.items()]
+
+
+def _old_genus_vector(f, D, primes, two):
+    return oracle.jacobi_genus_vector(f, D, primes, oracle.odd_part_two_character(D, primes))
+
+
+def descent_report(pairs) -> dict[str, tuple[int, list]]:
+    """{kernel: (cases, mismatches)} of the 2-Sylow descent against the old kernels on the
+    discriminants of -r, r, -2r, 2r, each class group computed from a cold cache."""
+    discs = sorted({field_discriminant(s * k * pair.r) for pair in pairs
+                    for s in (-1, 1) for k in (1, 2)})
+    calls: dict[str, list] = {}
+    restore = _recorded(quadratic, ["_legendre", "_square_root", "_genus_vector",
+                                    "_narrow_exponents"], calls)
+    quadratic.class_group.cache_clear()
+    try:
+        new = {D: quadratic.class_group(D).two_part for D in discs}
+    finally:
+        restore()
+        quadratic.class_group.cache_clear()
+    levels: dict[str, list] = {}
+    restore = _recorded(oracle, ["recursive_legendre"], levels)
+    try:  # the old recursion calls itself through the module, so every level is recorded
+        for args, _ in calls["_legendre"]:
+            oracle.recursive_legendre(*args)
+    finally:
+        restore()
+    old_kernels = {"_square_root": oracle.search_square_root, "_genus_vector": _old_genus_vector}
+    saved = {name: getattr(quadratic, name) for name in old_kernels}
+    for name, f in old_kernels.items():
+        setattr(quadratic, name, f)
+    try:
+        bad_exponents = [args[0] for args, result in calls["_narrow_exponents"]
+                         if quadratic._narrow_exponents(*args) != result]
+        bad_two_parts = [D for D in discs if quadratic.class_group(D).two_part != new[D]]
+    finally:
+        for name, f in saved.items():
+            setattr(quadratic, name, f)
+        quadratic.class_group.cache_clear()
+    level_calls = levels["recursive_legendre"]
+    return {
+        "conic points, every level of the descent": (len(level_calls), [
+            args for args, result in level_calls if quadratic._legendre(*args) != result]),
+        "square roots of forms": (len(calls["_square_root"]), [
+            args for args, result in calls["_square_root"]
+            if oracle.search_square_root(*args) != result]),
+        "genus vectors": (len(calls["_genus_vector"]), [
+            args for args, result in calls["_genus_vector"]
+            if _old_genus_vector(*args) != result]),
+        "(exponents, height)": (len(calls["_narrow_exponents"]), bad_exponents),
+        "2-parts": (len(discs), bad_two_parts),
+    }
+
+
 def report(name: str, cases: int, mismatches: list) -> bool:
     print(f"{name}: {cases} cases, {len(mismatches)} mismatches"
           + (f", first {mismatches[:5]}" if mismatches else ""), flush=True)
@@ -90,6 +170,9 @@ def main() -> int:
         ok &= report(f"walk vs signed walk, m = r, 2r, {label}", len(ms), bad)
         bad = [(pair.p1, pair.p2) for pair in group if unit_index_q(pair) != full_q(pair)]
         ok &= report(f"unit_index_q vs the square test, {label}", len(group), bad)
+        for name, (n_cases, bad) in descent_report(group).items():
+            ok &= report(f"descent vs the old kernels: {name}, D of -r, r, -2r, 2r, {label}",
+                         n_cases, bad)
     return 0 if ok else 1
 
 

@@ -16,20 +16,27 @@ is kept to check the half walk against.  signed_principal_cycle is that half
 walk as it was before it kept only |a|, |c| and |Y|, and tonelli_shanks the
 square root mod p that classtower.symbols.sqrt_mod was before it shared one
 power between x and t; both are verbatim copies, kept to check the leaner
-kernels against.
+kernels against.  recursive_legendre (with squarefree_split), search_square_root
+(with odd_prime_prime_to), jacobi_genus_vector and odd_part_two_character are the
+recursive Lagrange descent, the square root of a form and the genus characters as
+they were before the descent became one loop, the searches read the vector table
+directly and the characters came from Euler's criterion and D mod 32; they are
+verbatim copies too.
 """
 
 from __future__ import annotations
 
 import math
 
-from classtower.abelian import AbelianType, abelian_structure, p_part_exponents, power
+from classtower.abelian import AbelianType, abelian_structure, factorize, p_part_exponents, power
 from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     QuadUnit,
     _reduced_principal,
     _rho,
+    _search_vectors,
+    _transform,
     compose,
     field_discriminant,
     principal_form,
@@ -37,6 +44,7 @@ from classtower.quadratic import (
     reduce_indefinite,
     rho_step,
 )
+from classtower.symbols import is_prime, jacobi, sqrt_mod
 
 
 def reduced_definite_forms(D: int) -> list[BQForm]:
@@ -351,3 +359,115 @@ def tonelli_shanks(a: int, p: int) -> int:
         b = pow(c, 1 << (s - i - 1), p)
         s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
     return x
+
+
+def odd_part_two_character(D: int, primes: list[int]) -> tuple[int, ...]:
+    """Residues n mod 8 where the genus character of the prime 2 is -1 (none for odd D).
+
+    D is the product of the prime discriminants (-1)^((q-1)/2) q of its odd
+    primes and one of 1, -4, 8, -8.
+    """
+    odd = 1
+    for q in primes:
+        if q != 2:
+            odd *= q if q % 4 == 1 else -q
+    return {1: (), -4: (3, 7), 8: (3, 5), -8: (5, 7)}[D // odd]
+
+
+def jacobi_genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) -> int:
+    """Bit i set when the genus character of primes[i] is -1 on f; the last one dropped.
+
+    The characters are evaluated on a value n of f coprime to D; their product
+    is the Kronecker symbol (D/n) = 1, which is checked.
+    """
+    a, b, c = f
+    for x, y in _search_vectors():
+        n = a * x * x + b * x * y + c * y * y
+        if math.gcd(n, D) == 1:
+            break
+    vec = 0
+    for i, q in enumerate(primes):
+        if (n % 8 in two) if q == 2 else jacobi(n, q) == -1:
+            vec |= 1 << i
+    if vec.bit_count() % 2:
+        raise ClassGroupError(f"genus characters of {f} at n = {n} multiply to -1")
+    return vec & ~(1 << (len(primes) - 1))
+
+
+def squarefree_split(n: int) -> tuple[int, int, list[int]]:
+    """(s, c, primes of c) with n = s^2 * c and c squarefree, sign(c) = sign(n)."""
+    s, c, primes = 1, 1 if n > 0 else -1, []
+    for q, e in factorize(abs(n)).items():
+        s *= q ** (e // 2)
+        if e % 2:
+            c *= q
+            primes.append(q)
+    return s, c, primes
+
+
+def recursive_legendre(a: int, fa: list[int], b: int, fb: list[int]) -> tuple[int, int, int]:
+    """Nonzero (w, x, y) with w^2 = a x^2 + b y^2, for squarefree a, b with primes fa, fb.
+
+    Lagrange's descent: with r^2 = a (mod b) and |r| <= |b|/2, r^2 - a = b s^2 c
+    where c is squarefree and |c| < |b|, and a point for (a, c) lifts through the
+    norm of r + sqrt(a).  Raises ClassGroupError when the conic has no point.
+    """
+    if abs(a) > abs(b):
+        w, y, x = recursive_legendre(b, fb, a, fa)
+        return w, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    n = abs(b)
+    try:
+        r, mod = 0, 1
+        for q in fb:  # the CRT step for the coprime moduli mod and q
+            r, mod = r + mod * ((sqrt_mod(a, q) - r) * pow(mod, -1, q) % q), mod * q
+    except ValueError:
+        raise ClassGroupError(f"w^2 = {a} x^2 + {b} y^2 has no rational point") from None
+    if n == 1:  # a = b = -1
+        raise ClassGroupError("w^2 = -x^2 - y^2 has no rational point")
+    if r > n // 2:
+        r -= n
+    s, c, fc = squarefree_split((r * r - a) // b)
+    w, x, y = recursive_legendre(a, fa, c, fc)
+    return r * w + a * x, w + r * x, s * c * y
+
+
+def search_square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
+    """A form whose Dirichlet square is properly equivalent to f, for f in the principal genus.
+
+    f is moved to a prime leading coefficient p; a point of the conic
+    X^2 - D Y^2 = 4p Z^2 is a representation f(x, y) = z^2, primitive after
+    dividing out gcd(x, y), and z is prime to D because a primitive ideal has no
+    square ramified factor.  Then f ~ (z^2, B, C) and (z, B, zC) squares to it.
+    """
+    a, b, c = f
+    D = b * b - 4 * a * c
+    for x, y in _search_vectors():
+        if odd_prime_prime_to(a * x * x + b * x * y + c * y * y, D):
+            break
+    g = _transform(f, x, y)
+    p, b, _ = g
+    w, u, v = recursive_legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2
+    X, Y, Z = 2 * w, u if D % 4 == 0 else 2 * u, v  # X^2 - D Y^2 = 4p Z^2
+    if not Y:  # then X^2 = 4p Z^2 with p prime: only the zero point
+        raise ClassGroupError(f"conic point ({X}, {Y}, {Z}) of {g} has Y = 0")
+    k = math.gcd(X, Y, Z)
+    X, Y = X // k, Y // k
+    if (X - b * Y) % (2 * p):
+        X = -X
+    if (X - b * Y) % (2 * p):
+        raise ClassGroupError(f"conic point ({X}, {Y}) of {g} has p | Y")
+    x, y = (X - b * Y) // (2 * p), Y
+    k = math.gcd(x, y)
+    sq = _transform(g, x // k, y // k)
+    z = math.isqrt(sq.a) if sq.a > 0 else 0
+    if z * z != sq.a or math.gcd(z, sq.b) != 1:
+        raise ClassGroupError(f"conic point gives {sq}, not (z^2, B, C) with gcd(z, B) = 1")
+    return BQForm(z, sq.b, z * sq.c)
+
+
+def odd_prime_prime_to(v: int, D: int) -> bool:
+    return abs(v) > 2 and D % v != 0 and is_prime(abs(v))

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pkgutil
+import resource
 import signal
 import subprocess
 import sys
@@ -934,6 +935,67 @@ def test_self_check_while_sharding_exits_3_under_python_O():
         os.killpg(proc.pid, 0)  # no process of the session survives
 
 
+_INTERRUPTED_FORK = """
+import os
+import signal
+import sys
+from classtower.cli import main
+fork = os.fork
+def forked():  # SIGINT right after the fork returns, in the parent and in the child
+    pid = fork()
+    os.kill(os.getpid(), signal.SIGINT)
+    return pid
+os.cpu_count = lambda: 2
+os.fork = forked
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_interrupt_at_the_fork_leaves_no_child():
+    # SIGINT is blocked from before the fork until the child is registered for reaping, and
+    # the child ignores it before unblocking it: one "interrupted", and no orphan left
+    # blocked on its pipe
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_FORK, "scan", "--max", "100",
+                             "--jobs", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert proc.returncode == EXIT_INTERRUPTED == 130
+    assert out == "" and err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of the session survives
+
+
+def test_scan_pins_each_process_to_its_own_cpu(capsys, monkeypatch):
+    # the parent and the child of --jobs 2 get CPUs of their own while they scan, round-robin
+    # over a one-CPU mask; the parent's mask comes back; a refusal changes nothing
+    code1, out1, _ = run(capsys, "scan", "--max", "80", "--json")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for mask, pinned in (({3, 5}, [{3}, {5}]), ({3}, [{3}, {3}])):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)))
+        code2, out2, err2 = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
+        assert code2 == 0 and out2 == out1 and err2 == ""
+        assert calls[0][0] == 0 and calls[1][0] > 0 and len(calls) == 3
+        assert [set(cpus) for _, cpus in calls] == [*pinned, mask] and calls[2][0] == 0
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    code3, out3, err3 = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
+    assert code3 == 0 and out3 == out1 and err3 == ""
+    monkeypatch.delattr(os, "sched_setaffinity")
+    code4, out4, err4 = run(capsys, "scan", "--max", "80", "--jobs", "2", "--json")
+    assert code4 == 0 and out4 == out1 and err4 == ""
+
+
 def test_engine_checks_cold_equal_warm(capsys, monkeypatch):
     # the engine caches are keyed by presentation and by subgroup, not by profile: each
     # profile's checks recomputed from empty caches equal what the warm scan left
@@ -1140,20 +1202,46 @@ def _wait_for_fork(proc: subprocess.Popen) -> None:
         time.sleep(0.01)
 
 
+def _cpu_seconds(pid: int) -> float:
+    """User plus system CPU time of process ``pid``, from /proc/<pid>/stat."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _wait_for_cpu(proc: subprocess.Popen, seconds: float) -> None:
+    """Return once ``proc`` has used ``seconds`` of CPU time, polling every 10 ms; fail after
+    30 s."""
+    deadline = time.monotonic() + 30
+    while _cpu_seconds(proc.pid) < seconds:
+        if proc.poll() is not None or time.monotonic() > deadline:
+            pytest.fail(f"scan used less than {seconds} s of CPU within 30 s "
+                        f"(returncode {proc.returncode})")
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_interrupted_scan_exits_130_without_traceback(jobs):
     # Ctrl-C reaches the whole process group; forked children ignore it and the
     # parent kills and reaps them before it exits.  With --jobs 2 the signal goes
-    # out once the child exists, so the scan is still running when it lands.
+    # out once the child exists, so the scan is still running when it lands.  With
+    # --jobs 1 it goes out once the scan has used twice the CPU time of a whole
+    # one-pair scan (interpreter, import and all), whatever the speed of the host.
     src = str(Path(classtower.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-m", "classtower.cli", "scan", "--max", "1500",
-                             "--jobs", jobs],
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "classtower.cli", "scan"]
+    if jobs == "1":
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([*command, "--max", "13"], capture_output=True, env=env, timeout=120,
+                       check=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        one_pair = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    proc = subprocess.Popen([*command, "--max", "1500", "--jobs", jobs],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+                            env=env, start_new_session=True)
     if jobs == "2":
         _wait_for_fork(proc)
     else:
-        time.sleep(1.0)
+        _wait_for_cpu(proc, 2 * one_pair)
     os.killpg(proc.pid, signal.SIGINT)
     try:
         out, err = proc.communicate(timeout=120)

@@ -457,3 +457,18 @@ def test_shared_factorization_is_factorize():
     for n in [*range(1, 5001), *(k * r for r in radicands for k in (2, 4, 8))]:
         assert quadratic._factorize(n) == factorize(n), n
         assert list(quadratic._factorize(n)) == list(factorize(n)), n  # the same order
+
+
+def test_descent_matches_the_old_kernels():
+    # the loop descent, the direct searches and Euler's criterion give what the recursive
+    # descent and the old searches gave (verbatim copies in class_group_oracle): every level's
+    # conic point, every square root, genus vector, (exponents, height) and 2-part of the
+    # discriminants of -r, r, -2r, 2r with p2 <= 500; tests/certify_kernels.py goes to 1500
+    from certify_kernels import descent_report
+
+    ps = primes_5_mod_8(500)
+    report = descent_report([validate_pair(a, b) for i, a in enumerate(ps) for b in ps[i + 1 :]])
+    assert {name: bad for name, (_, bad) in report.items()} == dict.fromkeys(report, [])
+    cases = {name: n for name, (n, _) in report.items()}
+    assert cases["2-parts"] == cases["(exponents, height)"] == 4 * 276
+    assert cases["conic points, every level of the descent"] > cases["square roots of forms"] > 0

@@ -82,3 +82,39 @@ def test_value_checks_under_python_O():
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == ("not a divisor chain: (4, 6)\n"
                            "(1, 0, 0, 0)/2 is not an integer of Q(sqrt2, sqrt65)\n")
+
+
+_REBUILT = """
+from classtower.abelian import AbelianType
+from classtower.fixtures import load_fixtures
+from classtower.quadratic import QuadUnit, fundamental_unit
+from classtower.unitindex import MultiQuadElt
+row = next(iter(load_fixtures().values()))[0]
+unit = MultiQuadElt.from_unit(fundamental_unit(2), 65)
+for make in (lambda: AbelianType((2,))._replace(divisors=(4, 6)),
+             lambda: AbelianType._make([(4, 6)]),
+             lambda: QuadUnit._make([1, 1, 1, 2, 5]),
+             lambda: fundamental_unit(2)._replace(norm=5),
+             lambda: MultiQuadElt._make([65, (1, 0, 0, 0)]),
+             lambda: unit._replace(c=(1, 0, 0, 0)),
+             lambda: row._replace(p1=7),
+             lambda: type(row)._make([row.table, row.d, row.p1, row.p2, row.values, {"cl_k0": (0,)}])):
+    try:
+        print("unchecked", make())
+    except (ValueError, AssertionError) as exc:
+        print(type(exc).__name__)
+print(AbelianType((2,))._replace(divisors=(2, 4)) == AbelianType((2, 4)),
+      QuadUnit._make(fundamental_unit(2)) == fundamental_unit(2), unit._make(unit) == unit,
+      type(row)._make(row) == row)
+"""
+
+
+def test_replace_and_make_check_under_python_O():
+    # _replace builds through _make, and _make of the four checked classes through the
+    # constructor, so neither gets round the checks, also under python -O
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _REBUILT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split() == ["ValueError"] * 2 + ["ClassGroupError"] * 2 + (
+        ["ValueError"] * 4) + ["True"] * 4
