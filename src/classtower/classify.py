@@ -419,8 +419,10 @@ def kernels(profile: Profile) -> dict[int, frozenset[ClassVector]]:
 _T222, _T24, _T28, _T44 = (AbelianType(t) for t in ((2, 2, 2), (2, 4), (2, 8), (4, 4)))
 
 
+@lru_cache(maxsize=None)
 def _two_type(a: int, b: int) -> AbelianType:
-    """The type (2^a, 2^b) for exponents a, b >= 0, sorted, a factor 1 dropped."""
+    """The type (2^a, 2^b) for exponents a, b >= 0, sorted, a factor 1 dropped; built once for
+    each (a, b), since predict asks for six of them per profile."""
     return AbelianType(tuple(1 << e for e in ((a, b) if a <= b else (b, a)) if e))
 
 
@@ -646,6 +648,13 @@ def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentatio
 
 
 @lru_cache(maxsize=None)
+def _generated_by(pres: GPresentation, classes: frozenset[ClassVector], words: tuple[str, ...]) -> bool:
+    """The table's subgroup over G' of classes == <words> (OverDerived.generated_by), tested once
+    per presentation, subspace and words: the profiles of one presentation share many."""
+    return engine_table(pres).over[classes].generated_by(map(pres.word, words))
+
+
+@lru_cache(maxsize=None)
 def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     """The predictions against the engine table: K_j is the subgroup over G' of the plane N_j,
     L_j that of the line of its three K factors, so the profile only picks the labels."""
@@ -666,7 +675,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, words, type_, kernel, taussky = _K_CHECKS[j]
         rows += [
             (index, 2, K.index),
-            (words, True, K.generated_by(map(pres.word, k_words[j]))),
+            (words, True, _generated_by(pres, kf.norm_group, k_words[j])),
             (type_, kf.cl2, K.abelianization),
             (kernel, _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel)),
             (taussky, True, len(K.kernel & kf.norm_group) > 1),
@@ -679,7 +688,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, words, type_, kernel = _L_CHECKS[j]
         rows += [
             (index, 4, L.index),
-            (words, True, L.generated_by(map(pres.word, l_words[j]))),
+            (words, True, _generated_by(pres, lf.norm_group, l_words[j])),
             (type_, lf.cl2, L.abelianization),
             (kernel, _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel)),
         ]

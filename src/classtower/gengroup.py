@@ -116,6 +116,8 @@ class GPresentation(_PresentationData):
         carry, twist = (1 << self.m) * q2, 3 if q2 else -1
         self.a_mod, self.b_mod, self.b_wrap, self.carry = a_mod, b_mod, b_wrap, carry
         self.order, self.psi_exponents = 1 << (self.m + self.n + 2 + q2), (1 << (self.m - 1), pb)
+        # the constants of the law in one tuple, so that _canon, mul and inv read them in one load
+        self._law = twist, 1 << (self.m - 1), pb, a_mod, b_mod, b_wrap, carry
         self.sigma_twist, self.t_diagonal = twist, (twist, -1)
         self.relations = _hermite([(a_mod, 0), (carry, -b_mod), (0, b_wrap)])
         # conjugation by rho must be an involution of A fixing psi
@@ -133,11 +135,12 @@ class GPresentation(_PresentationData):
     # --- normal forms ----------------------------------------------------
 
     def _canon(self, a: int, b: int) -> tuple[int, int]:
-        b %= self.b_wrap
-        if b >= self.b_mod:  # tau^(2^(n+1)) = sigma^(2^m)
-            b -= self.b_mod
-            a += self.carry
-        return a % self.a_mod, b
+        _, _, _, a_mod, b_mod, b_wrap, carry = self._law
+        b %= b_wrap
+        if b >= b_mod:  # tau^(2^(n+1)) = sigma^(2^m)
+            b -= b_mod
+            a += carry
+        return a % a_mod, b
 
     def element(self, eps: int, a: int, b: int) -> GElement:
         a, b = self._canon(a, b)
@@ -163,35 +166,39 @@ class GPresentation(_PresentationData):
         # rho^e1 A1 rho^e2 A2 = rho^(e1+e2) (rho^-e2 A1 rho^e2) A2; _canon inlined
         e1, a, b = x
         e2, a2, b2 = y
+        twist, pa, pb, a_mod, b_mod, b_wrap, carry = self._law
         if e2:
-            a *= self.sigma_twist
+            a *= twist
             b = -b
             if e1:
-                pa, pb = self.psi_exponents
                 a += pa
                 b += pb
-        b = (b + b2) % self.b_wrap
+        b = (b + b2) % b_wrap
         a += a2
-        if b >= self.b_mod:
-            b -= self.b_mod
-            a += self.carry
-        return (e1 ^ e2, a % self.a_mod, b)
+        if b >= b_mod:
+            b -= b_mod
+            a += carry
+        return (e1 ^ e2, a % a_mod, b)
 
     def inv(self, x: GElement) -> GElement:
         e, a, b = x
+        twist, pa, pb, a_mod, b_mod, b_wrap, carry = self._law
         if e:
-            pa, pb = self.psi_exponents
-            a, b = -a * self.sigma_twist - pa, (b - pb) % self.b_wrap
+            a, b = -a * twist - pa, (b - pb) % b_wrap
         else:
-            a, b = -a, -b % self.b_wrap
-        if b >= self.b_mod:
-            b -= self.b_mod
-            a += self.carry
-        return (e, a % self.a_mod, b)
+            a, b = -a, -b % b_wrap
+        if b >= b_mod:
+            b -= b_mod
+            a += carry
+        return (e, a % a_mod, b)
 
     @cached_property
     def class_elements(self) -> tuple[GElement, ...]:  # class_to_group over CLASS_VECTORS
         return tuple(class_to_group(self, v) for v in CLASS_VECTORS)
+
+    @cached_property
+    def _plan(self) -> dict:  # V -> (H & A, r) of over_derived, shared by presentations
+        return _plan_for(self)
 
     @cached_property
     def derived_lattice(self) -> Lattice:
@@ -337,11 +344,12 @@ class Subgroup(NamedTuple):
 
     def __contains__(self, x: GElement) -> bool:
         e, a, b = x
+        _, (h11, h12, h22), r = self  # the fields read once; _reduce inlined below
         if e:
-            if self.r is None:
+            if r is None:
                 return False
-            a, b = a - self.r[1], b - self.r[2]
-        h11, h12, h22 = self.lattice  # _reduce inlined: this is the transfer's inner test
+            _, ra, rb = r
+            a, b = a - ra, b - rb
         k, a = divmod(a, h11)
         return not a and not (b - k * h12) % h22
 
@@ -380,31 +388,35 @@ def _quotient_type(H: Subgroup, N: Subgroup, relations=None) -> AbelianType:
     """H/N for H' <= N <= H by the Smith invariants of its relation matrix (_relations, unless
     given).  H/N is a 2-group, so the invariants, powers of 2 (checked), are its type."""
     diagonal = _smith_diagonal(*(relations or _relations(H, N)))
-    if prod(diagonal) != H.order // N.order or any(d & (d - 1) for d in diagonal):
+    if prod(diagonal) != H.order // N.order or any([d & (d - 1) for d in diagonal]):
         raise GroupCheckError(f"Smith invariants {diagonal} are not powers of 2 multiplying to "
                               f"[H : N] = {H.order // N.order}")
-    return AbelianType(tuple(d for d in diagonal if d > 1))
+    return AbelianType(tuple([d for d in diagonal if d > 1]))
 
 
 def _relations(H: Subgroup, N: Subgroup) -> tuple[int, int, int, tuple[int, int] | None]:
     """The relation matrix (x, y, z, r2) of H/N, H' <= N <= H, on the Hermite basis of M = H & A
     and r when N lies in A: the Hermite rows (x, y), (0, z) of N & A in M's coordinates, and
     2[r] = [r^2] for r2 the coordinates of r^2 in M (else None)."""
-    lattice, (n11, n12, n22) = H.lattice, N.lattice
+    (pres, lattice, r), (_, (n11, n12, n22), n_r) = H, N
     (x, y), (_, z) = _coords(lattice, n11, n12), _coords(lattice, 0, n22)
-    r2 = _coords(lattice, *H.pres.mul(H.r, H.r)[1:]) if H.r is not None and N.r is None else None
-    return x, y, z, r2
+    if r is None or n_r is not None:
+        return x, y, z, None
+    _, a, b = pres.mul(r, r)
+    return x, y, z, _coords(lattice, a, b)
 
 
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
     """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G] = (T - I) gamma_i + Lambda."""
     series = [Subgroup.whole_group(pres)]
-    while series[-1].order > 1:
+    order = series[0].order
+    while order > 1:
         prev = series[-1]
         nxt = Subgroup._from_vectors(pres, _conj(pres, _rows(prev.lattice), 1))
-        if not (nxt <= prev and nxt.order < prev.order):
+        if not (nxt <= prev and nxt.order < order):
             raise GroupCheckError("lower central series stalled")
         series.append(nxt)
+        order = nxt.order
     return series
 
 
@@ -442,20 +454,43 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
     """The subgroup over G' whose image in G/G' = F_2^3 is the subspace classes: K_j over the
-    plane N_j, L_j over the line N_a & N_b & N_c.  One Hermite basis spans its H & A: G' & A
-    (pres.derived_lattice) and the representatives inside A; r is the first one outside A.  For
-    a further one g outside A, r^-1 g lies in A in the class of r g, whose representative is there.
-    """
+    plane N_j, L_j over the line N_a & N_b & N_c.  Its H & A and r are read from the
+    presentation's plan (_plan_for)."""
     if classes not in _FLAG:
         raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
-    vectors, r = list(_rows(pres.derived_lattice)), None
-    for k in _FLAG[classes][0]:
-        g = pres.class_elements[k]
-        if not g[0]:
-            vectors.append(g[1:])
-        elif r is None:
-            r = g
-    return Subgroup._from_lattice(pres, _hermite(vectors), r)
+    lattice, r = pres._plan[classes]
+    return Subgroup(pres, lattice, r)
+
+
+# (sigma_twist, the class representatives' (eps, a mod 2, b mod 2)) -> {V: (H & A, r)}, one plan
+# for each pattern met, made on first use
+_PLANS: dict = {}
+
+
+def _plan_for(pres: GPresentation) -> dict:
+    """For each subspace V, the Hermite basis of H & A and r of the subgroup H over G' of V.  One
+    Hermite basis spans H & A: G' & A and the representatives inside A; r is the first one outside
+    A.  For a further one g outside A, r^-1 g lies in A in the class of r g, whose representative
+    is there.  G' & A = (T - I)Z^2 + Lambda is 2Z^2 in every presentation (T - I = diag(s - 1, -2),
+    s = -1 or 3, and Lambda's rows are even; engine_table checks it), so H & A depends only on the
+    representatives mod 2, and so does r reduced modulo it, a vector of bits that is already a
+    normal form.  The plan is therefore shared by all presentations with the same bits and T."""
+    bits = tuple((e, a & 1, b & 1) for e, a, b in pres.class_elements)
+    plan = _PLANS.get((pres.sigma_twist, bits))
+    if plan is None:
+        plan = {}
+        for V in SUBSPACES:
+            vectors, r = [(2, 0), (0, 2)], None
+            for k in _FLAG[V][0]:
+                g = bits[k]
+                if not g[0]:
+                    vectors.append(g[1:])
+                elif r is None:
+                    r = g
+            H = Subgroup._from_lattice(pres, _hermite(vectors), r)
+            plan[V] = H.lattice, H.r
+        _PLANS[pres.sigma_twist, bits] = plan
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -528,26 +563,31 @@ def engine_table(pres: GPresentation) -> EngineTable:
     one step (H, z) by _step_down.  The transfer G/G' -> H/H' is a homomorphism, so these three
     give the kernel (_kernel).  By the principal ideal theorem the transfer into G' is trivial.
     G' & A = diag(s - 1, -2)Z^2 + Lambda is 2Z^2 (checked), so H & A is one of five lattices
-    (2Z^2, the three of index 2 over it, Z^2); H', the relations of H/H' and its type depend
-    only on H & A and r^2, and are formed once for each (lattices)."""
+    (2Z^2, the three of index 2 over it, Z^2).  H' = (T - I)(H & A) + Lambda, or 1 for H inside
+    A, is formed once for each lattice and each of the two cases, and the type of H/H' once for
+    each lattice and relation matrix (r^2 in its coordinates)."""
     if pres.derived_lattice != (2, 0, 2):
         raise GroupCheckError(f"G' & A is the lattice {pres.derived_lattice}, not 2Z^2")
     over: dict[frozenset[ClassVector], OverDerived] = {}
-    lattices: dict = {}  # (H & A, r^2 in its coordinates) -> H', the type and relations of H/H'
+    derived_of: dict = {}  # (H & A, H inside A) -> H'
+    quotients: dict = {}  # (H & A, the relations of H/H', with r^2 in its coordinates) -> H/H'
     classes = pres.class_elements
     for V in SUBSPACES:
         H, (_, k, above) = over_derived(pres, V), _FLAG[V]
-        key = H.lattice, None if H.r is None else _coords(H.lattice, *pres.mul(H.r, H.r)[1:])
-        if key not in lattices:
-            derived = H.derived_subgroup()
-            relations = _relations(H, derived)
-            lattices[key] = derived, _quotient_type(H, derived, relations), relations
-        derived, abelianization, relations = lattices[key]
+        _, lattice, r = H
+        derived = derived_of.get((lattice, r is None))
+        if derived is None:
+            derived = derived_of[lattice, r is None] = H.derived_subgroup()
+        relations = _relations(H, derived)
+        abelianization = quotients.get((lattice, relations))
+        if abelianization is None:
+            abelianization = quotients[lattice, relations] = _quotient_type(H, derived, relations)
         if above is None:  # H = G: the transfer is the identity of G/G'
             values = classes[1], classes[2], classes[4]
             kernel = frozenset(v for v, g in zip(CLASS_VECTORS, classes) if g in derived)
         else:
-            values = _step_down(pres, H, over[above].H, classes[k], over[above].transfers)
+            parent = over[above]
+            values = _step_down(pres, H, parent.H, classes[k], parent.transfers)
             kernel = _kernel(values, derived.lattice)
         over[V] = OverDerived(H, derived, abelianization, kernel, pres.order // H.order, values,
                               relations)
@@ -560,23 +600,40 @@ def engine_table(pres: GPresentation) -> EngineTable:
 
 def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, values):
     """The transfers into K of the transfers values into parent = <K, z>, which must have index 2
-    over K: g z g z^-1 for g in K, else g^2.  For g = (a, b) in A these are g + T(g) =
-    ((1 + s) a, 0) for g in K and z outside A, T = diag(s, -1) its conjugation, else (2a, 2b)."""
-    if parent.order != 2 * K.order:
+    over K: g z g z^-1 for g in K, else g^2.  Both lie in A and have closed forms, with T =
+    diag(s, -1) the conjugation by rho and psi = rho^2.  For g = x in A: g z g z^-1 = x + T(x) =
+    ((1 + s) a, 0) for z outside A, else g^2 = 2x.  For g = rho x outside A: g^2 = T(x) + x + psi,
+    and g z g z^-1 = g^2 + (T - I)(x - w) for z = rho w, g^2 + (T - I)w for z = w in A.  In A,
+    membership in K is membership in its lattice."""
+    (_, (h11, h12, h22), r), (_, (p11, _, p22), parent_r) = K, parent
+    # |H| = |G| / (h11 h22), halved when H lies in A: [parent : K] = 2 read off the lattices
+    if h11 * h22 * (1 if r is not None else 2) != 2 * p11 * p22 * (1 if parent_r is not None else 2):
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
     if z in K:
         raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-    mul, out = pres.mul, []
-    for g in values:
-        if g[0]:
-            g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
-        elif z[0] and g in K:
-            g = pres.element(0, (1 + pres.sigma_twist) * g[1], 0)
-        else:  # g^2, which is also g z g z^-1 for z in A
-            g = pres.element(0, 2 * g[1], 2 * g[2])
-        if g not in K:
-            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
-        out.append(g)
+    twist, pa, pb, a_mod, b_mod, b_wrap, carry = pres._law
+    z_outside, wa, wb = z
+    out = []
+    for e, a, b in values:
+        if e:
+            if r is not None and not (a - r[1]) % h11 and not (
+                    b - r[2] - (a - r[1]) // h11 * h12) % h22:  # g in K: g - r in K's lattice
+                da, db = (a - wa, b - wb) if z_outside else (wa, wb)
+                a, b = (1 + twist) * a + pa + (twist - 1) * da, pb - 2 * db
+            else:
+                a, b = (1 + twist) * a + pa, pb
+        elif z_outside and not a % h11 and not (b - a // h11 * h12) % h22:
+            a, b = (1 + twist) * a, 0
+        else:
+            a, b = 2 * a, 2 * b
+        b %= b_wrap  # _canon inlined
+        if b >= b_mod:
+            b -= b_mod
+            a += carry
+        a %= a_mod
+        if a % h11 or (b - a // h11 * h12) % h22:
+            raise GroupCheckError(f"index-2 step: the value {(0, a, b)} leaves K")
+        out.append((0, a, b))
     return tuple(out)
 
 
@@ -585,16 +642,18 @@ def _kernel(values, derived: Lattice) -> frozenset[ClassVector]:
     and tau into a proper subgroup H.  These lie in A (each index-2 step forms g^2 or g z g z^-1),
     where the law is addition, so a class's transfer is the sum of theirs, and lies in H' when it
     reduces to 0 modulo H''s lattice."""
-    for g in values:
-        if g[0]:
-            raise GroupCheckError(f"kernel: the transfer value {g} lies outside A")
+    (e1, a1, b1), (e2, a2, b2), (e3, a3, b3) = values
+    if e1 or e2 or e3:
+        outside = next(g for g in values if g[0])
+        raise GroupCheckError(f"kernel: the transfer value {outside} lies outside A")
     h11, h12, h22 = derived
-    (_, a1, b1), (_, a2, b2), (_, a3, b3) = values
     a12, b12 = a1 + a2, b1 + b2
-    sums = ((0, 0), (a1, b1), (a2, b2), (a12, b12),  # in the order of CLASS_VECTORS
-            (a3, b3), (a1 + a3, b1 + b3), (a2 + a3, b2 + b3), (a12 + a3, b12 + b3))
-    return frozenset(v for v, (a, b) in zip(CLASS_VECTORS, sums)
-                     if not a % h11 and not (b - a // h11 * h12) % h22)
+    kernel = []
+    for v, a, b in zip(CLASS_VECTORS, (0, a1, a2, a12, a3, a1 + a3, a2 + a3, a12 + a3),
+                       (0, b1, b2, b12, b3, b1 + b3, b2 + b3, b12 + b3)):  # the sums
+        if not a % h11 and not (b - a // h11 * h12) % h22:
+            kernel.append(v)
+    return frozenset(kernel)
 
 
 def _table_entry(pres: GPresentation, H: Subgroup) -> OverDerived:

@@ -174,10 +174,6 @@ class BQForm(NamedTuple):
     b: int
     c: int
 
-    def disc(self) -> int:
-        a, b, c = self
-        return b * b - 4 * a * c
-
     def value(self, x: int, y: int) -> int:
         a, b, c = self
         return a * x * x + b * x * y + c * y * y
@@ -314,11 +310,6 @@ def reduce_definite(f: BQForm) -> BQForm:
 def _is_reduced_indefinite(a: int, b: int, s: int) -> bool:
     # reduced <=> |sqrt(D) - 2|a|| < b < sqrt(D); exact via s = isqrt(D)
     return 1 <= b <= s and 2 * abs(a) - b <= s and 2 * abs(a) + b >= s + 1
-
-
-def rho_step(f: BQForm, s: int) -> BQForm:
-    """One rho step; reduces arbitrary forms and walks cycles of reduced ones."""
-    return BQForm(f.c, *_rho(f.b, f.c, f.disc(), s))
 
 
 def _rho(b: int, c: int, D: int, s: int) -> tuple[int, int]:

@@ -19,11 +19,16 @@ It compares, and prints the number of cases and of mismatches for each:
   (``_square_root`` with ``search_square_root``), every genus vector (``_genus_vector``
   with ``jacobi_genus_vector`` and ``odd_part_two_character``), every ``(exponents,
   height)`` of ``_narrow_exponents`` and every 2-part, the last two recomputed with
-  the old kernels in place of the new.
+  the old kernels in place of the new;
+- ``gengroup.engine_table`` with ``group_oracle.planless_engine_table``, the table as it
+  was built before the subgroup plan, on every presentation ``GPresentation`` accepts
+  (order at most ``2^MAX_ORDER_BITS``), and ``classify._engine_checks`` with
+  ``planless_engine_checks`` on every symbol profile of the pairs with ``p2 <= 1500``
+  and on the benchmark's deep profiles, from cold caches.
 
-The exit code is 1 when any case mismatches.  The pool is read from
-``perfbench/data/large_pool.json``, which is only read.  pytest does not collect this
-file.
+The exit code is 1 when any case mismatches.  The pool and the deep profiles are read
+from ``perfbench/data/large_pool.json`` and ``deep_profiles.json``, which are only read.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import class_group_oracle as oracle  # noqa: E402
 from class_group_oracle import signed_principal_cycle, tonelli_shanks  # noqa: E402
-from classtower import quadratic  # noqa: E402
+from group_oracle import planless_engine_checks, planless_engine_table  # noqa: E402
+from classtower import classify, gengroup, quadratic  # noqa: E402
+from classtower.gengroup import MAX_ORDER_BITS, GPresentation, PresentationError, PsiVariant  # noqa: E402
 from classtower.quadratic import _principal_cycle, field_discriminant, fundamental_unit  # noqa: E402
 from classtower.symbols import is_prime, primes_5_mod_8, sqrt_mod, validate_pair  # noqa: E402
 from classtower.unitindex import exact_square_root, unit_index_q, unit_product  # noqa: E402
@@ -153,6 +160,43 @@ def descent_report(pairs) -> dict[str, tuple[int, list]]:
     }
 
 
+def accepted_presentations() -> list[GPresentation]:
+    """Every (m, n, q, psi) that GPresentation accepts: m >= 2, n >= 1, order <= 2^MAX_ORDER_BITS."""
+    out = []
+    for m in range(2, MAX_ORDER_BITS + 1):
+        for n in range(1, MAX_ORDER_BITS + 1):
+            for q in (1, 2):
+                for psi in PsiVariant:
+                    try:
+                        out.append(GPresentation(m, n, q, psi))
+                    except PresentationError:
+                        pass
+    return out
+
+
+def engine_report(pairs) -> dict[str, tuple[int, list]]:
+    """{what: (cases, mismatches)} of the engine tables and the per-profile checks against the
+    planless copies, the checks on the profiles of pairs and on the deep profiles, each side
+    from cold caches."""
+    presentations = accepted_presentations()
+    gengroup.engine_table.cache_clear()
+    bad_tables = [tuple(pres) for pres in presentations
+                  if (table := gengroup.engine_table(pres)) != (old := planless_engine_table(pres))
+                  or list(table.over) != list(old.over)]
+    with open(ROOT / "perfbench" / "data" / "deep_profiles.json", encoding="utf-8") as fh:
+        deep = {classify.Profile(*e["profile"][:6], PsiVariant(e["profile"][6])) for e in json.load(fh)}
+    out = {"engine_table, every accepted presentation": (len(presentations), bad_tables)}
+    for label, profiles in (("p2 <= 1500", {classify.invariants(pair).profile() for pair in pairs}),
+                            ("deep profiles", deep)):
+        for cached in (classify._engine_checks, classify._generated_by, classify._two_type,
+                       classify.predict, classify._engine_table, gengroup.engine_table):
+            cached.cache_clear()
+        new = {profile: classify._engine_checks(profile) for profile in sorted(profiles, key=str)}
+        bad = [profile for profile in new if planless_engine_checks(profile) != new[profile]]
+        out[f"_engine_checks, profiles of {label}"] = (len(new), bad)
+    return out
+
+
 def report(name: str, cases: int, mismatches: list) -> bool:
     print(f"{name}: {cases} cases, {len(mismatches)} mismatches"
           + (f", first {mismatches[:5]}" if mismatches else ""), flush=True)
@@ -164,7 +208,10 @@ def main() -> int:
     cases = list(sqrt_cases())
     bad = [(a, p) for a, p in cases if _outcome(sqrt_mod, a, p) != _outcome(tonelli_shanks, a, p)]
     ok &= report("sqrt_mod vs tonelli_shanks", len(cases), bad)
-    for label, group in pairs().items():
+    groups = pairs()
+    for name, (n_cases, bad) in engine_report(groups["p2 <= 1500"]).items():
+        ok &= report(f"{name} vs the planless copy", n_cases, bad)
+    for label, group in groups.items():
         ms = [m for pair in group for m in (pair.r, 2 * pair.r)]
         bad = [m for m in ms if _principal_cycle(m) != signed_principal_cycle(m)]
         ok &= report(f"walk vs signed walk, m = r, 2r, {label}", len(ms), bad)

@@ -42,7 +42,6 @@ from classtower.quadratic import (
     principal_form,
     reduce_definite,
     reduce_indefinite,
-    rho_step,
 )
 from classtower.symbols import is_prime, jacobi, sqrt_mod
 
@@ -95,6 +94,17 @@ class DefiniteGroup:
         return reduce_definite(compose(x, y))
 
 
+def disc(f: BQForm) -> int:
+    """The discriminant b^2 - 4ac of f."""
+    a, b, c = f
+    return b * b - 4 * a * c
+
+
+def rho_step(f: BQForm, s: int) -> BQForm:
+    """One rho step; reduces arbitrary forms and walks cycles of reduced ones."""
+    return BQForm(f.c, *_rho(f.b, f.c, disc(f), s))
+
+
 class CycleGroup:
     """Narrow class group of D > 0: cycles of reduced forms under rho."""
 
@@ -128,7 +138,7 @@ class CycleGroup:
         return self.cls(compose(self._reps[x], self._reps[y]))
 
     def negated_principal_class(self) -> int:
-        D = self._reps[0].disc()
+        D = disc(self._reps[0])
         k = D % 2
         return self.cls(BQForm(-1, k, (D - k * k) // 4))
 

@@ -13,7 +13,9 @@ does not: coset representatives, lattice generators, and the transfer into a
 subgroup over G' along its whole index-2 chain; and the engine table as it was
 built before its one-step transfers, lattice kernels and shared G' lattice
 (reference_engine_table), and its index-2 step before the closed form on A
-(generic_step_down), which the tests compare the table with.
+(generic_step_down), which the tests compare the table with; and verbatim copies of
+the engine table and its checks before the subgroup plan (planless_engine_table,
+planless_engine_checks), which tests/certify_kernels.py compares them with.
 """
 
 from __future__ import annotations
@@ -360,3 +362,130 @@ def generic_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GEl
             raise GroupCheckError(f"index-2 step: the value {g} leaves K")
         out.append(g)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The engine table and its checks before the shared subgroup plan
+# ---------------------------------------------------------------------------
+# Verbatim copies of gengroup.over_derived, engine_table (uncached), _step_down and _kernel, and
+# of classify._engine_checks (uncached), as they were before over_derived read a plan shared by
+# the presentations, H' was formed once per lattice, the steps took closed forms outside A and
+# the checks memoized their Burnside tests; only the module of each name they read is spelled
+# out.  tests/certify_kernels.py compares the engine and the checks with them.
+
+
+def planless_over_derived(pres: GPresentation, classes) -> Subgroup:
+    if classes not in gengroup._FLAG:
+        raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
+    vectors, r = list(gengroup._rows(pres.derived_lattice)), None
+    for k in gengroup._FLAG[classes][0]:
+        g = pres.class_elements[k]
+        if not g[0]:
+            vectors.append(g[1:])
+        elif r is None:
+            r = g
+    return Subgroup._from_lattice(pres, gengroup._hermite(vectors), r)
+
+
+def planless_engine_table(pres: GPresentation) -> gengroup.EngineTable:
+    if pres.derived_lattice != (2, 0, 2):
+        raise GroupCheckError(f"G' & A is the lattice {pres.derived_lattice}, not 2Z^2")
+    over: dict = {}
+    lattices: dict = {}  # (H & A, r^2 in its coordinates) -> H', the type and relations of H/H'
+    classes = pres.class_elements
+    for V in gengroup.SUBSPACES:
+        H, (_, k, above) = planless_over_derived(pres, V), gengroup._FLAG[V]
+        key = H.lattice, None if H.r is None else gengroup._coords(H.lattice, *pres.mul(H.r, H.r)[1:])
+        if key not in lattices:
+            derived = H.derived_subgroup()
+            relations = gengroup._relations(H, derived)
+            lattices[key] = derived, gengroup._quotient_type(H, derived, relations), relations
+        derived, abelianization, relations = lattices[key]
+        if above is None:  # H = G: the transfer is the identity of G/G'
+            values = classes[1], classes[2], classes[4]
+            kernel = frozenset(v for v, g in zip(CLASS_VECTORS, classes) if g in derived)
+        else:
+            values = planless_step_down(pres, H, over[above].H, classes[k], over[above].transfers)
+            kernel = planless_kernel(values, derived.lattice)
+        over[V] = gengroup.OverDerived(H, derived, abelianization, kernel, pres.order // H.order,
+                                       values, relations)
+    if len(over[gengroup.SUBSPACES[-1]].kernel) != len(CLASS_VECTORS):
+        raise GroupCheckError("kernel: the transfer into G' is not trivial "
+                              "(principal ideal theorem)")
+    squares = Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
+    return gengroup.EngineTable(over, tuple(gengroup.lower_central_series(pres)),
+                                over[gengroup.SUBSPACES[0]].derived == squares)
+
+
+def planless_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, values):
+    if parent.order != 2 * K.order:
+        raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
+    if z in K:
+        raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
+    mul, out = pres.mul, []
+    for g in values:
+        if g[0]:
+            g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        elif z[0] and g in K:
+            g = pres.element(0, (1 + pres.sigma_twist) * g[1], 0)
+        else:  # g^2, which is also g z g z^-1 for z in A
+            g = pres.element(0, 2 * g[1], 2 * g[2])
+        if g not in K:
+            raise GroupCheckError(f"index-2 step: the value {g} leaves K")
+        out.append(g)
+    return tuple(out)
+
+
+def planless_kernel(values, derived) -> frozenset:
+    for g in values:
+        if g[0]:
+            raise GroupCheckError(f"kernel: the transfer value {g} lies outside A")
+    h11, h12, h22 = derived
+    (_, a1, b1), (_, a2, b2), (_, a3, b3) = values
+    a12, b12 = a1 + a2, b1 + b2
+    sums = ((0, 0), (a1, b1), (a2, b2), (a12, b12),  # in the order of CLASS_VECTORS
+            (a3, b3), (a1 + a3, b1 + b3), (a2 + a3, b2 + b3), (a12 + a3, b12 + b3))
+    return frozenset(v for v, (a, b) in zip(CLASS_VECTORS, sums)
+                     if not a % h11 and not (b - a // h11 * h12) % h22)
+
+
+def planless_engine_checks(profile) -> tuple:
+    from itertools import starmap
+
+    from classtower import classify
+
+    report = classify.predict(profile)
+    pres, table = classify._engine_table(profile.m, profile.n, profile.q, profile.psi)
+    G, series_length = table.G.H, len(table.series)
+    rows = [  # (name, expected, got)
+        ("G:order", report.group_order, G.order),
+        ("G:derived-generators", True, table.derived_squares),
+        ("G:abelianization", classify._T222, table.G.abelianization),
+        ("G:derived-type", report.derived, table.G_derived.abelianization),
+        ("G:nilpotency-class", report.nilpotency_class, series_length - 1),
+        ("G:coclass", report.coclass, G.order.bit_length() - 1 - (series_length - 1)),
+    ]
+    k_words = classify._keyed_entries(classify._GJ_PLUS, classify._GJ_MINUS, profile)
+    for j, kf in report.k_fields.items():
+        K = table.over[kf.norm_group]
+        index, words, type_, kernel, taussky = classify._K_CHECKS[j]
+        rows += [
+            (index, 2, K.index),
+            (words, True, K.generated_by(map(pres.word, k_words[j]))),
+            (type_, kf.cl2, K.abelianization),
+            (kernel, classify._fmt_vectors(kf.kernel), classify._fmt_vectors(K.kernel)),
+            (taussky, True, len(K.kernel & kf.norm_group) > 1),
+        ]
+    rows.append(("K3:class-group", report.cl2_k3,
+                 table.over[report.k_fields[3].norm_group].abelianization))
+    l_words = classify._keyed_entries(classify._GL_PLUS, classify._GL_MINUS, profile)
+    for j, lf in report.l_fields.items():
+        L = table.over[lf.norm_group]
+        index, words, type_, kernel = classify._L_CHECKS[j]
+        rows += [
+            (index, 4, L.index),
+            (words, True, L.generated_by(map(pres.word, l_words[j]))),
+            (type_, lf.cl2, L.abelianization),
+            (kernel, classify._fmt_vectors(lf.kernel), classify._fmt_vectors(L.kernel)),
+        ]
+    return tuple(starmap(classify._check, rows))

@@ -812,7 +812,8 @@ def _clear_engine_caches():
 
     for cached in (classify.predict, classify._engine_checks, classify._check,
                    classify._fmt_vectors, classify.subspace_names, classify._engine_table,
-                   classify.subgroup_span, classify._conjugate, gengroup.engine_table,
+                   classify.subgroup_span, classify._conjugate, classify._two_type,
+                   classify._generated_by, gengroup.engine_table,
                    gaussian.split_prime, quadratic.class_group, quadratic.fundamental_unit,
                    quadratic._principal_cycle, quadratic._odd_part_factors):
         cached.cache_clear()
@@ -830,10 +831,10 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the fourteen of the helper: eight in classify (predict, _engine_checks, _check,
-    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate), engine_table in
-    # gengroup, split_prime in gaussian, and class_group, fundamental_unit, _principal_cycle
-    # and _odd_part_factors in quadratic
+    # the sixteen of the helper: ten in classify (predict, _engine_checks, _check,
+    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate, _two_type,
+    # _generated_by), engine_table in gengroup, split_prime in gaussian, and class_group,
+    # fundamental_unit, _principal_cycle and _odd_part_factors in quadratic
     assert len(caches) >= 8
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
@@ -1037,6 +1038,26 @@ def test_subgroup_facts_once_per_subgroup(capsys, monkeypatch):
     assert code == 0
     assert gengroup.engine_table.cache_info().misses == 14
     assert len(built) == 14 * 16 and set(built.values()) == {1}
+
+
+def test_burnside_tests_and_predicted_types_once_per_key(capsys, monkeypatch):
+    # the profiles of one presentation share word tests: the Burnside test runs once per
+    # (presentation, subspace, words), and each predicted type (2^a, 2^b) is built once
+    from classtower import classify, gengroup
+
+    generated_by, calls = gengroup.OverDerived.generated_by, []
+
+    def counted(self, gens):
+        calls.append(self.H)
+        return generated_by(self, gens)
+
+    monkeypatch.setattr(gengroup.OverDerived, "generated_by", counted)
+    _clear_engine_caches()
+    code, _, _ = run(capsys, "scan", "--max", "250")
+    assert code == 0
+    tests, types = classify._generated_by.cache_info(), classify._two_type.cache_info()
+    assert len(calls) == tests.misses and tests.hits > 0
+    assert types.hits > types.misses > 0
 
 
 def test_engine_subgroups_built_once_per_presentation(capsys):
@@ -1378,7 +1399,8 @@ from classtower.cli import main
 forgery, argv = sys.argv[1], sys.argv[2:]
 if forgery == "start":  # the walk starts one rho step into the principal cycle
     start = quadratic._reduced_principal
-    quadratic._reduced_principal = lambda D, s: quadratic.rho_step(quadratic.BQForm(*start(D, s)), s).key()
+    quadratic._reduced_principal = lambda D, s: (lambda a, b, c: (c, *quadratic._rho(b, c, D, s)))(
+        *start(D, s))
 elif forgery == "ambiguous":  # the walk reports an ambiguous form (5, b, c) it never met
     walk = quadratic._principal_cycle
     quadratic._principal_cycle = lambda m: (lambda u, l, a: (u, l, a + (5,)))(*walk(m))

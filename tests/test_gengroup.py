@@ -852,6 +852,35 @@ def test_over_derived_rejects_a_non_subspace():
             over_derived(pres, classes)
 
 
+def test_one_subgroup_plan_for_every_accepted_presentation():
+    # the representatives' bits mod 2, and so H & A and r of the 16 subgroups over G', are the
+    # same in every presentation the constructor accepts (order <= 2^MAX_ORDER_BITS), and the
+    # plan read by over_derived gives the subgroups of the Hermite basis formed anew
+    presentations = _accepted_presentations(gengroup.MAX_ORDER_BITS, gengroup.MAX_ORDER_BITS)
+    assert len(presentations) == 287
+    assert len({tuple(pres._plan.items()) for pres in presentations}) == 1
+    for pres in presentations:
+        for V in gengroup.SUBSPACES:
+            H = oracle.reference_over_derived(pres, V)
+            assert over_derived(pres, V) == H and pres._plan[V] == (H.lattice, H.r), (pres, V)
+
+
+def test_over_derived_follows_forged_class_representatives():
+    # representatives forged to other bits mod 2 (other cosets of G', inside A or not) get a
+    # plan of their own, made on first use, and over_derived still gives the subgroups that
+    # the Hermite basis of their vectors gives
+    rng = random.Random(34)
+    plans = len(gengroup._PLANS)
+    for pres in SMALL * 3:
+        pres = GPresentation(*pres)  # a fresh instance, with no plan read yet
+        forged = (pres.identity(), *(pres.element(rng.randrange(2), rng.randrange(pres.a_mod),
+                                                  rng.randrange(pres.b_mod)) for _ in range(7)))
+        pres.__dict__["class_elements"] = forged
+        for V in gengroup.SUBSPACES:
+            assert over_derived(pres, V) == oracle.reference_over_derived(pres, V), (forged, V)
+    assert len(gengroup._PLANS) > plans
+
+
 _NOT_T_STABLE = """
 from classtower import gengroup
 from classtower.abelian import GroupCheckError

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from class_group_oracle import (
     continued_fraction_unit,
     counting_class_group,
+    disc,
     full_principal_cycle,
     full_structure,
     group_law,
@@ -303,7 +304,7 @@ def test_reduce_indefinite_reaches_reduced():
         import math
 
         assert _is_reduced_indefinite(g.a, g.b, math.isqrt(D))
-        assert g.disc() == D
+        assert disc(g) == D
 
 
 def test_reduced_principal_form_is_the_reduced_principal_start():
@@ -320,7 +321,7 @@ def test_reduced_principal_form_is_the_reduced_principal_start():
         s = math.isqrt(D)
         start = _reduced_principal(D, s)
         assert start == reduce_indefinite(principal_form(D)).key(), D
-        assert _is_reduced_indefinite(start[0], start[1], s) and BQForm(*start).disc() == D
+        assert _is_reduced_indefinite(start[0], start[1], s) and disc(BQForm(*start)) == D
 
 
 # --- the descent against the counting oracle ---------------------------------
@@ -375,7 +376,7 @@ def test_descent_on_deepest_pool_pairs():
 def test_bqform_api_serves_the_counting_oracle():
     f = BQForm(2, 1, 3)
     assert (f.a, f.b, f.c) == (2, 1, 3) and f.key() == (2, 1, 3) and type(f.key()) is tuple
-    assert f.disc() == -23 and f.value(1, 0) == 2 and f.value(-1, 2) == 12
+    assert disc(f) == -23 and f.value(1, 0) == 2 and f.value(-1, 2) == 12
     assert str(f) == f"{f}" == "(2, 1, 3)"
     assert f == BQForm(2, 1, 3) and f != BQForm(2, -1, 3)
     assert hash(f) == hash(BQForm(2, 1, 3)) and len({f, BQForm(2, 1, 3), BQForm(2, -1, 3)}) == 2
