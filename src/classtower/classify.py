@@ -36,8 +36,9 @@ Math. Z. 39 (1934); F. Lemmermeyer, Reciprocity Laws (2000), ch. 5.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import filterfalse, product, starmap
 from math import prod
+from operator import attrgetter
 from typing import NamedTuple
 
 from .abelian import AbelianType
@@ -612,12 +613,16 @@ class Check(NamedTuple):
 class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
+    # each check's ok flag read in C, not in a generator: cli reads both for every pair
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(map(_CHECK_OK, self.checks))
 
     def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
+        return list(filterfalse(_CHECK_OK, self.checks))
+
+
+_CHECK_OK = attrgetter("ok")
 
 
 @lru_cache(maxsize=None)
@@ -648,7 +653,8 @@ def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentatio
 
 
 @lru_cache(maxsize=None)
-def _generated_by(pres: GPresentation, classes: frozenset[ClassVector], words: tuple[str, ...]) -> bool:
+def _generated_by(pres: GPresentation, classes: frozenset[ClassVector],
+                  words: tuple[str, ...]) -> bool:
     """The table's subgroup over G' of classes == <words> (OverDerived.generated_by), tested once
     per presentation, subspace and words: the profiles of one presentation share many."""
     return engine_table(pres).over[classes].generated_by(map(pres.word, words))

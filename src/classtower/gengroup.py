@@ -25,13 +25,16 @@ the gcds of the minors of an at most 3 x 3 relation matrix) are then integer
 arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
-G/G' = Cl_2(k) = F_2^3 (over_derived, from the presentation's one G' lattice), and a
-transfer into one is, by transitivity, a chain of index-2 transfers along a flag of
-subspaces up to F_2^3, each a two-case formula (Huppert, Endliche Gruppen I, IV.1).
-engine_table builds all 16 once per presentation, top down the flag: the transfers of
-rho sigma, rho and tau into each are carried one index-2 step on from the subgroup
-above (_step_down, in closed form for values in A), and each stores H', H/H' (once per
-lattice H & A and r^2), its index and its transfer kernel, read off sums of the three
+G/G' = Cl_2(k) = F_2^3 (over_derived).  G' & A is 2Z^2 in every presentation, so the
+H & A and r of each depend only on the class representatives mod 2: over_derived reads
+them from a plan made on first use for each pattern of those bits, and every accepted
+presentation has the same pattern.  A transfer into a subgroup over G' is, by
+transitivity, a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a
+two-case formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 once
+per presentation, top down the flag: the transfers of rho sigma, rho and tau into each
+are carried one index-2 step on from the subgroup above (_step_down, in closed form),
+and each stores H' (once per lattice H & A, with or without r), H/H' (once per lattice
+and relation matrix), its index and its transfer kernel, read off sums of the three
 transfers in A (_kernel); the transfer into G' must be trivial (the principal ideal
 theorem).  transfer_kernel reads the table, generated_by tests generating sets by
 Burnside's basis theorem.  A presentation forms each word of generators once (word).
@@ -409,14 +412,12 @@ def _relations(H: Subgroup, N: Subgroup) -> tuple[int, int, int, tuple[int, int]
 def lower_central_series(pres: GPresentation) -> list[Subgroup]:
     """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G] = (T - I) gamma_i + Lambda."""
     series = [Subgroup.whole_group(pres)]
-    order = series[0].order
-    while order > 1:
+    while series[-1].order > 1:
         prev = series[-1]
         nxt = Subgroup._from_vectors(pres, _conj(pres, _rows(prev.lattice), 1))
-        if not (nxt <= prev and nxt.order < order):
+        if not (nxt <= prev and nxt.order < prev.order):
             raise GroupCheckError("lower central series stalled")
         series.append(nxt)
-        order = nxt.order
     return series
 
 
@@ -462,19 +463,15 @@ def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgro
     return Subgroup(pres, lattice, r)
 
 
-# (sigma_twist, the class representatives' (eps, a mod 2, b mod 2)) -> {V: (H & A, r)}, one plan
-# for each pattern met, made on first use
-_PLANS: dict = {}
+_PLANS: dict = {}  # (sigma_twist, the representatives mod 2) -> {V: (H & A, r)}, made on first use
 
 
 def _plan_for(pres: GPresentation) -> dict:
-    """For each subspace V, the Hermite basis of H & A and r of the subgroup H over G' of V.  One
-    Hermite basis spans H & A: G' & A and the representatives inside A; r is the first one outside
-    A.  For a further one g outside A, r^-1 g lies in A in the class of r g, whose representative
-    is there.  G' & A = (T - I)Z^2 + Lambda is 2Z^2 in every presentation (T - I = diag(s - 1, -2),
-    s = -1 or 3, and Lambda's rows are even; engine_table checks it), so H & A depends only on the
-    representatives mod 2, and so does r reduced modulo it, a vector of bits that is already a
-    normal form.  The plan is therefore shared by all presentations with the same bits and T."""
+    """V -> (H & A, r) of the subgroup H over G' of V.  One Hermite basis spans H & A: G' & A and
+    the representatives inside A; r is the first one outside A (for a further one g, r^-1 g lies in
+    A in the class of r g, whose representative is there).  G' & A = diag(s - 1, -2)Z^2 + Lambda is
+    2Z^2 in every presentation (engine_table checks it), so H & A and r reduced modulo it, a normal
+    form of bits, depend only on the representatives mod 2 (and T's check on s)."""
     bits = tuple((e, a & 1, b & 1) for e, a, b in pres.class_elements)
     plan = _PLANS.get((pres.sigma_twist, bits))
     if plan is None:
@@ -606,8 +603,8 @@ def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, 
     and g z g z^-1 = g^2 + (T - I)(x - w) for z = rho w, g^2 + (T - I)w for z = w in A.  In A,
     membership in K is membership in its lattice."""
     (_, (h11, h12, h22), r), (_, (p11, _, p22), parent_r) = K, parent
-    # |H| = |G| / (h11 h22), halved when H lies in A: [parent : K] = 2 read off the lattices
-    if h11 * h22 * (1 if r is not None else 2) != 2 * p11 * p22 * (1 if parent_r is not None else 2):
+    # [G : H] = h11 h22, doubled when H lies in A
+    if h11 * h22 * (2 if r is None else 1) != 2 * p11 * p22 * (2 if parent_r is None else 1):
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
     if z in K:
         raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
@@ -642,18 +639,16 @@ def _kernel(values, derived: Lattice) -> frozenset[ClassVector]:
     and tau into a proper subgroup H.  These lie in A (each index-2 step forms g^2 or g z g z^-1),
     where the law is addition, so a class's transfer is the sum of theirs, and lies in H' when it
     reduces to 0 modulo H''s lattice."""
-    (e1, a1, b1), (e2, a2, b2), (e3, a3, b3) = values
-    if e1 or e2 or e3:
-        outside = next(g for g in values if g[0])
-        raise GroupCheckError(f"kernel: the transfer value {outside} lies outside A")
+    for g in values:
+        if g[0]:
+            raise GroupCheckError(f"kernel: the transfer value {g} lies outside A")
     h11, h12, h22 = derived
+    (_, a1, b1), (_, a2, b2), (_, a3, b3) = values
     a12, b12 = a1 + a2, b1 + b2
-    kernel = []
-    for v, a, b in zip(CLASS_VECTORS, (0, a1, a2, a12, a3, a1 + a3, a2 + a3, a12 + a3),
-                       (0, b1, b2, b12, b3, b1 + b3, b2 + b3, b12 + b3)):  # the sums
-        if not a % h11 and not (b - a // h11 * h12) % h22:
-            kernel.append(v)
-    return frozenset(kernel)
+    return frozenset([v for v, a, b in zip(  # the sums, in the order of CLASS_VECTORS
+        CLASS_VECTORS, (0, a1, a2, a12, a3, a1 + a3, a2 + a3, a12 + a3),
+        (0, b1, b2, b12, b3, b1 + b3, b2 + b3, b12 + b3))
+        if not a % h11 and not (b - a // h11 * h12) % h22])
 
 
 def _table_entry(pres: GPresentation, H: Subgroup) -> OverDerived:
