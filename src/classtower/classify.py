@@ -36,9 +36,8 @@ Math. Z. 39 (1934); F. Lemmermeyer, Reciprocity Laws (2000), ch. 5.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import filterfalse, product, starmap
+from itertools import product, starmap
 from math import prod
-from operator import attrgetter
 from typing import NamedTuple
 
 from .abelian import AbelianType
@@ -613,16 +612,12 @@ class Check(NamedTuple):
 class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
-    # each check's ok flag read in C, not in a generator: cli reads both for every pair
     @property
     def passed(self) -> bool:
-        return all(map(_CHECK_OK, self.checks))
+        return all(c.ok for c in self.checks)
 
     def failures(self) -> list[Check]:
-        return list(filterfalse(_CHECK_OK, self.checks))
-
-
-_CHECK_OK = attrgetter("ok")
+        return [c for c in self.checks if not c.ok]
 
 
 @lru_cache(maxsize=None)
@@ -653,14 +648,6 @@ def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentatio
 
 
 @lru_cache(maxsize=None)
-def _generated_by(pres: GPresentation, classes: frozenset[ClassVector],
-                  words: tuple[str, ...]) -> bool:
-    """The table's subgroup over G' of classes == <words> (OverDerived.generated_by), tested once
-    per presentation, subspace and words: the profiles of one presentation share many."""
-    return engine_table(pres).over[classes].generated_by(map(pres.word, words))
-
-
-@lru_cache(maxsize=None)
 def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     """The predictions against the engine table: K_j is the subgroup over G' of the plane N_j,
     L_j that of the line of its three K factors, so the profile only picks the labels."""
@@ -681,7 +668,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, words, type_, kernel, taussky = _K_CHECKS[j]
         rows += [
             (index, 2, K.index),
-            (words, True, _generated_by(pres, kf.norm_group, k_words[j])),
+            (words, True, K.generated_by(map(pres.word, k_words[j]))),
             (type_, kf.cl2, K.abelianization),
             (kernel, _fmt_vectors(kf.kernel), _fmt_vectors(K.kernel)),
             (taussky, True, len(K.kernel & kf.norm_group) > 1),
@@ -694,7 +681,7 @@ def _engine_checks(profile: Profile) -> tuple[Check, ...]:
         index, words, type_, kernel = _L_CHECKS[j]
         rows += [
             (index, 4, L.index),
-            (words, True, _generated_by(pres, lf.norm_group, l_words[j])),
+            (words, True, L.generated_by(map(pres.word, l_words[j]))),
             (type_, lf.cl2, L.abelianization),
             (kernel, _fmt_vectors(lf.kernel), _fmt_vectors(L.kernel)),
         ]

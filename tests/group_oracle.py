@@ -370,7 +370,7 @@ def generic_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GEl
 # Verbatim copies of gengroup.over_derived, engine_table (uncached), _step_down and _kernel, and
 # of classify._engine_checks (uncached), as they were before over_derived read a plan shared by
 # the presentations, H' was formed once per lattice, the steps took closed forms outside A and
-# the checks memoized their Burnside tests; only the module of each name they read is spelled
+# predict built each type (2^a, 2^b) once; only the module of each name they read is spelled
 # out.  tests/certify_kernels.py compares the engine and the checks with them.
 
 

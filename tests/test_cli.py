@@ -813,7 +813,7 @@ def _clear_engine_caches():
     for cached in (classify.predict, classify._engine_checks, classify._check,
                    classify._fmt_vectors, classify.subspace_names, classify._engine_table,
                    classify.subgroup_span, classify._conjugate, classify._two_type,
-                   classify._generated_by, gengroup.engine_table,
+                   gengroup.engine_table,
                    gaussian.split_prime, quadratic.class_group, quadratic.fundamental_unit,
                    quadratic._principal_cycle, quadratic._odd_part_factors):
         cached.cache_clear()
@@ -831,10 +831,10 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the sixteen of the helper: ten in classify (predict, _engine_checks, _check,
-    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate, _two_type,
-    # _generated_by), engine_table in gengroup, split_prime in gaussian, and class_group,
-    # fundamental_unit, _principal_cycle and _odd_part_factors in quadratic
+    # the fifteen of the helper: nine in classify (predict, _engine_checks, _check,
+    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate, _two_type),
+    # engine_table in gengroup, split_prime in gaussian, and class_group, fundamental_unit,
+    # _principal_cycle and _odd_part_factors in quadratic
     assert len(caches) >= 8
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
@@ -1040,24 +1040,17 @@ def test_subgroup_facts_once_per_subgroup(capsys, monkeypatch):
     assert len(built) == 14 * 16 and set(built.values()) == {1}
 
 
-def test_burnside_tests_and_predicted_types_once_per_key(capsys, monkeypatch):
-    # the profiles of one presentation share word tests: the Burnside test runs once per
-    # (presentation, subspace, words), and each predicted type (2^a, 2^b) is built once
-    from classtower import classify, gengroup
+def test_predicted_types_built_once_per_pair_of_exponents(capsys):
+    # predict asks for six types (2^a, 2^b) per profile; each is built once and shared by the
+    # profiles that ask for it
+    from classtower import classify
 
-    generated_by, calls = gengroup.OverDerived.generated_by, []
-
-    def counted(self, gens):
-        calls.append(self.H)
-        return generated_by(self, gens)
-
-    monkeypatch.setattr(gengroup.OverDerived, "generated_by", counted)
     _clear_engine_caches()
     code, _, _ = run(capsys, "scan", "--max", "250")
     assert code == 0
-    tests, types = classify._generated_by.cache_info(), classify._two_type.cache_info()
-    assert len(calls) == tests.misses and tests.hits > 0
+    types = classify._two_type.cache_info()
     assert types.hits > types.misses > 0
+    assert classify._two_type(1, 3) is classify._two_type(1, 3) == AbelianType((2, 8))
 
 
 def test_engine_subgroups_built_once_per_presentation(capsys):
