@@ -520,7 +520,7 @@ class OverDerived(NamedTuple):
         """H == <gens>, by Burnside's basis theorem (Huppert, Endliche Gruppen I, III.3.15): the
         gens lie in H and span H/Phi(H), Phi(H) = H^2 H', which is H/H' mod 2: bits for M's
         Hermite basis and r, the relation rows mod 2, and g outside A as r^-1 g in M plus r's bit."""
-        (h11, h12, h22), r, (x, y, z, r2) = self.H.lattice, self.H.r, self.relations
+        (_, (h11, h12, h22), r), (x, y, z, r2) = self.H, self.relations
         a2, b2 = r2 or (0, 0)  # no relation row for r when H lies in A
         images = [x & 1 | (y & 1) << 1, (z & 1) << 1, a2 & 1 | (b2 & 1) << 1]
         for e, a, b in gens:
@@ -536,7 +536,8 @@ class OverDerived(NamedTuple):
         basis = []  # of the span over F_2, each vector with its own top bit
         for v in images:
             for u in basis:
-                v = min(v, v ^ u)  # clears u's top bit
+                if v ^ u < v:  # v has u's top bit: clear it
+                    v ^= u
             if v:
                 basis.append(v)
         return len(basis) == (2 if r is None else 3)
