@@ -10,9 +10,9 @@ the transcription honest, and cross_validate() rebuilds everything inside the
 concrete group model, where abelianizations and transfer kernels are computed
 rather than looked up, and each table's words are tested against its subgroup
 by Burnside's basis theorem.  The engine side is cached at two levels: one
-presentation and engine table per (m, n, q, psi), and one tuple of checks per
-profile, made of shared Check values; the per-pair checks of cross_validate()
-are shared values too.
+engine table per presentation (m, n, q, psi), in gengroup.engine_table, and one
+tuple of checks per profile, made of shared Check values; the per-pair checks of
+cross_validate() are shared values too.
 
 invariants() checks the forced relations in RULES; a failed rule raises
 ConsistencyError naming it, and scan reports each rule as a row property.
@@ -53,7 +53,6 @@ from .gaussian import (
 from .gengroup import (
     CLASS_VECTORS,
     ClassVector,
-    EngineTable,
     GPresentation,
     PsiVariant,
     engine_table,
@@ -641,19 +640,13 @@ _SYMBOL_CHECKS = {j: f"K{j}:norm-group-symbols" for j in range(1, 8)}
 
 
 @lru_cache(maxsize=None)
-def _engine_table(m: int, n: int, q: int, psi: PsiVariant) -> tuple[GPresentation, EngineTable]:
-    """The presentation (m, n, q, psi), built and validated once, with its engine table."""
-    pres = GPresentation(m, n, q, psi)
-    return pres, engine_table(pres)
-
-
-@lru_cache(maxsize=None)
 def _engine_checks(profile: Profile) -> tuple[Check, ...]:
     """The predictions against the engine table: K_j is the subgroup over G' of the plane N_j,
     L_j that of the line of its three K factors, so the profile only picks the labels."""
     report = predict(profile)
-    pres, table = _engine_table(profile.m, profile.n, profile.q, profile.psi)
+    table = engine_table(GPresentation(profile.m, profile.n, profile.q, profile.psi))
     G, series_length = table.G.H, len(table.series)
+    pres = G.pres  # the one the table was built from: each word is formed once per (m, n, q, psi)
     rows = [  # (name, expected, got)
         ("G:order", report.group_order, G.order),
         ("G:derived-generators", True, table.derived_squares),
@@ -711,7 +704,7 @@ def engine_abelianizations(profile: Profile) -> dict[str, AbelianType]:
     """
     report = predict(profile)
     _, _, _, q, m, n, psi = profile
-    table = _engine_table(m, n, q, psi)[1]
+    table = engine_table(GPresentation(m, n, q, psi))
     return {f"{kind}{j}": table.over[field.norm_group].abelianization
             for kind, fields in (("K", report.k_fields), ("L", report.l_fields))
             for j, field in fields.items()}

@@ -73,10 +73,9 @@ def _row_from_json(table: str, raw: dict, caption: dict) -> FixtureRow:
     )
 
 
-def load_fixtures(path: str | None = None) -> dict[str, list[FixtureRow]]:
-    if path is None:
-        path = os.environ.get(ENV_FIXTURE_PATH)
-    return _load_fixtures_cached(path)
+def load_fixtures() -> dict[str, list[FixtureRow]]:
+    """The tables of the file CLASSTOWER_FIXTURES names, else of the embedded corpus."""
+    return _load_fixtures_cached(os.environ.get(ENV_FIXTURE_PATH))
 
 
 @lru_cache(maxsize=None)
@@ -171,12 +170,8 @@ def verify_row(row: FixtureRow) -> RowResult:
     return RowResult(row.table, row.d, row.p1, row.p2, tuple(cols))
 
 
-def verify_fixtures(
-    table: str | None = None,
-    filter_d: int | None = None,
-    path: str | None = None,
-) -> list[RowResult]:
-    fixtures = load_fixtures(path)
+def verify_fixtures(table: str | None = None, filter_d: int | None = None) -> list[RowResult]:
+    fixtures = load_fixtures()
     if table is not None:
         if table not in fixtures:
             raise ValueError(f"unknown fixture table {table!r}; have {sorted(fixtures)}")

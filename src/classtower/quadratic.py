@@ -55,7 +55,7 @@ def _odd_part_factors(n: int) -> tuple[tuple[int, int], ...]:
 
 def _factorize(n: int) -> dict[int, int]:
     """factorize(n) for n >= 1 from the cached factorization of its odd part, so that
-    _validate_disc on -4r, r, -8r, 8r and fundamental_unit on r, 2r trial-divide r once."""
+    _validate_disc on -4r, r, -8r, 8r and _principal_cycle on r, 2r trial-divide r once."""
     two = (n & -n).bit_length() - 1
     odd = _odd_part_factors(n >> two)
     return {2: two, **dict(odd)} if two else dict(odd)
@@ -90,11 +90,8 @@ class QuadUnit(NamedTuple("QuadUnit", [("u", int), ("v", int), ("w", int), ("m",
                               f"{v.bit_length()}-bit v {fault}")
 
 
-@lru_cache(maxsize=None)
 def fundamental_unit(m: int) -> QuadUnit:
     """Fundamental unit of O_{Q(sqrt(m))}, from half a walk of the principal cycle of its D."""
-    if m <= 1 or max(_factorize(m).values()) > 1:
-        raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
     return _principal_cycle(m)[0]
 
 
@@ -117,8 +114,10 @@ def _principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     with |a_(i+1)| = |a_i| gives l = 2i + 1, eps = +-Phi_(i+1) Phi_i / a_i and
     (1,), the rest of the signed cycle being these forms negated.  A start
     with a != 1, a non-square, an inexact division or N(eps) != (-1)^l raises
-    ClassGroupError (norm/period mismatch).
+    ClassGroupError (norm/period mismatch); m must be squarefree and > 1 (else ValueError).
     """
+    if m <= 1 or max(_factorize(m).values()) > 1:
+        raise ValueError(f"fundamental_unit needs squarefree m > 1, got {m}")
     D = field_discriminant(m)
     s = math.isqrt(D)
     a, b, c = _reduced_principal(D, s)

@@ -106,16 +106,12 @@ def sqrt_mod(a: int, p: int) -> int:
     """Some x with x^2 = a (mod p) for a prime p, by Tonelli-Shanks.
 
     Raises ValueError when a is not a square mod p.  With p - 1 = 2^s q, q odd, x =
-    a^((q+1)/2) and t = a^q share one power, and Euler's test reads t^(2^(s-1)) = 1.
+    a^((q+1)/2) and t = a^q share one power, and Euler's test reads t^(2^(s-1)) = 1.  For
+    p = 3 (mod 4), s = 1, so t = 1 and x = a^((p+1)/4) is the root.
     """
     a %= p
     if a == 0 or p == 2:
         return a
-    if p % 4 == 3:
-        x = pow(a, (p + 1) // 4, p)
-        if x * x % p != a:
-            raise ValueError(f"{a} is not a square mod {p}")
-        return x
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
     w = pow(a, q >> 1, p)

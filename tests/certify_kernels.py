@@ -190,19 +190,18 @@ def engine_report(pairs) -> dict[str, tuple[int, list]]:
                              {classify.invariants(pair).profile() for pair in pairs}),
                             ("the benchmark's deep profiles", deep)):
         for cached in (classify._engine_checks, classify._two_type, classify.predict,
-                       classify._engine_table, gengroup.engine_table):
+                       gengroup.engine_table):
             cached.cache_clear()
         new = {profile: classify._engine_checks(profile) for profile in sorted(profiles, key=str)}
         # the old checks read the planless table, and predict builds every type anew
-        saved = classify._engine_table, classify._two_type
-        classify._engine_table = lambda *data: (pres := GPresentation(*data),
-                                                planless_engine_table(pres))
+        saved = classify.engine_table, classify._two_type
+        classify.engine_table = planless_engine_table
         classify._two_type = classify._two_type.__wrapped__
         classify.predict.cache_clear()
         try:
             bad = [profile for profile in new if planless_engine_checks(profile) != new[profile]]
         finally:
-            classify._engine_table, classify._two_type = saved
+            classify.engine_table, classify._two_type = saved
             classify.predict.cache_clear()
         out[f"_engine_checks, {label}"] = (len(new), bad)
     return out

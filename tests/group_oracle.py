@@ -455,8 +455,9 @@ def planless_engine_checks(profile) -> tuple:
     from classtower import classify
 
     report = classify.predict(profile)
-    pres, table = classify._engine_table(profile.m, profile.n, profile.q, profile.psi)
+    table = classify.engine_table(GPresentation(profile.m, profile.n, profile.q, profile.psi))
     G, series_length = table.G.H, len(table.series)
+    pres = G.pres
     rows = [  # (name, expected, got)
         ("G:order", report.group_order, G.order),
         ("G:derived-generators", True, table.derived_squares),

@@ -811,10 +811,10 @@ def _clear_engine_caches():
     from classtower import classify, gaussian, gengroup, quadratic
 
     for cached in (classify.predict, classify._engine_checks, classify._check,
-                   classify._fmt_vectors, classify.subspace_names, classify._engine_table,
+                   classify._fmt_vectors, classify.subspace_names,
                    classify.subgroup_span, classify._conjugate, classify._two_type,
                    gengroup.engine_table,
-                   gaussian.split_prime, quadratic.class_group, quadratic.fundamental_unit,
+                   gaussian.split_prime, quadratic.class_group,
                    quadratic._principal_cycle, quadratic._odd_part_factors):
         cached.cache_clear()
 
@@ -831,10 +831,10 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     for cached in caches:
         monkeypatch.setattr(cached, "cache_clear", lambda cached=cached: cleared.append(cached))
     _clear_engine_caches()
-    # the fifteen of the helper: nine in classify (predict, _engine_checks, _check,
-    # _fmt_vectors, subspace_names, _engine_table, subgroup_span, _conjugate, _two_type),
-    # engine_table in gengroup, split_prime in gaussian, and class_group, fundamental_unit,
-    # _principal_cycle and _odd_part_factors in quadratic
+    # the thirteen of the helper: eight in classify (predict, _engine_checks, _check,
+    # _fmt_vectors, subspace_names, subgroup_span, _conjugate, _two_type), engine_table in
+    # gengroup, split_prime in gaussian, and class_group, _principal_cycle and
+    # _odd_part_factors in quadratic
     assert len(caches) >= 8
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
@@ -1749,3 +1749,35 @@ def test_python_m_classtower_runs_main(capsys, tmp_path):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     code, out, _ = run(capsys, "classify", "--p1", "5", "--p2", "13", "--json")
     assert proc.returncode == code == 0 and proc.stdout == out and proc.stderr == ""
+
+
+_INTERRUPTED_IMPORT = """
+import runpy, sys
+
+class Interrupt:  # a SIGINT that lands while the command line is being imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "classtower.classify":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+sys.argv = ["classtower", "classify", "--p1", "5", "--p2", "13", "--json"]
+runpy.run_module("classtower", run_name="__main__")
+"""
+
+
+def test_python_m_classtower_interrupted_during_import_exits_130():
+    # python -m classtower and the classtower script import cli inside their own except
+    # KeyboardInterrupt, so an interrupt before cli.main is the same one line and exit 130
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _INTERRUPTED_IMPORT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
+
+
+def test_import_classtower_loads_no_submodule():
+    # every name is imported from its module; the package itself imports none of them
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", "import sys, classtower; print(sorted(m for m in "
+                           "sys.modules if m.startswith('classtower.')))"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

@@ -59,7 +59,7 @@ def test_verify_filters():
         verify_fixtures(table="99")
 
 
-def test_fixture_mismatch_detected(tmp_path):
+def test_fixture_mismatch_detected(tmp_path, monkeypatch):
     # corrupt copy of the corpus: flip one q value
     import importlib.resources as resources
 
@@ -68,13 +68,15 @@ def test_fixture_mismatch_detected(tmp_path):
     doc["tables"]["4"]["rows"][0]["q"] = 1  # true value is 2 for d = 130
     bad_path = tmp_path / "bad_fixtures.json"
     bad_path.write_text(json.dumps(doc))
-    results = verify_fixtures(table="4", filter_d=130, path=str(bad_path))
+    monkeypatch.setenv("CLASSTOWER_FIXTURES", str(bad_path))
+    results = verify_fixtures(table="4", filter_d=130)
     assert len(results) == 1 and not results[0].passed
     assert [c.column for c in results[0].failures()] == ["q"]
 
 
-def test_bad_version_rejected(tmp_path):
+def test_bad_version_rejected(tmp_path, monkeypatch):
     bad = tmp_path / "v0.json"
     bad.write_text(json.dumps({"version": "fixtures_v0", "tables": {}}))
+    monkeypatch.setenv("CLASSTOWER_FIXTURES", str(bad))
     with pytest.raises(ValueError, match="version"):
-        load_fixtures(path=str(bad))
+        load_fixtures()

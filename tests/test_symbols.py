@@ -120,7 +120,7 @@ def test_is_prime_matches_the_full_panel():
 
 
 def test_sqrt_mod_every_residue():
-    # p = 3 (mod 4) takes the one-exponentiation shortcut, other primes the Tonelli-Shanks loop
+    # p = 3 (mod 4) (s = 1: the root is the first power) and the other primes (the loop runs)
     for p in primes_upto(400):
         squares = {x * x % p for x in range(p)}
         for a in range(-p, 2 * p):
