@@ -1,7 +1,10 @@
 """``python -m classtower`` and the ``classtower`` script: the command line of ``classtower.cli``.
 
 cli is imported inside the try, so a SIGINT that lands while the command line loads exits 130
-with cli's one stderr line, as one that lands in cli.main does."""
+with cli's one stderr line, as one that lands in cli.main does.  Once the exit code is known,
+SIGINT is ignored, so an interrupt on the way out (after main returns, or in an atexit
+callback) leaves that code and stderr as they are."""
+import signal
 import sys
 
 
@@ -9,10 +12,12 @@ def main() -> int:
     try:
         from .cli import main as cli_main
 
-        return cli_main()
+        code = cli_main()
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        return 130  # cli.EXIT_INTERRUPTED, which may not be loaded yet
+        code = 130  # cli.EXIT_INTERRUPTED, which may not be loaded yet
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    return code
 
 
 if __name__ == "__main__":

@@ -526,7 +526,6 @@ _GL_MINUS = {
 
 
 class KPrediction(NamedTuple):
-    index: int
     radicand: str
     norm_group: frozenset[ClassVector]
     kernel: frozenset[ClassVector]
@@ -535,7 +534,6 @@ class KPrediction(NamedTuple):
 
 
 class LPrediction(NamedTuple):
-    index: int
     factors: tuple[int, ...]
     norm_group: frozenset[ClassVector]
     kernel: frozenset[ClassVector]
@@ -557,10 +555,10 @@ def predict(profile: Profile) -> PredictionReport:
     profile = Profile(*profile)  # a TypeError for anything that is not a 7-tuple
     m, n, q = profile.m, profile.n, profile.q
     norms, kerns = norm_groups(profile), kernels(profile)
-    k_fields = {j: KPrediction(j, _K_RADICANDS[j], norms[j], kerns[j], k_type(profile, j),
+    k_fields = {j: KPrediction(_K_RADICANDS[j], norms[j], kerns[j], k_type(profile, j),
                                len(kerns[j] & norms[j]) > 1) for j in range(1, 8)}
     full = frozenset(CLASS_VECTORS)  # each L_j's norm group is the line of its three K factors
-    l_fields = {j: LPrediction(j, (a, b, c), norms[a] & norms[b] & norms[c], full,
+    l_fields = {j: LPrediction((a, b, c), norms[a] & norms[b] & norms[c], full,
                                l_type(profile, j)) for j, (a, b, c) in L_FACTORS.items()}
     order_bits = m + n + (2 if q == 1 else 3)
     report = PredictionReport(

@@ -226,7 +226,7 @@ def cmd_group(args) -> int:
     if args.legendre is None and (args.pi, args.b) != (None, None):
         print("--pi and --b need --legendre", file=sys.stderr)
         return EXIT_INPUT
-    psi = PsiVariant.SIGMA_ONLY if args.psi == "sigma" else PsiVariant.TAU_SIGMA
+    psi = PsiVariant(args.psi)
     try:
         pres = GPresentation(args.m, args.n, args.q, psi)
     except PresentationError as exc:
@@ -532,7 +532,8 @@ _COMMANDS = {
         "--m": {"type": int, "required": True},
         "--n": {"type": int, "required": True},
         "--q": {"type": int, "required": True, "choices": (1, 2)},
-        "--psi": {"choices": ("sigma", "tau-sigma"), "default": "tau-sigma"},
+        "--psi": {"choices": tuple(psi.value for psi in PsiVariant),
+                  "default": PsiVariant.TAU_SIGMA.value},
         "--force": {"action": "store_true", "help": "allow inadmissible exponents"},
         "--legendre": {"type": int, "choices": (1, -1)},
         "--pi": {"type": int, "choices": (1, -1), "help": "needs --legendre; default 1"},
@@ -601,8 +602,8 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
     except OSError as exc:
@@ -623,4 +624,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the exit code stands; a later SIGINT is ignored
+    sys.exit(code)

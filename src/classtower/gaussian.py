@@ -34,12 +34,6 @@ class GaussianInt(NamedTuple):
     re: int
     im: int
 
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
 

@@ -109,19 +109,16 @@ class GPresentation(_PresentationData):
         if log_order > MAX_ORDER_BITS:  # before any 2^m is formed
             raise PresentationError(f"group order 2^{log_order} exceeds 2^{MAX_ORDER_BITS}, "
                                     "the largest order a presentation may have")
-        # Fixed here, so that mul and inv are plain integer arithmetic: rho^-1 sigma rho =
-        # sigma^sigma_twist, rho^2 = sigma^pa tau^pb, and for q = 2 b is reduced mod b_wrap
-        # and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a.  The relation lattice
-        # Lambda (with the carry relation (2^m, -2^(n+1)) for q = 2) and T's diagonal serve
-        # the subgroup lattices.
+        # Fixed here, so that mul is plain integer arithmetic: rho^-1 sigma rho =
+        # sigma^sigma_twist, rho^2 = sigma^pa tau^pb (psi_exponents), and for q = 2 b is reduced
+        # mod b_wrap and tau^(2^(n+1)) = sigma^(2^m) carries its top half into a (_canon).  The
+        # relation lattice Lambda (with the carry relation (2^m, -2^(n+1)) for q = 2) serves the
+        # subgroup lattices.
         q2, pb = self.q == 2, 0 if self.psi is PsiVariant.SIGMA_ONLY else 1 << self.n
         a_mod, b_mod, b_wrap = 1 << (self.m + q2), 1 << (self.n + 1), 1 << (self.n + 1 + q2)
-        carry, twist = (1 << self.m) * q2, 3 if q2 else -1
+        carry, self.sigma_twist = (1 << self.m) * q2, 3 if q2 else -1
         self.a_mod, self.b_mod, self.b_wrap, self.carry = a_mod, b_mod, b_wrap, carry
         self.order, self.psi_exponents = 1 << (self.m + self.n + 2 + q2), (1 << (self.m - 1), pb)
-        # the constants of the law in one tuple, so that _canon, mul and inv read them in one load
-        self._law = twist, 1 << (self.m - 1), pb, a_mod, b_mod, b_wrap, carry
-        self.sigma_twist, self.t_diagonal = twist, (twist, -1)
         self.relations = _hermite([(a_mod, 0), (carry, -b_mod), (0, b_wrap)])
         # conjugation by rho must be an involution of A fixing psi
         for g in (self.sigma(), self.tau()):
@@ -138,12 +135,11 @@ class GPresentation(_PresentationData):
     # --- normal forms ----------------------------------------------------
 
     def _canon(self, a: int, b: int) -> tuple[int, int]:
-        _, _, _, a_mod, b_mod, b_wrap, carry = self._law
-        b %= b_wrap
-        if b >= b_mod:  # tau^(2^(n+1)) = sigma^(2^m)
-            b -= b_mod
-            a += carry
-        return a % a_mod, b
+        b %= self.b_wrap
+        if b >= self.b_mod:  # tau^(2^(n+1)) = sigma^(2^m)
+            b -= self.b_mod
+            a += self.carry
+        return a % self.a_mod, b
 
     def element(self, eps: int, a: int, b: int) -> GElement:
         a, b = self._canon(a, b)
@@ -166,34 +162,15 @@ class GPresentation(_PresentationData):
         return self._canon(a * self.sigma_twist, -b)
 
     def mul(self, x: GElement, y: GElement) -> GElement:
-        # rho^e1 A1 rho^e2 A2 = rho^(e1+e2) (rho^-e2 A1 rho^e2) A2; _canon inlined
+        # rho^e1 A1 rho^e2 A2 = rho^(e1+e2) (rho^-e2 A1 rho^e2) A2, and rho^2 = psi
         e1, a, b = x
         e2, a2, b2 = y
-        twist, pa, pb, a_mod, b_mod, b_wrap, carry = self._law
         if e2:
-            a *= twist
-            b = -b
+            a, b = a * self.sigma_twist, -b
             if e1:
-                a += pa
-                b += pb
-        b = (b + b2) % b_wrap
-        a += a2
-        if b >= b_mod:
-            b -= b_mod
-            a += carry
-        return (e1 ^ e2, a % a_mod, b)
-
-    def inv(self, x: GElement) -> GElement:
-        e, a, b = x
-        twist, pa, pb, a_mod, b_mod, b_wrap, carry = self._law
-        if e:
-            a, b = -a * twist - pa, (b - pb) % b_wrap
-        else:
-            a, b = -a, -b % b_wrap
-        if b >= b_mod:
-            b -= b_mod
-            a += carry
-        return (e, a % a_mod, b)
+                pa, pb = self.psi_exponents
+                a, b = a + pa, b + pb
+        return (e1 ^ e2, *self._canon(a + a2, b + b2))
 
     @cached_property
     def class_elements(self) -> tuple[GElement, ...]:  # class_to_group over CLASS_VECTORS
@@ -267,8 +244,8 @@ def _coords(lattice: Lattice, a: int, b: int) -> tuple[int, int]:
 
 def _conj(pres: GPresentation, vectors, shift: int = 0) -> list[tuple[int, int]]:
     """(T - shift I) v for each v: conjugation by an element outside A, less v if shift = 1."""
-    s, t = pres.t_diagonal
-    return [((s - shift) * a, (t - shift) * b) for a, b in vectors]
+    s = pres.sigma_twist
+    return [((s - shift) * a, (-1 - shift) * b) for a, b in vectors]
 
 
 def _smith_diagonal(x: int, y: int, z: int, r2: tuple[int, int] | None = None) -> tuple[int, ...]:
@@ -306,15 +283,16 @@ class Subgroup(NamedTuple):
         """<gens>.
 
         With a generator r outside A, H & A is the smallest T-stable lattice over
-        Lambda, the A-generators, r^2 and r^-1 g for the other generators g outside A.
+        Lambda, the A-generators, r^2 and r^-1 g for the other generators g outside A: for
+        r = rho x and g = rho y, r^-1 g = x^-1 y, the difference of their A-parts.
         """
         gens = [pres.element(*g) for g in gens]
         vectors = [g[1:] for g in gens if not g[0]]
         outside = [g for g in gens if g[0]]
         if not outside:
             return cls._from_vectors(pres, vectors)
-        r, r_inv = outside[0], pres.inv(outside[0])
-        vectors += [pres.mul(r, r)[1:], *(pres.mul(r_inv, g)[1:] for g in outside[1:])]
+        r = outside[0]
+        vectors += [pres.mul(r, r)[1:], *((a - r[1], b - r[2]) for _, a, b in outside[1:])]
         return cls._from_vectors(pres, vectors + _conj(pres, vectors), r)
 
     @classmethod
@@ -609,7 +587,7 @@ def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, 
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
     if z in K:
         raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-    twist, pa, pb, a_mod, b_mod, b_wrap, carry = pres._law
+    twist, (pa, pb) = pres.sigma_twist, pres.psi_exponents
     z_outside, wa, wb = z
     out = []
     for e, a, b in values:
@@ -624,11 +602,7 @@ def _step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GElement, 
             a, b = (1 + twist) * a, 0
         else:
             a, b = 2 * a, 2 * b
-        b %= b_wrap  # _canon inlined
-        if b >= b_mod:
-            b -= b_mod
-            a += carry
-        a %= a_mod
+        a, b = pres._canon(a, b)
         if a % h11 or (b - a // h11 * h12) % h22:
             raise GroupCheckError(f"index-2 step: the value {(0, a, b)} leaves K")
         out.append((0, a, b))

@@ -173,13 +173,6 @@ class BQForm(NamedTuple):
     b: int
     c: int
 
-    def value(self, x: int, y: int) -> int:
-        a, b, c = self
-        return a * x * x + b * x * y + c * y * y
-
-    def key(self) -> tuple[int, int, int]:
-        return tuple(self)
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
 
@@ -389,7 +382,8 @@ def _genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) ->
         if math.gcd(n, D) == 1:
             break
     else:  # the whole search again, into the generator's tail
-        n = next(n for x, y in _search_vectors() if math.gcd(n := f.value(x, y), D) == 1)
+        n = next(n for x, y in _search_vectors()
+                 if math.gcd(n := a * x * x + b * x * y + c * y * y, D) == 1)
     vec = 0
     for i, q in enumerate(primes):
         if (n % 8 in two) if q == 2 else pow(n, q >> 1, q) != 1:
@@ -452,7 +446,7 @@ def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
             break
     else:  # the whole search again, into the generator's tail
         x, y = next((x, y) for x, y in _search_vectors()
-                    if (p := abs(f.value(x, y))) > 2 and D % p and is_prime(p))
+                    if (p := abs(a * x * x + b * x * y + c * y * y)) > 2 and D % p and is_prime(p))
     g = _transform(f, x, y) if y else f  # (1, 0) is the one vector with y = 0
     p, b, _ = g
     w, u, v = _legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2

@@ -86,7 +86,7 @@ class DefiniteGroup:
 
     def __init__(self, D: int):
         forms = reduced_definite_forms(D)
-        self.elements = sorted(forms, key=BQForm.key)
+        self.elements = sorted(forms, key=tuple)
         assert len(set(self.elements)) == len(forms), f"duplicate reduced forms, D={D}"
         self.identity = reduce_definite(principal_form(D))
 
@@ -268,7 +268,7 @@ def full_principal_cycle(m: int) -> tuple[QuadUnit, int, tuple[int, ...]]:
     """
     D = field_discriminant(m)
     s = math.isqrt(D)
-    a, b0, c = reduce_indefinite(principal_form(D)).key()
+    a, b0, c = reduce_indefinite(principal_form(D))
     b, q, q_prev, steps, ambiguous = b0, 1, 0, 0, []
     while True:
         if b % a == 0:

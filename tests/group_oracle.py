@@ -6,7 +6,9 @@ reads quotients off right-coset tables with abelian_structure, and transfers
 along a right transversal found by membership tests.  Its cost grows with |G|,
 so the tests run it for m, n <= 4 or so and compare the lattice engine with it.
 Only GPresentation's multiplication is shared with the engine under test;
-power, conj and commutator are built on it here.
+power, conj and commutator are built on it here, with inverses from _ref_inv,
+which writes the normal form out anew (as do _ref_canon and _ref_psi) and which
+the tests check against the multiplication.
 
 The last sections hold what the tests read of lattice subgroups and the library
 does not: coset representatives, lattice generators, and the transfer into a
@@ -25,12 +27,36 @@ from dataclasses import dataclass
 
 from classtower import gengroup
 from classtower.abelian import AbelianType, GroupCheckError, abelian_structure
-from classtower.gengroup import CLASS_VECTORS, GElement, GPresentation, Subgroup, class_to_group
+from classtower.gengroup import (CLASS_VECTORS, GElement, GPresentation, PsiVariant, Subgroup,
+                                 class_to_group)
+
+
+def _ref_canon(pres, a, b):
+    if pres.q == 1:
+        return a % (1 << pres.m), b % (1 << (pres.n + 1))
+    b %= 1 << (pres.n + 2)
+    if b >= 1 << (pres.n + 1):  # tau^(2^(n+1)) = sigma^(2^m)
+        b -= 1 << (pres.n + 1)
+        a += 1 << pres.m
+    return a % (1 << (pres.m + 1)), b % (1 << (pres.n + 1))
+
+
+def _ref_psi(pres):
+    sigma_only = pres.q == 1 and pres.psi is PsiVariant.SIGMA_ONLY
+    return 1 << (pres.m - 1), 0 if sigma_only else 1 << pres.n
+
+
+def _ref_inv(pres, x):
+    e, a, b = x
+    if e == 0:
+        return (0, *_ref_canon(pres, -a, -b))
+    pa, pb = _ref_psi(pres)
+    return (1, *_ref_canon(pres, -a * (3 if pres.q == 2 else -1) - pa, b - pb))
 
 
 def power(pres: GPresentation, x: GElement, k: int) -> GElement:
     if k < 0:
-        x, k = pres.inv(x), -k
+        x, k = _ref_inv(pres, x), -k
     acc = pres.identity()
     while k:
         if k & 1:
@@ -41,11 +67,11 @@ def power(pres: GPresentation, x: GElement, k: int) -> GElement:
 
 
 def conj(pres: GPresentation, x: GElement, g: GElement) -> GElement:
-    return pres.mul(pres.mul(pres.inv(g), x), g)
+    return pres.mul(pres.mul(_ref_inv(pres, g), x), g)
 
 
 def commutator(pres: GPresentation, x: GElement, y: GElement) -> GElement:
-    return pres.mul(pres.mul(pres.inv(x), pres.inv(y)), pres.mul(x, y))
+    return pres.mul(pres.mul(_ref_inv(pres, x), _ref_inv(pres, y)), pres.mul(x, y))
 
 
 def elements(pres: GPresentation) -> list[GElement]:
@@ -219,7 +245,7 @@ def transfer_context(pres: GPresentation, H: ElementSubgroup) -> dict:
             x = mul(r, g)
             if not any(mul(x, t) in H.elements for t in inverses):
                 reps.append(x)
-                inverses.append(pres.inv(x))
+                inverses.append(_ref_inv(pres, x))
     _, hprime_rep = _coset_reps(pres, H, H.derived_subgroup())
     return {"reps": reps, "rep_inverses": inverses, "hprime_rep": hprime_rep}
 
@@ -300,7 +326,7 @@ def transfer_along(pres: GPresentation, steps, g: GElement) -> GElement:
     for K, z in steps:
         if z in K:
             raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-        g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+        g = mul(g, mul(mul(z, g), _ref_inv(pres, z))) if g in K else mul(g, g)
         if g not in K:
             raise GroupCheckError(f"index-2 step: the value {g} leaves K")
     return g
@@ -355,7 +381,7 @@ def generic_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GEl
         raise GroupCheckError(f"index-2 step: <K, {z}> has index {parent.order // K.order} over K")
     if z in K:
         raise GroupCheckError(f"index-2 step: z = {z} lies inside K")
-    mul, z_inv, out = pres.mul, pres.inv(z), []
+    mul, z_inv, out = pres.mul, _ref_inv(pres, z), []
     for g in values:
         g = mul(g, mul(mul(z, g), z_inv)) if g in K else mul(g, g)
         if g not in K:
@@ -425,7 +451,7 @@ def planless_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GE
     mul, out = pres.mul, []
     for g in values:
         if g[0]:
-            g = mul(g, mul(mul(z, g), pres.inv(z))) if g in K else mul(g, g)
+            g = mul(g, mul(mul(z, g), _ref_inv(pres, z))) if g in K else mul(g, g)
         elif z[0] and g in K:
             g = pres.element(0, (1 + pres.sigma_twist) * g[1], 0)
         else:  # g^2, which is also g z g z^-1 for z in A

@@ -45,6 +45,19 @@ def command_groups() -> dict[str, list[list[str]]]:
     groups["group-json-force"] = [
         ["group", "--m", str(m), "--n", str(n), "--q", str(q), "--psi", psi, "--json", "--force"]
         for m in range(1, 6) for n in range(1, 4) for q in (1, 2) for psi in ("sigma", "tau-sigma")]
+    groups["group-text-force"] = [
+        ["group", "--m", str(m), "--n", str(n), "--q", str(q), "--psi", psi, "--force"]
+        for m in range(1, 6) for n in range(1, 4) for q in (1, 2) for psi in ("sigma", "tau-sigma")]
+    groups["group-text-symbols"] = [
+        ["group", "--m", str(m), "--n", str(n), "--q", str(q), "--psi", psi,
+         "--legendre", legendre, "--pi", pi, "--b", b]
+        for m in range(2, 5) for n in range(1, 4) for q in (1, 2) for psi in ("sigma", "tau-sigma")
+        for legendre in ("1", "-1") for pi in ("1", "-1") for b in ("1", "-1")]
+    groups["scan-300-text"] = [["scan", "--max", "300"]]
+    groups["exit-2"] = [  # one rejected input of each command
+        ["classify", "--p1", "5", "--p2", "5"], ["classify", "--p1", "5", "--p2", "20000069"],
+        ["scan", "--max", "5"], ["scan", "--max", "4000"], ["group", "--m", "1", "--n", "1", "--q", "1"],
+        ["verify-fixtures", "--table", "99"]]
     groups["verify-fixtures"] = [["verify-fixtures", "--json", "--verbose"]]
     groups["help"] = [[*command, "--help"]
                       for command in ([], ["classify"], ["verify-fixtures"], ["group"], ["scan"])]

@@ -76,6 +76,10 @@ def _norm_groups_from_21_symbols(record):
     s1, s2 = record.splits
     moduli = {"pi1": s1, "pi2": s1.conjugate_choice(), "pi3": s2, "pi4": s2.conjugate_choice()}
     gauss = {"2": GaussianInt(2, 0), **{f: s.pi for f, s in moduli.items()}}
+
+    def mul(x, y):  # the product in Z[i]
+        return GaussianInt(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
     out = {}
     for j in range(1, 8):
         reps = classify._RADICAND_FACTORS[j]
@@ -84,7 +88,7 @@ def _norm_groups_from_21_symbols(record):
             chi["H0"] *= gauss_symbol(ONE_PLUS_I, moduli[f])
         for name, avoid in (("H1", "pi1"), ("H2", "pi2")):
             rep = next(rep for rep in reps if avoid not in rep)
-            alpha = reduce(GaussianInt.__mul__, (gauss[f] for f in rep))
+            alpha = reduce(mul, (gauss[f] for f in rep))
             chi[name] = gauss_symbol(alpha, moduli[avoid])
         signs = (chi["H0"], chi["H1"], chi["H2"])
         out[j] = frozenset(v for v in classify.CLASS_VECTORS

@@ -1774,6 +1774,46 @@ def test_python_m_classtower_interrupted_during_import_exits_130():
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
 
 
+_ARGV = ["classify", "--p1", "5", "--p2", "13", "--json"]
+
+_SIGINT_AFTER_MAIN = f"""
+import os, signal, sys
+import classtower.__main__
+sys.argv = ["classtower", *{_ARGV!r}]
+code = classtower.__main__.main()
+os.kill(os.getpid(), signal.SIGINT)  # what the classtower script does next is sys.exit(code)
+raise SystemExit(code)
+"""
+
+_SIGINT_AT_EXIT = """
+import atexit, os, runpy, signal, sys
+atexit.register(lambda: os.kill(os.getpid(), signal.SIGINT))
+sys.argv = [{module!r}, *{argv!r}]
+runpy.run_module({module!r}, run_name="__main__")
+"""
+
+
+def test_sigint_after_main_returns_keeps_the_exit_code(capsys):
+    # once main has its exit code, a SIGINT no longer ends the process with -2 and a traceback
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SIGINT_AFTER_MAIN], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    code, out, _ = run(capsys, *_ARGV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "") and code == 0
+
+
+@pytest.mark.parametrize("module", ["classtower", "classtower.cli"])
+def test_sigint_in_an_atexit_callback_keeps_the_exit_code(capsys, module):
+    # python -m classtower and python -m classtower.cli: an interrupt on the way out prints
+    # nothing and leaves the command's exit code
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SIGINT_AT_EXIT.format(module=module, argv=_ARGV)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    code, out, _ = run(capsys, *_ARGV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "") and code == 0
+
+
 def test_import_classtower_loads_no_submodule():
     # every name is imported from its module; the package itself imports none of them
     src = str(Path(classtower.__file__).resolve().parents[1])

@@ -13,6 +13,9 @@ import pytest
 import group_oracle as oracle
 from group_oracle import (
     ElementSubgroup,
+    _ref_canon,
+    _ref_inv,
+    _ref_psi,
     commutator,
     conj,
     coset_rep,
@@ -152,17 +155,17 @@ def test_associativity_random_larger():
             assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
         for _ in range(50):
             x = rng.choice(elems)
-            assert pres.mul(x, pres.inv(x)) == pres.identity()
+            x_inv = _ref_inv(pres, x)
+            assert pres.mul(x, x_inv) == pres.identity() == pres.mul(x_inv, x)
 
 
 def test_power_commutator_identities():
     for pres in SMALL:
         rho, sig, tau = pres.rho(), pres.sigma(), pres.tau()
-        inv = pres.inv
         mul = pres.mul
         # rho^-1 sigma rho = sigma^-1 (q=1) or sigma^3 (q=2); rho^-1 tau rho = tau^-1
         assert conj(pres, sig, rho) == power(pres, sig, -1 if pres.q == 1 else 3)
-        assert conj(pres, tau, rho) == inv(tau)
+        assert conj(pres, tau, rho) == _ref_inv(pres, tau)
         rho2 = mul(rho, rho)
         assert commutator(pres, rho2, sig) == pres.identity()
         assert commutator(pres, rho2, tau) == pres.identity()
@@ -432,7 +435,7 @@ def test_class_to_group_dictionary():
         assert len(seen) == 8
         # sigma lands in the [H1 H2] coset
         x = class_to_group(pres, (0, 1, 1))
-        assert pres.mul(pres.inv(x), pres.sigma()) in derived
+        assert pres.mul(_ref_inv(pres, x), pres.sigma()) in derived
 
 
 def test_word_helper():
@@ -454,20 +457,6 @@ def test_word_helper():
 # ---------------------------------------------------------------------------
 
 
-def _ref_canon(pres, a, b):
-    if pres.q == 1:
-        return a % (1 << pres.m), b % (1 << (pres.n + 1))
-    b %= 1 << (pres.n + 2)
-    if b >= 1 << (pres.n + 1):  # tau^(2^(n+1)) = sigma^(2^m)
-        b -= 1 << (pres.n + 1)
-        a += 1 << pres.m
-    return a % (1 << (pres.m + 1)), b % (1 << (pres.n + 1))
-
-
-def _ref_psi(pres):
-    return 1 << (pres.m - 1), 0 if (pres.q == 1 and pres.psi is SIGMA) else 1 << pres.n
-
-
 def _ref_conj_a(pres, a, b):
     return _ref_canon(pres, a * (3 if pres.q == 2 else -1), -b)
 
@@ -485,20 +474,13 @@ def _ref_mul(pres, x, y):
     return (e, *_ref_canon(pres, a, b))
 
 
-def _ref_inv(pres, x):
-    e, a, b = x
-    if e == 0:
-        return (0, *_ref_canon(pres, -a, -b))
-    pa, pb = _ref_psi(pres)
-    return (1, *_ref_canon(pres, -a * (3 if pres.q == 2 else -1) - pa, b - pb))
-
-
 def test_kernel_matches_reference_exhaustive():
     for pres in admissible_presentations(3, 3):
         elems = elements(pres)
         assert len(elems) == pres.order
         for x in elems:
-            assert pres.inv(x) == _ref_inv(pres, x)
+            x_inv = _ref_inv(pres, x)  # the reference inverse against mul
+            assert pres.mul(x, x_inv) == pres.identity() == pres.mul(x_inv, x), (pres, x)
             for y in elems:
                 assert pres.mul(x, y) == _ref_mul(pres, x, y), (pres, x, y)
 
@@ -509,7 +491,8 @@ def test_kernel_matches_reference_random():
         for _ in range(300):
             x, y, z = ((rng.randrange(2), *_ref_canon(pres, rng.randrange(1 << 12), rng.randrange(1 << 12)))
                        for _ in range(3))
-            assert pres.inv(x) == _ref_inv(pres, x)
+            x_inv = _ref_inv(pres, x)
+            assert pres.mul(x, x_inv) == pres.identity() == pres.mul(x_inv, x), (pres, x)
             assert pres.mul(pres.mul(x, y), z) == _ref_mul(pres, _ref_mul(pres, x, y), z), (pres, x, y, z)
 
 
@@ -568,7 +551,7 @@ def _ref_transfer_values(pres, H):
         val = pres.identity()
         for x in reps:
             xg = pres.mul(x, g)
-            h = pres.mul(xg, pres.inv(locate[xg]))
+            h = pres.mul(xg, _ref_inv(pres, locate[xg]))
             assert h in H.elements
             val = pres.mul(val, h)
         values[v] = val
@@ -766,6 +749,28 @@ def test_random_subgroups_match_element_oracle():
             assert ElementSubgroup.of(H.derived_subgroup()).elements == EH.derived_subgroup().elements
             assert H.abelianization() == EH.abelianization(), (pres, gens_h)
             assert Subgroup.generated(pres, generators(H)) == H
+
+
+# three generators outside A each, so Subgroup.generated adds r^2 and two A-differences r^-1 g;
+# the differences go negative, and for q = 2 past the carry tau^(2^(n+1)) = sigma^(2^m)
+_OUTSIDE_TRIPLES = [
+    [(1, 0, 0), (1, 1, 0), (1, 0, 1)],
+    [(1, 1, 1), (1, 3, 0), (1, 1, 2)],
+    [(1, 3, 3), (1, 1, 1), (1, 5, 5)],
+    [(1, 2, 0), (1, 0, 2), (1, 2, 2)],
+    [(1, 1, 0), (1, 3, 2), (1, 5, 4)],
+]
+
+
+def test_subgroups_with_three_generators_outside_a_match_element_oracle():
+    for pres in SMALL:
+        orders = set()
+        for gens in _OUTSIDE_TRIPLES:
+            H, EH = Subgroup.generated(pres, gens), ElementSubgroup.generated(pres, gens)
+            assert ElementSubgroup.of(H).elements == EH.elements, (pres, gens)
+            assert H.order == EH.order and H.r is not None
+            orders.add(H.order)
+        assert len(orders) > 1 and pres.order in orders, (pres, orders)
 
 
 def test_quotient_types_of_the_three_relation_shapes_match_element_oracle():

@@ -24,6 +24,7 @@ from classtower.quadratic import (
     ClassGroupError,
     QuadUnit,
     _principal_cycle,
+    _transform,
     class_group,
     compose,
     exponents_mn,
@@ -320,7 +321,7 @@ def test_reduced_principal_form_is_the_reduced_principal_start():
     for D in discs:
         s = math.isqrt(D)
         start = _reduced_principal(D, s)
-        assert start == reduce_indefinite(principal_form(D)).key(), D
+        assert start == tuple(reduce_indefinite(principal_form(D))), D
         assert _is_reduced_indefinite(start[0], start[1], s) and disc(BQForm(*start)) == D
 
 
@@ -375,15 +376,16 @@ def test_descent_on_deepest_pool_pairs():
 
 def test_bqform_api_serves_the_counting_oracle():
     f = BQForm(2, 1, 3)
-    assert (f.a, f.b, f.c) == (2, 1, 3) and f.key() == (2, 1, 3) and type(f.key()) is tuple
-    assert disc(f) == -23 and f.value(1, 0) == 2 and f.value(-1, 2) == 12
+    assert (f.a, f.b, f.c) == (2, 1, 3) and tuple(f) == (2, 1, 3) and type(tuple(f)) is tuple
+    # f's values, as the leading coefficients of the substitutions with first column (x, y)
+    assert disc(f) == -23 and _transform(f, 1, 0).a == 2 and _transform(f, -1, 2).a == 12
     assert str(f) == f"{f}" == "(2, 1, 3)"
     assert f == BQForm(2, 1, 3) and f != BQForm(2, -1, 3)
     assert hash(f) == hash(BQForm(2, 1, 3)) and len({f, BQForm(2, 1, 3), BQForm(2, -1, 3)}) == 2
     with pytest.raises(AttributeError):
         f.a = 5
     forms = reduced_definite_forms(-23)
-    assert sorted(forms, key=BQForm.key) == [BQForm(1, 1, 6), BQForm(2, -1, 3), f]
+    assert sorted(forms, key=tuple) == [BQForm(1, 1, 6), BQForm(2, -1, 3), f]
     # the oracle's groups keep forms in sets and dicts and compare reduced ones
     assert counting_class_group(-23)[:2] == (3, 3)
     assert counting_class_group(316)[:2] == (3, 6)
