@@ -1,4 +1,5 @@
-"""``python -m classtower`` and the ``classtower`` script: the command line of ``classtower.cli``.
+"""``python -m classtower``, ``python -m classtower.cli`` and the ``classtower`` script: the
+command line of ``classtower.cli``.
 
 cli is imported inside the try, so a SIGINT that lands while the command line loads exits 130
 with cli's one stderr line, as one that lands in cli.main does.  Once the exit code is known,

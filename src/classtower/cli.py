@@ -22,8 +22,14 @@ process is computed by the parent; without ``os.fork``, one process.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m classtower.cli: the entry point imports this module itself
+    from .__main__ import main as _entry_point
+
+    raise SystemExit(_entry_point())
+
 import argparse
 import contextlib
+import gc
 import json
 import os
 import signal
@@ -602,7 +608,10 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
+    thaw = not gc.get_freeze_count()  # a caller's frozen objects stay frozen
     try:
+        if thaw:
+            gc.freeze()  # the collector skips every object made before the command
         args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
@@ -620,10 +629,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if thaw:
+            gc.unfreeze()
     return code
-
-
-if __name__ == "__main__":
-    code = main()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the exit code stands; a later SIGINT is ignored
-    sys.exit(code)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import errno
+import gc
 import hashlib
 import importlib
 import io
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1760,17 +1762,28 @@ class Interrupt:  # a SIGINT that lands while the command line is being imported
             raise KeyboardInterrupt
 
 sys.meta_path.insert(0, Interrupt())
-sys.argv = ["classtower", "classify", "--p1", "5", "--p2", "13", "--json"]
-runpy.run_module("classtower", run_name="__main__")
+sys.argv = [{module!r}, "classify", "--p1", "5", "--p2", "13", "--json"]
+runpy.run_module({module!r}, run_name="__main__")
 """
+
+
+def _interrupted_import(module):
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", _INTERRUPTED_IMPORT.format(module=module)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
 
 
 def test_python_m_classtower_interrupted_during_import_exits_130():
     # python -m classtower and the classtower script import cli inside their own except
     # KeyboardInterrupt, so an interrupt before cli.main is the same one line and exit 130
-    src = str(Path(classtower.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _INTERRUPTED_IMPORT], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    proc = _interrupted_import("classtower")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
+
+
+def test_python_m_classtower_cli_interrupted_during_import_exits_130():
+    # python -m classtower.cli hands itself to classtower.__main__ before its own imports
+    proc = _interrupted_import("classtower.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
 
 
@@ -1821,3 +1834,101 @@ def test_import_classtower_loads_no_submodule():
                            "sys.modules if m.startswith('classtower.')))"], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def _stdout_gone(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone: the flush in main raises BrokenPipeError
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    return stdout
+
+
+def _interrupt_classify(monkeypatch):
+    from classtower import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_classify", interrupted)
+
+
+# exit code -> (what forces it, returning any file it opened; argv)
+_EXITS = {
+    0: (None, _ARGV),
+    1: (_stdout_gone, _ARGV),
+    2: (None, ["classify", "--p1", "5", "--p2", "17"]),
+    3: (_fail_pair_13_29, ["classify", "--p1", "13", "--p2", "29"]),
+    130: (_interrupt_classify, _ARGV),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_EXITS))
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, code):
+    # main freezes the heap it starts with for the command and thaws it on every way out
+    from classtower import cli
+
+    forge, argv = _EXITS[code]
+    opened = forge(monkeypatch) if forge is not None else None
+    command, frozen_during = cli.cmd_classify, []
+    monkeypatch.setattr(cli, "cmd_classify",
+                        lambda args: frozen_during.append(gc.get_freeze_count()) or command(args))
+    before = gc.get_freeze_count(), gc.isenabled()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code
+    finally:
+        if opened is not None:
+            opened.close()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before and before[0] == 0
+    assert len(frozen_during) == 1 and frozen_during[0] > 0
+
+
+def test_a_cycle_made_before_main_is_freed_after_it(capsys):
+    # the objects main freezes are thawed, so a full collection after it reaches them
+    class Node:
+        pass
+
+    enabled = gc.isenabled()
+    gc.disable()  # no collection frees the cycle before main freezes it
+    try:
+        node = Node()
+        node.cycle = node
+        ref = weakref.ref(node)
+        del node
+        assert gc.get_freeze_count() == 0  # so main freezes the cycle
+        assert run(capsys, *_ARGV)[0] == 0 and ref() is not None
+        gc.collect()
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_callers_frozen_objects_stay_frozen(capsys):
+    # main neither freezes more nor thaws what a caller froze before it
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run(capsys, *_ARGV)[0] == 0 and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+_COLLECTIONS = f"""
+import gc, sys
+import classtower.cli
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+code = classtower.cli.main({_ARGV!r})
+print(code, starts, file=sys.stderr)
+"""
+
+
+def test_one_classify_call_runs_no_collection():
+    # freezing resets the count of new objects, and one classify call makes too few for a
+    # collection of its own: the collector walks neither the imports nor the command
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _COLLECTIONS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stderr == "0 []\n"

@@ -870,6 +870,15 @@ def test_one_subgroup_plan_for_every_accepted_presentation():
             assert over_derived(pres, V) == H and pres._plan[V] == (H.lattice, H.r), (pres, V)
 
 
+def test_engine_table_series_is_the_lower_central_series():
+    # engine_table continues the series from the G' and [G', G] its subgroups already hold;
+    # lower_central_series, which steps down from G alone, is the reference
+    presentations = _accepted_presentations(gengroup.MAX_ORDER_BITS, gengroup.MAX_ORDER_BITS)
+    assert len(presentations) == 287
+    for pres in presentations:
+        assert gengroup.engine_table(pres).series == tuple(lower_central_series(pres)), pres
+
+
 def test_over_derived_follows_forged_class_representatives():
     # representatives forged to other bits mod 2 (other cosets of G', inside A or not) get a
     # plan of their own, made on first use, and over_derived still gives the subgroups that
