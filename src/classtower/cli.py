@@ -38,7 +38,6 @@ from functools import cache
 from itertools import product
 from typing import NoReturn
 
-from .abelian import AbelianType
 from .classify import (
     InvariantRecord,
     PredictionReport,
@@ -277,9 +276,9 @@ def cmd_group(args) -> int:
               f"G/G' = {table.G.abelianization}, G' = {table.G_derived.abelianization}")
         print(f"lower central series orders: {shape}")
         print(f"nilpotency class {info['nilpotency_class']}, coclass {info['coclass']}")
-        if "fields" in info:
-            for name, tp in info["fields"].items():
-                print(f"  Cl2({name}) = {AbelianType.from_factors(tp)}")
+        if fields is not None:
+            for name, tp in fields.items():
+                print(f"  Cl2({name}) = {tp}")
     return EXIT_OK
 
 

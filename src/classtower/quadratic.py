@@ -182,33 +182,25 @@ def principal_form(D: int) -> BQForm:
     return BQForm(1, k, (k * k - D) // 4)
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """x = r1 (mod m1), x = r2 (mod m2); moduli positive, need not be coprime."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError("inconsistent congruences")
-    if m2 == g:
-        return r1 % m1
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % (m1 // g * m2)
-
-
 def compose(f1: BQForm, f2: BQForm) -> BQForm:
     """Dirichlet composition of primitive forms of one discriminant.
 
-    f2 is first replaced by a properly equivalent form whose leading
-    coefficient is coprime to a1; then the composite is (a1*a2, B, *) with
-    B = b1 (mod 2|a1|) and B = b2 (mod 2|a2|) (united-forms construction).
+    With s = (b1 + b2)/2 and u a1 + v a2 + w s = d = gcd(a1, a2, s), the composite is
+    (a1 a2 / d^2, B, *) with B = b2 + 2 (a2/d) (v (s - b2) - w c2) (Cohen, A Course in
+    Computational Algebraic Number Theory, Def. 5.4.6).  Cohen's factor d0 = gcd(d, c1,
+    c2, n), n = (b2 - b1)/2, is 1 here: a prime that divides d, c1 and n also divides a1
+    and b1 = s - n, so f1 would not be primitive.
     """
     a1, b1, c1 = f1
     a2, b2, c2 = f2
     D = b1 * b1 - 4 * a1 * c1
     if b2 * b2 - 4 * a2 * c2 != D:
         raise ClassGroupError(f"cannot compose {f1} and {f2}: discriminants differ")
-    a2, b2, _ = f2 = _coprime_representative(f2, a1)
-    n1, n2 = 2 * abs(a1), 2 * abs(a2)
-    B = _crt(b1 % n1, n1, b2 % n2, n2)
-    A = a1 * a2
+    s = (b1 + b2) // 2
+    g, _, y = _xgcd(a1, a2)  # x a1 + y a2 = g
+    d, t, w = _xgcd(g, s)  # t g + w s = d, so v = t y
+    A = a1 * a2 // (d * d)
+    B = b2 + 2 * (a2 // d) * (t * y * (s - b2) - w * c2)
     num = B * B - D
     if num % (4 * A):
         raise ClassGroupError(f"composite of {f1} and {f2} is not integral")
@@ -226,29 +218,15 @@ def _small_vectors():
     raise ClassGroupError("no suitable value among the small vectors; form not primitive?")
 
 
-# The first vectors of _small_vectors(), built once.  For the discriminants -4r, r, -8r,
-# 8r of the pairs with p2 <= 1000 the deepest search stops at index 177, and up to
-# p2 <= 1500 none reaches the generator's tail.
+# The first vectors of _small_vectors(), built once, for the prime search of _square_root.
+# For the discriminants -4r, r, -8r, 8r of the pairs with p2 <= 1000 the deepest search
+# stops at index 176, and up to p2 <= 1500 at index 177: none reaches the generator's tail.
 _SMALL_VECTORS = tuple(islice(_small_vectors(), 256))
 
 
 def _search_vectors():
     """_small_vectors(): the table, then the generator's tail."""
     return chain(_SMALL_VECTORS, islice(_small_vectors(), len(_SMALL_VECTORS), None))
-
-
-def _coprime_representative(f: BQForm, n: int) -> BQForm:
-    """A form properly equivalent to f whose leading coefficient is coprime to n.
-
-    Primitive forms represent values coprime to any modulus, so a small search
-    over primitive (x, y) always succeeds.
-    """
-    a, b, c = f
-    if math.gcd(a, n) == 1:
-        return f
-    for x, y in _search_vectors():
-        if math.gcd(a * x * x + b * x * y + c * y * y, n) == 1:
-            return _transform(f, x, y)
 
 
 def _transform(f: BQForm, x: int, y: int) -> BQForm:
@@ -370,26 +348,22 @@ def _two_character(D: int) -> tuple[int, ...]:
     return {8: (3, 5), 24: (5, 7)}.get(D % 32, (3, 7) if D % 8 == 4 else ())
 
 
-def _genus_vector(f: BQForm, D: int, primes: list[int], two: tuple[int, ...]) -> int:
+def _genus_vector(f: BQForm, primes: list[int], two: tuple[int, ...]) -> int:
     """Bit i set when the genus character of primes[i] is -1 on f; the last one dropped.
 
-    The characters are evaluated on a value n of f coprime to D; their product
-    is the Kronecker symbol (D/n) = 1, which is checked.  At odd q it is n^((q-1)/2) mod q.
+    The character of q is evaluated on n = a, or on n = c when q | a: a primitive form
+    has no prime q | D dividing both a and c, as q would divide b too (for q = 2, D and
+    so b are even).  At odd q it is n^((q-1)/2) mod q.  The characters multiply to 1,
+    which is checked.
     """
-    a, b, c = f
-    for x, y in _SMALL_VECTORS:
-        n = a * x * x + b * x * y + c * y * y
-        if math.gcd(n, D) == 1:
-            break
-    else:  # the whole search again, into the generator's tail
-        n = next(n for x, y in _search_vectors()
-                 if math.gcd(n := a * x * x + b * x * y + c * y * y, D) == 1)
+    a, _, c = f
     vec = 0
     for i, q in enumerate(primes):
+        n = a if a % q else c
         if (n % 8 in two) if q == 2 else pow(n, q >> 1, q) != 1:
             vec |= 1 << i
     if vec.bit_count() % 2:
-        raise ClassGroupError(f"genus characters of {f} at n = {n} multiply to -1")
+        raise ClassGroupError(f"genus characters of {f} multiply to -1")
     return vec & ~(1 << (len(primes) - 1))
 
 
@@ -440,13 +414,10 @@ def _square_root(f: BQForm, m: int, m_primes: list[int]) -> BQForm:
     """
     a, b, c = f
     D = b * b - 4 * a * c
-    for x, y in _SMALL_VECTORS:  # an odd prime value p prime to D
+    for x, y in _search_vectors():  # an odd prime value p prime to D
         p = abs(a * x * x + b * x * y + c * y * y)
         if p > 2 and D % p and is_prime(p):
             break
-    else:  # the whole search again, into the generator's tail
-        x, y = next((x, y) for x, y in _search_vectors()
-                    if (p := abs(a * x * x + b * x * y + c * y * y)) > 2 and D % p and is_prime(p))
     g = _transform(f, x, y) if y else f  # (1, 0) is the one vector with y = 0
     p, b, _ = g
     w, u, v = _legendre(m, m_primes, p, [abs(p)])  # w^2 = m u^2 + p v^2
@@ -548,7 +519,7 @@ def _narrow_exponents(D: int, m: int, primes: list[int], relation: int, j: int):
         pivots = {bit: (vec, 0, root) for bit, (vec, _, root) in full.items()}
         nxt = []
         for coords, root in level:
-            vec = _genus_vector(root, D, primes, two)
+            vec = _genus_vector(root, primes, two)
             while vec and vec.bit_length() in pivots:
                 pvec, pcoords, proot = pivots[vec.bit_length()]
                 vec, coords, root = vec ^ pvec, coords ^ pcoords, reduce(compose(root, proot))

@@ -19,7 +19,8 @@ It compares, and prints the number of cases and of mismatches for each:
   (``_square_root`` with ``search_square_root``), every genus vector (``_genus_vector``
   with ``jacobi_genus_vector`` and ``odd_part_two_character``), every ``(exponents,
   height)`` of ``_narrow_exponents`` and every 2-part, the last two recomputed with
-  the old kernels in place of the new;
+  the old kernels in place of the new, and, by class, every composition (``compose``
+  with ``united_forms_compose``, the copy from before the closed formula);
 - ``gengroup.engine_table`` with ``group_oracle.planless_engine_table``, the table as it
   was built before the subgroup plan, on every presentation ``GPresentation`` accepts
   (order at most ``2^MAX_ORDER_BITS``), and ``classify._engine_checks`` with
@@ -108,8 +109,13 @@ def _recorded(module, names: list[str], calls: dict):
     return lambda: [setattr(module, name, f) for name, f in originals.items()]
 
 
-def _old_genus_vector(f, D, primes, two):
+def _old_genus_vector(f, primes, two):
+    """The old genus vector of f, from the D that f has: the new one reads no D."""
+    D = oracle.disc(f)
     return oracle.jacobi_genus_vector(f, D, primes, oracle.odd_part_two_character(D, primes))
+
+
+COMPOSITIONS = "compositions vs the united-forms copy"
 
 
 def descent_report(pairs) -> dict[str, tuple[int, list]]:
@@ -119,7 +125,7 @@ def descent_report(pairs) -> dict[str, tuple[int, list]]:
                     for s in (-1, 1) for k in (1, 2)})
     calls: dict[str, list] = {}
     restore = _recorded(quadratic, ["_legendre", "_square_root", "_genus_vector",
-                                    "_narrow_exponents"], calls)
+                                    "_narrow_exponents", "compose"], calls)
     quadratic.class_group.cache_clear()
     try:
         new = {D: quadratic.class_group(D).two_part for D in discs}
@@ -157,6 +163,9 @@ def descent_report(pairs) -> dict[str, tuple[int, list]]:
             if _old_genus_vector(*args) != result]),
         "(exponents, height)": (len(calls["_narrow_exponents"]), bad_exponents),
         "2-parts": (len(discs), bad_two_parts),
+        COMPOSITIONS: (len(calls["compose"]), [
+            args for args, result in calls["compose"]
+            if not oracle.same_class(oracle.united_forms_compose(*args), result)]),
     }
 
 
@@ -228,8 +237,8 @@ def main() -> int:
         bad = [(pair.p1, pair.p2) for pair in group if unit_index_q(pair) != full_q(pair)]
         ok &= report(f"unit_index_q vs the square test, {label}", len(group), bad)
         for name, (n_cases, bad) in descent_report(group).items():
-            ok &= report(f"descent vs the old kernels: {name}, D of -r, r, -2r, 2r, {label}",
-                         n_cases, bad)
+            name = name if name == COMPOSITIONS else f"descent vs the old kernels: {name}"
+            ok &= report(f"{name}, D of -r, r, -2r, 2r, {label}", n_cases, bad)
     return 0 if ok else 1
 
 

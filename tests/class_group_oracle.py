@@ -21,7 +21,11 @@ kernels against.  recursive_legendre (with squarefree_split), search_square_root
 recursive Lagrange descent, the square root of a form and the genus characters as
 they were before the descent became one loop, the searches read the vector table
 directly and the characters came from Euler's criterion and D mod 32; they are
-verbatim copies too.
+verbatim copies too.  united_forms_compose (with crt and coprime_representative) is
+Dirichlet composition as it was before the closed formula: it moves the second form
+to a leading coefficient coprime to the first and solves the two congruences for B.
+It is a verbatim copy too, and the counting groups compose with it, so they stay
+independent of classtower.quadratic.compose; same_class compares two composites.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from classtower.quadratic import (
     _rho,
     _search_vectors,
     _transform,
-    compose,
     field_discriminant,
     principal_form,
     reduce_definite,
@@ -81,6 +84,53 @@ def reduced_indefinite_forms(D: int) -> list[BQForm]:
     return forms
 
 
+def crt(r1: int, m1: int, r2: int, m2: int) -> int:
+    """x = r1 (mod m1), x = r2 (mod m2); moduli positive, need not be coprime."""
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        raise ValueError("inconsistent congruences")
+    if m2 == g:
+        return r1 % m1
+    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
+    return (r1 + m1 * t) % (m1 // g * m2)
+
+
+def united_forms_compose(f1: BQForm, f2: BQForm) -> BQForm:
+    """Dirichlet composition of primitive forms of one discriminant.
+
+    f2 is first replaced by a properly equivalent form whose leading
+    coefficient is coprime to a1; then the composite is (a1*a2, B, *) with
+    B = b1 (mod 2|a1|) and B = b2 (mod 2|a2|) (united-forms construction).
+    """
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    D = b1 * b1 - 4 * a1 * c1
+    if b2 * b2 - 4 * a2 * c2 != D:
+        raise ClassGroupError(f"cannot compose {f1} and {f2}: discriminants differ")
+    a2, b2, _ = f2 = coprime_representative(f2, a1)
+    n1, n2 = 2 * abs(a1), 2 * abs(a2)
+    B = crt(b1 % n1, n1, b2 % n2, n2)
+    A = a1 * a2
+    num = B * B - D
+    if num % (4 * A):
+        raise ClassGroupError(f"composite of {f1} and {f2} is not integral")
+    return BQForm(A, B, num // (4 * A))
+
+
+def coprime_representative(f: BQForm, n: int) -> BQForm:
+    """A form properly equivalent to f whose leading coefficient is coprime to n.
+
+    Primitive forms represent values coprime to any modulus, so a small search
+    over primitive (x, y) always succeeds.
+    """
+    a, b, c = f
+    if math.gcd(a, n) == 1:
+        return f
+    for x, y in _search_vectors():
+        if math.gcd(a * x * x + b * x * y + c * y * y, n) == 1:
+            return _transform(f, x, y)
+
+
 class DefiniteGroup:
     """Class group of D < 0: the reduced forms under composition."""
 
@@ -91,7 +141,7 @@ class DefiniteGroup:
         self.identity = reduce_definite(principal_form(D))
 
     def op(self, x: BQForm, y: BQForm) -> BQForm:
-        return reduce_definite(compose(x, y))
+        return reduce_definite(united_forms_compose(x, y))
 
 
 def disc(f: BQForm) -> int:
@@ -103,6 +153,19 @@ def disc(f: BQForm) -> int:
 def rho_step(f: BQForm, s: int) -> BQForm:
     """One rho step; reduces arbitrary forms and walks cycles of reduced ones."""
     return BQForm(f.c, *_rho(f.b, f.c, disc(f), s))
+
+
+def same_class(f: BQForm, g: BQForm) -> bool:
+    """f and g properly equivalent: one reduced form for D < 0, one rho cycle for D > 0."""
+    if disc(f) < 0:
+        return reduce_definite(f) == reduce_definite(g)
+    f, g = reduce_indefinite(f), reduce_indefinite(g)
+    s, h = math.isqrt(disc(f)), f
+    while h != g:
+        h = rho_step(h, s)
+        if h == f:
+            return False
+    return True
 
 
 class CycleGroup:
@@ -135,7 +198,7 @@ class CycleGroup:
         return self._cycle_of[reduce_indefinite(f)]
 
     def op(self, x: int, y: int) -> int:
-        return self.cls(compose(self._reps[x], self._reps[y]))
+        return self.cls(united_forms_compose(self._reps[x], self._reps[y]))
 
     def negated_principal_class(self) -> int:
         D = disc(self._reps[0])

@@ -14,17 +14,25 @@ from class_group_oracle import (
     full_principal_cycle,
     full_structure,
     group_law,
+    jacobi_genus_vector,
+    odd_part_two_character,
     reduced_definite_forms,
+    reduced_indefinite_forms,
+    same_class,
     signed_principal_cycle,
     two_sylow,
+    united_forms_compose,
 )
-from classtower.abelian import AbelianType
+from classtower.abelian import AbelianType, factorize
 from classtower.quadratic import (
     BQForm,
     ClassGroupError,
     QuadUnit,
+    _ambiguous_form,
+    _genus_vector,
     _principal_cycle,
     _transform,
+    _two_character,
     class_group,
     compose,
     exponents_mn,
@@ -452,7 +460,6 @@ def test_shared_factorization_is_factorize():
     from pathlib import Path
 
     from classtower import quadratic
-    from classtower.abelian import factorize
 
     pool = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "large_pool.json"
     radicands = [row["p1"] * row["p2"] for row in json.loads(pool.read_text(encoding="utf-8"))]
@@ -475,3 +482,44 @@ def test_descent_matches_the_old_kernels():
     cases = {name: n for name, (n, _) in report.items()}
     assert cases["2-parts"] == cases["(exponents, height)"] == 4 * 276
     assert cases["conic points, every level of the descent"] > cases["square roots of forms"] > 0
+
+
+def _reduced_forms(D):
+    return reduced_definite_forms(D) if D < 0 else reduced_indefinite_forms(D)
+
+
+def test_compose_matches_the_united_forms_copy():
+    # the closed formula and the coprime search give the same class on every pair of reduced
+    # forms: equal reduced forms for D < 0, one rho cycle for D > 0
+    shared = negative = 0
+    for D in (-420, -455, -1155, -104, 105, 136, 520, 1365):
+        forms = _reduced_forms(D)
+        for f in forms:
+            for g in forms:
+                h = compose(f, g)
+                assert disc(h) == D and math.gcd(*h) == 1, (f, g, h)
+                assert same_class(h, united_forms_compose(f, g)), (f, g)
+                shared += math.gcd(f.a, g.a) > 1
+                negative += f.a < 0 or g.a < 0
+    assert shared > 1000 and negative > 1000
+    assert not same_class(BQForm(2, 1, 3), BQForm(2, -1, 3))
+    # the negated principal form is narrowly principal exactly when N(eps) = -1
+    assert same_class(BQForm(1, 2, -1), BQForm(-1, 2, 1))  # D = 8, N(1 + sqrt(2)) = -1
+    assert not same_class(BQForm(1, 2, -2), BQForm(-1, 2, 2))  # D = 12, N(2 + sqrt(3)) = 1
+
+
+def test_genus_vector_matches_the_jacobi_copy():
+    # the characters read off a and c give the vector that Jacobi symbols of a value prime to
+    # D gave, on every reduced form (the ambiguous ones among them) and on the forms (q, *, *)
+    # of the primes q | D, for D = 0 and D = 1 (mod 4) of both signs
+    ambiguous = shared = 0
+    for D in (-455, -1155, 105, 1105, 1365, -420, -840, -104, 136, 520, 780, 232, 1320):
+        primes = sorted(factorize(abs(D)))
+        forms = [*_reduced_forms(D), *(_ambiguous_form(D, q) for q in primes)]
+        for f in forms:
+            assert _genus_vector(f, primes, _two_character(D)) == jacobi_genus_vector(
+                f, D, primes, odd_part_two_character(D, primes)), (D, f)
+            ambiguous += f.b % f.a == 0
+            shared += math.gcd(f.a, D) > 1
+    assert ambiguous > 100 and shared > 100
+
