@@ -25,10 +25,9 @@ the gcds of the minors of an at most 3 x 3 relation matrix) are then integer
 arithmetic whose cost does not grow with |G| (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 8; Cohen, A Course in Computational
 Algebraic Number Theory, sec. 2.4).  The subgroups over G' are the subspaces of
-G/G' = Cl_2(k) = F_2^3 (over_derived).  G' & A is 2Z^2 in every presentation, so the
-H & A and r of each depend only on the class representatives mod 2: over_derived reads
-them from a plan made on first use for each pattern of those bits, and every accepted
-presentation has the same pattern.  A transfer into a subgroup over G' is, by
+G/G' = Cl_2(k) = F_2^3 (over_derived).  G' & A is 2Z^2 and the class representatives
+have the same bits mod 2 in every presentation, so the H & A and r of each are the same:
+over_derived reads them from a table fixed at import.  A transfer into a subgroup over G' is, by
 transitivity, a chain of index-2 transfers along a flag of subspaces up to F_2^3, each a
 two-case formula (Huppert, Endliche Gruppen I, IV.1).  engine_table builds all 16 once
 per presentation, top down the flag: the transfers of rho sigma, rho and tau into each
@@ -175,10 +174,6 @@ class GPresentation(_PresentationData):
     @cached_property
     def class_elements(self) -> tuple[GElement, ...]:  # class_to_group over CLASS_VECTORS
         return tuple(class_to_group(self, v) for v in CLASS_VECTORS)
-
-    @cached_property
-    def _plan(self) -> dict:  # V -> (H & A, r) of over_derived, shared by presentations
-        return _plan_for(self)
 
     @cached_property
     def derived_lattice(self) -> Lattice:
@@ -436,39 +431,11 @@ def class_to_group(pres: GPresentation, v: ClassVector) -> GElement:
 
 def over_derived(pres: GPresentation, classes: frozenset[ClassVector]) -> Subgroup:
     """The subgroup over G' whose image in G/G' = F_2^3 is the subspace classes: K_j over the
-    plane N_j, L_j over the line N_a & N_b & N_c.  Its H & A and r are read from the
-    presentation's plan (_plan_for)."""
+    plane N_j, L_j over the line N_a & N_b & N_c.  Its H & A and r are the same in every
+    presentation, read from the fixed table _OVER_DERIVED."""
     if classes not in _FLAG:
         raise ValueError(f"{sorted(classes)} is not a subspace of F_2^3")
-    lattice, r = pres._plan[classes]
-    return Subgroup(pres, lattice, r)
-
-
-_PLANS: dict = {}  # (sigma_twist, the representatives mod 2) -> {V: (H & A, r)}, made on first use
-
-
-def _plan_for(pres: GPresentation) -> dict:
-    """V -> (H & A, r) of the subgroup H over G' of V.  One Hermite basis spans H & A: G' & A and
-    the representatives inside A; r is the first one outside A (for a further one g, r^-1 g lies in
-    A in the class of r g, whose representative is there).  G' & A = diag(s - 1, -2)Z^2 + Lambda is
-    2Z^2 in every presentation (engine_table checks it), so H & A and r reduced modulo it, a normal
-    form of bits, depend only on the representatives mod 2 (and T's check on s)."""
-    bits = tuple((e, a & 1, b & 1) for e, a, b in pres.class_elements)
-    plan = _PLANS.get((pres.sigma_twist, bits))
-    if plan is None:
-        plan = {}
-        for V in SUBSPACES:
-            vectors, r = [(2, 0), (0, 2)], None
-            for k in _FLAG[V][0]:
-                g = bits[k]
-                if not g[0]:
-                    vectors.append(g[1:])
-                elif r is None:
-                    r = g
-            H = Subgroup._from_lattice(pres, _hermite(vectors), r)
-            plan[V] = H.lattice, H.r
-        _PLANS[pres.sigma_twist, bits] = plan
-    return plan
+    return Subgroup(pres, *_OVER_DERIVED[classes])
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +451,30 @@ _FLAG = {V: (tuple(i for i, v in enumerate(CLASS_VECTORS) if v in V), k,
              None if k is None else V | {vadd(v, CLASS_VECTORS[k]) for v in V})
          for V in SUBSPACES
          for k in [next((i for i, v in enumerate(CLASS_VECTORS) if v not in V), None)]}
+# the class representatives t^x0 r^x1 (rs)^x2 mod 2 in every presentation (engine_table checks
+# them): rho^2 = psi, the carry sigma^(2^m) and T's change of sign and of sigma are all even
+_CLASS_BITS = tuple((x1 ^ x2, x2, x0) for x0, x1, x2 in CLASS_VECTORS)
+
+
+def _over_derived_table() -> dict[frozenset[ClassVector], tuple[Lattice, GElement | None]]:
+    """V -> (H & A, r) of the subgroup H over G' of V, in every presentation.  One Hermite basis
+    spans H & A: G' & A and the representatives inside A; r is the first one outside A (for a
+    further one g, r^-1 g lies in A in the class of r g, whose representative is there).  G' & A =
+    diag(s - 1, -2)Z^2 + Lambda is 2Z^2 (engine_table checks it), so H & A and r reduced modulo it
+    are bits, read off _CLASS_BITS.  With r, H & A must be T-stable (Subgroup._from_lattice) for
+    both T: -I fixes every lattice, and diag(3, -1) one with 4 h12 = 0 mod h22."""
+    table = {}
+    for V in SUBSPACES:
+        reps = [_CLASS_BITS[k] for k in _FLAG[V][0]]
+        lattice = _hermite([(2, 0), (0, 2), *(g[1:] for g in reps if not g[0])])
+        r = next(((1, *_reduce(lattice, a, b)) for e, a, b in reps if e), None)
+        if r is not None and 4 * lattice[1] % lattice[2]:
+            raise GroupCheckError(f"lattice {lattice} of a subgroup outside A is not T-stable")
+        table[V] = lattice, r
+    return table
+
+
+_OVER_DERIVED = _over_derived_table()
 
 
 class OverDerived(NamedTuple):
@@ -541,7 +532,8 @@ def engine_table(pres: GPresentation) -> EngineTable:
     transitivity, H's transfers of rho sigma, rho and tau are those of <H, z> carried over the
     one step (H, z) by _step_down.  The transfer G/G' -> H/H' is a homomorphism, so these three
     give the kernel (_kernel).  By the principal ideal theorem the transfer into G' is trivial.
-    G' & A = diag(s - 1, -2)Z^2 + Lambda is 2Z^2 (checked), so H & A is one of five lattices
+    G' & A = diag(s - 1, -2)Z^2 + Lambda is 2Z^2 and the class representatives reduce mod 2 to
+    _CLASS_BITS (both checked), so H & A is one of five lattices read from _OVER_DERIVED
     (2Z^2, the three of index 2 over it, Z^2).  H' = (T - I)(H & A) + Lambda, or 1 for H inside
     A, is formed once for each lattice and each of the two cases, and the type of H/H' once for
     each lattice and relation matrix (r^2 in its coordinates).  The lower central series starts
@@ -549,10 +541,12 @@ def engine_table(pres: GPresentation) -> EngineTable:
     A with H & A = 2Z^2; both are in the table, and lower_central_series steps down from them."""
     if pres.derived_lattice != (2, 0, 2):
         raise GroupCheckError(f"G' & A is the lattice {pres.derived_lattice}, not 2Z^2")
+    classes = pres.class_elements
+    if tuple((e, a & 1, b & 1) for e, a, b in classes) != _CLASS_BITS:
+        raise GroupCheckError(f"the class representatives {classes} are not {_CLASS_BITS} mod 2")
     over: dict[frozenset[ClassVector], OverDerived] = {}
     derived_of: dict = {}  # (H & A, H inside A) -> H'
     quotients: dict = {}  # (H & A, the relations of H/H', with r^2 in its coordinates) -> H/H'
-    classes = pres.class_elements
     for V in SUBSPACES:
         H, (_, k, above) = over_derived(pres, V), _FLAG[V]
         _, lattice, r = H

@@ -26,11 +26,15 @@ It compares, and prints the number of cases and of mismatches for each:
   ``united_forms_compose``'s, the copy from before the closed formula.  It also prints
   the number of descent levels (values factored) and the largest value factored, for
   the new and the old conic kernel on the same conics;
-- ``gengroup.engine_table`` with ``group_oracle.planless_engine_table``, the table as it
-  was built before the subgroup plan, on every presentation ``GPresentation`` accepts
-  (order at most ``2^MAX_ORDER_BITS``), and ``classify._engine_checks`` with
-  ``planless_engine_checks`` on every symbol profile of the pairs with ``p2 <= 1500``
-  and on the benchmark's deep profiles, from cold caches.
+- ``gengroup.engine_table`` with ``group_oracle.planless_engine_table``, the table built
+  with each subgroup over ``G'`` formed from its presentation's own class representatives,
+  on every presentation ``GPresentation`` accepts (order at most ``2^MAX_ORDER_BITS``), and
+  ``classify._engine_checks`` with ``planless_engine_checks`` on every symbol profile of
+  the pairs with ``p2 <= 1500`` and on the benchmark's deep profiles, from cold caches;
+- the class representatives of every accepted presentation, reduced mod 2, with the
+  fixed bits ``gengroup._CLASS_BITS``, and the fixed subgroup table
+  ``gengroup._OVER_DERIVED`` with ``planless_over_derived`` on every accepted
+  presentation of each conjugation (``sigma_twist`` = -1 and 3).
 
 The exit code is 1 when any case mismatches.  The pool and the deep profiles are read
 from ``perfbench/data/large_pool.json`` and ``deep_profiles.json``, which are only read.
@@ -51,7 +55,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import class_group_oracle as oracle  # noqa: E402
 from class_group_oracle import signed_principal_cycle, tonelli_shanks  # noqa: E402
-from group_oracle import planless_engine_checks, planless_engine_table  # noqa: E402
+from group_oracle import (  # noqa: E402
+    planless_engine_checks, planless_engine_table, planless_over_derived)
 from classtower import classify, gengroup, quadratic  # noqa: E402
 from classtower.gengroup import MAX_ORDER_BITS, GPresentation, PresentationError, PsiVariant  # noqa: E402
 from classtower.quadratic import _principal_cycle, field_discriminant, fundamental_unit  # noqa: E402
@@ -257,6 +262,25 @@ def engine_report(pairs) -> dict[str, tuple[int, list]]:
     return out
 
 
+def fixed_table_report() -> dict[str, tuple[int, list]]:
+    """{what: (cases, mismatches)} of the fixed bits and the fixed subgroup table: the class
+    representatives mod 2 of every accepted presentation against ``_CLASS_BITS``, and
+    ``_OVER_DERIVED`` against the subgroups that ``planless_over_derived`` builds from each
+    presentation's own representatives, for the presentations of each conjugation."""
+    presentations = accepted_presentations()
+    out = {"class representatives mod 2 vs the fixed bits, every accepted presentation": (
+        len(presentations), [tuple(pres) for pres in presentations if tuple(
+            (e, a & 1, b & 1) for e, a, b in pres.class_elements) != gengroup._CLASS_BITS])}
+    for twist in (-1, 3):
+        cases = [(pres, V) for pres in presentations if pres.sigma_twist == twist
+                 for V in gengroup.SUBSPACES]
+        bad = [(tuple(pres), sorted(V)) for pres, V in cases
+               if planless_over_derived(pres, V)[1:] != gengroup._OVER_DERIVED[V]]
+        out[f"the fixed subgroup table vs planless_over_derived, sigma_twist = {twist}"] = (
+            len(cases), bad or ([] if cases else ["no presentation"]))
+    return out
+
+
 def report(name: str, cases: int, mismatches: list) -> bool:
     print(f"{name}: {cases} cases, {len(mismatches)} mismatches"
           + (f", first {mismatches[:5]}" if mismatches else ""), flush=True)
@@ -271,6 +295,8 @@ def main() -> int:
     groups = pairs()
     for name, (n_cases, bad) in engine_report(groups["p2 <= 1500"]).items():
         ok &= report(f"{name} vs the planless copy", n_cases, bad)
+    for name, (n_cases, bad) in fixed_table_report().items():
+        ok &= report(name, n_cases, bad)
     for label, group in groups.items():
         ms = [m for pair in group for m in (pair.r, 2 * pair.r)]
         bad = [m for m in ms if _principal_cycle(m) != signed_principal_cycle(m)]

@@ -16,7 +16,7 @@ subgroup over G' along its whole index-2 chain; and the engine table as it was
 built before its one-step transfers, lattice kernels and shared G' lattice
 (reference_engine_table), and its index-2 step before the closed form on A
 (generic_step_down), which the tests compare the table with; and verbatim copies of
-the engine table and its checks before the subgroup plan (planless_engine_table,
+the engine table and its checks before the shared subgroup table (planless_engine_table,
 planless_engine_checks), which tests/certify_kernels.py compares them with.
 """
 
@@ -391,10 +391,10 @@ def generic_step_down(pres: GPresentation, K: Subgroup, parent: Subgroup, z: GEl
 
 
 # ---------------------------------------------------------------------------
-# The engine table and its checks before the shared subgroup plan
+# The engine table and its checks before the shared subgroup table
 # ---------------------------------------------------------------------------
 # Verbatim copies of gengroup.over_derived, engine_table (uncached), _step_down and _kernel, and
-# of classify._engine_checks (uncached), as they were before over_derived read a plan shared by
+# of classify._engine_checks (uncached), as they were before over_derived read a table shared by
 # the presentations, H' was formed once per lattice, the steps took closed forms outside A and
 # predict built each type (2^a, 2^b) once; only the module of each name they read is spelled
 # out.  tests/certify_kernels.py compares the engine and the checks with them.

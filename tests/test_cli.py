@@ -841,6 +841,38 @@ def test_clear_engine_caches_clears_every_cache(monkeypatch):
     assert [f.__qualname__ for f in caches if f not in cleared] == []
 
 
+_MODULE_STATE = """
+import contextlib, importlib, io, json, pkgutil
+import classtower
+from classtower.cli import main
+modules = [importlib.import_module(f"classtower.{info.name}")
+           for info in pkgutil.iter_modules(classtower.__path__)]
+def sizes():
+    return {f"{module.__name__}.{name}": len(value) for module in modules
+            for name, value in vars(module).items() if isinstance(value, (dict, list, set))}
+before, codes = sizes(), []
+for argv in (["classify", "--p1", "5", "--p2", "13"], ["scan", "--max", "60"],
+             ["group", "--m", "3", "--n", "1", "--q", "1"], ["verify-fixtures"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+after = sizes()
+print(json.dumps({"codes": codes, "watched": len(before),
+                  "changed": {name: [n, after[name]] for name, n in before.items() if after[name] != n}}))
+"""
+
+
+def test_commands_leave_no_module_state_behind():
+    # every memo of the package is a cache that _clear_engine_caches can clear: in a fresh
+    # interpreter, classify, scan, group and verify-fixtures change the size of no module-level
+    # dict, list or set of any classtower module
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _MODULE_STATE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0, 0], proc.stderr
+    assert report["watched"] >= 10 and report["changed"] == {}
+
+
 @pytest.mark.parametrize("module, argv", [
     ("cli", ()),
     ("classify", ("--legendre", "-1", "--pi", "-1", "--b", "1")),

@@ -858,16 +858,19 @@ def test_over_derived_rejects_a_non_subspace():
 
 
 def test_one_subgroup_plan_for_every_accepted_presentation():
-    # the representatives' bits mod 2, and so H & A and r of the 16 subgroups over G', are the
-    # same in every presentation the constructor accepts (order <= 2^MAX_ORDER_BITS), and the
-    # plan read by over_derived gives the subgroups of the Hermite basis formed anew
+    # the representatives' bits mod 2 are the fixed bits in every presentation the constructor
+    # accepts (order <= 2^MAX_ORDER_BITS), and the fixed table read by over_derived gives the
+    # subgroups of the Hermite basis formed anew from each presentation's representatives
     presentations = _accepted_presentations(gengroup.MAX_ORDER_BITS, gengroup.MAX_ORDER_BITS)
     assert len(presentations) == 287
-    assert len({tuple(pres._plan.items()) for pres in presentations}) == 1
+    assert {pres.sigma_twist for pres in presentations} == {-1, 3}
+    assert {tuple((e, a & 1, b & 1) for e, a, b in pres.class_elements)
+            for pres in presentations} == {gengroup._CLASS_BITS}
     for pres in presentations:
         for V in gengroup.SUBSPACES:
             H = oracle.reference_over_derived(pres, V)
-            assert over_derived(pres, V) == H and pres._plan[V] == (H.lattice, H.r), (pres, V)
+            assert over_derived(pres, V) == H and gengroup._OVER_DERIVED[V] == (H.lattice, H.r), (
+                pres, V)
 
 
 def test_engine_table_series_is_the_lower_central_series():
@@ -879,29 +882,53 @@ def test_engine_table_series_is_the_lower_central_series():
         assert gengroup.engine_table(pres).series == tuple(lower_central_series(pres)), pres
 
 
-def test_over_derived_follows_forged_class_representatives():
-    # representatives forged to other bits mod 2 (other cosets of G', inside A or not) get a
-    # plan of their own, made on first use, and over_derived still gives the subgroups that
-    # the Hermite basis of their vectors gives
+_FORGED_REPRESENTATIVES = """
+import ast, sys
+from classtower import gengroup
+from classtower.abelian import GroupCheckError
+m, n, q, psi = ast.literal_eval(sys.argv[1])
+pres = gengroup.GPresentation(m, n, q, gengroup.PsiVariant(psi))
+pres.__dict__["class_elements"] = ast.literal_eval(sys.argv[2])
+try:
+    gengroup.engine_table(pres)
+except GroupCheckError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_engine_table_rejects_forged_class_representatives():
+    # the subgroups over G' are read from the fixed table, which holds only for the fixed bits;
+    # representatives forged to other bits are an explicit raise, also under -O, and a raise
+    # is not cached
     rng = random.Random(34)
-    plans = len(gengroup._PLANS)
-    for pres in SMALL * 3:
-        pres = GPresentation(*pres)  # a fresh instance, with no plan read yet
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    gengroup.engine_table.cache_clear()
+    for i, pres in enumerate(SMALL * 3):
+        pres = GPresentation(*pres)  # a fresh instance, with no representatives read yet
         forged = (pres.identity(), *(pres.element(rng.randrange(2), rng.randrange(pres.a_mod),
                                                   rng.randrange(pres.b_mod)) for _ in range(7)))
+        # other cosets of G', inside A or not: other bits mod 2 than the fixed ones
+        assert tuple((e, a & 1, b & 1) for e, a, b in forged) != gengroup._CLASS_BITS
         pres.__dict__["class_elements"] = forged
-        for V in gengroup.SUBSPACES:
-            assert over_derived(pres, V) == oracle.reference_over_derived(pres, V), (forged, V)
-    assert len(gengroup._PLANS) > plans
+        message = f"the class representatives {forged} are not {gengroup._CLASS_BITS} mod 2"
+        with pytest.raises(GroupCheckError) as raised:
+            gengroup.engine_table(pres)
+        assert str(raised.value) == message
+        if i < len(SMALL):  # once per presentation
+            argv = [repr((*pres[:3], pres.psi.value)), repr(forged)]
+            proc = subprocess.run([sys.executable, "-O", "-c", _FORGED_REPRESENTATIVES, *argv],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=120)
+            assert proc.stdout == f"False {message}\n", proc.stderr
+    assert gengroup.engine_table.cache_info().currsize == 0
 
 
 _NOT_T_STABLE = """
 from classtower import gengroup
 from classtower.abelian import GroupCheckError
-pres = gengroup.GPresentation(2, 2, 2)
 gengroup._hermite = lambda vectors: (1, 1, 8)  # T = diag(3, -1) takes (1, 1) to (3, -1), outside
 try:
-    gengroup.over_derived(pres, gengroup.span([(0, 1, 0), (1, 0, 0)]))
+    gengroup._over_derived_table()  # the fixed table, built again on the forged Hermite form
 except GroupCheckError as exc:
     print(__debug__, exc)
 """
