@@ -15,7 +15,10 @@ def main() -> int:
 
         code = cli_main()
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        try:  # a closed or failing stderr drops the line, as in cli.main
+            sys.stderr.write("interrupted\n")
+        except (AttributeError, OSError):
+            pass
         code = 130  # cli.EXIT_INTERRUPTED, which may not be loaded yet
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     return code

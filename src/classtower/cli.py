@@ -2,12 +2,13 @@
 table, ``_COMMANDS``.  main reads a well-formed argv against it; argparse, built from it only
 for other argv, reads those and writes every help text and usage error.
 
-Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe is silent,
-any other write error one stderr line), 2 invalid input/usage, 3 internal
+Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe or an fd 1 closed at start
+is silent, any other write error one stderr line), 2 invalid input/usage, 3 internal
 consistency failure (a failed self-check, or a failed scan worker), 4 fixture
 mismatch, 130 interrupted (SIGINT; one stderr line, no traceback).  main maps
 every failed self-check to exit 3, also one raised while ``scan --jobs`` shards
-its pairs or while ``group`` builds its presentation.  All JSON
+its pairs or while ``group`` builds its presentation.  A closed or failing stderr
+drops its lines and leaves the exit code as it is.  All JSON
 output is canonical (sorted keys, compact separators, integers only) so that
 parse + re-serialize is byte-identical.
 
@@ -95,16 +96,8 @@ def report_to_dict(
         "p2": record.pair.p2,
         "d": record.d,
         "disc": record.disc,
-        "invariants": {
-            "legendre": record.legendre,
-            "pi": record.pi,
-            "B": record.B,
-            "m": record.m,
-            "n": record.n,
-            "q": record.q,
-            "norm_eps_r": record.norm_eps_r,
-            "psi": record.psi.value,
-        },
+        "invariants": {**record.profile()._asdict(), "norm_eps_r": record.norm_eps_r,
+                       "psi": record.psi.value},
         "group": {
             "order": report.group_order,
             "coclass": report.coclass,
@@ -191,26 +184,8 @@ def cmd_verify_fixtures(args) -> int:
             "rows": n_rows,
             "passed": n_pass,
             "failed": n_rows - n_pass,
-            "results": [
-                {
-                    "table": r.table,
-                    "d": r.d,
-                    "p1": r.p1,
-                    "p2": r.p2,
-                    "passed": r.passed,
-                    "columns": [
-                        {
-                            "column": c.column,
-                            "ok": c.ok,
-                            "printed": c.printed,
-                            "expected": c.expected,
-                            "computed": c.got,
-                        }
-                        for c in r.columns
-                    ],
-                }
-                for r in results
-            ],
+            "results": [{**r._asdict(), "passed": r.passed,
+                         "columns": [c._asdict() for c in r.columns]} for r in results],
         }
         print(dumps(payload))
     else:
@@ -221,7 +196,7 @@ def cmd_verify_fixtures(args) -> int:
             audit = r.columns if args.verbose else r.failures()
             for c in audit:
                 src = f"printed {c.printed} -> {c.expected}" if c.printed else f"printed {c.expected}"
-                print(f"       {c.column}: {src}, computed {c.got}")
+                print(f"       {c.column}: {src}, computed {c.computed}")
         print(f"{n_pass}/{n_rows} rows pass")
         if n_rows == 0:
             print("0 rows matched the filter")
@@ -256,9 +231,7 @@ def cmd_group(args) -> int:
     fields = engine_abelianizations(profile) if profile is not None else None
     shape = [s.order for s in table.series]
     info = {
-        "m": args.m,
-        "n": args.n,
-        "q": args.q,
+        **pres._asdict(),
         "psi": psi.value,
         "order": pres.order,
         "derived_type": list(table.G_derived.abelianization.divisors),
@@ -613,21 +586,50 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     return args
 
 
+class _ClosedStdout:
+    """sys.stdout while main runs if fd 1 was closed at start, when Python sets sys.stdout to
+    None and print drops every line: a write fails as to a reader that is gone."""
+
+    def write(self, text: str) -> NoReturn:
+        raise BrokenPipeError("fd 1 is closed")
+
+    def flush(self) -> None:
+        pass
+
+
+class _QuietStderr:
+    """sys.stderr while main runs: the lines go to the stream main was given, and are dropped
+    when it is None (fd 2 closed at start; print would send them to stdout) or fails, so that
+    stderr never changes the exit code."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        with contextlib.suppress(AttributeError, OSError):
+            self.stream.write(text)
+        return len(text)
+
+
 def main(argv=None) -> int:
     thaw = not gc.get_freeze_count()  # a caller's frozen objects stay frozen
+    streams = sys.stdout, sys.stderr
     try:
+        sys.stdout, sys.stderr = streams[0] or _ClosedStdout(), _QuietStderr(streams[1])
         if thaw:
             gc.freeze()  # the collector skips every object made before the command
         args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
     except OSError as exc:
-        # the commands handle their other OSErrors (fixture files, pipes, forks), so this one
-        # is stdout's: a reader that is gone (silent) or a device that takes nothing more;
-        # point stdout at devnull so that the final flush stays silent
+        # the commands handle their other OSErrors (fixture files, pipes, forks) and stderr
+        # drops its own, so this one is stdout's: a reader that is gone or an fd closed at
+        # start (silent), or a device that takes nothing more; point stdout at devnull so that
+        # the final flush stays silent
         if not isinstance(exc, BrokenPipeError):
             print(f"cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if streams[0] is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), streams[0].fileno())
         return EXIT_STDOUT
     except AssertionError as exc:  # every failed self-check, whichever command raised it
         print(f"consistency failure: {exc}", file=sys.stderr)
@@ -636,6 +638,7 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     finally:
+        sys.stdout, sys.stderr = streams
         if thaw:
             gc.unfreeze()
     return code

@@ -111,7 +111,7 @@ class ColumnResult(NamedTuple):
     column: str
     ok: bool
     expected: str
-    got: str
+    computed: str
     printed: str = ""  # the verbatim printed value, for audit (class-group columns)
 
 
@@ -139,21 +139,12 @@ def verify_row(row: FixtureRow) -> RowResult:
     record, report, validation = classify_pair(row.p1, row.p2)
     cols: list[ColumnResult] = []
 
-    def add(name, expected, got, printed=""):
-        cols.append(
-            ColumnResult(name, str(expected) == str(got), str(expected), str(got), str(printed))
-        )
+    def add(name, expected, computed, printed=""):
+        cols.append(ColumnResult(name, str(expected) == str(computed), str(expected), str(computed),
+                                 str(printed)))
 
-    computed_scalars = {
-        "q": record.q,
-        "legendre": record.legendre,
-        "pi": record.pi,
-        "b": record.B,
-        "m": record.m,
-        "n": record.n,
-        "disc": record.disc,
-        "coclass": report.coclass,
-    }
+    computed_scalars = {**record.profile()._asdict(), "b": record.B, "disc": record.disc,
+                        "coclass": report.coclass}
     for key, printed in sorted(row.values.items()):
         add(key, printed, computed_scalars[key])
     computed_cl2 = {"cl_kk": "(2, 2, 2)"}

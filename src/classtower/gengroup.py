@@ -382,15 +382,13 @@ def _relations(H: Subgroup, N: Subgroup) -> tuple[int, int, int, tuple[int, int]
     return x, y, z, _coords(lattice, a, b)
 
 
-def lower_central_series(pres: GPresentation, known: tuple[Subgroup, ...] = ()) -> list[Subgroup]:
-    """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G] = (T - I) gamma_i + Lambda;
-    gamma_2, gamma_3, ... are the terms of known as far as it goes.  Each term must be a proper
-    subgroup of the one before, else the series stalled."""
+def lower_central_series(pres: GPresentation) -> list[Subgroup]:
+    """gamma_1 = G down to the trivial group, gamma_(i+1) = [gamma_i, G] = (T - I) gamma_i + Lambda.
+    Each term must be a proper subgroup of the one before, else the series stalled."""
     series = [Subgroup.whole_group(pres)]
     while series[-1].order > 1:
-        prev, i = series[-1], len(series) - 1
-        nxt = known[i] if i < len(known) else Subgroup._from_vectors(
-            pres, _conj(pres, _rows(prev.lattice), 1))
+        prev = series[-1]
+        nxt = Subgroup._from_vectors(pres, _conj(pres, _rows(prev.lattice), 1))
         if not (nxt <= prev and nxt.order < prev.order):
             raise GroupCheckError("lower central series stalled")
         series.append(nxt)
@@ -536,9 +534,7 @@ def engine_table(pres: GPresentation) -> EngineTable:
     _CLASS_BITS (both checked), so H & A is one of five lattices read from _OVER_DERIVED
     (2Z^2, the three of index 2 over it, Z^2).  H' = (T - I)(H & A) + Lambda, or 1 for H inside
     A, is formed once for each lattice and each of the two cases, and the type of H/H' once for
-    each lattice and relation matrix (r^2 in its coordinates).  The lower central series starts
-    G, G' (the subgroup over {0}) and [G', G] = (T - I)(2Z^2) + Lambda, the H' of each H outside
-    A with H & A = 2Z^2; both are in the table, and lower_central_series steps down from them."""
+    each lattice and relation matrix (r^2 in its coordinates)."""
     if pres.derived_lattice != (2, 0, 2):
         raise GroupCheckError(f"G' & A is the lattice {pres.derived_lattice}, not 2Z^2")
     classes = pres.class_elements
@@ -570,7 +566,7 @@ def engine_table(pres: GPresentation) -> EngineTable:
         raise GroupCheckError("kernel: the transfer into G' is not trivial "
                               "(principal ideal theorem)")
     squares = Subgroup.generated(pres, [pres.word("ss"), pres.word("tt")])
-    series = lower_central_series(pres, (over[SUBSPACES[-1]].H, derived_of[(2, 0, 2), False]))
+    series = lower_central_series(pres)
     return EngineTable(over, tuple(series), over[SUBSPACES[0]].derived == squares)
 
 

@@ -1194,6 +1194,53 @@ def test_unwritable_stdout_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def _entry_point(argv: list[str], closed_fd: int | None = None) -> subprocess.CompletedProcess:
+    # with fd 1 or 2 closed, Python starts with sys.stdout or sys.stderr set to None
+    src = str(Path(classtower.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "classtower", *argv], capture_output=True,
+                          preexec_fn=None if closed_fd is None else lambda: os.close(closed_fd),
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+_DISTINCT = b"invalid input: primes must be distinct, got p1 = p2 = 5\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["classify", "--p1", "5", "--p2", "13"], 1, b""),
+    (["scan", "--max", "30", "--jobs", "2", "--json"], 1, b""),
+    (["group", "--m", "2", "--n", "2", "--q", "1", "--psi", "sigma", "--force"], 1, b""),
+    (["verify-fixtures"], 1, b""),
+    (["classify", "--p1", "5", "--p2", "5"], 2, _DISTINCT),  # writes nothing to stdout
+    (["classify", "--help"], 0, b""),  # argparse drops the help, as for a closed pipe
+], ids=["classify", "scan-jobs2", "group", "verify-fixtures", "exit-2", "help"])
+def test_stdout_closed_at_start_is_a_closed_reader(argv, code, err):
+    proc = _entry_point(argv, closed_fd=1)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_stderr_closed_at_start_keeps_exit_codes_and_stdout():
+    argv = ["classify", "--p1", "5", "--p2", "13", "--json"]
+    opened, closed = _entry_point(argv), _entry_point(argv, closed_fd=2)
+    assert opened.returncode == closed.returncode == 0 and closed.stdout == opened.stdout != b""
+    # the stderr lines of the command and of argparse are dropped, not written to stdout
+    for argv in (["classify", "--p1", "5", "--p2", "5"], ["classify", "--p1", "5", "--bogus"]):
+        proc = _entry_point(argv, closed_fd=2)
+        assert (proc.returncode, proc.stdout) == (2, b""), argv
+
+
+class _FailingStderr(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [_FailingStderr(), None])
+def test_failing_or_missing_stderr_keeps_exit_code(capsys, monkeypatch, stderr):
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["classify", "--p1", "5", "--p2", "5"]) == 2
+    assert main(["scan", "--max", "5"]) == 2
+    assert sys.stderr is stderr and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_matches_golden_and_leaves_no_process(jobs):
     src = str(Path(classtower.__file__).resolve().parents[1])
@@ -1824,11 +1871,11 @@ runpy.run_module({module!r}, run_name="__main__")
 """
 
 
-def _interrupted_import(module):
+def _interrupted_import(module, preexec_fn=None):
     src = str(Path(classtower.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", _INTERRUPTED_IMPORT.format(module=module)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=60)
+                          timeout=60, preexec_fn=preexec_fn)
 
 
 def test_python_m_classtower_interrupted_during_import_exits_130():
@@ -1842,6 +1889,13 @@ def test_python_m_classtower_cli_interrupted_during_import_exits_130():
     # python -m classtower.cli hands itself to classtower.__main__ before its own imports
     proc = _interrupted_import("classtower.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
+
+
+def test_interrupted_import_with_stderr_closed_writes_nothing_to_stdout():
+    # fd 2 closed at start: the entry point drops its "interrupted" line (print would send it
+    # to stdout) and keeps exit 130
+    proc = _interrupted_import("classtower", preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (EXIT_INTERRUPTED, "")
 
 
 _ARGV = ["classify", "--p1", "5", "--p2", "13", "--json"]

@@ -874,8 +874,8 @@ def test_one_subgroup_plan_for_every_accepted_presentation():
 
 
 def test_engine_table_series_is_the_lower_central_series():
-    # engine_table continues the series from the G' and [G', G] its subgroups already hold;
-    # lower_central_series, which steps down from G alone, is the reference
+    # every accepted presentation's table holds the series lower_central_series steps down
+    # from G
     presentations = _accepted_presentations(gengroup.MAX_ORDER_BITS, gengroup.MAX_ORDER_BITS)
     assert len(presentations) == 287
     for pres in presentations:

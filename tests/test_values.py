@@ -29,7 +29,7 @@ _VALUES = [
      True),
     ("FixtureRow", lambda: next(iter(load_fixtures().values()))[0],
      ["table", "d", "p1", "p2", "values", "class_groups"], False),
-    ("ColumnResult", lambda: _COLUMN, ["column", "ok", "expected", "got", "printed"], True),
+    ("ColumnResult", lambda: _COLUMN, ["column", "ok", "expected", "computed", "printed"], True),
     ("RowResult", lambda: RowResult("1", 130, 5, 13, (_COLUMN,)),
      ["table", "d", "p1", "p2", "columns"], True),
     ("GaussianInt", lambda: GaussianInt(1, 2), ["re", "im"], True),
