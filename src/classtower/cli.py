@@ -1,6 +1,8 @@
 """Command line surface: classify, verify-fixtures, group, scan, their options declared in one
 table, ``_COMMANDS``.  main reads a well-formed argv against it; argparse, built from it only
-for other argv, reads those and writes every help text and usage error.
+for other argv, reads those and writes every help text and usage error.  argparse (and the
+gettext it loads) is imported only then, or for a rejected ``--jobs`` value, so a well-formed
+command never loads it.
 
 Exit codes: 0 success, 1 stdout closed or unwritable (a broken pipe or an fd 1 closed at start
 is silent, any other write error one stderr line), 2 invalid input/usage, 3 internal
@@ -28,7 +30,6 @@ if __name__ == "__main__":  # python -m classtower.cli: the entry point imports 
 
     raise SystemExit(_entry_point())
 
-import argparse
 import contextlib
 import gc
 import json
@@ -38,7 +39,8 @@ import signal
 import sys
 from functools import cache
 from itertools import product
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from .classify import (
     InvariantRecord,
@@ -57,6 +59,9 @@ from .gengroup import GPresentation, PresentationError, PsiVariant, engine_table
 from .quadratic import DISCRIMINANT_BOUND, DiscriminantBoundError
 from .quadratic import norm_eps, two_part_of_class_group, field_discriminant
 from .symbols import InvalidPairError, is_prime, jacobi, primes_5_mod_8
+
+if TYPE_CHECKING:  # loaded at run time only to build a parser
+    import argparse
 
 EXIT_OK = 0
 EXIT_STDOUT = 1
@@ -486,10 +491,13 @@ def _jobs(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+        n = None
+    if n is not None and n >= 1:
+        return min(n, os.cpu_count() or 1)
+    from argparse import ArgumentTypeError  # only a rejected value loads argparse
+
+    # argparse writes this error's own message, where it would name _jobs for a ValueError
+    raise ArgumentTypeError(f"not an integer: {text!r}" if n is None else f"must be at least 1, got {n}")
 
 
 # The grammar of the four commands, declared once for build_parser and _read_argv: command ->
@@ -530,6 +538,8 @@ _COMMANDS = {
 
 @cache  # built at the first argv that _read_argv hands over, then reused in the process
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="classtower",
         description=(
@@ -550,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
 _NEGATIVE_INT = re.compile(r"^-\d+$")
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's namespace for a well-formed ``argv``, else None for build_parser's parser
-    (-h, --opt=value, abbreviations, repeats, '--', values starting with '-' but negative
-    integers, usage errors)."""
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes that argparse would give a well-formed ``argv``, else None for
+    build_parser's parser (-h, --opt=value, abbreviations, repeats, '--', values starting with
+    '-' but negative integers, usage errors)."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     func, _, options = _COMMANDS[argv[0]]
@@ -569,13 +579,13 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         text = next(words, "-")  # a missing value is handed over like an option word
         try:
             value = kwargs.get("type", str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's usage errors
+        except Exception:  # argparse calls the type function again and reports what it raises
             return None
         if (text.startswith("-") and not _NEGATIVE_INT.match(text)
                 or "choices" in kwargs and value not in kwargs["choices"]):
             return None
         given[word] = value
-    args = argparse.Namespace(command=argv[0], func=globals()[func])
+    args = SimpleNamespace(command=argv[0], func=globals()[func])
     for option, kwargs in options.items():
         if option not in given and kwargs.get("required"):
             return None

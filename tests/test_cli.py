@@ -977,7 +977,15 @@ import sys
 from classtower.cli import main
 fork = os.fork
 def forked():  # SIGINT right after the fork returns, in the parent and in the child
-    pid = fork()
+    try:
+        pid = fork()
+    except OSError as exc:  # the scan would give the share to the parent and exit 0
+        with open({report!r}, "w") as fh:
+            fh.write("fork raised " + repr(exc))
+        raise
+    if pid:
+        with open({report!r}, "w") as fh:
+            fh.write("forked")
     os.kill(os.getpid(), signal.SIGINT)
     return pid
 os.cpu_count = lambda: 2
@@ -986,13 +994,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_interrupt_at_the_fork_leaves_no_child():
+def test_interrupt_at_the_fork_leaves_no_child(tmp_path):
     # SIGINT is blocked from before the fork until the child is registered for reaping, and
     # the child ignores it before unblocking it: one "interrupted", and no orphan left
     # blocked on its pipe
     src = str(Path(classtower.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_FORK, "scan", "--max", "100",
-                             "--jobs", "2"],
+    report = tmp_path / "fork"
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_FORK.format(report=str(report)),
+                             "scan", "--max", "100", "--jobs", "2"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
     try:
@@ -1000,6 +1009,7 @@ def test_interrupt_at_the_fork_leaves_no_child():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         raise
+    assert report.read_text() == "forked"  # else nothing was interrupted at a fork
     assert proc.returncode == EXIT_INTERRUPTED == 130
     assert out == "" and err == "interrupted\n"
     with pytest.raises(ProcessLookupError):
@@ -1813,19 +1823,28 @@ import contextlib, io, sys
 from classtower import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv.split()) for argv in sys.argv[1:]]
-print(codes, cli.build_parser.cache_info().currsize, "locale" in sys.modules)
+print(codes, cli.build_parser.cache_info().currsize,
+      [name for name in ("locale", "argparse", "gettext") if name in sys.modules])
 """
 
 
 def test_well_formed_argv_builds_no_parser():
     # a well-formed command is read from the command table: argparse builds no parser, so
-    # the import of locale that gettext makes inside ArgumentParser() never happens
+    # the import of locale that gettext makes inside ArgumentParser() never happens, and
+    # argparse and its gettext are not even imported, also for a valid --jobs 2
     src = str(Path(classtower.__file__).resolve().parents[1])
-    argvs = ["classify --p1 5 --p2 13 --json", "scan --max 13 --jobs 1",
+    env = dict(os.environ, PYTHONPATH=src)
+    argvs = ["classify --p1 5 --p2 13 --json", "scan --max 13 --jobs 1", "scan --max 40 --jobs 2",
              "group --m 3 --n 1 --q 1 --force", "verify-fixtures --filter 130 --verbose"]
     proc = subprocess.run([sys.executable, "-c", _PARSER_STATE, *argvs], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "[0, 0, 0, 0] 0 False\n"
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[0, 0, 0, 0, 0] 0 []\n"
+    # a rejected --jobs value loads argparse, which writes the type function's own message
+    for jobs, message in (("0", "must be at least 1, got 0"), ("x", "not an integer: 'x'")):
+        proc = subprocess.run([sys.executable, "-m", "classtower", "scan", "--max", "40", "--jobs",
+                               jobs], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == f"classtower scan: error: argument --jobs: {message}"
 
 
 _IMPORTED = """
